@@ -13,10 +13,10 @@ from .emfield import (PotentialSpec, constant_electric, constant_magnetic,
                       lorenz_residual, spin_coupling_matrix)
 from .grid import (Field, ScalarField, SpacetimeGrid, SpinorField, dalembertian,
                    field_to_csv, l2norm, partial, plane_wave, random_band_limited)
-from .operators import (build_spinor, conjugate_apply, dirac_apply, dirac_plane_wave,
-                        factored_rhs, factorization_discrepancy, fock_rhs,
-                        gauge_discrepancy_prediction, kg_residual_componentwise,
-                        legacy_factored_rhs)
+from .operators import (SampledPotential, build_spinor, conjugate_apply, dirac_apply,
+                        dirac_plane_wave, factored_rhs, factorization_discrepancy,
+                        fock_rhs, gauge_discrepancy_prediction,
+                        kg_residual_componentwise, legacy_factored_rhs)
 from .soc import (ControlField, DiffusionCoefficients, EnsembleParams,
                   TrajectoryEnsemble, accumulate_action, constant_control,
                   generator_check, hjb_residual, hjb_residual_mode, hopf_cole_check,

@@ -23,8 +23,8 @@ from . import emfield, soc, spectrum
 from .clifford import DIRAC, METRIC_DIAG, mdot
 from .config import ConfigError, RunConfig, load_config_file
 from .grid import SpacetimeGrid, random_band_limited
-from .operators import (factorization_discrepancy, factored_rhs, fock_rhs,
-                        gauge_discrepancy_prediction)
+from .operators import (SampledPotential, factorization_discrepancy, factored_rhs,
+                        fock_rhs, gauge_discrepancy_prediction)
 from .report import read_jsonl, summarize, write_csv, write_jsonl, write_meta
 
 EXIT_PASS = 0
@@ -150,7 +150,9 @@ def identity_records(cfg: RunConfig) -> list[dict]:
         sweep = identity_potentials(grid)
         negatives = [("negative-gauge", gauge_violating_potential(grid))]
 
-    for name, pot in sweep:
+    # each potential is sampled once and held only while its fields are checked
+    for name, spec in sweep:
+        pot = SampledPotential(spec, grid)
         for i in range(n_fields):
             phi = random_band_limited(grid, max_mode, rng, spinor=True)
             rel, _, _ = factorization_discrepancy(phi, pot, consts, backend=backend)
@@ -158,19 +160,22 @@ def identity_records(cfg: RunConfig) -> list[dict]:
                 "verify-identity", cfg, check="factored_vs_fock", potential=name,
                 field_index=i, grid=glabel, residual=rel, tolerance=tol,
                 **{"pass": rel <= tol}))
+        del pot
 
-    for name, pot in negatives:
+    for name, spec in negatives:
+        pot = SampledPotential(spec, grid)
         for i in range(cfg.int("identity.gauge_fields")):
             phi = random_band_limited(grid, max_mode, rng, spinor=True)
             diff = factored_rhs(phi, pot, consts, backend=backend).values \
                 - fock_rhs(phi, pot, consts, backend=backend).values
-            pred = gauge_discrepancy_prediction(phi, pot, consts).values
+            pred = gauge_discrepancy_prediction(phi, spec, consts).values
             scale = float(np.abs(pred).max())
             resid = float(np.abs(diff - pred).max()) / scale
             records.append(_base_record(
                 "verify-identity", cfg, check="gauge_discrepancy_law", potential=name,
                 field_index=i, grid=glabel, residual=resid, tolerance=tol,
                 **{"pass": resid <= tol}))
+        del pot
     return records
 
 

@@ -119,8 +119,13 @@ class RunConfig:
                 merged[key] = str(value)
         cfg = cls(raw=merged)
         cfg.constants()  # validate eagerly
-        cfg.grid()
+        grid = cfg.grid()
         cfg.potential()
+        nyquist = min(grid.points) // 2
+        if not 0 <= cfg.int("identity.max_mode") < nyquist:
+            raise ConfigError(f"identity.max_mode must be 0..{nyquist - 1} so that random "
+                              f"fields stay below the Nyquist mode of grid.points "
+                              f"{cfg.str('grid.points')}, got {cfg.str('identity.max_mode')}")
         if cfg.str("backend") not in ("spectral", "fd4"):
             raise ConfigError(f"backend must be spectral or fd4, got {cfg.str('backend')!r}")
         for key in ("identity.tolerance", "clifford.det_tolerance", "dispersion.det_tolerance",

@@ -12,7 +12,7 @@ returns the lower-index derivative field d_mu f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -86,12 +86,19 @@ class SpacetimeGrid:
 
 @dataclass(frozen=True)
 class Field:
-    """Complex scalar (grid.shape) or 4-component spinor ((4,)+grid.shape)."""
+    """Complex scalar (grid.shape) or 4-component spinor ((4,)+grid.shape).
+
+    The values are checked (shape, finiteness) and held read-only.  By
+    default they are copied, so the caller's array can change afterwards
+    without changing the field; ``copy=False`` adopts an array that no one
+    else holds, which is how the library wraps results it just computed.
+    """
 
     grid: SpacetimeGrid
     values: np.ndarray
+    copy: InitVar[bool] = field(default=True, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, copy: bool) -> None:
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape == self.grid.shape:
             pass
@@ -103,7 +110,8 @@ class Field:
                 f"nor spinor {(4,) + self.grid.shape}")
         if not np.all(np.isfinite(v.view(np.float64))):
             raise GridError("field contains non-finite values")
-        v = v.copy()
+        if copy:
+            v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -119,13 +127,13 @@ class Field:
         return self.values[a] if self.is_spinor else self.values
 
     def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values + other.values)
+        return Field(self.grid, self.values + other.values, copy=False)
 
     def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values - other.values)
+        return Field(self.grid, self.values - other.values, copy=False)
 
     def __rmul__(self, c) -> "Field":
-        return Field(self.grid, c * self.values)
+        return Field(self.grid, c * self.values, copy=False)
 
 
 ScalarField = Field
@@ -164,13 +172,13 @@ def partial(f: Field, mu: int, backend: str = "spectral") -> Field:
                - 8 * np.roll(v, 1, axis=axis) + np.roll(v, 2, axis=axis)) / (12 * h)
     else:
         raise GridError(f"unknown backend {backend!r}; valid: {BACKENDS}")
-    return Field(f.grid, out)
+    return Field(f.grid, out, copy=False)
 
 
 def partial_or_zero(f: Field, mu: int, backend: str = "spectral") -> Field:
     """Like ``partial`` but inactive axes return the zero field."""
     if not f.grid.is_active(mu):
-        return Field(f.grid, np.zeros_like(f.values))
+        return Field(f.grid, np.zeros_like(f.values), copy=False)
     return partial(f, mu, backend)
 
 
@@ -179,7 +187,7 @@ def dalembertian(f: Field, backend: str = "spectral") -> Field:
     out = np.zeros_like(f.values)
     for mu in range(f.grid.dims):
         out = out + METRIC_DIAG[mu] * partial(partial(f, mu, backend), mu, backend).values
-    return Field(f.grid, out)
+    return Field(f.grid, out, copy=False)
 
 
 def plane_wave(grid: SpacetimeGrid, k, chi=None, amplitude: complex = 1.0) -> Field:
@@ -196,9 +204,9 @@ def plane_wave(grid: SpacetimeGrid, k, chi=None, amplitude: complex = 1.0) -> Fi
     phase = sum(k[mu] * zs[mu] for mu in range(grid.dims))
     wave = amplitude * np.exp(-1j * phase)
     if chi is None:
-        return Field(grid, wave)
+        return Field(grid, wave, copy=False)
     chi = np.asarray(chi, dtype=np.complex128).reshape(4)
-    return Field(grid, chi.reshape((4,) + (1,) * grid.dims) * wave[np.newaxis])
+    return Field(grid, chi.reshape((4,) + (1,) * grid.dims) * wave[np.newaxis], copy=False)
 
 
 def random_band_limited(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator,
@@ -217,7 +225,7 @@ def random_band_limited(grid: SpacetimeGrid, max_mode: int, rng: np.random.Gener
         spec[np.ix_(*window)] = block
         comps.append(np.fft.ifftn(spec) * np.sqrt(np.prod(grid.shape)))
     values = comps[0] if not spinor else np.stack(comps)
-    return Field(grid, values)
+    return Field(grid, values, copy=False)
 
 
 def field_to_csv(f: Field, path) -> None:

@@ -15,13 +15,14 @@ equivalence checks are honest numerical tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet, as_four_vector
 from .constants import PhysicalConstants
 from .emfield import PotentialSpec, evaluate_potential, field_strength, potential_jacobian
-from .grid import Field, dalembertian, l2norm, partial_or_zero, plane_wave
+from .grid import Field, SpacetimeGrid, dalembertian, l2norm, partial, plane_wave
 
 
 class OperatorError(ValueError):
@@ -31,15 +32,6 @@ class OperatorError(ValueError):
 def _require_spinor(psi: Field) -> None:
     if not psi.is_spinor:
         raise OperatorError("operator expects a 4-component field")
-
-
-def _check_potential_support(psi: Field, A: PotentialSpec) -> None:
-    # the grid cannot represent variation along inactive axes
-    for mu in range(psi.grid.dims, 4):
-        if _varies_along(A, mu):
-            raise OperatorError(
-                f"potential {A.name} varies along inactive axis {mu}; "
-                f"use a grid with dims > {mu}")
 
 
 def _varies_along(A: PotentialSpec, mu: int) -> bool:
@@ -56,45 +48,106 @@ def _varies_along(A: PotentialSpec, mu: int) -> bool:
     return any(_parse_poly_key(key)[1][mu] > 0 for key in A.params)
 
 
-def _sampled_potential(psi: Field, A: PotentialSpec) -> np.ndarray:
-    return evaluate_potential(A, psi.grid.coords4())
+class SampledPotential:
+    """A potential sampled once on one grid, passed to the operators in place of its spec.
+
+    ``A`` holds the lower-index components A_mu on the grid and
+    ``coupled[mu]`` says whether A_mu is anywhere nonzero.  ``F`` maps
+    (mu, nu) to F_munu for the components that are not identically zero,
+    in row-major order; it is evaluated on first use and the dense 4x4
+    field strength is not kept.
+    """
+
+    def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid) -> None:
+        # the grid cannot represent variation along inactive axes
+        for mu in range(grid.dims, 4):
+            if _varies_along(spec, mu):
+                raise OperatorError(
+                    f"potential {spec.name} varies along inactive axis {mu}; "
+                    f"use a grid with dims > {mu}")
+        self.spec = spec
+        self.grid = grid
+        self.A = evaluate_potential(spec, grid.coords4())
+        self.A.setflags(write=False)
+        self.coupled = tuple(bool(np.any(a != 0)) for a in self.A)
+
+    @cached_property
+    def F(self) -> dict[tuple[int, int], np.ndarray]:
+        full = field_strength(self.spec, self.grid.coords4(), method="analytic")
+        F = {(mu, nu): full[mu, nu].copy() for mu in range(4) for nu in range(4)
+             if np.any(full[mu, nu] != 0)}
+        for component in F.values():
+            component.setflags(write=False)
+        return F
+
+
+Potential = PotentialSpec | SampledPotential
+
+
+def _sampled(psi: Field, A: Potential) -> SampledPotential:
+    if not isinstance(A, SampledPotential):
+        return SampledPotential(A, psi.grid)
+    if A.grid != psi.grid:
+        raise OperatorError("potential was sampled on a different grid than the field")
+    return A
 
 
 def _gamma_mix(mat: ArrayC, comp: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 matrix in spinor space: out_a = sum_b M_ab v_b."""
+    """Apply a 4x4 matrix in spinor space: out_a = sum_b M_ab v_b.
+
+    A monomial matrix (one nonzero entry per row, as every gamma matrix
+    and every commutator of two is) is applied as out_a = M_a,p(a) v_p(a),
+    which equals the full sum exactly: the other terms are products with
+    zero.
+    """
+    nonzero = mat != 0
+    if np.all(nonzero.sum(axis=1) == 1):
+        out = np.empty(comp.shape, dtype=np.complex128)
+        for a, b in enumerate(nonzero.argmax(axis=1)):
+            np.multiply(mat[a, b], comp[b], out=out[a])
+        return out
     return np.tensordot(mat, comp, axes=(1, 0))
 
 
-def minimal_coupling_slash(psi: Field, A: PotentialSpec, consts: PhysicalConstants,
+def minimal_coupling_slash(psi: Field, A: Potential, consts: PhysicalConstants,
                            gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """gamma^nu (i hbar d_nu - e A_nu) psi -- the mass-free first-order part."""
     _require_spinor(psi)
-    _check_potential_support(psi, A)
-    Av = _sampled_potential(psi, A)
-    out = np.zeros_like(psi.values)
+    pot = _sampled(psi, A)
+    out = None  # axis 0 is always active, so at least one term is added
     for nu in range(4):
-        term = 1j * consts.hbar * partial_or_zero(psi, nu, backend).values
-        if np.any(Av[nu] != 0):
-            term = term - consts.e * Av[nu] * psi.values
-        out = out + _gamma_mix(gammas.gammas[nu], term)
-    return Field(psi.grid, out)
+        # d_nu psi vanishes on an inactive axis and A_nu may vanish: skip zero terms
+        term = None
+        if psi.grid.is_active(nu):
+            term = 1j * consts.hbar * partial(psi, nu, backend).values
+        if pot.coupled[nu]:
+            coupling = consts.e * pot.A[nu] * psi.values
+            term = -coupling if term is None else term - coupling
+        if term is None:
+            continue
+        mixed = _gamma_mix(gammas.gammas[nu], term)
+        if out is None:
+            out = mixed
+        else:
+            out += mixed
+    return Field(psi.grid, out, copy=False)
 
 
-def dirac_apply(psi: Field, A: PotentialSpec, consts: PhysicalConstants,
+def dirac_apply(psi: Field, A: Potential, consts: PhysicalConstants,
                 gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """(i hbar gamma^nu d_nu - e gamma^nu A_nu - m c) psi."""
     base = minimal_coupling_slash(psi, A, consts, gammas, backend)
-    return Field(psi.grid, base.values - consts.mc * psi.values)
+    return Field(psi.grid, base.values - consts.mc * psi.values, copy=False)
 
 
-def conjugate_apply(psi: Field, A: PotentialSpec, consts: PhysicalConstants,
+def conjugate_apply(psi: Field, A: Potential, consts: PhysicalConstants,
                     gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """(i hbar gamma^mu d_mu - e gamma^mu A_mu + m c) psi."""
     base = minimal_coupling_slash(psi, A, consts, gammas, backend)
-    return Field(psi.grid, base.values + consts.mc * psi.values)
+    return Field(psi.grid, base.values + consts.mc * psi.values, copy=False)
 
 
-def build_spinor(phi: Field, A: PotentialSpec, consts: PhysicalConstants,
+def build_spinor(phi: Field, A: Potential, consts: PhysicalConstants,
                  gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """psi = i hbar gamma^mu d_mu phi - e gamma^mu A_mu phi + m c phi.
 
@@ -104,7 +157,7 @@ def build_spinor(phi: Field, A: PotentialSpec, consts: PhysicalConstants,
     return conjugate_apply(phi, A, consts, gammas, backend)
 
 
-def fock_rhs(phi: Field, A: PotentialSpec, consts: PhysicalConstants,
+def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
              gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """Second-order right-hand side, term by term:
 
@@ -113,40 +166,36 @@ def fock_rhs(phi: Field, A: PotentialSpec, consts: PhysicalConstants,
     - 2 i e hbar A^mu d_mu phi + e^2 A^mu A_mu phi
     """
     _require_spinor(phi)
-    _check_potential_support(phi, A)
+    pot = _sampled(phi, A)
     hbar, e, mc = consts.hbar, consts.e, consts.mc
-    coords = phi.grid.coords4()
-    Av = evaluate_potential(A, coords)
+    Av = pot.A
 
     out = -(mc ** 2) * phi.values
-    out = out - hbar ** 2 * dalembertian(phi, backend).values
+    out -= hbar ** 2 * dalembertian(phi, backend).values
 
-    F = field_strength(A, coords, method="analytic")
-    for mu in range(4):
-        for nu in range(4):
-            if np.any(F[mu, nu] != 0):
-                comm = gammas.commutator(mu, nu)
-                out = out - (0.25j * e * hbar) * _gamma_mix(comm, F[mu, nu] * phi.values)
+    for (mu, nu), F_munu in pot.F.items():
+        comm = gammas.commutator(mu, nu)
+        out -= (0.25j * e * hbar) * _gamma_mix(comm, F_munu * phi.values)
 
-    for mu in range(4):
-        if np.any(Av[mu] != 0):
-            dphi = partial_or_zero(phi, mu, backend).values
-            out = out - 2j * e * hbar * METRIC_DIAG[mu] * Av[mu] * dphi
+    for mu in range(phi.grid.dims):
+        if pot.coupled[mu]:
+            dphi = partial(phi, mu, backend).values
+            out -= 2j * e * hbar * METRIC_DIAG[mu] * Av[mu] * dphi
 
     asq = sum(METRIC_DIAG[mu] * Av[mu] * Av[mu] for mu in range(4))
     if np.any(asq != 0):
-        out = out + e ** 2 * asq * phi.values
-    return Field(phi.grid, out)
+        out += e ** 2 * asq * phi.values
+    return Field(phi.grid, out, copy=False)
 
 
-def factored_rhs(phi: Field, A: PotentialSpec, consts: PhysicalConstants,
+def factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
                  gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """(i hbar gamma d - e gamma A - mc)(i hbar gamma d - e gamma A + mc) phi."""
     return dirac_apply(conjugate_apply(phi, A, consts, gammas, backend),
                        A, consts, gammas, backend)
 
 
-def legacy_factored_rhs(phi: Field, A: PotentialSpec, consts: PhysicalConstants,
+def legacy_factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
                         gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """(i hbar gamma d - e gamma A - mc)(i hbar gamma d - e gamma A) phi.
 
@@ -167,10 +216,10 @@ def gauge_discrepancy_prediction(phi: Field, A: PotentialSpec, consts: PhysicalC
     _require_spinor(phi)
     J = potential_jacobian(A, phi.grid.coords4(), method="analytic")
     div = sum(METRIC_DIAG[mu] * J[mu, mu] for mu in range(4))
-    return Field(phi.grid, -1j * consts.e * consts.hbar * div * phi.values)
+    return Field(phi.grid, -1j * consts.e * consts.hbar * div * phi.values, copy=False)
 
 
-def factorization_discrepancy(phi: Field, A: PotentialSpec, consts: PhysicalConstants,
+def factorization_discrepancy(phi: Field, A: Potential, consts: PhysicalConstants,
                               gammas: GammaSet = DIRAC, backend: str = "spectral"
                               ) -> tuple[float, float, float]:
     """(relative, absolute, |fock|) discrepancy between the two forms."""

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import diracsoc
 from diracsoc.cli import main
 from diracsoc.config import ConfigError, RunConfig, parse_config_text
 from diracsoc.report import jsonl_dumps, read_jsonl
@@ -287,3 +293,19 @@ def test_configured_potential_inactive_axis_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "potential.name = constant_magnetic\npotential.B = 1.0\n"
                     "identity.n_fields = 1\n")
     assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
+    # 200 modes do not fit below the Nyquist mode (128) of the default 256-point axes
+    cfg = write_cfg(tmp_path, "identity.max_mode = 200\n")
+    src = str(Path(diracsoc.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracsoc.cli", "verify-identity", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: identity.max_mode")
+    assert len(proc.stderr.strip().splitlines()) == 1

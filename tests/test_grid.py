@@ -142,6 +142,40 @@ def test_field_norm_and_immutability():
         f.values[0, 0] = 0
 
 
+def test_field_boundary_contract():
+    # the public constructor copies: changing the source later leaves the field alone
+    src = np.ones((4,) + GRID.shape, dtype=complex)
+    f = Field(GRID, src)
+    src[0, 0, 0] = 5.0
+    assert f.values[0, 0, 0] == 1.0
+    assert not f.values.flags.writeable
+    assert not np.shares_memory(f.values, src)
+    for copy in (True, False):
+        with pytest.raises(GridError):
+            Field(GRID, np.ones((3,) + GRID.shape), copy=copy)
+        with pytest.raises(GridError):
+            Field(GRID, np.ones(GRID.shape[:1]), copy=copy)
+        bad = np.ones(GRID.shape, dtype=complex)
+        bad[1, 2] = complex(0.0, np.inf)
+        with pytest.raises(GridError):
+            Field(GRID, bad, copy=copy)
+
+
+def test_grid_outputs_are_read_only_and_unaliased():
+    rng = np.random.default_rng(17)
+    f = random_band_limited(GRID, 5, rng, spinor=True)
+    g = plane_wave(GRID, GRID.commensurate_wavevector([1, 2]), chi=[1.0, 0.0, 0.5j, 0.0])
+    outputs = [f, g, partial(f, 0), partial(f, 1, "fd4"), partial_or_zero(f, 3),
+               dalembertian(f), dalembertian(f, "fd4"), f + g, f - g, 2.0 * f,
+               plane_wave(GRID, GRID.commensurate_wavevector([1, 0])),
+               random_band_limited(GRID, 3, rng)]
+    for out in outputs:
+        assert not out.values.flags.writeable
+    for out in outputs[2:10]:
+        assert not np.shares_memory(out.values, f.values)
+        assert not np.shares_memory(out.values, g.values)
+
+
 def test_csv_export(tmp_path):
     g = SpacetimeGrid(dims=1, extent=(1.0,), points=(8,))
     f = Field(g, np.arange(8) + 1j * np.arange(8))

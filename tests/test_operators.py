@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from diracsoc import emfield
-from diracsoc.clifford import DIRAC, mdot
+from diracsoc.clifford import DIRAC, METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
-from diracsoc.grid import Field, SpacetimeGrid, l2norm, plane_wave, random_band_limited
-from diracsoc.operators import (OperatorError, build_spinor, conjugate_apply,
-    dirac_apply, dirac_plane_wave, factored_rhs, factorization_discrepancy,
+from diracsoc.grid import Field, SpacetimeGrid, l2norm, partial, plane_wave, random_band_limited
+from diracsoc.operators import (OperatorError, SampledPotential, _gamma_mix, build_spinor,
+    conjugate_apply, dirac_apply, dirac_plane_wave, factored_rhs, factorization_discrepancy,
     fock_rhs, gauge_discrepancy_prediction, kg_residual_componentwise,
     legacy_factored_rhs, minimal_coupling_slash)
 
@@ -256,3 +256,170 @@ def test_two_plus_one_dimensional_identity():
     phi = random_band_limited(g, 3, rng, spinor=True)
     rel, _, _ = factorization_discrepancy(phi, pot, CONSTS)
     assert rel <= 1e-8
+
+
+# -- gamma mixing ----------------------------------------------------------------
+
+MIX_MATRICES = ([("gamma", mu, DIRAC.gamma(mu)) for mu in range(4)]
+                + [("commutator", (mu, nu), DIRAC.commutator(mu, nu))
+                   for mu in range(4) for nu in range(4)])
+
+
+def _spy_tensordot(monkeypatch):
+    calls = []
+    real = np.tensordot
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind,index,mat", MIX_MATRICES)
+def test_gamma_mix_permutation_equals_tensordot(kind, index, mat, monkeypatch):
+    rng = np.random.default_rng(83)
+    v = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
+    want = np.tensordot(mat, v, axes=(1, 0))
+    calls = _spy_tensordot(monkeypatch)
+    got = _gamma_mix(mat, v)
+    assert np.array_equal(got, want)
+    # the zero commutator [gamma^mu, gamma^mu] is the one non-monomial matrix here
+    monomial = np.all(np.count_nonzero(mat, axis=1) == 1)
+    assert monomial == (kind == "gamma" or index[0] != index[1])
+    assert len(calls) == (0 if monomial else 1)
+
+
+@pytest.mark.parametrize("which", ["random", "corrupted_gamma"])
+def test_gamma_mix_non_monomial_falls_back_to_tensordot(which, monkeypatch):
+    rng = np.random.default_rng(89)
+    v = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
+    if which == "random":
+        mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    else:
+        mat = np.array(DIRAC.gamma(1))
+        mat[0, 0] += 0.5  # a second nonzero entry in row 0
+    want = np.tensordot(mat, v, axes=(1, 0))
+    calls = _spy_tensordot(monkeypatch)
+    assert np.array_equal(_gamma_mix(mat, v), want)
+    assert len(calls) == 1
+
+
+# -- independent witness: the operators against their term-by-term definition -----
+#
+# The reference below is the plain formulation: derivatives from ``partial``,
+# spinor mixing by ``np.tensordot`` and the potential and field strength
+# evaluated afresh from the spec.  The operators must reproduce it bit for bit.
+
+WITNESS_GRID = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(32, 32))
+WITNESS_GRID_3D = SpacetimeGrid(dims=3, extent=(2 * np.pi,) * 3, points=(32, 32, 8))
+WITNESS_CONSTS = PhysicalConstants(hbar=0.7, c=1.3, m=1.1, e=-0.9)
+
+
+def witness_cases():
+    g = WITNESS_GRID
+    return [
+        ("free", g, emfield.free()),
+        ("constant_electric", g, emfield.constant_electric(0.6)),
+        ("constant_magnetic", WITNESS_GRID_3D, emfield.constant_magnetic(0.8)),
+        ("em_plane_wave", g, emfield.em_plane_wave([0, 0, 0.5, 0],
+                                                   g.commensurate_wavevector([1, 1]))),
+        ("custom_polynomial", g, emfield.custom_polynomial(
+            {"a0_0000": 0.8, "a1_0000": -0.3, "a0_0100": 0.5, "a2_0100": 0.25})),
+        ("custom_wave", g, emfield.custom_wave([0.3, 0, 0, 0],
+                                               g.commensurate_wavevector([1, 0]))),
+    ]
+
+
+def _ref_partial(f, mu, backend):
+    return partial(f, mu, backend).values if f.grid.is_active(mu) else np.zeros_like(f.values)
+
+
+def _ref_slash(psi, spec, consts, backend):
+    Av = emfield.evaluate_potential(spec, psi.grid.coords4())
+    out = np.zeros_like(psi.values)
+    for nu in range(4):
+        term = 1j * consts.hbar * _ref_partial(psi, nu, backend)
+        if np.any(Av[nu] != 0):
+            term = term - consts.e * Av[nu] * psi.values
+        out = out + np.tensordot(DIRAC.gammas[nu], term, axes=(1, 0))
+    return out
+
+
+def _ref_factored(phi, spec, consts, backend):
+    psi = Field(phi.grid, _ref_slash(phi, spec, consts, backend) + consts.mc * phi.values)
+    return _ref_slash(psi, spec, consts, backend) - consts.mc * psi.values
+
+
+def _ref_fock(phi, spec, consts, backend):
+    hbar, e, mc = consts.hbar, consts.e, consts.mc
+    coords = phi.grid.coords4()
+    Av = emfield.evaluate_potential(spec, coords)
+    F = emfield.field_strength(spec, coords, method="analytic")
+    box = np.zeros_like(phi.values)
+    for mu in range(phi.grid.dims):
+        box = box + METRIC_DIAG[mu] * partial(partial(phi, mu, backend), mu, backend).values
+    out = -(mc ** 2) * phi.values - hbar ** 2 * box
+    for mu in range(4):
+        for nu in range(4):
+            if np.any(F[mu, nu] != 0):
+                mixed = np.tensordot(DIRAC.commutator(mu, nu), F[mu, nu] * phi.values,
+                                     axes=(1, 0))
+                out = out - (0.25j * e * hbar) * mixed
+    for mu in range(4):
+        if np.any(Av[mu] != 0):
+            out = out - 2j * e * hbar * METRIC_DIAG[mu] * Av[mu] * _ref_partial(phi, mu, backend)
+    asq = sum(METRIC_DIAG[mu] * Av[mu] * Av[mu] for mu in range(4))
+    if np.any(asq != 0):
+        out = out + e ** 2 * asq * phi.values
+    return out
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd4"])
+@pytest.mark.parametrize("name,grid,spec", witness_cases())
+def test_operators_equal_term_by_term_reference(name, grid, spec, backend):
+    rng = np.random.default_rng(97)
+    c = WITNESS_CONSTS
+    for _ in range(2):
+        phi = random_band_limited(grid, 3, rng, spinor=True)
+        fock_want = _ref_fock(phi, spec, c, backend)
+        fact_want = _ref_factored(phi, spec, c, backend)
+        for pot in (spec, SampledPotential(spec, grid)):
+            assert np.array_equal(fock_rhs(phi, pot, c, backend=backend).values, fock_want), name
+            assert np.array_equal(factored_rhs(phi, pot, c, backend=backend).values,
+                                  fact_want), name
+
+
+def test_sampled_potential_holds_only_nonzero_field_strength():
+    pot = SampledPotential(emfield.constant_electric(0.6), WITNESS_GRID)
+    assert sorted(pot.F) == [(0, 1), (1, 0)]
+    assert np.all(pot.F[(0, 1)] == 0.6) and np.all(pot.F[(1, 0)] == -0.6)
+    assert pot.coupled == (True, False, False, False)
+    assert not pot.A.flags.writeable
+    assert not any(f.flags.writeable for f in pot.F.values())
+    assert SampledPotential(emfield.free(), WITNESS_GRID).F == {}
+
+
+def test_sampled_potential_grid_mismatch_rejected():
+    rng = np.random.default_rng(101)
+    phi = random_band_limited(GRID, 4, rng, spinor=True)
+    pot = SampledPotential(FREE, WITNESS_GRID)
+    with pytest.raises(OperatorError):
+        fock_rhs(phi, pot, CONSTS)
+
+
+def test_operator_outputs_are_read_only_and_unaliased():
+    rng = np.random.default_rng(103)
+    phi = random_band_limited(GRID, 4, rng, spinor=True)
+    pot = emfield.constant_potential([0.8, -0.3, 0.2, 0.0])
+    outputs = [op(phi, pot, CONSTS) for op in (minimal_coupling_slash, dirac_apply,
+                                                conjugate_apply, build_spinor, fock_rhs,
+                                                factored_rhs, legacy_factored_rhs)]
+    outputs.append(gauge_discrepancy_prediction(phi, gauge_violating(), CONSTS))
+    outputs.append(dirac_plane_wave(GRID, K_ON, [1.0, 0.0, 0.0, 0.0], CONSTS))
+    for out in outputs:
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, phi.values)
+        with pytest.raises(ValueError):
+            out.values[0, 0, 0] = 0
