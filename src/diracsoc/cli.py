@@ -371,7 +371,10 @@ def _write_suite(out: Path, name: str, records: list[dict], started: float,
 
 
 def _exit_for(records: list[dict]) -> int:
-    return EXIT_PASS if all(r.get("pass", False) for r in records) else EXIT_FAIL
+    # a suite that produced no records checked nothing, so it cannot pass
+    if records and all(r.get("pass", False) for r in records):
+        return EXIT_PASS
+    return EXIT_FAIL
 
 
 def cmd_verify_clifford(cfg: RunConfig, out: Path, corrupt: bool = False) -> int:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .grid import SpacetimeGrid
+from .soc import BATTERY_SEED_STRIDE, standard_test_battery
 
 
 class ConfigError(ValueError):
@@ -129,9 +130,24 @@ class RunConfig:
         if cfg.str("backend") not in ("spectral", "fd4"):
             raise ConfigError(f"backend must be spectral or fd4, got {cfg.str('backend')!r}")
         for key in ("identity.tolerance", "clifford.det_tolerance", "dispersion.det_tolerance",
-                    "evolve.stationary_tol", "evolve.frequency_tol"):
-            if cfg.float(key) <= 0:
-                raise ConfigError(f"{key} must be positive")
+                    "evolve.stationary_tol", "evolve.frequency_tol", "evolve.dtau",
+                    "simulate.ds"):
+            if not cfg.float(key) > 0:
+                raise ConfigError(f"{key} must be positive, got {cfg.str(key)}")
+        # fewer than two paths leave standard errors and correlations undefined;
+        # zero samples or points would let a check pass without testing anything
+        for key, least in (("simulate.n_paths", 2), ("simulate.variance_paths", 2),
+                           ("simulate.repro_paths", 2), ("simulate.variance_steps", 1),
+                           ("simulate.repro_steps", 1), ("dispersion.n_points", 1),
+                           ("clifford.det_samples", 1), ("evolve.n_gaps", 1),
+                           ("evolve.steps", 1)):
+            if cfg.int(key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {cfg.str(key)}")
+        # Philox keys are 128-bit, and the simulate suite derives keys up to this far
+        # above the seed
+        max_seed = 2 ** 128 - 1 - BATTERY_SEED_STRIDE * len(standard_test_battery())
+        if not 0 <= cfg.int("seed") <= max_seed:
+            raise ConfigError(f"seed must be in 0..{max_seed}, got {cfg.str('seed')}")
         return cfg
 
     def str(self, key: str) -> str:

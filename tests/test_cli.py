@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import diracsoc
-from diracsoc.cli import main
+from diracsoc.cli import EXIT_FAIL, EXIT_PASS, _exit_for, main
 from diracsoc.config import ConfigError, RunConfig, parse_config_text
 from diracsoc.report import jsonl_dumps, read_jsonl
 
@@ -295,17 +295,76 @@ def test_configured_potential_inactive_axis_exit_2(tmp_path):
     assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
-    # 200 modes do not fit below the Nyquist mode (128) of the default 256-point axes
-    cfg = write_cfg(tmp_path, "identity.max_mode = 200\n")
+def run_cli_process(module, *args):
+    """Run the CLI in a fresh interpreter, as the installed script would be."""
     src = str(Path(diracsoc.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-m", "diracsoc.cli", "verify-identity", "--config", cfg,
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", module, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_one_line_config_error(proc, key):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("config error: identity.max_mode")
+    assert proc.stderr.startswith(f"config error: {key}")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
+    # 200 modes do not fit below the Nyquist mode (128) of the default 256-point axes
+    cfg = write_cfg(tmp_path, "identity.max_mode = 200\n")
+    proc = run_cli_process("diracsoc.cli", "verify-identity", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    assert_one_line_config_error(proc, "identity.max_mode")
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "simulate.ds", "0"),
+    ("simulate", "simulate.ds", "-1e-3"),
+    ("simulate", "simulate.n_paths", "1"),
+    ("simulate", "simulate.variance_paths", "1"),
+    ("simulate", "simulate.repro_paths", "1"),
+    ("simulate", "simulate.variance_steps", "0"),
+    ("evolve", "evolve.steps", "-5"),
+    ("evolve", "evolve.steps", "0"),
+    ("evolve", "evolve.dtau", "0"),
+    ("dispersion", "dispersion.n_points", "0"),
+    ("verify-clifford", "clifford.det_samples", "0"),
+    ("evolve", "evolve.n_gaps", "0"),
+])
+def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
+    cfg = write_cfg(tmp_path, f"{key} = {value}\n")
+    proc = run_cli_process("diracsoc.cli", command, "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    assert_one_line_config_error(proc, key)
+    assert not (tmp_path / "o").exists()
+
+
+# Philox keys are below 2**128, and the simulate suite derives keys up to seed + 6 * 7919
+MAX_SEED = 2 ** 128 - 1 - 6 * 7919
+
+
+@pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, 2 ** 128])
+def test_seed_outside_philox_key_range_exit_2(tmp_path, seed):
+    proc = run_cli_process("diracsoc.cli", "simulate", "--seed", str(seed),
+                           "--out", str(tmp_path / "o"))
+    assert_one_line_config_error(proc, "seed")
+
+
+def test_largest_seed_accepted():
+    assert RunConfig.from_sources(overrides={"seed": str(MAX_SEED)}).int("seed") == MAX_SEED
+    assert RunConfig.from_sources(overrides={"seed": "0"}).int("seed") == 0
+
+
+def test_empty_record_list_is_not_a_pass():
+    assert _exit_for([]) == EXIT_FAIL
+    assert _exit_for([{"pass": True}]) == EXIT_PASS
+    assert _exit_for([{"pass": True}, {"pass": False}]) == EXIT_FAIL
+
+
+def test_python_dash_m_diracsoc(tmp_path):
+    proc = run_cli_process("diracsoc", "verify-clifford", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("verify-clifford: PASS")
+    assert (tmp_path / "o" / "clifford.jsonl").exists()

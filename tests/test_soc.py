@@ -5,7 +5,7 @@ from diracsoc import emfield
 from diracsoc.clifford import METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
 from diracsoc.grid import Field, SpacetimeGrid, random_band_limited
-from diracsoc.soc import (EnsembleParams, HopfColeError,
+from diracsoc.soc import (EnsembleParams, HopfColeError, _path_noise,
     PolynomialTestFunction, SocError, accumulate_action, constant_control,
     generator_check, hjb_residual, hjb_residual_mode, hopf_cole_check,
     hopf_cole_exponential_error, make_diffusion, monomial, optimal_control,
@@ -210,6 +210,29 @@ def test_simulate_path_prefix_independent_of_ensemble_size():
     large = simulate(EnsembleParams(n_paths=16, steps=8, ds=1e-3),
                      zero_control(), None, CONSTS, seed=5)
     assert np.array_equal(small.paths, large.paths[:4])
+
+
+def _reference_noise(seed, n_paths, steps):
+    # one freshly constructed generator per path, straight from the substream definition
+    return np.stack([
+        np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, p, 0]))
+        .standard_normal((steps, 4)) for p in range(n_paths)])
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 100])
+@pytest.mark.parametrize("n_paths,steps", [(1000, 1), (64, 32), (3, 257)])
+def test_path_noise_matches_fresh_generator_per_path(seed, n_paths, steps):
+    xi = _path_noise(seed, n_paths, steps)
+    assert xi.shape == (n_paths, steps, 4)
+    assert np.array_equal(xi, _reference_noise(seed, n_paths, steps))
+
+
+def test_path_noise_keeps_no_state_between_calls():
+    first = _path_noise(7, 50, 9)
+    other = _path_noise(8, 50, 9)
+    again = _path_noise(7, 50, 9)
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, other)
 
 
 def test_simulate_diffusion_variance():
