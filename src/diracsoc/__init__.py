@@ -11,8 +11,8 @@ from .emfield import (PotentialSpec, constant_electric, constant_magnetic,
                       constant_potential, custom_polynomial, custom_wave,
                       em_plane_wave, evaluate_potential, field_strength, free,
                       lorenz_residual, spin_coupling_matrix)
-from .grid import (Field, ScalarField, SpacetimeGrid, SpinorField, dalembertian,
-                   field_to_csv, l2norm, partial, plane_wave, random_band_limited)
+from .grid import (Field, SpacetimeGrid, dalembertian, field_to_csv, l2norm, partial,
+                   plane_wave, random_band_limited)
 from .operators import (SampledPotential, build_spinor, conjugate_apply, dirac_apply,
                         dirac_plane_wave, factored_rhs, factorization_discrepancy,
                         fock_rhs, gauge_discrepancy_prediction,
@@ -21,8 +21,7 @@ from .soc import (ControlField, DiffusionCoefficients, EnsembleParams,
                   TrajectoryEnsemble, accumulate_action, constant_control,
                   generator_check, hjb_residual, hjb_residual_mode, hopf_cole_check,
                   hopf_cole_exponential_error, make_diffusion, optimal_control,
-                  run_generator_battery,
-                  optimal_control_mode, simulate, standard_test_battery,
+                  optimal_control_mode, run_generator_battery, simulate, standard_test_battery,
                   weak_condition_residual, zero_control, zero_diffusion)
 from .spectrum import (FourMomentum, ModeState, delta_sweep, dispersion_solve,
                        fit_mode_frequency, legacy_mode_condition, matrix_nullspace,

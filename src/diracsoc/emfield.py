@@ -5,26 +5,28 @@ each an entire function of the coordinates, so they can be evaluated at
 complex arguments.  Positions are passed as the four coordinates
 ``z^mu`` (scalars or broadcasting arrays).
 
-Sign conventions fixed here and recorded in test fixtures:
+Every catalog entry is one of two families, resolved once from the table
+``CATALOG`` when its ``PotentialSpec`` is built.  Each family answers the
+same four questions: its values, its Jacobian, whether its divergence
+vanishes identically, and whether it varies along an axis.
 
-* ``constant_electric(E)``: ``A_0 = -E z^1``, giving ``F_01 = +E``.
-* ``constant_magnetic(B)``: symmetric gauge ``A_1 = -(B/2) z^2``,
-  ``A_2 = +(B/2) z^1``, giving ``F_12 = +B``.
-* ``em_plane_wave(eps, k)``: ``A_mu = eps_mu cos(k . z + phase)`` with the
-  transversality constraint ``k . eps = 0`` enforced, so the divergence
-  vanishes identically.
-* ``custom_wave`` is the same waveform without the transversality
-  constraint; with ``k . eps != 0`` it is the catalog's deliberately
-  gauge-violating entry.
-* ``custom_polynomial``: per-component polynomial terms keyed
-  ``a<mu>_<e0><e1><e2><e3>``, e.g. ``a0_1000 = 2.5`` for
-  ``A_0 = 2.5 z^0``.  Used for constants and for non-periodic
-  negative tests.
+* Polynomial (``PolynomialPotential``, one ``Polynomial`` per component):
+  ``free``; ``constant_electric(E)``, ``A_0 = -E z^1``, giving ``F_01 = +E``;
+  ``constant_magnetic(B)`` in symmetric gauge, ``A_1 = -(B/2) z^2`` and
+  ``A_2 = +(B/2) z^1``, giving ``F_12 = +B``; ``custom_polynomial``, terms
+  keyed ``a<mu>_<e0><e1><e2><e3>`` (``a0_1000 = 2.5`` is ``A_0 = 2.5 z^0``),
+  used for constants and for non-periodic negative tests.
+* Cosine wave (``CosineWave``), ``A_mu = eps_mu cos(k . z + phase)``:
+  ``em_plane_wave(eps, k)`` enforces transversality ``k . eps = 0``, so its
+  divergence vanishes identically; ``custom_wave`` is the same waveform
+  without the constraint, and with ``k . eps != 0`` it is the catalog's
+  deliberately gauge-violating entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -32,14 +34,165 @@ import numpy as np
 from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet
 from .constants import PhysicalConstants
 
-CATALOG = ("free", "constant_electric", "constant_magnetic", "em_plane_wave",
-           "custom_polynomial", "custom_wave")
-
-_WAVE_KEYS = tuple(f"eps{mu}" for mu in range(4)) + tuple(f"k{mu}" for mu in range(4))
+Exponents = tuple[int, int, int, int]
 
 
 class PotentialError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """sum_e c_e z^e over exponent tuples e = (e0, e1, e2, e3), summed in the order given."""
+
+    terms: Mapping[Exponents, complex]
+
+    def __call__(self, coords) -> np.ndarray:
+        """The value at the four coordinates ``coords[mu]`` (scalars or broadcasting arrays)."""
+        shape = np.broadcast_shapes(*(np.shape(coords[mu]) for mu in range(4)))
+        out = np.zeros(shape, dtype=np.complex128)
+        for exps, c in self.terms.items():
+            term = np.full(shape, complex(c))
+            for mu, p in enumerate(exps):
+                if p:
+                    term = term * coords[mu] ** p
+            out = out + term
+        return out
+
+    def derivative(self, mu: int) -> "Polynomial":
+        """d/dz^mu term by term; terms constant in z^mu drop out."""
+        return Polynomial({exps[:mu] + (exps[mu] - 1,) + exps[mu + 1:]: c * exps[mu]
+                           for exps, c in self.terms.items() if exps[mu]})
+
+
+@dataclass(frozen=True)
+class PolynomialPotential:
+    """A_mu as polynomials: ``terms`` maps (mu, exponents) to coefficients in the order given."""
+
+    terms: Mapping[tuple[int, Exponents], float]
+
+    @cached_property
+    def components(self) -> tuple[Polynomial, ...]:
+        return tuple(Polynomial({exps: c for (nu, exps), c in self.terms.items() if nu == mu})
+                     for mu in range(4))
+
+    def values(self, zs) -> np.ndarray:
+        A = np.zeros((4,) + zs[0].shape, dtype=np.complex128)
+        for mu, poly in enumerate(self.components):
+            if poly.terms:
+                A[mu] = poly(zs)
+        return A
+
+    def jacobian(self, zs) -> np.ndarray:
+        J = np.zeros((4, 4) + zs[0].shape, dtype=np.complex128)
+        for nu, poly in enumerate(self.components):
+            for mu in range(4):
+                d = poly.derivative(mu)
+                if d.terms:
+                    J[mu, nu] = d(zs)
+        return J
+
+    def divergence_free(self) -> bool:
+        # the divergence is again a polynomial; its coefficients are summed in term order
+        div: dict[Exponents, float] = {}
+        for (mu, exps), c in self.terms.items():
+            for d, dc in Polynomial({exps: c}).derivative(mu).terms.items():
+                div[d] = div.get(d, 0.0) + METRIC_DIAG[mu] * dc
+        return all(abs(c) < 1e-14 for c in div.values())
+
+    def varies_along(self, mu: int) -> bool:
+        return any(exps[mu] > 0 for _, exps in self.terms)
+
+    def mode(self, mu: int, length: float) -> float:
+        """Fourier mode number along axis mu: a polynomial contributes none."""
+        return 0.0
+
+
+@dataclass(frozen=True)
+class CosineWave:
+    """A_mu = eps_mu cos(k . z + phase)."""
+
+    eps: np.ndarray
+    k: np.ndarray
+    phase: float = 0.0
+
+    def _phase(self, zs):
+        return sum(self.k[mu] * zs[mu] for mu in range(4)) + self.phase
+
+    def values(self, zs) -> np.ndarray:
+        A = np.zeros((4,) + zs[0].shape, dtype=np.complex128)
+        c = np.cos(self._phase(zs))
+        for mu in range(4):
+            if self.eps[mu] != 0.0:
+                A[mu] = self.eps[mu] * c
+        return A
+
+    def jacobian(self, zs) -> np.ndarray:
+        J = np.zeros((4, 4) + zs[0].shape, dtype=np.complex128)
+        s = np.sin(self._phase(zs))
+        for mu in range(4):
+            if self.k[mu] == 0.0:
+                continue
+            for nu in range(4):
+                if self.eps[nu] != 0.0:
+                    J[mu, nu] = -self.k[mu] * self.eps[nu] * s
+        return J
+
+    def k_dot_eps(self) -> float:
+        return np.sum(METRIC_DIAG * self.k * self.eps)
+
+    def divergence_free(self) -> bool:
+        return bool(abs(self.k_dot_eps()) < 1e-14)
+
+    def varies_along(self, mu: int) -> bool:
+        return self.k[mu] != 0.0
+
+    def mode(self, mu: int, length: float) -> float:
+        """Fourier mode number |k_mu| L / 2 pi along an axis of length L."""
+        return abs(self.k[mu]) * length / (2 * np.pi)
+
+
+@dataclass(frozen=True)
+class TransverseWave(CosineWave):
+    """The em_plane_wave entry: a cosine wave checked transverse on construction."""
+
+    def __post_init__(self) -> None:
+        kdoteps = self.k_dot_eps()
+        if abs(kdoteps) > 1e-12 * max(1.0, np.abs(self.k).max() * np.abs(self.eps).max()):
+            raise PotentialError(
+                f"em_plane_wave requires k.eps = 0 (transverse polarization), got {kdoteps}")
+
+    def divergence_free(self) -> bool:
+        return True
+
+
+_WAVE_KEYS = tuple(f"eps{mu}" for mu in range(4)) + tuple(f"k{mu}" for mu in range(4))
+
+
+def _wave_args(params: Mapping[str, float]) -> tuple:
+    eps_k = np.array([params[key] for key in _WAVE_KEYS], dtype=float)
+    return eps_k[:4], eps_k[4:], params.get("phase", 0.0)
+
+
+def _parse_poly_key(key: str) -> tuple[int, Exponents]:
+    # a<mu>_<e0><e1><e2><e3>, single-digit exponents
+    if (len(key) != 7 or key[0] != "a" or key[2] != "_"
+            or not key[1].isdigit() or not key[3:].isdigit() or int(key[1]) > 3):
+        raise PotentialError(f"bad polynomial term key {key!r}; expected a<mu>_<e0e1e2e3>")
+    return int(key[1]), tuple(int(c) for c in key[3:])
+
+
+# catalog name -> (required parameter keys, family built from the parameters)
+CATALOG = {
+    "free": ((), lambda p: PolynomialPotential({})),
+    "constant_electric": (("E",), lambda p: PolynomialPotential({(0, (0, 1, 0, 0)): -p["E"]})),
+    "constant_magnetic": (("B",), lambda p: PolynomialPotential(
+        {(1, (0, 0, 1, 0)): -0.5 * p["B"], (2, (0, 1, 0, 0)): 0.5 * p["B"]})),
+    "em_plane_wave": (_WAVE_KEYS, lambda p: TransverseWave(*_wave_args(p))),
+    "custom_polynomial": ((), lambda p: PolynomialPotential(
+        {_parse_poly_key(key): coef for key, coef in p.items()})),
+    "custom_wave": (_WAVE_KEYS, lambda p: CosineWave(*_wave_args(p))),
+}
 
 
 @dataclass(frozen=True)
@@ -48,52 +201,17 @@ class PotentialSpec:
 
     name: str
     params: Mapping[str, float] = field(default_factory=dict)
+    family: PolynomialPotential | CosineWave = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.name not in CATALOG:
-            raise PotentialError(f"unknown potential {self.name!r}; catalog: {CATALOG}")
+            raise PotentialError(f"unknown potential {self.name!r}; catalog: {tuple(CATALOG)}")
         object.__setattr__(self, "params", dict(self.params))
-        missing = [k for k in _required_keys(self.name) if k not in self.params]
+        required, build = CATALOG[self.name]
+        missing = [k for k in required if k not in self.params]
         if missing:
             raise PotentialError(f"{self.name}: missing parameters {missing}")
-        if self.name == "em_plane_wave":
-            eps, k = _wave_vectors(self.params)
-            kdoteps = np.sum(METRIC_DIAG * k * eps)
-            if abs(kdoteps) > 1e-12 * max(1.0, np.abs(k).max() * np.abs(eps).max()):
-                raise PotentialError(
-                    f"em_plane_wave requires k.eps = 0 (transverse polarization), got {kdoteps}")
-        if self.name == "custom_polynomial":
-            for key in self.params:
-                _parse_poly_key(key)
-
-    def wave_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.name not in ("em_plane_wave", "custom_wave"):
-            raise PotentialError(f"{self.name} has no wave vectors")
-        return _wave_vectors(self.params)
-
-
-def _required_keys(name: str) -> tuple[str, ...]:
-    if name == "constant_electric":
-        return ("E",)
-    if name == "constant_magnetic":
-        return ("B",)
-    if name in ("em_plane_wave", "custom_wave"):
-        return _WAVE_KEYS
-    return ()
-
-
-def _wave_vectors(params: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
-    eps = np.array([params[f"eps{mu}"] for mu in range(4)], dtype=float)
-    k = np.array([params[f"k{mu}"] for mu in range(4)], dtype=float)
-    return eps, k
-
-
-def _parse_poly_key(key: str) -> tuple[int, tuple[int, int, int, int]]:
-    # a<mu>_<e0><e1><e2><e3>, single-digit exponents
-    if (len(key) != 7 or key[0] != "a" or key[2] != "_"
-            or not key[1].isdigit() or not key[3:].isdigit() or int(key[1]) > 3):
-        raise PotentialError(f"bad polynomial term key {key!r}; expected a<mu>_<e0e1e2e3>")
-    return int(key[1]), tuple(int(c) for c in key[3:])
+        object.__setattr__(self, "family", build(self.params))
 
 
 # -- catalog constructors ----------------------------------------------------
@@ -142,33 +260,7 @@ def _coords(z) -> list[np.ndarray]:
 
 def evaluate_potential(spec: PotentialSpec, z) -> np.ndarray:
     """A_mu(z): lower-index components, shape (4,) + broadcast(z)."""
-    zs = _coords(z)
-    shape = zs[0].shape
-    A = np.zeros((4,) + shape, dtype=np.complex128)
-    if spec.name == "free":
-        pass
-    elif spec.name == "constant_electric":
-        A[0] = -spec.params["E"] * zs[1]
-    elif spec.name == "constant_magnetic":
-        A[1] = -0.5 * spec.params["B"] * zs[2]
-        A[2] = 0.5 * spec.params["B"] * zs[1]
-    elif spec.name in ("em_plane_wave", "custom_wave"):
-        eps, k = spec.wave_vectors()
-        phase = spec.params.get("phase", 0.0)
-        kz = sum(k[mu] * zs[mu] for mu in range(4)) + phase
-        c = np.cos(kz)
-        for mu in range(4):
-            if eps[mu] != 0.0:
-                A[mu] = eps[mu] * c
-    else:  # custom_polynomial
-        for key, coef in spec.params.items():
-            mu, exps = _parse_poly_key(key)
-            term = np.full(shape, complex(coef))
-            for nu, p in enumerate(exps):
-                if p:
-                    term = term * zs[nu] ** p
-            A[mu] = A[mu] + term
-    return A
+    return spec.family.values(_coords(z))
 
 
 def potential_jacobian(spec: PotentialSpec, z, method: str = "analytic",
@@ -178,40 +270,7 @@ def potential_jacobian(spec: PotentialSpec, z, method: str = "analytic",
         return _jacobian_fd(spec, z, h, order)
     if method != "analytic":
         raise PotentialError(f"unknown differentiation method {method!r}")
-    zs = _coords(z)
-    shape = zs[0].shape
-    J = np.zeros((4, 4) + shape, dtype=np.complex128)
-    if spec.name == "free":
-        pass
-    elif spec.name == "constant_electric":
-        J[1, 0] = -spec.params["E"]
-    elif spec.name == "constant_magnetic":
-        J[2, 1] = -0.5 * spec.params["B"]
-        J[1, 2] = 0.5 * spec.params["B"]
-    elif spec.name in ("em_plane_wave", "custom_wave"):
-        eps, k = spec.wave_vectors()
-        phase = spec.params.get("phase", 0.0)
-        kz = sum(k[mu] * zs[mu] for mu in range(4)) + phase
-        s = np.sin(kz)
-        for mu in range(4):
-            if k[mu] == 0.0:
-                continue
-            for nu in range(4):
-                if eps[nu] != 0.0:
-                    J[mu, nu] = -k[mu] * eps[nu] * s
-    else:  # custom_polynomial
-        for key, coef in spec.params.items():
-            nu, exps = _parse_poly_key(key)
-            for mu, p in enumerate(exps):
-                if p == 0:
-                    continue
-                term = np.full(shape, complex(coef * p))
-                for rho, q in enumerate(exps):
-                    qq = q - 1 if rho == mu else q
-                    if qq:
-                        term = term * zs[rho] ** qq
-                J[mu, nu] = J[mu, nu] + term
-    return J
+    return spec.family.jacobian(_coords(z))
 
 
 def _jacobian_fd(spec: PotentialSpec, z, h: float, order: int) -> np.ndarray:
@@ -253,22 +312,7 @@ def lorenz_residual(spec: PotentialSpec, z, method: str = "analytic",
 
 def is_lorenz_gauge(spec: PotentialSpec) -> bool:
     """True when the entry's divergence vanishes identically by construction."""
-    if spec.name in ("free", "constant_electric", "constant_magnetic", "em_plane_wave"):
-        return True
-    if spec.name == "custom_wave":
-        eps, k = spec.wave_vectors()
-        return bool(abs(np.sum(METRIC_DIAG * k * eps)) < 1e-14)
-    # polynomial: divergence is again a polynomial; test its coefficients
-    div: dict[tuple[int, int, int, int], float] = {}
-    for key, coef in spec.params.items():
-        mu, exps = _parse_poly_key(key)
-        if exps[mu] == 0:
-            continue
-        d = list(exps)
-        d[mu] -= 1
-        d = tuple(d)
-        div[d] = div.get(d, 0.0) + METRIC_DIAG[mu] * coef * exps[mu]
-    return all(abs(c) < 1e-14 for c in div.values())
+    return spec.family.divergence_free()
 
 
 def spin_coupling_matrix(F: ArrayC, consts: PhysicalConstants,
@@ -284,19 +328,15 @@ def spin_coupling_matrix(F: ArrayC, consts: PhysicalConstants,
     F = np.asarray(F, dtype=np.complex128)
     if F.shape != (4, 4):
         raise PotentialError(f"pointwise field strength must be 4x4, got {F.shape}")
-    out = np.zeros((4, 4), dtype=np.complex128)
     if form == "sigma":
-        pref = consts.e * consts.hbar / (2 * consts.m)
-        for mu in range(4):
-            for nu in range(4):
-                if F[mu, nu] != 0:
-                    out += pref * gammas.spin_tensor(mu, nu) * F[mu, nu]
+        pref, matrix = consts.e * consts.hbar / (2 * consts.m), gammas.spin_tensor
     elif form == "commutator":
-        pref = 1j * consts.e * consts.hbar / (4 * consts.m)
-        for mu in range(4):
-            for nu in range(4):
-                if F[mu, nu] != 0:
-                    out += pref * gammas.commutator(mu, nu) * F[mu, nu]
+        pref, matrix = 1j * consts.e * consts.hbar / (4 * consts.m), gammas.commutator
     else:
         raise PotentialError(f"unknown coupling form {form!r}")
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for mu in range(4):
+        for nu in range(4):
+            if F[mu, nu] != 0:
+                out += pref * matrix(mu, nu) * F[mu, nu]
     return out

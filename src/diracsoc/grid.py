@@ -136,10 +136,6 @@ class Field:
         return Field(self.grid, c * self.values, copy=False)
 
 
-ScalarField = Field
-SpinorField = Field
-
-
 def l2norm(f: Field) -> float:
     """Root-mean-square magnitude over all components and points."""
     return float(np.sqrt(np.mean(np.abs(f.values) ** 2)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet, as_four_vector
 from .constants import PhysicalConstants
-from .emfield import PotentialSpec, evaluate_potential, field_strength, potential_jacobian
+from .emfield import PotentialSpec, evaluate_potential, field_strength, lorenz_residual
 from .grid import Field, SpacetimeGrid, dalembertian, l2norm, partial, plane_wave
 
 
@@ -32,20 +32,6 @@ class OperatorError(ValueError):
 def _require_spinor(psi: Field) -> None:
     if not psi.is_spinor:
         raise OperatorError("operator expects a 4-component field")
-
-
-def _varies_along(A: PotentialSpec, mu: int) -> bool:
-    if A.name == "free":
-        return False
-    if A.name == "constant_electric":
-        return mu == 1
-    if A.name == "constant_magnetic":
-        return mu in (1, 2)
-    if A.name in ("em_plane_wave", "custom_wave"):
-        _, k = A.wave_vectors()
-        return k[mu] != 0.0
-    from .emfield import _parse_poly_key
-    return any(_parse_poly_key(key)[1][mu] > 0 for key in A.params)
 
 
 class SampledPotential:
@@ -61,7 +47,7 @@ class SampledPotential:
     def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid) -> None:
         # the grid cannot represent variation along inactive axes
         for mu in range(grid.dims, 4):
-            if _varies_along(spec, mu):
+            if spec.family.varies_along(mu):
                 raise OperatorError(
                     f"potential {spec.name} varies along inactive axis {mu}; "
                     f"use a grid with dims > {mu}")
@@ -214,8 +200,7 @@ def gauge_discrepancy_prediction(phi: Field, A: PotentialSpec, consts: PhysicalC
     in Lorenz gauge, which is the content of the equivalence theorem.
     """
     _require_spinor(phi)
-    J = potential_jacobian(A, phi.grid.coords4(), method="analytic")
-    div = sum(METRIC_DIAG[mu] * J[mu, mu] for mu in range(4))
+    div = lorenz_residual(A, phi.grid.coords4())
     return Field(phi.grid, -1j * consts.e * consts.hbar * div * phi.values, copy=False)
 
 

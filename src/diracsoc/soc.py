@@ -29,7 +29,7 @@ import numpy as np
 
 from .clifford import DIRAC, METRIC_DIAG, ArrayC, as_four_vector
 from .constants import PhysicalConstants
-from .emfield import PotentialSpec, evaluate_potential, field_strength, free
+from .emfield import Polynomial, PotentialSpec, evaluate_potential, field_strength, free
 from .grid import Field, dalembertian, partial_or_zero
 
 
@@ -443,42 +443,16 @@ class PolynomialTestFunction:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
-        out = np.zeros(z.shape[:-1], dtype=np.complex128)
-        for exps, c in self.coeffs.items():
-            term = np.full(z.shape[:-1], complex(c))
-            for mu, p in enumerate(exps):
-                if p:
-                    term = term * z[..., mu] ** p
-            out = out + term
-        return out
+        return Polynomial(self.coeffs)([z[..., mu] for mu in range(4)])
 
     def grad(self, z0) -> ArrayC:
         z0 = as_four_vector(z0)
-        g = np.zeros(4, dtype=np.complex128)
-        for exps, c in self.coeffs.items():
-            for mu, p in enumerate(exps):
-                if p == 0:
-                    continue
-                term = complex(c) * p
-                for nu, q in enumerate(exps):
-                    qq = q - 1 if nu == mu else q
-                    term *= z0[nu] ** qq
-                g[mu] += term
-        return g
+        return np.array([Polynomial(self.coeffs).derivative(mu)(z0) for mu in range(4)])
 
     def hess_diag(self, z0) -> ArrayC:
         z0 = as_four_vector(z0)
-        hd = np.zeros(4, dtype=np.complex128)
-        for exps, c in self.coeffs.items():
-            for mu, p in enumerate(exps):
-                if p < 2:
-                    continue
-                term = complex(c) * p * (p - 1)
-                for nu, q in enumerate(exps):
-                    qq = q - 2 if nu == mu else q
-                    term *= z0[nu] ** qq
-                hd[mu] += term
-        return hd
+        return np.array([Polynomial(self.coeffs).derivative(mu).derivative(mu)(z0)
+                         for mu in range(4)])
 
 
 def monomial(mu: int, power: int = 1, label: str | None = None) -> PolynomialTestFunction:

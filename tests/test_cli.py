@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diracsoc
@@ -368,3 +369,62 @@ def test_python_dash_m_diracsoc(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("verify-clifford: PASS")
     assert (tmp_path / "o" / "clifford.jsonl").exists()
+
+
+# -- preconditions found while the suite runs --------------------------------------
+
+@pytest.mark.parametrize("max_mode,code", [(1, 0), (2, 2)])
+def test_identity_dealiasing_on_small_grid(tmp_path, max_mode, code):
+    # the catalog's em_wave_spacelike is mode 2 on axis 1: 2 + 2 reaches the Nyquist
+    # mode 4 of an 8-point axis, which the spectral derivative zeroes
+    cfg = write_cfg(tmp_path, f"grid.points = 8,8\nidentity.n_fields = 3\n"
+                              f"identity.max_mode = {max_mode}\n")
+    proc = run_cli_process("diracsoc.cli", "verify-identity", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    if code == 0:
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert_one_line_config_error(proc, "identity.max_mode")
+        assert "em_wave_spacelike on axis 1" in proc.stderr
+        assert not (tmp_path / "o" / "identity.jsonl").exists()
+
+
+def test_identity_dealiasing_configured_plane_wave(tmp_path):
+    # mode 3 on both axes of a 16-point grid leaves room for max_mode 4, not 5
+    cfg = write_cfg(tmp_path, """
+grid.points = 16,16
+identity.max_mode = 5
+potential.name = em_plane_wave
+potential.eps0 = 0
+potential.eps1 = 0
+potential.eps2 = 0.5
+potential.eps3 = 0
+potential.k0 = 3
+potential.k1 = 3
+potential.k2 = 0
+potential.k3 = 0
+""")
+    proc = run_cli_process("diracsoc.cli", "verify-identity", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    assert_one_line_config_error(proc, "identity.max_mode")
+    assert "em_plane_wave on axis 0" in proc.stderr
+
+
+@pytest.mark.parametrize("patched,check", [("corrcoef", "reim_correlation_signs"),
+                                           ("var", "diffusion_variance")])
+def test_nan_statistic_fails_simulate(tmp_path, monkeypatch, patched, check):
+    nan_like = {"corrcoef": lambda *a, **k: np.full((2, 2), np.nan),
+                "var": lambda *a, **k: np.nan}[patched]
+    monkeypatch.setattr(np, patched, nan_like)
+    cfg = write_cfg(tmp_path, FAST_SIMULATE)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_FAIL
+    (rec,) = [r for r in read_jsonl(tmp_path / "o" / "simulate.jsonl") if r["check"] == check]
+    assert rec["pass"] is False
+    assert rec["residual"] == "nan"
+
+
+def test_invalid_simulate_control_exit_2(tmp_path):
+    cfg = write_cfg(tmp_path, FAST_SIMULATE + "simulate.control = bogus\n")
+    proc = run_cli_process("diracsoc.cli", "simulate", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    assert_one_line_config_error(proc, "simulate.control")

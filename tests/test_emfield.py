@@ -186,3 +186,18 @@ def test_spec_validation_errors():
         emfield.custom_polynomial({"b0_0000": 1.0})
     with pytest.raises(PotentialError):
         field_strength(emfield.free(), [0, 0, 0, 0], method="finite_difference", h=-1.0)
+
+
+@pytest.mark.parametrize("kdoteps,plane_wave,custom", [
+    (5e-15, True, True),     # below custom_wave's absolute 1e-14
+    (1e-13, True, False),    # em_plane_wave accepts up to a relative 1e-12 and stays gauge
+    (2e-12, None, False),    # beyond it em_plane_wave is refused
+])
+def test_lorenz_gauge_boundary_of_the_two_wave_entries(kdoteps, plane_wave, custom):
+    eps, k = [kdoteps, 0.0, 0.5, 0.0], [1.0, 1.0, 0.0, 0.0]  # k.eps = eps0
+    assert is_lorenz_gauge(emfield.custom_wave(eps, k)) is custom
+    if plane_wave is None:
+        with pytest.raises(PotentialError):
+            emfield.em_plane_wave(eps, k)
+    else:
+        assert is_lorenz_gauge(emfield.em_plane_wave(eps, k)) is plane_wave
