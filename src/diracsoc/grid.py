@@ -7,7 +7,12 @@ Axis mu spans [0, extent[mu]) with points[mu] samples, so the mode
 numbers n give commensurate wave components k_mu = 2 pi n / extent[mu].
 
 ``partial`` differentiates with respect to the coordinate z^mu, i.e. it
-returns the lower-index derivative field d_mu f.
+returns the lower-index derivative field d_mu f.  The spectral backend
+multiplies the transform along axis mu by the symbol i k for a first
+derivative and by -k^2 for a second (``dalembertian``), with the Nyquist
+entry zeroed in both, so the one-pass second derivative has the symbol of
+``partial`` applied twice.  The fd4 backend is the fourth-order central
+stencil; its d'Alembertian composes that first-derivative stencil.
 """
 
 from __future__ import annotations
@@ -145,23 +150,31 @@ def _axis_of(f: Field, mu: int) -> int:
     return mu + (1 if f.is_spinor else 0)
 
 
+def _spectral_symbols(grid: SpacetimeGrid, mu: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i k, -k^2) along axis mu, Nyquist entry zeroed (a symmetric convention)."""
+    k = grid.angular_frequencies(mu)
+    k[grid.points[mu] // 2] = 0.0  # points are powers of two, so there is a Nyquist mode
+    return 1j * k, -(k * k)
+
+
+def _spectral_pass(f: Field, axis: int, symbol: np.ndarray) -> np.ndarray:
+    """Transform along one array axis, multiply by a symbol, transform back."""
+    shape = [1] * f.values.ndim
+    shape[axis] = symbol.size
+    fhat = np.fft.fft(f.values, axis=axis)
+    fhat *= symbol.reshape(shape)
+    return np.fft.ifft(fhat, axis=axis, out=fhat)
+
+
 def partial(f: Field, mu: int, backend: str = "spectral") -> Field:
     """d f / d z^mu on the periodic grid (lower-index derivative)."""
     if not f.grid.is_active(mu):
         raise GridError(f"cannot differentiate along inactive axis {mu}")
+    axis = _axis_of(f, mu)
     if backend == "spectral":
-        ik = 1j * f.grid.angular_frequencies(mu)
-        n = f.grid.points[mu]
-        if n % 2 == 0:
-            ik = ik.copy()
-            ik[n // 2] = 0.0  # symmetric convention for the Nyquist mode
-        axis = _axis_of(f, mu)
-        shape = [1] * f.values.ndim
-        shape[axis] = n
-        fhat = np.fft.fft(f.values, axis=axis)
-        out = np.fft.ifft(ik.reshape(shape) * fhat, axis=axis)
+        ik, _ = _spectral_symbols(f.grid, mu)
+        out = _spectral_pass(f, axis, ik)
     elif backend == "fd4":
-        axis = _axis_of(f, mu)
         h = f.grid.spacing[mu]
         v = f.values
         out = (-np.roll(v, -2, axis=axis) + 8 * np.roll(v, -1, axis=axis)
@@ -179,7 +192,22 @@ def partial_or_zero(f: Field, mu: int, backend: str = "spectral") -> Field:
 
 
 def dalembertian(f: Field, backend: str = "spectral") -> Field:
-    """d^mu d_mu f = eta^{munu} d_nu d_mu f over the active axes."""
+    """d^mu d_mu f = eta^{munu} d_nu d_mu f over the active axes.
+
+    Spectral: one transform pair per axis, with the symbol eta^{mumu} (-k^2)
+    (Nyquist entry zeroed, as in ``partial``).  fd4: the first-derivative
+    stencil applied twice along each axis.
+    """
+    if backend == "spectral":
+        out = None
+        for mu in range(f.grid.dims):
+            _, minus_k2 = _spectral_symbols(f.grid, mu)
+            term = _spectral_pass(f, _axis_of(f, mu), METRIC_DIAG[mu] * minus_k2)
+            if out is None:
+                out = term
+            else:
+                out += term
+        return Field(f.grid, out, copy=False)
     out = np.zeros_like(f.values)
     for mu in range(f.grid.dims):
         out = out + METRIC_DIAG[mu] * partial(partial(f, mu, backend), mu, backend).values
@@ -207,21 +235,29 @@ def plane_wave(grid: SpacetimeGrid, k, chi=None, amplitude: complex = 1.0) -> Fi
 
 def random_band_limited(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator,
                         spinor: bool = False) -> Field:
-    """Random field whose spectrum is supported on modes |n_mu| <= max_mode."""
+    """Random field whose spectrum is supported on modes |n_mu| <= max_mode.
+
+    Each component draws its (2 max_mode + 1)^dims block of spectral
+    coefficients in turn.  The inverse transform runs axis by axis, last
+    axis first as ``np.fft.ifftn`` does, and each pass transforms only the
+    lines whose untransformed indices lie in the mode window; every other
+    line is zero before and after, so the result equals the dense ifftn.
+    """
     for n, L in zip(grid.points, grid.extent):
         if max_mode >= n // 2:
             raise GridError(f"max_mode {max_mode} reaches the Nyquist mode of {n} points")
     ncomp = 4 if spinor else 1
-    comps = []
     block_shape = tuple(2 * max_mode + 1 for _ in range(grid.dims))
-    window = tuple(np.r_[0:max_mode + 1, -max_mode:0] for _ in range(grid.dims))
-    for _ in range(ncomp):
-        spec = np.zeros(grid.shape, dtype=np.complex128)
-        block = rng.standard_normal(block_shape) + 1j * rng.standard_normal(block_shape)
-        spec[np.ix_(*window)] = block
-        comps.append(np.fft.ifftn(spec) * np.sqrt(np.prod(grid.shape)))
-    values = comps[0] if not spinor else np.stack(comps)
-    return Field(grid, values, copy=False)
+    values = np.stack([rng.standard_normal(block_shape) + 1j * rng.standard_normal(block_shape)
+                       for _ in range(ncomp)])
+    for mu in reversed(range(grid.dims)):
+        n = grid.points[mu]
+        padded = np.zeros(values.shape[:mu + 1] + (n,) + values.shape[mu + 2:],
+                          dtype=np.complex128)
+        padded[(slice(None),) * (mu + 1) + (np.r_[0:max_mode + 1, n - max_mode:n],)] = values
+        values = np.fft.ifft(padded, axis=mu + 1, out=padded)
+    values *= np.sqrt(np.prod(grid.shape))
+    return Field(grid, values if spinor else values[0], copy=False)
 
 
 def field_to_csv(f: Field, path) -> None:

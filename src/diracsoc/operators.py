@@ -37,8 +37,9 @@ def _require_spinor(psi: Field) -> None:
 class SampledPotential:
     """A potential sampled once on one grid, passed to the operators in place of its spec.
 
-    ``A`` holds the lower-index components A_mu on the grid and
-    ``coupled[mu]`` says whether A_mu is anywhere nonzero.  ``F`` maps
+    ``A`` holds the lower-index components A_mu on the grid,
+    ``coupled[mu]`` says whether A_mu is anywhere nonzero and ``asq`` is
+    A^mu A_mu (None where it vanishes identically).  ``F`` maps
     (mu, nu) to F_munu for the components that are not identically zero,
     in row-major order; it is evaluated on first use and the dense 4x4
     field strength is not kept.
@@ -56,6 +57,9 @@ class SampledPotential:
         self.A = evaluate_potential(spec, grid.coords4())
         self.A.setflags(write=False)
         self.coupled = tuple(bool(np.any(a != 0)) for a in self.A)
+        asq = sum(METRIC_DIAG[mu] * self.A[mu] * self.A[mu] for mu in range(4))
+        asq.setflags(write=False)
+        self.asq = asq if np.any(asq != 0) else None
 
     @cached_property
     def F(self) -> dict[tuple[int, int], np.ndarray]:
@@ -168,9 +172,8 @@ def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
             dphi = partial(phi, mu, backend).values
             out -= 2j * e * hbar * METRIC_DIAG[mu] * Av[mu] * dphi
 
-    asq = sum(METRIC_DIAG[mu] * Av[mu] * Av[mu] for mu in range(4))
-    if np.any(asq != 0):
-        out += e ** 2 * asq * phi.values
+    if pot.asq is not None:
+        out += e ** 2 * pot.asq * phi.values
     return Field(phi.grid, out, copy=False)
 
 

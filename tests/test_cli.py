@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -428,3 +429,41 @@ def test_invalid_simulate_control_exit_2(tmp_path):
     proc = run_cli_process("diracsoc.cli", "simulate", "--config", cfg,
                            "--out", str(tmp_path / "o"))
     assert_one_line_config_error(proc, "simulate.control")
+
+
+def test_nan_determinant_fails_clifford(tmp_path, monkeypatch):
+    monkeypatch.setattr(np.linalg, "det", lambda *a, **k: np.nan)
+    out = tmp_path / "o"
+    assert main(["verify-clifford", "--out", str(out)]) == EXIT_FAIL
+    records = {r["check"]: r for r in read_jsonl(out / "clifford.jsonl")}
+    assert records["slash_determinant"]["pass"] is False
+    assert records["slash_determinant"]["residual"] == "nan"
+    assert records["slash_square"]["pass"] is True
+
+
+@pytest.mark.parametrize("name,key,axis", [("constant_electric", "E = 1.3", 1),
+                                            ("custom_polynomial", "a0_1000 = 1", 0)])
+def test_identity_refuses_non_periodic_polynomial(tmp_path, name, key, axis):
+    # a polynomial varying along an active axis jumps at the periodic wrap
+    cfg = write_cfg(tmp_path, f"grid.points = 64,64\npotential.name = {name}\n"
+                              f"potential.{key}\n")
+    proc = run_cli_process("diracsoc.cli", "verify-identity", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    assert_one_line_config_error(proc, f"potential {name}")
+    assert f"varies along axis {axis}" in proc.stderr
+    assert not (tmp_path / "o" / "identity.jsonl").exists()
+
+
+def test_identity_accepts_constant_configured_polynomial(tmp_path):
+    cfg = write_cfg(tmp_path, FAST_IDENTITY + "potential.name = custom_polynomial\n"
+                                              "potential.a0_0000 = 0.5\n")
+    assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PASS
+
+
+def test_identity_meta_records_check_family_seconds(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, FAST_IDENTITY)
+    assert main(["verify-identity", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+    seconds = json.loads((out / "identity_meta.json").read_text())["check_seconds"]
+    assert set(seconds) == {"factored_vs_fock", "gauge_discrepancy_law"}
+    assert all(s > 0 for s in seconds.values())

@@ -135,6 +135,29 @@ def test_random_band_limited_spectrum_confined():
         random_band_limited(GRID, 32, rng)
 
 
+def _naive_band_limited(grid, max_mode, rng, spinor):
+    # per component: the dense spectrum, one ifftn, scaled by sqrt(N)
+    window = np.r_[0:max_mode + 1, -max_mode:0]
+    block_shape = (2 * max_mode + 1,) * grid.dims
+    comps = []
+    for _ in range(4 if spinor else 1):
+        spec = np.zeros(grid.shape, dtype=np.complex128)
+        spec[np.ix_(*[window] * grid.dims)] = (rng.standard_normal(block_shape)
+                                               + 1j * rng.standard_normal(block_shape))
+        comps.append(np.fft.ifftn(spec) * np.sqrt(np.prod(grid.shape)))
+    return np.stack(comps) if spinor else comps[0]
+
+
+@pytest.mark.parametrize("spinor", [False, True])
+@pytest.mark.parametrize("points,max_mode", [((256, 256), 8), ((64, 64), 3), ((32, 32, 8), 2),
+                                             ((16,), 5), ((8, 8, 8, 8), 1)])
+def test_random_band_limited_equals_dense_ifftn(points, max_mode, spinor):
+    grid = SpacetimeGrid(dims=len(points), extent=(2 * np.pi,) * len(points), points=points)
+    got = random_band_limited(grid, max_mode, np.random.default_rng(17), spinor=spinor)
+    want = _naive_band_limited(grid, max_mode, np.random.default_rng(17), spinor)
+    assert np.array_equal(got.values, want)
+
+
 def test_field_norm_and_immutability():
     f = plane_wave(GRID, GRID.commensurate_wavevector([1, 0]))
     assert l2norm(f) == pytest.approx(1.0)

@@ -4,7 +4,8 @@ import pytest
 from diracsoc import emfield
 from diracsoc.clifford import DIRAC, METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
-from diracsoc.grid import Field, SpacetimeGrid, l2norm, partial, plane_wave, random_band_limited
+from diracsoc.grid import (Field, SpacetimeGrid, dalembertian, l2norm, partial, plane_wave,
+                           random_band_limited)
 from diracsoc.operators import (OperatorError, SampledPotential, _gamma_mix, build_spinor,
     conjugate_apply, dirac_apply, dirac_plane_wave, factored_rhs, factorization_discrepancy,
     fock_rhs, gauge_discrepancy_prediction, kg_residual_componentwise,
@@ -352,6 +353,18 @@ def _ref_factored(phi, spec, consts, backend):
     return _ref_slash(psi, spec, consts, backend) - consts.mc * psi.values
 
 
+def _ref_second_derivative(phi, mu, backend):
+    """d_mu d_mu phi: spectral per axis is fft, times -k^2 (Nyquist zeroed), ifft."""
+    if backend == "fd4":
+        return partial(partial(phi, mu, backend), mu, backend).values
+    n, axis = phi.grid.points[mu], mu + 1
+    k = 2 * np.pi * np.fft.fftfreq(n, d=phi.grid.extent[mu] / n)
+    k[n // 2] = 0.0
+    shape = [1] * phi.values.ndim
+    shape[axis] = n
+    return np.fft.ifft(-(k * k).reshape(shape) * np.fft.fft(phi.values, axis=axis), axis=axis)
+
+
 def _ref_fock(phi, spec, consts, backend):
     hbar, e, mc = consts.hbar, consts.e, consts.mc
     coords = phi.grid.coords4()
@@ -359,7 +372,7 @@ def _ref_fock(phi, spec, consts, backend):
     F = emfield.field_strength(spec, coords, method="analytic")
     box = np.zeros_like(phi.values)
     for mu in range(phi.grid.dims):
-        box = box + METRIC_DIAG[mu] * partial(partial(phi, mu, backend), mu, backend).values
+        box = box + METRIC_DIAG[mu] * _ref_second_derivative(phi, mu, backend)
     out = -(mc ** 2) * phi.values - hbar ** 2 * box
     for mu in range(4):
         for nu in range(4):
@@ -391,6 +404,28 @@ def test_operators_equal_term_by_term_reference(name, grid, spec, backend):
                                   fact_want), name
 
 
+WITNESS_GRID_256 = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(256, 256))
+
+
+@pytest.mark.parametrize("name,grid,max_mode", [(name, g, 3) for name, g, _ in witness_cases()]
+                         + [("grid256", WITNESS_GRID_256, 8)])
+def test_dalembertian_agrees_with_composed_first_derivatives(name, grid, max_mode):
+    # spectral: one -k^2 pass per axis against ik applied twice, equal up to rounding;
+    # fd4: the composed first-derivative stencil, bit for bit
+    rng = np.random.default_rng(107)
+    phi = random_band_limited(grid, max_mode, rng, spinor=True)
+    for backend in ("spectral", "fd4"):
+        composed = np.zeros_like(phi.values)
+        for mu in range(grid.dims):
+            composed = composed + METRIC_DIAG[mu] * partial(
+                partial(phi, mu, backend), mu, backend).values
+        got = dalembertian(phi, backend).values
+        if backend == "fd4":
+            assert np.array_equal(got, composed)
+        else:
+            assert np.abs(got - composed).max() <= 1e-12 * np.abs(composed).max()
+
+
 def test_sampled_potential_holds_only_nonzero_field_strength():
     pot = SampledPotential(emfield.constant_electric(0.6), WITNESS_GRID)
     assert sorted(pot.F) == [(0, 1), (1, 0)]
@@ -399,6 +434,13 @@ def test_sampled_potential_holds_only_nonzero_field_strength():
     assert not pot.A.flags.writeable
     assert not any(f.flags.writeable for f in pot.F.values())
     assert SampledPotential(emfield.free(), WITNESS_GRID).F == {}
+
+
+def test_sampled_potential_holds_a_squared():
+    pot = SampledPotential(emfield.constant_potential([0.8, -0.3, 0.2, 0.0]), WITNESS_GRID)
+    assert np.array_equal(pot.asq, np.full(WITNESS_GRID.shape, 0.8 ** 2 - 0.3 ** 2 - 0.2 ** 2))
+    assert not pot.asq.flags.writeable
+    assert SampledPotential(emfield.free(), WITNESS_GRID).asq is None
 
 
 def test_sampled_potential_grid_mismatch_rejected():
