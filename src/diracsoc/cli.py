@@ -1,9 +1,13 @@
 """Batch verification suites behind a single command-line entry point.
 
 Subcommands: verify-clifford, verify-identity, dispersion, evolve,
-simulate, report.  Every record written carries the suite name, the
-effective-configuration hash, seed, constants, backend, and the branch
-choices, so outputs are self-describing; re-running a command with an
+simulate, report.  Each suite is a module-level ``<stem>_records(cfg)``
+function whose records are all built by ``check``: the verdict is
+``residual <= tolerance`` (a NaN residual fails), and every record carries
+the suite name, the effective-configuration hash, seed, constants, backend,
+and the branch choices, so outputs are self-describing.  One runner,
+``run_suite``, times a suite, writes ``<stem>.jsonl``, its CSV and
+``<stem>_meta.json``, and picks the exit code; re-running a command with an
 identical configuration reproduces the JSON-lines files byte for byte.
 
 Exit codes: 0 all checks pass, 1 at least one check failed,
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import emfield, soc, spectrum
-from .clifford import DIRAC, METRIC_DIAG, mdot
+from .clifford import DIRAC, mdot, relation_residuals
 from .config import ConfigError, RunConfig, load_config_file
 from .grid import SpacetimeGrid, random_band_limited
 from .operators import (OperatorError, SampledPotential, factorization_discrepancy, factored_rhs,
@@ -37,56 +41,31 @@ def _grid_label(grid: SpacetimeGrid) -> str:
     return "x".join(str(n) for n in grid.points)
 
 
-def _base_record(suite: str, cfg: RunConfig, **fields) -> dict:
-    rec = {"suite": suite, "check": fields.pop("check")}
-    rec.update(fields)
+def check(cfg: RunConfig, suite: str, name: str, holds: bool = True, **fields) -> dict:
+    """One record: suite, check name, ``fields`` in the given order, verdict, provenance.
+
+    ``fields`` must hold ``residual`` and ``tolerance``; the record passes when
+    ``residual <= tolerance`` (so a NaN residual fails) and ``holds`` is true.
+    """
+    rec = {"suite": suite, "check": name, **fields,
+           "pass": bool(fields["residual"] <= fields["tolerance"]) and holds}
     rec.update(cfg.provenance())
     return rec
 
 
 # -- clifford ----------------------------------------------------------------
 
-def clifford_records(cfg: RunConfig, gammas=None) -> list[dict]:
-    """All gamma-algebra identity checks as records; exact unless noted."""
-    g = np.asarray(DIRAC.gammas if gammas is None else gammas, dtype=np.complex128)
+def clifford_records(cfg: RunConfig, corrupt: bool = False) -> list[dict]:
+    """All gamma-algebra identity checks as records; exact unless noted.
+
+    With ``corrupt`` (a negative control) one entry of gamma^1 is damaged first.
+    """
+    g = np.array(DIRAC.gammas)
+    if corrupt:
+        g[1, 0, 3] += 0.5
     eye = np.eye(4, dtype=np.complex128)
-    records = []
-
-    for mu in range(4):
-        for nu in range(4):
-            anti = g[mu] @ g[nu] + g[nu] @ g[mu]
-            want = (2 * METRIC_DIAG[mu] if mu == nu else 0) * eye
-            resid = float(np.abs(anti - want).max())
-            records.append(_base_record("verify-clifford", cfg, check="anticommutator",
-                                        mu=mu, nu=nu, residual=resid, tolerance=0.0,
-                                        **{"pass": resid == 0.0}))
-
-    for mu in range(4):
-        for nu in range(4):
-            smn = 0.5j * (g[mu] @ g[nu] - g[nu] @ g[mu])
-            snm = 0.5j * (g[nu] @ g[mu] - g[mu] @ g[nu])
-            resid = float(np.abs(smn + snm).max())
-            records.append(_base_record("verify-clifford", cfg, check="spin_antisymmetry",
-                                        mu=mu, nu=nu, residual=resid, tolerance=0.0,
-                                        **{"pass": resid == 0.0}))
-
-    for nu in range(4):
-        for mu in range(4):
-            # gamma^nu gamma^mu = eta^{numu} I + 1/2 [gamma^nu, gamma^mu]
-            lhs = g[nu] @ g[mu]
-            rhs = (METRIC_DIAG[nu] if mu == nu else 0) * eye \
-                + 0.5 * (g[nu] @ g[mu] - g[mu] @ g[nu])
-            resid = float(np.abs(lhs - rhs).max())
-            records.append(_base_record("verify-clifford", cfg, check="product_identity",
-                                        mu=mu, nu=nu, residual=resid, tolerance=0.0,
-                                        **{"pass": resid == 0.0}))
-
-    for mu in range(4):
-        target = g[mu] if mu == 0 else -g[mu]
-        resid = float(np.abs(g[mu].conj().T - target).max())
-        records.append(_base_record("verify-clifford", cfg, check="hermiticity",
-                                    mu=mu, nu=mu, residual=resid, tolerance=0.0,
-                                    **{"pass": resid == 0.0}))
+    records = [check(cfg, "verify-clifford", name, mu=mu, nu=nu, residual=resid, tolerance=0.0)
+               for name, mu, nu, resid in relation_residuals(g)]
 
     rng = np.random.default_rng(cfg.int("seed"))
     n = cfg.int("clifford.det_samples")
@@ -103,13 +82,10 @@ def clifford_records(cfg: RunConfig, gammas=None) -> list[dict]:
     # np.max, unlike max(), propagates NaN, so an undefined residual fails its check
     worst_sq = float(np.max(sq_residuals))
     worst_det = float(np.max(det_residuals))
-    records.append(_base_record("verify-clifford", cfg, check="slash_square",
-                                samples=n, residual=worst_sq, tolerance=1e-12,
-                                **{"pass": worst_sq <= 1e-12}))
-    det_tol = cfg.float("clifford.det_tolerance")
-    records.append(_base_record("verify-clifford", cfg, check="slash_determinant",
-                                samples=n, residual=worst_det, tolerance=det_tol,
-                                **{"pass": worst_det <= det_tol}))
+    records.append(check(cfg, "verify-clifford", "slash_square",
+                         samples=n, residual=worst_sq, tolerance=1e-12))
+    records.append(check(cfg, "verify-clifford", "slash_determinant", samples=n,
+                         residual=worst_det, tolerance=cfg.float("clifford.det_tolerance")))
     return records
 
 
@@ -177,10 +153,8 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], dict[str, float]]:
         for i in range(n_fields):
             phi = random_band_limited(grid, max_mode, rng, spinor=True)
             rel, _, _ = factorization_discrepancy(phi, pot, consts, backend=backend)
-            records.append(_base_record(
-                "verify-identity", cfg, check="factored_vs_fock", potential=name,
-                field_index=i, grid=glabel, residual=rel, tolerance=tol,
-                **{"pass": rel <= tol}))
+            records.append(check(cfg, "verify-identity", "factored_vs_fock", potential=name,
+                                 field_index=i, grid=glabel, residual=rel, tolerance=tol))
         del pot
     spans["factored_vs_fock"] = time.perf_counter() - started
 
@@ -194,10 +168,9 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], dict[str, float]]:
             pred = gauge_discrepancy_prediction(phi, spec, consts).values
             scale = float(np.abs(pred).max())
             resid = float(np.abs(diff - pred).max()) / scale
-            records.append(_base_record(
-                "verify-identity", cfg, check="gauge_discrepancy_law", potential=name,
-                field_index=i, grid=glabel, residual=resid, tolerance=tol,
-                **{"pass": resid <= tol}))
+            records.append(check(cfg, "verify-identity", "gauge_discrepancy_law",
+                                 potential=name, field_index=i, grid=glabel,
+                                 residual=resid, tolerance=tol))
         del pot
     spans["gauge_discrepancy_law"] = time.perf_counter() - started
     return records, spans
@@ -218,11 +191,10 @@ def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
             k = np.array([k0, k1, 0.0, 0.0])
             det = complex(np.linalg.det(consts.hbar * DIRAC.slash(k) - consts.mc * eye))
             gap = consts.hbar ** 2 * mdot(k, k).real - consts.mass_shell
-            ok = abs(det) <= tol
-            records.append(_base_record(
-                "dispersion", cfg, check="root_on_shell", k1=float(k1), k0=float(k0),
-                residual=abs(det), tolerance=tol, **{"pass": ok}))
-            rows.append((float(k1), float(k0), gap, abs(det), ok))
+            rec = check(cfg, "dispersion", "root_on_shell", k1=float(k1), k0=float(k0),
+                        residual=abs(det), tolerance=tol)
+            records.append(rec)
+            rows.append((float(k1), float(k0), gap, abs(det), rec["pass"]))
     return records, rows
 
 
@@ -247,13 +219,13 @@ def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
         expect_stationary = abs(rec["delta"]) <= gap_threshold
         freq_err = abs(rec["measured_frequency"] - rec["closed_form_frequency"])
         freq_ok = freq_err <= freq_tol * max(1.0, abs(rec["closed_form_frequency"]))
-        ok = (rec["stationary"] == expect_stationary) and freq_ok
-        records.append(_base_record(
-            "evolve", cfg, check="mode_stationarity", k0=rec["k0"], k1=rec["k1"],
-            delta=rec["delta"], measured_frequency=rec["measured_frequency"],
+        records.append(check(
+            cfg, "evolve", "mode_stationarity",
+            holds=(rec["stationary"] == expect_stationary) and freq_ok,
+            k0=rec["k0"], k1=rec["k1"], delta=rec["delta"],
+            measured_frequency=rec["measured_frequency"],
             closed_form_frequency=rec["closed_form_frequency"],
-            stationary=rec["stationary"], residual=freq_err, tolerance=freq_tol,
-            **{"pass": ok}))
+            stationary=rec["stationary"], residual=freq_err, tolerance=freq_tol))
         rows.append((rec["k0"], rec["k1"], rec["delta"], rec["measured_frequency"],
                      rec["stationary"]))
     return records, rows
@@ -273,7 +245,7 @@ def _configured_control(cfg: RunConfig, consts) -> soc.ControlField:
     raise ConfigError(f"simulate.control must be zero|constant|plane_wave, got {kind!r}")
 
 
-def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], bool]:
+def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
     consts = cfg.constants()
     seed = cfg.int("seed")
     ds = cfg.float("simulate.ds")
@@ -283,17 +255,15 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], bool]:
 
     diff = soc.make_diffusion(consts)
     sq_resid = float(np.abs(diff.sigma ** 2 - diff.squares).max())
-    records.append(_base_record("simulate", cfg, check="diffusion_squares",
-                                residual=sq_resid, tolerance=0.0,
-                                **{"pass": sq_resid == 0.0}))
+    records.append(check(cfg, "simulate", "diffusion_squares", residual=sq_resid, tolerance=0.0))
 
     for rpt in soc.run_generator_battery(consts, ds=ds, n_paths=n_paths,
                                          seed=seed, n_sigma=n_sigma):
-        records.append(_base_record(
-            "simulate", cfg, check="generator", function=rpt.label,
+        records.append(check(
+            cfg, "simulate", "generator", function=rpt.label,
             estimate=rpt.estimate, exact=rpt.exact, residual=rpt.abs_error,
             stderr=rpt.stderr, n_sigma=n_sigma, n_paths=n_paths, ds=ds,
-            tolerance=n_sigma * rpt.stderr, **{"pass": rpt.passed}))
+            tolerance=n_sigma * rpt.stderr))
 
     # straight-line motion with diffusion disabled, against a literal recursion
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=np.complex128)
@@ -303,20 +273,18 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], bool]:
     z = np.broadcast_to(params.z0, (3, 4)).copy()
     for _ in range(64):
         z = z + w4 * params.ds
-    exact_line = bool(np.array_equal(ens.paths[:, -1, :], z))
-    records.append(_base_record("simulate", cfg, check="straight_line_bitwise",
-                                residual=0.0 if exact_line else 1.0, tolerance=0.0,
-                                **{"pass": exact_line}))
+    exact_line = np.array_equal(ens.paths[:, -1, :], z)
+    records.append(check(cfg, "simulate", "straight_line_bitwise",
+                         residual=0.0 if exact_line else 1.0, tolerance=0.0))
 
     # bitwise reproducibility of a seeded ensemble
     rp = soc.EnsembleParams(n_paths=cfg.int("simulate.repro_paths"),
                             steps=cfg.int("simulate.repro_steps"), ds=ds)
     e1 = soc.simulate(rp, soc.zero_control(), None, consts, seed)
     e2 = soc.simulate(rp, soc.zero_control(), None, consts, seed)
-    repro = bool(np.array_equal(e1.paths, e2.paths))
-    records.append(_base_record("simulate", cfg, check="fixed_seed_bitwise",
-                                residual=0.0 if repro else 1.0, tolerance=0.0,
-                                **{"pass": repro}))
+    repro = np.array_equal(e1.paths, e2.paths)
+    records.append(check(cfg, "simulate", "fixed_seed_bitwise",
+                         residual=0.0 if repro else 1.0, tolerance=0.0))
 
     # per-component Re/Im correlation pattern of the increments
     dz = e1.paths[:, 1, :] - e1.paths[:, 0, :]
@@ -324,9 +292,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], bool]:
     # np.max, unlike max(), propagates NaN, so an undefined statistic fails its check
     worst = float(np.max([abs(float(np.corrcoef(dz[:, mu].real, dz[:, mu].imag)[0, 1])
                               - expected_sign[mu]) for mu in range(4)]))
-    records.append(_base_record("simulate", cfg, check="reim_correlation_signs",
-                                residual=worst, tolerance=1e-12,
-                                **{"pass": worst <= 1e-12}))
+    records.append(check(cfg, "simulate", "reim_correlation_signs",
+                         residual=worst, tolerance=1e-12))
 
     # diffusion-only variance: Var[Re z_mu] = Var[Im z_mu] = |sigma|^2 s / 2
     vp = soc.EnsembleParams(n_paths=cfg.int("simulate.variance_paths"),
@@ -340,10 +307,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], bool]:
         want = abs(diff.sigma[mu]) ** 2 * total_s / 2
         for part in (ev.paths[:, -1, mu].real, ev.paths[:, -1, mu].imag):
             errors.append(abs(float(np.var(part, ddof=1)) - want) / want)
-    worst = float(np.max(errors))
-    records.append(_base_record("simulate", cfg, check="diffusion_variance",
-                                residual=worst, tolerance=rel_tol,
-                                **{"pass": worst <= rel_tol}))
+    records.append(check(cfg, "simulate", "diffusion_variance",
+                         residual=float(np.max(errors)), tolerance=rel_tol))
 
     # action of a deterministic on-shell path: S = -m c^2 (tau_f - tau_i)
     ap = soc.EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
@@ -353,10 +318,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], bool]:
                       diffusion=soc.zero_diffusion())
     est = soc.accumulate_action(ea, emfield.free(), consts)
     want = -consts.m * consts.c ** 2 * 1.0
-    act_resid = abs(est.mean - want)
-    records.append(_base_record("simulate", cfg, check="action_constant_onshell",
-                                mean=est.mean, residual=act_resid, tolerance=0.0,
-                                **{"pass": act_resid == 0.0}))
+    records.append(check(cfg, "simulate", "action_constant_onshell",
+                         mean=est.mean, residual=abs(est.mean - want), tolerance=0.0))
 
     # user-configured ensemble (blow-up detection hooks in here)
     uc = _configured_control(cfg, consts)
@@ -364,10 +327,9 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], bool]:
                             steps=cfg.int("simulate.repro_steps"), ds=ds)
     ue = soc.simulate(up, uc, None, consts, seed + 2)
     n_trunc = int(np.count_nonzero(ue.truncated))
-    records.append(_base_record("simulate", cfg, check="configured_ensemble",
-                                control=uc.label, n_paths=up.n_paths, steps=up.steps,
-                                truncated_paths=n_trunc, residual=float(n_trunc),
-                                tolerance=0.0, **{"pass": n_trunc == 0}))
+    records.append(check(cfg, "simulate", "configured_ensemble",
+                         control=uc.label, n_paths=up.n_paths, steps=up.steps,
+                         truncated_paths=n_trunc, residual=float(n_trunc), tolerance=0.0))
 
     rows = []
     if cfg.bool("simulate.dump_paths"):
@@ -378,21 +340,23 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], bool]:
                 rows.append((p, s, s * ds,
                              z[0].real, z[0].imag, z[1].real, z[1].imag,
                              z[2].real, z[2].imag, z[3].real, z[3].imag))
-    return records, rows, n_trunc > 0
+    return records, rows
 
 
-# -- command wrappers ---------------------------------------------------------
+# -- the runner ----------------------------------------------------------------
 
-def _write_suite(out: Path, name: str, records: list[dict], started: float,
-                 csvs: dict[str, tuple[list[str], list[tuple]]] | None = None,
-                 check_seconds: dict[str, float] | None = None) -> None:
-    write_jsonl(out / f"{name}.jsonl", records)
-    for fname, (header, rows) in (csvs or {}).items():
-        write_csv(out / fname, header, rows)
-    extra = {"records": len(records)}
-    if check_seconds:
-        extra["check_seconds"] = check_seconds
-    write_meta(out / f"{name}_meta.json", name, elapsed=time.time() - started, extra=extra)
+_PATHS_HEADER = ["path", "step", "s"] + [f"z{mu}_{part}" for mu in range(4)
+                                         for part in ("re", "im")]
+
+# command -> (output stem, CSV written from the rows the suite returns)
+SUITES = {
+    "verify-clifford": ("clifford", None),
+    "verify-identity": ("identity", None),
+    "dispersion": ("dispersion", ("dispersion.csv", ["k1", "k0", "delta", "det_abs", "pass"])),
+    "evolve": ("evolve", ("evolve_sweep.csv",
+                          ["k0", "k1", "delta", "measured_frequency", "stationary"])),
+    "simulate": ("simulate", ("paths.csv", _PATHS_HEADER)),
+}
 
 
 def _exit_for(records: list[dict]) -> int:
@@ -402,57 +366,31 @@ def _exit_for(records: list[dict]) -> int:
     return EXIT_FAIL
 
 
-def cmd_verify_clifford(cfg: RunConfig, out: Path, corrupt: bool = False) -> int:
+def run_suite(command: str, cfg: RunConfig, out: Path, **kwargs) -> int:
+    """Run one suite, write its outputs and return the exit code.
+
+    ``<stem>_records`` is looked up by name at call time, so a wrapper bound to
+    the module attribute (a tracer, a test's monkeypatch) sees the call.  A suite
+    returns its records, or the records followed by CSV rows (a list) or by the
+    seconds spent per check family (a dict, written to the meta file).
+    """
+    stem, csv = SUITES[command]
     started = time.time()
-    gammas = None
-    if corrupt:  # negative-control mode: damage one entry and watch checks fail
-        gammas = np.array(DIRAC.gammas)
-        gammas[1, 0, 3] += 0.5
-    records = clifford_records(cfg, gammas=gammas)
-    _write_suite(out, "clifford", records, started)
-    return _exit_for(records)
-
-
-def cmd_verify_identity(cfg: RunConfig, out: Path) -> int:
-    started = time.time()
-    records, check_seconds = identity_records(cfg)
-    _write_suite(out, "identity", records, started, check_seconds=check_seconds)
-    return _exit_for(records)
-
-
-def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
-    started = time.time()
-    records, rows = dispersion_records(cfg)
-    _write_suite(out, "dispersion", records, started,
-                 csvs={"dispersion.csv": (["k1", "k0", "delta", "det_abs", "pass"], rows)})
-    return _exit_for(records)
-
-
-def cmd_evolve(cfg: RunConfig, out: Path) -> int:
-    started = time.time()
-    records, rows = evolve_records(cfg)
-    _write_suite(out, "evolve", records, started,
-                 csvs={"evolve_sweep.csv":
-                       (["k0", "k1", "delta", "measured_frequency", "stationary"], rows)})
-    return _exit_for(records)
-
-
-def cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    started = time.time()
-    records, rows, blew_up = simulate_records(cfg)
-    csvs = {}
-    if rows:
-        header = ["path", "step", "s"]
-        for mu in range(4):
-            header += [f"z{mu}_re", f"z{mu}_im"]
-        csvs["paths.csv"] = (header, rows)
-    _write_suite(out, "simulate", records, started, csvs=csvs)
-    if blew_up:
+    result = globals()[f"{stem}_records"](cfg, **kwargs)
+    records, extra = result if isinstance(result, tuple) else (result, None)
+    write_jsonl(out / f"{stem}.jsonl", records)
+    meta = {"records": len(records)}
+    if isinstance(extra, dict):
+        meta["check_seconds"] = extra
+    elif extra:
+        write_csv(out / csv[0], csv[1], extra)
+    write_meta(out / f"{stem}_meta.json", stem, elapsed=time.time() - started, extra=meta)
+    if any(r.get("truncated_paths") for r in records):  # simulate's configured ensemble
         return EXIT_BLOWUP
     return _exit_for(records)
 
 
-def cmd_report(cfg: RunConfig, out: Path) -> int:
+def cmd_report(out: Path) -> int:
     started = time.time()
     files = sorted(p for p in out.glob("*.jsonl") if p.name != "summary.jsonl")
     if not files:
@@ -489,8 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verification suites for the stochastic-optimal-control "
                     "formulation of relativistic spin-1/2 dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify-clifford", "verify-identity", "dispersion", "evolve",
-                 "simulate", "report"):
+    for name in (*SUITES, "report"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="path to a key=value config file")
         p.add_argument("--out", type=str, default="diracsoc-out", help="output directory")
@@ -500,16 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "verify-clifford":
             p.add_argument("--corrupt-gamma", action="store_true", help=argparse.SUPPRESS)
     return parser
-
-
-_COMMANDS = {
-    "verify-clifford": cmd_verify_clifford,
-    "verify-identity": cmd_verify_identity,
-    "dispersion": cmd_dispersion,
-    "evolve": cmd_evolve,
-    "simulate": cmd_simulate,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -529,10 +456,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    command = _COMMANDS[args.command]
     kwargs = {"corrupt": args.corrupt_gamma} if args.command == "verify-clifford" else {}
     try:
-        code = command(cfg, out, **kwargs)
+        code = cmd_report(out) if args.command == "report" \
+            else run_suite(args.command, cfg, out, **kwargs)
     except (ConfigError, OperatorError) as exc:  # e.g. a potential the grid cannot represent
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -75,6 +75,39 @@ def _dirac_gammas() -> ArrayC:
     return gammas
 
 
+def relation_residuals(g, metric_diag=METRIC_DIAG) -> list[tuple[str, int, int, float]]:
+    """Max-abs residual of each defining relation of four 4x4 matrices ``g``.
+
+    Entries ``(check, mu, nu, residual)``: the anticommutators
+    ``{g^mu, g^nu} = 2 eta^{munu} I``, the antisymmetry of
+    ``sigma^{munu} = (i/2)[g^mu, g^nu]``, the product identity
+    ``g^nu g^mu = eta^{numu} I + (1/2)[g^nu, g^mu]`` (nu outer) and the
+    hermiticity ``(g^mu)^dagger = eta^{mumu} g^mu`` (nu = mu).  All are exactly
+    0.0 for a valid set of small-integer matrices; the matrices are not
+    validated, so a damaged set shows which relations it breaks.
+    """
+    g = np.asarray(g, dtype=np.complex128)
+    eye = np.eye(4, dtype=np.complex128)
+    pairs = [(mu, nu) for mu in range(4) for nu in range(4)]
+
+    def resid(a) -> float:
+        return float(np.abs(a).max())
+
+    out = [("anticommutator", mu, nu,
+            resid(g[mu] @ g[nu] + g[nu] @ g[mu] - (2 * metric_diag[mu] if mu == nu else 0) * eye))
+           for mu, nu in pairs]
+    out += [("spin_antisymmetry", mu, nu,
+             resid(0.5j * (g[mu] @ g[nu] - g[nu] @ g[mu]) + 0.5j * (g[nu] @ g[mu] - g[mu] @ g[nu])))
+            for mu, nu in pairs]
+    out += [("product_identity", mu, nu,
+             resid(g[nu] @ g[mu] - ((metric_diag[nu] if mu == nu else 0) * eye
+                                    + 0.5 * (g[nu] @ g[mu] - g[mu] @ g[nu]))))
+            for nu, mu in pairs]
+    out += [("hermiticity", mu, mu, resid(g[mu].conj().T - metric_diag[mu] * g[mu]))
+            for mu in range(4)]
+    return out
+
+
 @dataclass(frozen=True)
 class GammaSet:
     """The four Dirac-representation gamma matrices plus the metric."""
@@ -88,18 +121,14 @@ class GammaSet:
             raise CliffordError(f"expected four 4x4 matrices, got shape {g.shape}")
         g.setflags(write=False)
         object.__setattr__(self, "gammas", g)
-        eye = np.eye(4, dtype=np.complex128)
-        for mu in range(4):
-            for nu in range(4):
-                anti = g[mu] @ g[nu] + g[nu] @ g[mu]
-                want = 2 * self.metric.diag[mu] * eye if mu == nu else 0 * eye
-                if not np.array_equal(anti, want):
-                    raise CliffordError(f"Clifford relation violated at ({mu},{nu})")
-        if not np.array_equal(g[0].conj().T, g[0]):
-            raise CliffordError("gamma^0 must be Hermitian")
-        for i in (1, 2, 3):
-            if not np.array_equal(g[i].conj().T, -g[i]):
-                raise CliffordError(f"gamma^{i} must be anti-Hermitian")
+        for check, mu, nu, resid in relation_residuals(g, self.metric.diag):
+            if resid != 0.0:  # NaN included
+                if check == "hermiticity":
+                    kind = "Hermitian" if self.metric.diag[mu] > 0 else "anti-Hermitian"
+                    raise CliffordError(f"gamma^{mu} must be {kind}")
+                raise CliffordError(f"Clifford relation violated at ({mu},{nu})"
+                                    if check == "anticommutator"
+                                    else f"{check} violated at ({mu},{nu})")
 
     def gamma(self, mu: int) -> ArrayC:
         _check_index(mu)
