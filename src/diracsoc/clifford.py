@@ -123,12 +123,10 @@ class GammaSet:
         object.__setattr__(self, "gammas", g)
         for check, mu, nu, resid in relation_residuals(g, self.metric.diag):
             if resid != 0.0:  # NaN included
-                if check == "hermiticity":
-                    kind = "Hermitian" if self.metric.diag[mu] > 0 else "anti-Hermitian"
-                    raise CliffordError(f"gamma^{mu} must be {kind}")
-                raise CliffordError(f"Clifford relation violated at ({mu},{nu})"
-                                    if check == "anticommutator"
-                                    else f"{check} violated at ({mu},{nu})")
+                if check != "hermiticity":
+                    raise CliffordError(f"Clifford relation violated at ({mu},{nu})")
+                kind = "Hermitian" if self.metric.diag[mu] > 0 else "anti-Hermitian"
+                raise CliffordError(f"gamma^{mu} must be {kind}")
 
     def gamma(self, mu: int) -> ArrayC:
         _check_index(mu)

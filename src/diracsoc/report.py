@@ -58,12 +58,20 @@ def write_jsonl(path, records) -> None:
 
 
 def read_jsonl(path) -> list[dict]:
+    """The records of a JSON-lines file; ValueError names the first line that is no object."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {lineno}: not JSON ({exc.msg})") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path} line {lineno}: not a JSON object")
+            out.append(rec)
     return out
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import diracsoc
-from diracsoc.cli import EXIT_FAIL, EXIT_PASS, _exit_for, main
+from diracsoc import soc, spectrum
+from diracsoc.cli import EXIT_BLOWUP, EXIT_FAIL, EXIT_PASS, _exit_for, main
 from diracsoc.config import ConfigError, RunConfig, parse_config_text
 from diracsoc.report import jsonl_dumps, read_jsonl
 
@@ -141,6 +142,25 @@ def test_dispersion_suite(tmp_path):
     assert len(csv_lines) == 65
 
 
+def test_evolve_record_states_the_bound_it_applies(tmp_path, monkeypatch):
+    # the frequency bound scales with max(1, |closed_form_frequency|); a record off
+    # by 1.5 frequency_tol at frequency 2 passes and must say its bound is 2e-8
+    real_sweep = spectrum.delta_sweep
+
+    def one_record_off(*args, **kwargs):
+        sweep = real_sweep(*args, **kwargs)
+        sweep[0] = dict(sweep[0], closed_form_frequency=2.0, measured_frequency=2.0 + 1.5e-8)
+        return sweep
+
+    monkeypatch.setattr(spectrum, "delta_sweep", one_record_off)
+    out = tmp_path / "out"
+    assert main(["evolve", "--out", str(out)]) == EXIT_PASS
+    records = read_jsonl(out / "evolve.jsonl")
+    assert records[0]["tolerance"] == 2e-8
+    assert records[0]["residual"] > 1e-8
+    assert not any(r["pass"] and r["residual"] > r["tolerance"] for r in records)
+
+
 def test_evolve_suite_flags_only_on_shell(tmp_path):
     out = tmp_path / "out"
     assert main(["evolve", "--out", str(out)]) == 0
@@ -181,6 +201,34 @@ def test_simulate_blowup_exit_3(tmp_path):
                     "simulate.control_w = 1e308,0,0,0\n"
                     "simulate.ds = 10\n")
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    rec = {r["check"]: r for r in read_jsonl(out / "simulate.jsonl")}["configured_ensemble"]
+    assert rec["truncated_paths"] == 64
+    # 1e308 * ds overflows on the first step of every path; path 0 is the first on ties
+    assert (rec["first_bad_step"], rec["first_bad_path"]) == (0, 0)
+    keys = list(rec)
+    assert keys.index("first_bad_step") < keys.index("first_bad_path") < keys.index("residual")
+
+
+def test_configured_ensemble_names_the_earliest_blowup(tmp_path, monkeypatch):
+    real_simulate = soc.simulate
+
+    def late_blowups(params, w, A, consts, seed, **kwargs):
+        ens = real_simulate(params, w, A, consts, seed, **kwargs)
+        if seed == 12345 + 2:  # the configured ensemble
+            ens.truncated = np.zeros(ens.n_paths, dtype=bool)
+            ens.first_bad_step = np.full(ens.n_paths, -1, dtype=np.int64)
+            for path, step in ((3, 6), (5, 2), (9, 2)):
+                ens.truncated[path], ens.first_bad_step[path] = True, step
+        return ens
+
+    monkeypatch.setattr(soc, "simulate", late_blowups)
+    cfg = write_cfg(tmp_path, FAST_SIMULATE)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_BLOWUP
+    records = {r["check"]: r for r in read_jsonl(tmp_path / "o" / "simulate.jsonl")}
+    rec = records["configured_ensemble"]
+    assert (rec["truncated_paths"], rec["first_bad_step"], rec["first_bad_path"]) == (3, 2, 5)
+    action = records["action_constant_onshell"]
+    assert (action["n_branch_flags"], action["n_degenerate_flags"]) == (0, 0)
 
 
 def test_epsilon_flag_changes_constants(tmp_path):
@@ -209,6 +257,24 @@ def test_report_no_inputs_exit_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", "--out", str(empty)]) == 2
+
+
+@pytest.mark.parametrize("content,words", [
+    ("", "dispersion.jsonl holds no records"),
+    ('{"suite":"dispersion","pass":true}\n{"suite":\n', "dispersion.jsonl line 2: not JSON"),
+    ("[1, 2]\n", "dispersion.jsonl line 1: not a JSON object"),
+], ids=["empty", "truncated_line", "not_an_object"])
+def test_report_refuses_bad_input_exit_2(tmp_path, content, words):
+    out = tmp_path / "o"
+    assert main(["verify-clifford", "--out", str(out)]) == EXIT_PASS
+    (out / "dispersion.jsonl").write_text(content)
+    proc = run_cli_process("diracsoc.cli", "report", "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("report: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert words in proc.stderr
+    assert not (out / "summary.jsonl").exists()
 
 
 def test_report_counts_failures(tmp_path):
@@ -467,3 +533,28 @@ def test_identity_meta_records_check_family_seconds(tmp_path):
     seconds = json.loads((out / "identity_meta.json").read_text())["check_seconds"]
     assert set(seconds) == {"factored_vs_fock", "gauge_discrepancy_law"}
     assert all(s > 0 for s in seconds.values())
+
+
+# -- the record contract ------------------------------------------------------------
+
+@pytest.mark.parametrize("command,text,flags,code", [
+    ("verify-clifford", "", [], EXIT_PASS),
+    ("verify-clifford", "", ["--corrupt-gamma"], EXIT_FAIL),
+    ("verify-identity", FAST_IDENTITY, [], EXIT_PASS),
+    ("dispersion", "", [], EXIT_PASS),
+    ("evolve", "", [], EXIT_PASS),
+    ("simulate", FAST_SIMULATE, [], EXIT_PASS),
+])
+def test_every_record_carries_its_verdict(tmp_path, command, text, flags, code):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == code
+    (path,) = out.glob("*.jsonl")
+    records = read_jsonl(path)
+    assert records
+    for rec in records:
+        assert {"residual", "tolerance", "pass"} <= set(rec), rec["check"]
+        within = rec["residual"] <= rec["tolerance"]
+        assert within or not rec["pass"], rec["check"]
+        if command != "evolve":  # evolve also requires the stationarity classification
+            assert rec["pass"] == within, rec["check"]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from diracsoc.clifford import (DIRAC, METRIC_DIAG, CliffordError, GammaSet,
-                               Metric, as_four_vector, mdot, raise_index)
+from diracsoc.cli import clifford_records
+from diracsoc.clifford import (DIRAC, METRIC_DIAG, CliffordError, GammaSet, Metric,
+                               as_four_vector, mdot, raise_index, relation_residuals)
+from diracsoc.config import RunConfig
 
 I4 = np.eye(4, dtype=np.complex128)
 
@@ -111,6 +113,38 @@ def test_gammaset_rejects_corrupted_matrices():
     bad[2, 1, 1] += 1.0
     with pytest.raises(CliffordError):
         GammaSet(gammas=bad)
+
+
+def test_relation_residuals_exact_for_dirac():
+    entries = relation_residuals(DIRAC.gammas)
+    assert [e[0] for e in entries] == (["anticommutator"] * 16 + ["spin_antisymmetry"] * 16
+                                       + ["product_identity"] * 16 + ["hermiticity"] * 4)
+    assert all(resid == 0.0 for *_, resid in entries)
+
+
+def test_relation_residuals_are_the_failures_of_the_corrupted_run():
+    bad = np.array(DIRAC.gammas)
+    bad[1, 0, 3] += 0.5  # the set verify-clifford --corrupt-gamma checks
+    nonzero = {(c, mu, nu) for c, mu, nu, resid in relation_residuals(bad) if resid != 0.0}
+    records = clifford_records(RunConfig.from_sources(), corrupt=True)
+    failed = {(r["check"], r["mu"], r["nu"]) for r in records if "mu" in r and not r["pass"]}
+    assert nonzero == failed
+    assert len(nonzero) == 11
+    with pytest.raises(CliffordError, match=r"Clifford relation violated at \(1,1\)"):
+        GammaSet(gammas=bad)
+
+
+def test_gammaset_rejects_a_non_hermitian_similar_set():
+    # S g S^-1 keeps every algebraic relation exactly but breaks hermiticity
+    s = np.eye(4, dtype=np.complex128)
+    s[0, 1] = 1.0
+    s_inv = np.eye(4, dtype=np.complex128)
+    s_inv[0, 1] = -1.0
+    similar = np.array([s @ g @ s_inv for g in DIRAC.gammas])
+    failing = {c for c, _, _, resid in relation_residuals(similar) if resid != 0.0}
+    assert failing == {"hermiticity"}
+    with pytest.raises(CliffordError, match=r"gamma\^\d must be (anti-)?Hermitian"):
+        GammaSet(gammas=similar)
 
 
 def test_gammas_are_immutable():
