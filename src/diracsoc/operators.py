@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet, as_four_vector
 from .constants import PhysicalConstants
-from .emfield import PotentialSpec, evaluate_potential, field_strength, lorenz_residual
+from .emfield import PotentialSpec, evaluate_potential, lorenz_residual, potential_jacobian
 from .grid import Field, SpacetimeGrid, dalembertian, l2norm, partial, plane_wave
 
 
@@ -41,8 +41,9 @@ class SampledPotential:
     ``coupled[mu]`` says whether A_mu is anywhere nonzero and ``asq`` is
     A^mu A_mu (None where it vanishes identically).  ``F`` maps
     (mu, nu) to F_munu for the components that are not identically zero,
-    in row-major order; it is evaluated on first use and the dense 4x4
-    field strength is not kept.
+    in row-major order; it is evaluated on first use, one component at a
+    time from the Jacobian, so the dense 4x4 field strength (16 MiB on a
+    256x256 grid) is never built.
     """
 
     def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid) -> None:
@@ -63,11 +64,14 @@ class SampledPotential:
 
     @cached_property
     def F(self) -> dict[tuple[int, int], np.ndarray]:
-        full = field_strength(self.spec, self.grid.coords4(), method="analytic")
-        F = {(mu, nu): full[mu, nu].copy() for mu in range(4) for nu in range(4)
-             if np.any(full[mu, nu] != 0)}
-        for component in F.values():
-            component.setflags(write=False)
+        J = potential_jacobian(self.spec, self.grid.coords4(), method="analytic")
+        F = {}
+        for mu in range(4):
+            for nu in range(4):
+                component = J[mu, nu] - J[nu, mu]
+                if np.any(component != 0):
+                    component.setflags(write=False)
+                    F[(mu, nu)] = component
         return F
 
 
