@@ -53,6 +53,20 @@ def check(cfg: RunConfig, suite: str, name: str, holds: bool = True, **fields) -
     return rec
 
 
+class Laps(dict):
+    """perf_counter seconds per check family; ``lap(name)`` closes the span opened
+    by the previous lap (or by construction) and files it under ``name``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self[name] = now - self._last
+        self._last = now
+
+
 # -- clifford ----------------------------------------------------------------
 
 def clifford_records(cfg: RunConfig, corrupt: bool = False) -> list[dict]:
@@ -146,8 +160,7 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], dict[str, float]]:
                                   f"{grid.points[mu]} points; products would alias")
 
     # each potential is sampled once and held only while its fields are checked
-    spans = {}
-    started = time.perf_counter()
+    spans = Laps()
     for name, spec in sweep:
         pot = SampledPotential(spec, grid)
         for i in range(n_fields):
@@ -156,9 +169,8 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], dict[str, float]]:
             records.append(check(cfg, "verify-identity", "factored_vs_fock", potential=name,
                                  field_index=i, grid=glabel, residual=rel, tolerance=tol))
         del pot
-    spans["factored_vs_fock"] = time.perf_counter() - started
+    spans.lap("factored_vs_fock")
 
-    started = time.perf_counter()
     for name, spec in negatives:
         pot = SampledPotential(spec, grid)
         for i in range(cfg.int("identity.gauge_fields")):
@@ -172,7 +184,7 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], dict[str, float]]:
                                  potential=name, field_index=i, grid=glabel,
                                  residual=resid, tolerance=tol))
         del pot
-    spans["gauge_discrepancy_law"] = time.perf_counter() - started
+    spans.lap("gauge_discrepancy_law")
     return records, spans
 
 
@@ -244,17 +256,20 @@ def _configured_control(cfg: RunConfig, consts) -> soc.ControlField:
     raise ConfigError(f"simulate.control must be zero|constant|plane_wave, got {kind!r}")
 
 
-def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
+def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict[str, float]]:
+    """The simulate records, the rows of ``paths.csv``, and the seconds per check family."""
     consts = cfg.constants()
     seed = cfg.int("seed")
     ds = cfg.float("simulate.ds")
     n_paths = cfg.int("simulate.n_paths")
     n_sigma = cfg.float("simulate.n_sigma")
     records = []
+    spans = Laps()
 
     diff = soc.make_diffusion(consts)
     sq_resid = float(np.abs(diff.sigma ** 2 - diff.squares).max())
     records.append(check(cfg, "simulate", "diffusion_squares", residual=sq_resid, tolerance=0.0))
+    spans.lap("diffusion_squares")
 
     for rpt in soc.run_generator_battery(consts, ds=ds, n_paths=n_paths,
                                          seed=seed, n_sigma=n_sigma):
@@ -263,6 +278,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
             estimate=rpt.estimate, exact=rpt.exact, residual=rpt.abs_error,
             stderr=rpt.stderr, n_sigma=n_sigma, n_paths=n_paths, ds=ds,
             tolerance=n_sigma * rpt.stderr))
+    spans.lap("generator")
 
     # straight-line motion with diffusion disabled, against a literal recursion
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=np.complex128)
@@ -275,6 +291,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
     exact_line = np.array_equal(ens.paths[:, -1, :], z)
     records.append(check(cfg, "simulate", "straight_line_bitwise",
                          residual=0.0 if exact_line else 1.0, tolerance=0.0))
+    spans.lap("straight_line_bitwise")
 
     # bitwise reproducibility of a seeded ensemble
     rp = soc.EnsembleParams(n_paths=cfg.int("simulate.repro_paths"),
@@ -284,6 +301,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
     repro = np.array_equal(e1.paths, e2.paths)
     records.append(check(cfg, "simulate", "fixed_seed_bitwise",
                          residual=0.0 if repro else 1.0, tolerance=0.0))
+    spans.lap("fixed_seed_bitwise")
 
     # per-component Re/Im correlation pattern of the increments
     dz = e1.paths[:, 1, :] - e1.paths[:, 0, :]
@@ -293,6 +311,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
                               - expected_sign[mu]) for mu in range(4)]))
     records.append(check(cfg, "simulate", "reim_correlation_signs",
                          residual=worst, tolerance=1e-12))
+    del e1, e2, dz  # finished ensembles are released before the next is built
+    spans.lap("reim_correlation_signs")
 
     # diffusion-only variance: Var[Re z_mu] = Var[Im z_mu] = |sigma|^2 s / 2
     vp = soc.EnsembleParams(n_paths=cfg.int("simulate.variance_paths"),
@@ -308,6 +328,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
             errors.append(abs(float(np.var(part, ddof=1)) - want) / want)
     records.append(check(cfg, "simulate", "diffusion_variance",
                          residual=float(np.max(errors)), tolerance=rel_tol))
+    del ev, part  # part is a view of ev.paths
+    spans.lap("diffusion_variance")
 
     # action of a deterministic on-shell path: S = -m c^2 (tau_f - tau_i)
     ap = soc.EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
@@ -321,6 +343,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
                          n_branch_flags=est.n_branch_flags,
                          n_degenerate_flags=est.n_degenerate_flags,
                          residual=abs(est.mean - want), tolerance=0.0))
+    spans.lap("action_constant_onshell")
 
     # user-configured ensemble (blow-up detection hooks in here)
     uc = _configured_control(cfg, consts)
@@ -337,6 +360,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
                          control=uc.label, n_paths=up.n_paths, steps=up.steps,
                          truncated_paths=n_trunc, first_bad_step=first_step,
                          first_bad_path=first_path, residual=float(n_trunc), tolerance=0.0))
+    spans.lap("configured_ensemble")
 
     rows = []
     if cfg.bool("simulate.dump_paths"):
@@ -347,7 +371,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
                 rows.append((p, s, s * ds,
                              z[0].real, z[0].imag, z[1].real, z[1].imag,
                              z[2].real, z[2].imag, z[3].real, z[3].imag))
-    return records, rows
+    return records, rows, spans
 
 
 # -- the runner ----------------------------------------------------------------
@@ -378,19 +402,20 @@ def run_suite(command: str, cfg: RunConfig, out: Path, **kwargs) -> int:
 
     ``<stem>_records`` is looked up by name at call time, so a wrapper bound to
     the module attribute (a tracer, a test's monkeypatch) sees the call.  A suite
-    returns its records, or the records followed by CSV rows (a list) or by the
-    seconds spent per check family (a dict, written to the meta file).
+    returns its records, or the records followed by CSV rows (a list) and/or by
+    the seconds spent per check family (a dict, written to the meta file).
     """
     stem, csv = SUITES[command]
     started = time.time()
     result = globals()[f"{stem}_records"](cfg, **kwargs)
-    records, extra = result if isinstance(result, tuple) else (result, None)
+    records, *extras = result if isinstance(result, tuple) else (result,)
     write_jsonl(out / f"{stem}.jsonl", records)
     meta = {"records": len(records)}
-    if isinstance(extra, dict):
-        meta["check_seconds"] = extra
-    elif extra:
-        write_csv(out / csv[0], csv[1], extra)
+    for extra in extras:
+        if isinstance(extra, dict):
+            meta["check_seconds"] = extra
+        elif extra:
+            write_csv(out / csv[0], csv[1], extra)
     write_meta(out / f"{stem}_meta.json", stem, elapsed=time.time() - started, extra=meta)
     if any(r.get("truncated_paths") for r in records):  # simulate's configured ensemble
         return EXIT_BLOWUP

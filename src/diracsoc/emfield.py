@@ -83,14 +83,11 @@ class PolynomialPotential:
                 A[mu] = poly(zs)
         return A
 
-    def jacobian(self, zs) -> np.ndarray:
-        J = np.zeros((4, 4) + zs[0].shape, dtype=np.complex128)
-        for nu, poly in enumerate(self.components):
-            for mu in range(4):
-                d = poly.derivative(mu)
-                if d.terms:
-                    J[mu, nu] = d(zs)
-        return J
+    def jacobian_entries(self, zs, pairs):
+        """d A_nu / d z^mu for each (mu, nu) in ``pairs``; None where it vanishes identically."""
+        for mu, nu in pairs:
+            d = self.components[nu].derivative(mu)
+            yield d(zs) if d.terms else None
 
     def divergence_free(self) -> bool:
         # the divergence is again a polynomial; its coefficients are summed in term order
@@ -127,16 +124,11 @@ class CosineWave:
                 A[mu] = self.eps[mu] * c
         return A
 
-    def jacobian(self, zs) -> np.ndarray:
-        J = np.zeros((4, 4) + zs[0].shape, dtype=np.complex128)
+    def jacobian_entries(self, zs, pairs):
+        """d A_nu / d z^mu for each (mu, nu) in ``pairs``; None where it vanishes identically."""
         s = np.sin(self._phase(zs))
-        for mu in range(4):
-            if self.k[mu] == 0.0:
-                continue
-            for nu in range(4):
-                if self.eps[nu] != 0.0:
-                    J[mu, nu] = -self.k[mu] * self.eps[nu] * s
-        return J
+        for mu, nu in pairs:
+            yield -self.k[mu] * self.eps[nu] * s if self.k[mu] and self.eps[nu] else None
 
     def k_dot_eps(self) -> float:
         return np.sum(METRIC_DIAG * self.k * self.eps)
@@ -263,36 +255,43 @@ def evaluate_potential(spec: PotentialSpec, z) -> np.ndarray:
     return spec.family.values(_coords(z))
 
 
+_PAIRS = tuple((mu, nu) for mu in range(4) for nu in range(4))
+_DIAGONAL = tuple((mu, mu) for mu in range(4))
+
+
 def potential_jacobian(spec: PotentialSpec, z, method: str = "analytic",
                        h: float = 1e-3, order: int = 2) -> np.ndarray:
     """J[mu, nu] = d A_nu / d z^mu, shape (4, 4) + broadcast(z)."""
     if method == "finite_difference":
-        return _jacobian_fd(spec, z, h, order)
+        return np.stack(list(_fd_derivatives(spec, z, h, order)))
     if method != "analytic":
         raise PotentialError(f"unknown differentiation method {method!r}")
-    return spec.family.jacobian(_coords(z))
+    zs = _coords(z)
+    J = np.zeros((4, 4) + zs[0].shape, dtype=np.complex128)
+    for (mu, nu), entry in zip(_PAIRS, spec.family.jacobian_entries(zs, _PAIRS)):
+        if entry is not None:
+            J[mu, nu] = entry
+    return J
 
 
-def _jacobian_fd(spec: PotentialSpec, z, h: float, order: int) -> np.ndarray:
+def _fd_derivatives(spec: PotentialSpec, z, h: float, order: int, diagonal: bool = False):
+    """d A / d z^mu by central differences for mu = 0..3, one at a time: the row
+    over all four components, or with ``diagonal`` only component mu."""
     if h <= 0:
         raise PotentialError("finite-difference step must be positive")
     if order not in (2, 4):
         raise PotentialError("finite-difference order must be 2 or 4")
     zs = _coords(z)
-    shape = zs[0].shape
-    J = np.zeros((4, 4) + shape, dtype=np.complex128)
-
-    def shifted(mu, delta):
-        pt = [zs[nu] + (delta if nu == mu else 0.0) for nu in range(4)]
-        return evaluate_potential(spec, pt)
-
     for mu in range(4):
+        def shifted(delta):
+            pt = [zs[nu] + (delta if nu == mu else 0.0) for nu in range(4)]
+            A = evaluate_potential(spec, pt)
+            return A[mu] if diagonal else A
+
         if order == 2:
-            J[mu] = (shifted(mu, h) - shifted(mu, -h)) / (2 * h)
+            yield (shifted(h) - shifted(-h)) / (2 * h)
         else:
-            J[mu] = (-shifted(mu, 2 * h) + 8 * shifted(mu, h)
-                     - 8 * shifted(mu, -h) + shifted(mu, -2 * h)) / (12 * h)
-    return J
+            yield (-shifted(2 * h) + 8 * shifted(h) - 8 * shifted(-h) + shifted(-2 * h)) / (12 * h)
 
 
 def field_strength(spec: PotentialSpec, z, method: str = "analytic",
@@ -304,9 +303,19 @@ def field_strength(spec: PotentialSpec, z, method: str = "analytic",
 
 def lorenz_residual(spec: PotentialSpec, z, method: str = "analytic",
                     h: float = 1e-3, order: int = 2):
-    """Divergence d_mu A^mu(z); identically zero for gauge-respecting entries."""
-    J = potential_jacobian(spec, z, method=method, h=h, order=order)
-    res = sum(METRIC_DIAG[mu] * J[mu, mu] for mu in range(4))
+    """Divergence d_mu A^mu(z); identically zero for gauge-respecting entries.
+
+    Only the diagonal Jacobian entries J[mu, mu] are computed, one at a time.
+    """
+    if method == "finite_difference":
+        diagonal = _fd_derivatives(spec, z, h, order, diagonal=True)
+    elif method == "analytic":
+        zs = _coords(z)
+        diagonal = (np.zeros(zs[0].shape, dtype=np.complex128) if entry is None else entry
+                    for entry in spec.family.jacobian_entries(zs, _DIAGONAL))
+    else:
+        raise PotentialError(f"unknown differentiation method {method!r}")
+    res = sum(METRIC_DIAG[mu] * d for mu, d in enumerate(diagonal))
     return complex(res) if np.ndim(res) == 0 else res
 
 

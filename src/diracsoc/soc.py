@@ -11,12 +11,15 @@ Positions and controls are stored as lower-index components, matching
 the equation of motion; coordinates z^mu are recovered by metric raising
 where a potential has to be evaluated.
 
-Randomness: every path owns a counter-based substream
-(Philox key = seed, counter word 2 = path index), so ensembles are
-bit-reproducible for a fixed seed and independent of any scheduling.
-A single bit generator serves all paths: moving to path p resets its
-counter to [0, 0, p, 0] with an empty buffer, which gives the same
-substreams as a fresh generator per path without constructing one.
+Randomness: every Euler step owns a counter-based substream (Philox
+key = seed, counter word 2 = absolute step index), and path p takes
+normals 4p..4p+3 of it, in component order.  Ensembles are therefore
+bit-reproducible for a fixed seed, and a path's noise depends neither on
+how many paths run beside it nor on how the steps are grouped.  One bit
+generator serves all steps: moving to step s resets its counter to
+[0, 0, s, 0] with an empty buffer, which gives the same substreams as a
+fresh generator per step without constructing one.  ``simulate`` draws
+the noise inside its Euler loop, a bounded chunk of steps at a time.
 """
 
 from __future__ import annotations
@@ -291,22 +294,27 @@ class TrajectoryEnsemble:
         return self.paths.shape[1] - 1
 
 
-def _path_noise(seed: int, n_paths: int, steps: int) -> np.ndarray:
-    """Real N(0,1) increments, one counter-based substream per path.
+# path-steps of noise drawn per _path_noise call inside simulate's Euler loop
+NOISE_CHUNK = 1 << 16
 
-    Path p draws from Philox(key=seed, counter=[0, 0, p, 0]): the one bit
-    generator is reset to the state a fresh generator at that counter has.
+
+def _path_noise(seed: int, n_paths: int, steps: int, start: int = 0) -> np.ndarray:
+    """Real N(0,1) increments of shape (n_paths, steps, 4) for steps start, start+1, ...
+
+    Step s draws from Philox(key=seed, counter=[0, 0, s, 0]) and path p takes
+    its normals 4p..4p+3: the one bit generator is reset to the state a fresh
+    generator at that counter has, and fills one (n_paths, 4) block per step.
     """
-    xi = np.empty((n_paths, steps, 4))
+    xi = np.empty((steps, n_paths, 4))
     bitgen = np.random.Philox(key=seed)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # counter 0, buffer_pos 4, has_uint32 0, uinteger 0
     counter = state["state"]["counter"]
-    for p in range(n_paths):
-        counter[2] = p
+    for s in range(steps):
+        counter[2] = start + s
         bitgen.state = state
-        gen.standard_normal(out=xi[p])
-    return xi
+        gen.standard_normal(out=xi[s])
+    return xi.transpose(1, 0, 2)
 
 
 def simulate(params: EnsembleParams, w: ControlField, A: PotentialSpec | None,
@@ -315,12 +323,13 @@ def simulate(params: EnsembleParams, w: ControlField, A: PotentialSpec | None,
     """Forward Euler recursion z' = z + w(z) ds + sigma sqrt(ds) xi.
 
     Paths whose positions stop being finite are frozen at their last
-    finite value and flagged as truncated.
+    finite value and flagged as truncated.  The noise is drawn inside the
+    loop, at most max(n_paths, NOISE_CHUNK) path-steps at a time.
     """
     A = A if A is not None else free()
     diff = diffusion if diffusion is not None else make_diffusion(consts)
     n, steps, ds = params.n_paths, params.steps, params.ds
-    xi = _path_noise(seed, n, steps)
+    chunk = max(1, NOISE_CHUNK // n)
     amp = diff.sigma * math.sqrt(ds)
 
     paths = np.empty((n, steps + 1, 4), dtype=np.complex128)
@@ -331,11 +340,13 @@ def simulate(params: EnsembleParams, w: ControlField, A: PotentialSpec | None,
     z = np.broadcast_to(params.z0, (n, 4)).copy()
     paths[:, 0] = z
     for s in range(steps):
+        if s % chunk == 0:
+            xi = _path_noise(seed, n, min(chunk, steps - s), start=s)
         wv = w.fn(z)
         if controls is not None:
             controls[:, s] = wv
         with np.errstate(over="ignore", invalid="ignore"):  # blow-ups are flagged below
-            z_new = z + wv * ds + amp * xi[:, s]
+            z_new = z + wv * ds + amp * xi[:, s % chunk]
         bad = ~np.isfinite(z_new.view(np.float64)).reshape(n, 8).all(axis=1)
         fresh = bad & ~truncated
         if np.any(fresh):

@@ -535,6 +535,19 @@ def test_identity_meta_records_check_family_seconds(tmp_path):
     assert all(s > 0 for s in seconds.values())
 
 
+def test_simulate_meta_records_check_family_seconds(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, FAST_SIMULATE)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+    seconds = json.loads((out / "simulate_meta.json").read_text())["check_seconds"]
+    # one span per check family the suite writes, in the order it writes them
+    families = list(dict.fromkeys(r["check"] for r in read_jsonl(out / "simulate.jsonl")))
+    assert list(seconds) == families
+    assert {"generator", "straight_line_bitwise", "fixed_seed_bitwise", "reim_correlation_signs",
+            "diffusion_variance", "action_constant_onshell", "configured_ensemble"} <= set(seconds)
+    assert all(s >= 0 for s in seconds.values())
+
+
 # -- the record contract ------------------------------------------------------------
 
 @pytest.mark.parametrize("command,text,flags,code", [

@@ -91,6 +91,23 @@ def test_lorenz_residual_linear_potential_exact():
     assert not is_lorenz_gauge(spec)
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"method": "finite_difference", "h": 1e-3},
+                                    {"method": "finite_difference", "h": 1e-2, "order": 4}])
+def test_lorenz_residual_is_the_jacobian_trace_bitwise(kwargs):
+    # only the diagonal is computed; it must equal the trace of the full Jacobian bit for bit
+    rng = np.random.default_rng(3)
+    z = [rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5)) for _ in range(4)]
+    specs = lorenz_catalog() + [
+        emfield.custom_wave([0.3, -0.2, 0.1, 0.7], [1.0, 0.5, -2.0, 0.3], 1.1),
+        emfield.custom_polynomial({"a0_1000": 2.5, "a1_0100": -1.0, "a2_0021": 0.3,
+                                   "a3_1111": 0.2})]
+    for spec in specs:
+        J = emfield.potential_jacobian(spec, z, **kwargs)
+        trace = sum(emfield.METRIC_DIAG[mu] * J[mu, mu] for mu in range(4))
+        got = lorenz_residual(spec, z, **kwargs)
+        assert np.array_equal(got.view(np.float64), trace.view(np.float64)), spec.name
+
+
 def test_gauge_violating_wave_divergence():
     spec = emfield.custom_wave([0.3, 0, 0, 0], [1.0, 0, 0, 0])
     assert not is_lorenz_gauge(spec)

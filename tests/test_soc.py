@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracsoc import emfield
+from diracsoc import emfield, soc
 from diracsoc.clifford import METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
 from diracsoc.grid import Field, SpacetimeGrid, random_band_limited
@@ -213,10 +213,10 @@ def test_simulate_path_prefix_independent_of_ensemble_size():
 
 
 def _reference_noise(seed, n_paths, steps):
-    # one freshly constructed generator per path, straight from the substream definition
+    # one freshly constructed generator per step, straight from the substream definition
     return np.stack([
-        np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, p, 0]))
-        .standard_normal((steps, 4)) for p in range(n_paths)])
+        np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, s, 0]))
+        .standard_normal((n_paths, 4)) for s in range(steps)], axis=1)
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2 ** 100])
@@ -233,6 +233,51 @@ def test_path_noise_keeps_no_state_between_calls():
     again = _path_noise(7, 50, 9)
     assert np.array_equal(first, again)
     assert not np.array_equal(first, other)
+
+
+def test_path_noise_from_a_later_step_is_a_slice():
+    full = _path_noise(21, 30, 12)
+    for k in (1, 5, 11):
+        assert np.array_equal(_path_noise(21, 30, 12 - k, start=k), full[:, k:])
+
+
+@pytest.mark.parametrize("n_paths", [1, 40])
+@pytest.mark.parametrize("chunk", [1, 3, 100, 1 << 20])
+def test_simulate_independent_of_noise_chunk(monkeypatch, chunk, n_paths):
+    # a call draws max(1, chunk // n_paths) steps: 1, 2, 3 and 13 (all) steps occur
+    params = EnsembleParams(n_paths=n_paths, steps=13, ds=1e-3)
+    w = constant_control(np.array([0.3, -0.2, 0.1, 0.05]))
+    want = simulate(params, w, None, CONSTS, seed=17)
+    monkeypatch.setattr(soc, "NOISE_CHUNK", chunk)
+    got = simulate(params, w, None, CONSTS, seed=17)
+    assert np.array_equal(got.paths, want.paths)
+    assert np.array_equal(got.controls, want.controls)
+
+
+@pytest.mark.parametrize("chunk,n_paths,steps", [
+    (64, 7, 50), (64, 300, 9), (64, 5000, 2), (None, 3000, 50), (None, 70000, 3)])
+def test_simulate_draws_noise_in_bounded_chunks(monkeypatch, chunk, n_paths, steps):
+    calls = []
+
+    def recorded(seed, n, k, start=0):
+        calls.append((n, k, start))
+        return _path_noise(seed, n, k, start=start)
+
+    if chunk is not None:
+        monkeypatch.setattr(soc, "NOISE_CHUNK", chunk)
+    monkeypatch.setattr(soc, "_path_noise", recorded)
+    simulate(EnsembleParams(n_paths=n_paths, steps=steps, ds=1e-3, store_controls=False),
+             zero_control(), None, CONSTS, seed=3)
+    assert all(n * k <= max(n, soc.NOISE_CHUNK) for n, k, _ in calls)
+    # the calls tile the steps in order, each step drawn once
+    assert [s for _, k, start in calls for s in range(start, start + k)] == list(range(steps))
+
+
+def test_noise_uncorrelated_across_adjacent_steps_and_paths():
+    xi = _path_noise(2024, 4000, 16)
+    for a, b in ((xi[:, :-1], xi[:, 1:]), (xi[:-1], xi[1:])):
+        a, b = a.ravel(), b.ravel()
+        assert abs(np.corrcoef(a, b)[0, 1]) <= 5 / np.sqrt(a.size)
 
 
 def test_simulate_diffusion_variance():
