@@ -283,7 +283,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict[str,
     # straight-line motion with diffusion disabled, against a literal recursion
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=np.complex128)
     params = soc.EnsembleParams(n_paths=3, steps=64, ds=1.0 / 512)
-    ens = soc.simulate(params, soc.constant_control(w4), None, consts, seed,
+    ens = soc.simulate(params, soc.constant_control(w4), consts, seed,
                        diffusion=soc.zero_diffusion())
     z = np.broadcast_to(params.z0, (3, 4)).copy()
     for _ in range(64):
@@ -296,8 +296,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict[str,
     # bitwise reproducibility of a seeded ensemble
     rp = soc.EnsembleParams(n_paths=cfg.int("simulate.repro_paths"),
                             steps=cfg.int("simulate.repro_steps"), ds=ds)
-    e1 = soc.simulate(rp, soc.zero_control(), None, consts, seed)
-    e2 = soc.simulate(rp, soc.zero_control(), None, consts, seed)
+    e1 = soc.simulate(rp, soc.zero_control(), consts, seed)
+    e2 = soc.simulate(rp, soc.zero_control(), consts, seed)
     repro = np.array_equal(e1.paths, e2.paths)
     records.append(check(cfg, "simulate", "fixed_seed_bitwise",
                          residual=0.0 if repro else 1.0, tolerance=0.0))
@@ -316,9 +316,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict[str,
 
     # diffusion-only variance: Var[Re z_mu] = Var[Im z_mu] = |sigma|^2 s / 2
     vp = soc.EnsembleParams(n_paths=cfg.int("simulate.variance_paths"),
-                            steps=cfg.int("simulate.variance_steps"), ds=ds,
-                            store_controls=False)
-    ev = soc.simulate(vp, soc.zero_control(), None, consts, seed + 1)
+                            steps=cfg.int("simulate.variance_steps"), ds=ds)
+    ev = soc.simulate(vp, soc.zero_control(), consts, seed + 1)
     total_s = vp.steps * ds
     rel_tol = 5.0 / np.sqrt(vp.n_paths)
     errors = []
@@ -335,7 +334,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict[str,
     ap = soc.EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
     on_shell_w = np.zeros(4, dtype=np.complex128)
     on_shell_w[0] = consts.c
-    ea = soc.simulate(ap, soc.constant_control(on_shell_w), None, consts, seed,
+    ea = soc.simulate(ap, soc.constant_control(on_shell_w), consts, seed,
                       diffusion=soc.zero_diffusion())
     est = soc.accumulate_action(ea, emfield.free(), consts)
     want = -consts.m * consts.c ** 2 * 1.0
@@ -349,7 +348,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict[str,
     uc = _configured_control(cfg, consts)
     up = soc.EnsembleParams(n_paths=cfg.int("simulate.repro_paths"),
                             steps=cfg.int("simulate.repro_steps"), ds=ds)
-    ue = soc.simulate(up, uc, None, consts, seed + 2)
+    ue = soc.simulate(up, uc, consts, seed + 2)
     n_trunc = int(np.count_nonzero(ue.truncated))
     # the earliest blow-up over all paths (the lowest path index on ties); -1 when clean
     first_step = first_path = -1

@@ -7,6 +7,10 @@ and imaginary parts of each increment are therefore exactly
 (anti-)correlated, with the sign pattern set by the charge-sign branch
 epsilon.
 
+Every simulated control is constant in z (zero, a configured constant,
+the plane-wave optimal control and the battery drift), so a control is
+one complex four-vector and an Euler step is  z + w ds + sigma sqrt(ds) xi.
+
 Positions and controls are stored as lower-index components, matching
 the equation of motion; coordinates z^mu are recovered by metric raising
 where a potential has to be evaluated.
@@ -26,13 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .clifford import DIRAC, METRIC_DIAG, ArrayC, as_four_vector
 from .constants import PhysicalConstants
-from .emfield import Polynomial, PotentialSpec, evaluate_potential, field_strength, free
+from .emfield import Polynomial, PotentialSpec, evaluate_potential, field_strength
 from .grid import Field, dalembertian, partial_or_zero
 
 
@@ -48,22 +50,22 @@ class HopfColeError(SocError):
 
 @dataclass(frozen=True)
 class ControlField:
-    """Markov control policy w_mu(z), complex four-velocity per position.
+    """Constant control policy: the complex four-velocity w_mu at every position.
 
-    ``fn`` maps positions of shape (..., 4) to controls of the same
-    shape.  ``constant`` is set when the policy does not depend on z.
+    ``w`` holds the four lower-index components as a read-only array.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    w: ArrayC
     label: str
-    constant: ArrayC | None = None
+
+    def __post_init__(self) -> None:
+        w = np.array(as_four_vector(self.w))
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
 
 
-def constant_control(w, label: str | None = None) -> ControlField:
-    w = as_four_vector(w)
-    lab = label or "constant"
-    return ControlField(fn=lambda z: np.broadcast_to(w, z.shape).copy(),
-                        label=lab, constant=w)
+def constant_control(w, label: str = "constant") -> ControlField:
+    return ControlField(w, label)
 
 
 def zero_control() -> ControlField:
@@ -103,9 +105,7 @@ def optimal_control(jtilde: Field, A: PotentialSpec, consts: PhysicalConstants,
 def weak_condition_residual(w, consts: PhysicalConstants):
     """w_mu w^mu - c^2; zero for controls derived from on-shell modes."""
     if isinstance(w, ControlField):
-        if w.constant is None:
-            raise SocError("pass sampled control components for non-constant policies")
-        w = w.constant
+        w = w.w
     w = np.asarray(w, dtype=np.complex128)
     if w.shape[0] != 4:
         raise SocError("control components must be stacked along the first axis")
@@ -230,7 +230,6 @@ class DiffusionCoefficients:
 
     sigma: ArrayC
     squares: ArrayC
-    branch: str
 
     def __post_init__(self) -> None:
         for name in ("sigma", "squares"):
@@ -244,14 +243,13 @@ def make_diffusion(consts: PhysicalConstants) -> DiffusionCoefficients:
     rho = root * (1.0 + 1j * consts.epsilon)  # sqrt(2 hbar/m) exp(i eps pi/4)
     sigma = np.array([rho, 1j * rho, 1j * rho, 1j * rho])
     squares = 2j * consts.epsilon * (consts.hbar / consts.m) * METRIC_DIAG.astype(np.complex128)
-    sign = "+" if consts.epsilon == 1 else "-"
-    return DiffusionCoefficients(sigma, squares, branch=f"rho_eps=exp({sign}i*pi/4)")
+    return DiffusionCoefficients(sigma, squares)
 
 
 def zero_diffusion() -> DiffusionCoefficients:
     """Diffusion disabled; the recursion degenerates to straight lines."""
     z = np.zeros(4, dtype=np.complex128)
-    return DiffusionCoefficients(z, z, branch="disabled")
+    return DiffusionCoefficients(z, z)
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,6 @@ class EnsembleParams:
     steps: int
     ds: float
     z0: ArrayC = field(default_factory=lambda: np.zeros(4, dtype=np.complex128))
-    store_controls: bool = True
 
     def __post_init__(self) -> None:
         if self.n_paths < 1 or self.steps < 1:
@@ -272,18 +269,13 @@ class EnsembleParams:
 
 @dataclass
 class TrajectoryEnsemble:
-    """Paths of the complex controlled diffusion, lower-index positions."""
+    """Paths of the complex diffusion under the constant control w, lower-index positions."""
 
     paths: ArrayC            # (n_paths, steps+1, 4)
-    controls: ArrayC | None  # (n_paths, steps, 4)
-    seed: int
+    w: ArrayC                # the control four-vector
     ds: float
-    diffusion: DiffusionCoefficients
-    control_label: str
-    potential: PotentialSpec
     truncated: np.ndarray    # per-path blow-up flag
     first_bad_step: np.ndarray  # step index of the blow-up, -1 if clean
-    action_samples: ArrayC | None = None
 
     @property
     def n_paths(self) -> int:
@@ -317,50 +309,41 @@ def _path_noise(seed: int, n_paths: int, steps: int, start: int = 0) -> np.ndarr
     return xi.transpose(1, 0, 2)
 
 
-def simulate(params: EnsembleParams, w: ControlField, A: PotentialSpec | None,
-             consts: PhysicalConstants, seed: int,
+def simulate(params: EnsembleParams, w: ControlField, consts: PhysicalConstants, seed: int,
              diffusion: DiffusionCoefficients | None = None) -> TrajectoryEnsemble:
-    """Forward Euler recursion z' = z + w(z) ds + sigma sqrt(ds) xi.
+    """Forward Euler recursion z' = z + w ds + sigma sqrt(ds) xi.
 
     Paths whose positions stop being finite are frozen at their last
     finite value and flagged as truncated.  The noise is drawn inside the
     loop, at most max(n_paths, NOISE_CHUNK) path-steps at a time.
     """
-    A = A if A is not None else free()
     diff = diffusion if diffusion is not None else make_diffusion(consts)
     n, steps, ds = params.n_paths, params.steps, params.ds
     chunk = max(1, NOISE_CHUNK // n)
     amp = diff.sigma * math.sqrt(ds)
 
     paths = np.empty((n, steps + 1, 4), dtype=np.complex128)
-    controls = np.empty((n, steps, 4), dtype=np.complex128) if params.store_controls else None
     truncated = np.zeros(n, dtype=bool)
     first_bad = np.full(n, -1, dtype=np.int64)
 
     z = np.broadcast_to(params.z0, (n, 4)).copy()
     paths[:, 0] = z
-    for s in range(steps):
-        if s % chunk == 0:
-            xi = _path_noise(seed, n, min(chunk, steps - s), start=s)
-        wv = w.fn(z)
-        if controls is not None:
-            controls[:, s] = wv
-        with np.errstate(over="ignore", invalid="ignore"):  # blow-ups are flagged below
-            z_new = z + wv * ds + amp * xi[:, s % chunk]
-        bad = ~np.isfinite(z_new.view(np.float64)).reshape(n, 8).all(axis=1)
-        fresh = bad & ~truncated
-        if np.any(fresh):
-            first_bad[fresh] = s
-            truncated |= fresh
-        if np.any(truncated):
-            z_new[truncated] = z[truncated]  # freeze blown-up paths
-            if controls is not None:
-                controls[truncated, s] = 0.0
-        z = z_new
-        paths[:, s + 1] = z
-    return TrajectoryEnsemble(paths=paths, controls=controls, seed=seed, ds=ds,
-                              diffusion=diff, control_label=w.label, potential=A,
-                              truncated=truncated, first_bad_step=first_bad)
+    with np.errstate(over="ignore", invalid="ignore"):  # blow-ups are flagged below
+        drift = w.w * ds
+        for s in range(steps):
+            if s % chunk == 0:
+                xi = _path_noise(seed, n, min(chunk, steps - s), start=s)
+            z_new = z + drift + amp * xi[:, s % chunk]
+            bad = ~np.isfinite(z_new.view(np.float64)).reshape(n, 8).all(axis=1)
+            if bad.any():
+                first_bad[bad & ~truncated] = s
+                truncated |= bad
+            if truncated.any():
+                z_new[truncated] = z[truncated]  # freeze blown-up paths
+            z = z_new
+            paths[:, s + 1] = z
+    return TrajectoryEnsemble(paths=paths, w=w.w, ds=ds, truncated=truncated,
+                              first_bad_step=first_bad)
 
 
 # -- stochastic action -------------------------------------------------------
@@ -377,7 +360,7 @@ class ActionEstimate:
     n_degenerate_flags: int  # steps with w.w = 0 (degenerate kinetic term)
 
 
-def accumulate_action(ensemble: TrajectoryEnsemble, A: PotentialSpec | None,
+def accumulate_action(ensemble: TrajectoryEnsemble, A: PotentialSpec,
                       consts: PhysicalConstants, reference_bispinor=None) -> ActionEstimate:
     """Per-path stochastic action sum_s L(z_s, w_s) ds, with
 
@@ -387,18 +370,17 @@ def accumulate_action(ensemble: TrajectoryEnsemble, A: PotentialSpec | None,
     (Re(w.w) < 0) are counted in ``n_branch_flags``.  The spin term is
     collapsed to a scalar by sandwiching with a fixed unit reference
     bispinor (rest-frame spin-up by default) -- a convention, recorded in
-    output metadata.
+    output metadata.  A path contributes nothing from its blow-up step on.
     """
-    if ensemble.controls is None:
-        raise SocError("ensemble was simulated without stored controls")
-    A = A if A is not None else ensemble.potential
     chi = np.asarray(reference_bispinor if reference_bispinor is not None
                      else REST_FRAME_SPIN_UP, dtype=np.complex128).reshape(4)
     nrm = np.vdot(chi, chi).real
     if nrm == 0:
         raise SocError("reference bispinor must be nonzero")
 
-    w = ensemble.controls                      # (n, steps, 4)
+    first_bad = ensemble.first_bad_step[:, None]
+    live = (first_bad < 0) | (np.arange(ensemble.steps) < first_bad)
+    w = np.where(live[..., None], ensemble.w, 0)  # (n, steps, 4)
     z = ensemble.paths[:, :-1, :]              # position at the start of each step
     eta = METRIC_DIAG.reshape(1, 1, 4)
     wsq = np.sum(eta * w * w, axis=2)
@@ -430,7 +412,6 @@ def accumulate_action(ensemble: TrajectoryEnsemble, A: PotentialSpec | None,
         stderr = float(np.sqrt(var / ensemble.n_paths))
     else:
         stderr = float("nan")
-    ensemble.action_samples = samples
     return ActionEstimate(mean=mean, stderr=stderr, samples=samples,
                           n_branch_flags=branch_flags,
                           n_degenerate_flags=degenerate_flags)
@@ -533,16 +514,15 @@ def generator_check(f: PolynomialTestFunction, w: ControlField,
     """
     z0 = np.zeros(4, dtype=np.complex128) if z0 is None else as_four_vector(z0)
     diff = diffusion if diffusion is not None else make_diffusion(consts)
-    params = EnsembleParams(n_paths=n_paths, steps=1, ds=ds, z0=z0, store_controls=False)
-    ens = simulate(params, w, free(), consts, seed, diffusion=diff)
+    params = EnsembleParams(n_paths=n_paths, steps=1, ds=ds, z0=z0)
+    ens = simulate(params, w, consts, seed, diffusion=diff)
     f1 = f(ens.paths[:, 1, :])
     f0 = complex(f(z0.reshape(1, 4))[0])
     estimate = complex((np.mean(f1) - f0) / ds)
     var = np.var(f1.real, ddof=1) + np.var(f1.imag, ddof=1)
     stderr = float(np.sqrt(var / n_paths) / ds)
 
-    w0 = w.fn(z0.reshape(1, 4))[0]
-    exact = complex(np.dot(w0, f.grad(z0)) + 0.5 * np.dot(diff.squares, f.hess_diag(z0)))
+    exact = complex(np.dot(w.w, f.grad(z0)) + 0.5 * np.dot(diff.squares, f.hess_diag(z0)))
     abs_error = abs(estimate - exact)
     rel_error = abs_error / abs(exact) if exact != 0 else float("inf")
     return GeneratorReport(label=f.label, estimate=estimate, exact=exact,

@@ -212,8 +212,8 @@ def test_simulate_blowup_exit_3(tmp_path):
 def test_configured_ensemble_names_the_earliest_blowup(tmp_path, monkeypatch):
     real_simulate = soc.simulate
 
-    def late_blowups(params, w, A, consts, seed, **kwargs):
-        ens = real_simulate(params, w, A, consts, seed, **kwargs)
+    def late_blowups(params, w, consts, seed, **kwargs):
+        ens = real_simulate(params, w, consts, seed, **kwargs)
         if seed == 12345 + 2:  # the configured ensemble
             ens.truncated = np.zeros(ens.n_paths, dtype=bool)
             ens.first_bad_step = np.full(ens.n_paths, -1, dtype=np.int64)

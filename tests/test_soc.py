@@ -21,13 +21,22 @@ K_ON = np.array([np.sqrt(2.0), 1.0, 0.0, 0.0])  # k.k = 1 = (mc/hbar)^2
 
 def test_optimal_control_mode_free():
     w = optimal_control_mode(K_ON, CONSTS)
-    assert np.allclose(w.constant, CONSTS.hbar * K_ON / CONSTS.m, atol=1e-15)
+    assert np.allclose(w.w, CONSTS.hbar * K_ON / CONSTS.m, atol=1e-15)
+
+
+def test_control_is_a_read_only_copy():
+    v = np.array([0.3, -0.2, 0.1, 0.05], dtype=complex)
+    w = constant_control(v, "drift")
+    v[0] = 9.0
+    assert w.w[0] == 0.3 and w.label == "drift"
+    with pytest.raises(ValueError):
+        w.w[1] = 0.0
 
 
 def test_optimal_control_mode_epsilon_flip():
     wp = optimal_control_mode(K_ON, CONSTS.with_epsilon(1))
     wm = optimal_control_mode(K_ON, CONSTS.with_epsilon(-1))
-    assert np.array_equal(wp.constant, -wm.constant)
+    assert np.array_equal(wp.w, -wm.w)
 
 
 def test_optimal_control_mode_constant_potential_shift():
@@ -35,7 +44,7 @@ def test_optimal_control_mode_constant_potential_shift():
     w0 = optimal_control_mode(K_ON, CONSTS)
     wa = optimal_control_mode(K_ON, CONSTS, A_const=a)
     shift = -CONSTS.epsilon * CONSTS.e * a / CONSTS.m
-    assert np.allclose(wa.constant - w0.constant, shift, atol=1e-15)
+    assert np.allclose(wa.w - w0.w, shift, atol=1e-15)
 
 
 def test_optimal_control_grid_single_mode_oracle():
@@ -185,7 +194,7 @@ def test_diffusion_squares_formula():
 def test_simulate_straight_line_exact():
     w4 = np.array([1.0, 0.5, -0.25, 0.0], dtype=complex)
     params = EnsembleParams(n_paths=3, steps=32, ds=1.0 / 1024)
-    ens = simulate(params, constant_control(w4), None, CONSTS, seed=1,
+    ens = simulate(params, constant_control(w4), CONSTS, seed=1,
                    diffusion=zero_diffusion())
     z = np.zeros((3, 4), dtype=complex)
     for _ in range(32):
@@ -196,19 +205,19 @@ def test_simulate_straight_line_exact():
 
 def test_simulate_bitwise_reproducible():
     params = EnsembleParams(n_paths=128, steps=16, ds=1e-3)
-    e1 = simulate(params, zero_control(), None, CONSTS, seed=99)
-    e2 = simulate(params, zero_control(), None, CONSTS, seed=99)
+    e1 = simulate(params, zero_control(), CONSTS, seed=99)
+    e2 = simulate(params, zero_control(), CONSTS, seed=99)
     assert np.array_equal(e1.paths, e2.paths)
-    e3 = simulate(params, zero_control(), None, CONSTS, seed=100)
+    e3 = simulate(params, zero_control(), CONSTS, seed=100)
     assert not np.array_equal(e1.paths, e3.paths)
 
 
 def test_simulate_path_prefix_independent_of_ensemble_size():
     # counter-based substreams: path p draws the same noise regardless of n_paths
     small = simulate(EnsembleParams(n_paths=4, steps=8, ds=1e-3),
-                     zero_control(), None, CONSTS, seed=5)
+                     zero_control(), CONSTS, seed=5)
     large = simulate(EnsembleParams(n_paths=16, steps=8, ds=1e-3),
-                     zero_control(), None, CONSTS, seed=5)
+                     zero_control(), CONSTS, seed=5)
     assert np.array_equal(small.paths, large.paths[:4])
 
 
@@ -247,11 +256,10 @@ def test_simulate_independent_of_noise_chunk(monkeypatch, chunk, n_paths):
     # a call draws max(1, chunk // n_paths) steps: 1, 2, 3 and 13 (all) steps occur
     params = EnsembleParams(n_paths=n_paths, steps=13, ds=1e-3)
     w = constant_control(np.array([0.3, -0.2, 0.1, 0.05]))
-    want = simulate(params, w, None, CONSTS, seed=17)
+    want = simulate(params, w, CONSTS, seed=17)
     monkeypatch.setattr(soc, "NOISE_CHUNK", chunk)
-    got = simulate(params, w, None, CONSTS, seed=17)
+    got = simulate(params, w, CONSTS, seed=17)
     assert np.array_equal(got.paths, want.paths)
-    assert np.array_equal(got.controls, want.controls)
 
 
 @pytest.mark.parametrize("chunk,n_paths,steps", [
@@ -266,8 +274,8 @@ def test_simulate_draws_noise_in_bounded_chunks(monkeypatch, chunk, n_paths, ste
     if chunk is not None:
         monkeypatch.setattr(soc, "NOISE_CHUNK", chunk)
     monkeypatch.setattr(soc, "_path_noise", recorded)
-    simulate(EnsembleParams(n_paths=n_paths, steps=steps, ds=1e-3, store_controls=False),
-             zero_control(), None, CONSTS, seed=3)
+    simulate(EnsembleParams(n_paths=n_paths, steps=steps, ds=1e-3),
+             zero_control(), CONSTS, seed=3)
     assert all(n * k <= max(n, soc.NOISE_CHUNK) for n, k, _ in calls)
     # the calls tile the steps in order, each step drawn once
     assert [s for _, k, start in calls for s in range(start, start + k)] == list(range(steps))
@@ -282,8 +290,8 @@ def test_noise_uncorrelated_across_adjacent_steps_and_paths():
 
 def test_simulate_diffusion_variance():
     n, steps, ds = 20000, 16, 1e-3
-    ens = simulate(EnsembleParams(n_paths=n, steps=steps, ds=ds, store_controls=False),
-                   zero_control(), None, CONSTS, seed=7)
+    ens = simulate(EnsembleParams(n_paths=n, steps=steps, ds=ds),
+                   zero_control(), CONSTS, seed=7)
     d = make_diffusion(CONSTS)
     total = steps * ds
     tol = 5.0 / np.sqrt(n)
@@ -297,8 +305,8 @@ def test_simulate_diffusion_variance():
 @pytest.mark.parametrize("eps,expected", [(1, (1, -1, -1, -1)), (-1, (-1, 1, 1, 1))])
 def test_increment_reim_correlation_pattern(eps, expected):
     consts = CONSTS.with_epsilon(eps)
-    ens = simulate(EnsembleParams(n_paths=512, steps=1, ds=1e-3, store_controls=False),
-                   zero_control(), None, consts, seed=11)
+    ens = simulate(EnsembleParams(n_paths=512, steps=1, ds=1e-3),
+                   zero_control(), consts, seed=11)
     dz = ens.paths[:, 1, :] - ens.paths[:, 0, :]
     for mu in range(4):
         corr = np.corrcoef(dz[:, mu].real, dz[:, mu].imag)[0, 1]
@@ -308,7 +316,7 @@ def test_increment_reim_correlation_pattern(eps, expected):
 def test_simulate_blowup_flagged_and_frozen():
     w = constant_control(np.array([1e308, 0, 0, 0]))
     params = EnsembleParams(n_paths=4, steps=5, ds=10.0)
-    ens = simulate(params, w, None, CONSTS, seed=3, diffusion=zero_diffusion())
+    ens = simulate(params, w, CONSTS, seed=3, diffusion=zero_diffusion())
     assert ens.truncated.all()
     assert (ens.first_bad_step == 0).all()
     assert np.all(np.isfinite(ens.paths.view(np.float64)))
@@ -320,17 +328,16 @@ def test_action_constant_on_shell_control_exact():
     w4 = np.zeros(4, dtype=complex)
     w4[0] = CONSTS.c
     params = EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
-    ens = simulate(params, constant_control(w4), None, CONSTS, seed=13,
+    ens = simulate(params, constant_control(w4), CONSTS, seed=13,
                    diffusion=zero_diffusion())
     est = accumulate_action(ens, emfield.free(), CONSTS)
     assert est.mean == -CONSTS.m * CONSTS.c ** 2  # tau_f - tau_i = 1 in binary steps
     assert est.n_branch_flags == 0 and est.n_degenerate_flags == 0
-    assert np.array_equal(ens.action_samples, est.samples)
 
 
 def test_action_zero_control_degenerate():
     params = EnsembleParams(n_paths=2, steps=8, ds=1.0 / 64)
-    ens = simulate(params, zero_control(), None, CONSTS, seed=17,
+    ens = simulate(params, zero_control(), CONSTS, seed=17,
                    diffusion=zero_diffusion())
     est = accumulate_action(ens, emfield.free(), CONSTS)
     assert est.mean == 0.0
@@ -340,7 +347,7 @@ def test_action_zero_control_degenerate():
 def test_action_branch_cut_flagged():
     w4 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)  # w.w = -1 < 0
     params = EnsembleParams(n_paths=3, steps=4, ds=1.0 / 64)
-    ens = simulate(params, constant_control(w4), None, CONSTS, seed=19,
+    ens = simulate(params, constant_control(w4), CONSTS, seed=19,
                    diffusion=zero_diffusion())
     est = accumulate_action(ens, emfield.free(), CONSTS)
     assert est.n_branch_flags == 3 * 4
@@ -353,7 +360,7 @@ def test_action_epsilon_flip_changes_only_charge_term():
     pot = emfield.constant_potential(a)
     w4 = np.array([1.2, 0.4, -0.1, 0.05], dtype=complex)
     params = EnsembleParams(n_paths=2, steps=16, ds=1.0 / 256)
-    ens = simulate(params, constant_control(w4), None, CONSTS, seed=23,
+    ens = simulate(params, constant_control(w4), CONSTS, seed=23,
                    diffusion=zero_diffusion())
     sp = accumulate_action(ens, pot, CONSTS.with_epsilon(1))
     sm = accumulate_action(ens, pot, CONSTS.with_epsilon(-1))
@@ -362,11 +369,17 @@ def test_action_epsilon_flip_changes_only_charge_term():
     assert sp.mean - sm.mean == pytest.approx(want, rel=1e-12)
 
 
-def test_action_requires_stored_controls():
-    params = EnsembleParams(n_paths=2, steps=4, ds=1e-2, store_controls=False)
-    ens = simulate(params, zero_control(), None, CONSTS, seed=29)
-    with pytest.raises(SocError):
-        accumulate_action(ens, emfield.free(), CONSTS)
+def test_action_stops_at_the_blowup_step():
+    # a path contributes w before its blow-up step and nothing from that step on
+    w4 = np.array([CONSTS.c, 0.0, 0.0, 0.0], dtype=complex)
+    params = EnsembleParams(n_paths=3, steps=8, ds=1.0 / 64)
+    ens = simulate(params, constant_control(w4), CONSTS, seed=29, diffusion=zero_diffusion())
+    ens.truncated[[0, 2]] = True
+    ens.first_bad_step[[0, 2]] = (3, 0)
+    est = accumulate_action(ens, emfield.free(), CONSTS)
+    per_step = -CONSTS.mc * CONSTS.c * params.ds
+    assert np.array_equal(est.samples, np.array([3, 8, 0]) * per_step)
+    assert est.n_degenerate_flags == 5 + 8
 
 
 # -- generator consistency ----------------------------------------------------
