@@ -29,7 +29,7 @@ from .config import ConfigError, RunConfig, load_config_file
 from .grid import SpacetimeGrid, random_band_limited
 from .operators import (OperatorError, SampledPotential, factorization_discrepancy, factored_rhs,
                         fock_rhs, gauge_discrepancy_prediction)
-from .report import read_jsonl, summarize, write_csv, write_jsonl, write_meta
+from .report import read_jsonl_numbered, summarize, write_csv, write_jsonl, write_meta
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -69,38 +69,44 @@ class Laps(dict):
 
 # -- clifford ----------------------------------------------------------------
 
-def clifford_records(cfg: RunConfig, corrupt: bool = False) -> list[dict]:
-    """All gamma-algebra identity checks as records; exact unless noted.
+def clifford_records(cfg: RunConfig, corrupt: bool = False) -> tuple[list[dict], list, Laps]:
+    """All gamma-algebra identity checks as records (exact unless noted), no CSV rows,
+    and the seconds per check family; the four relation families share ``relations``.
 
     With ``corrupt`` (a negative control) one entry of gamma^1 is damaged first.
     """
+    spans = Laps()
     g = np.array(DIRAC.gammas)
     if corrupt:
         g[1, 0, 3] += 0.5
     eye = np.eye(4, dtype=np.complex128)
     records = [check(cfg, "verify-clifford", name, mu=mu, nu=nu, residual=resid, tolerance=0.0)
                for name, mu, nu, resid in relation_residuals(g)]
+    spans.lap("relations")
 
     rng = np.random.default_rng(cfg.int("seed"))
     n = cfg.int("clifford.det_samples")
-    sq_residuals, det_residuals = [], []
-    for _ in range(n):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        sl = np.tensordot(v, g, axes=(0, 0))
-        sq_residuals.append(float(np.abs(sl @ sl - mdot(v, v) * eye).max()))
-        a = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        det = complex(np.linalg.det(sl - a * eye))
-        want = (mdot(v, v) - a * a) ** 2
-        scale = max(abs(want), 1.0)
-        det_residuals.append(abs(det - want) / scale)
+    # per sample: v draws its real then imaginary parts, then the shift a does
+    samples = [(rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                complex(rng.standard_normal() + 1j * rng.standard_normal())) for _ in range(n)]
+    slashes = [np.tensordot(v, g, axes=(0, 0)) for v, _ in samples]
     # np.max, unlike max(), propagates NaN, so an undefined residual fails its check
-    worst_sq = float(np.max(sq_residuals))
-    worst_det = float(np.max(det_residuals))
+    worst_sq = float(np.max([float(np.abs(sl @ sl - mdot(v, v) * eye).max())
+                             for (v, _), sl in zip(samples, slashes)]))
     records.append(check(cfg, "verify-clifford", "slash_square",
                          samples=n, residual=worst_sq, tolerance=1e-12))
+    spans.lap("slash_square")
+
+    det_residuals = []
+    for (v, a), sl in zip(samples, slashes):
+        det = complex(np.linalg.det(sl - a * eye))
+        want = (mdot(v, v) - a * a) ** 2
+        det_residuals.append(abs(det - want) / max(abs(want), 1.0))
     records.append(check(cfg, "verify-clifford", "slash_determinant", samples=n,
-                         residual=worst_det, tolerance=cfg.float("clifford.det_tolerance")))
-    return records
+                         residual=float(np.max(det_residuals)),
+                         tolerance=cfg.float("clifford.det_tolerance")))
+    spans.lap("slash_determinant")
+    return records, [], spans
 
 
 # -- identity ----------------------------------------------------------------
@@ -122,8 +128,8 @@ def gauge_violating_potential(grid: SpacetimeGrid) -> emfield.PotentialSpec:
     return emfield.custom_wave([0.3, 0.0, 0.0, 0.0], k)
 
 
-def identity_records(cfg: RunConfig) -> tuple[list[dict], dict[str, float]]:
-    """The identity records, and the perf_counter seconds spent on each check family."""
+def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
+    """The identity records, no CSV rows, and the seconds spent on each check family."""
     consts = cfg.constants()
     grid = cfg.grid()
     backend = cfg.str("backend")
@@ -185,12 +191,13 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], dict[str, float]]:
                                  residual=resid, tolerance=tol))
         del pot
     spans.lap("gauge_discrepancy_law")
-    return records, spans
+    return records, [], spans
 
 
 # -- dispersion --------------------------------------------------------------
 
-def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
+def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
+    spans = Laps()
     consts = cfg.constants()
     tol = cfg.float("dispersion.det_tolerance")
     n = cfg.int("dispersion.n_points")
@@ -207,12 +214,14 @@ def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
                         residual=abs(det), tolerance=tol)
             records.append(rec)
             rows.append((float(k1), float(k0), gap, abs(det), rec["pass"]))
-    return records, rows
+    spans.lap("root_on_shell")
+    return records, rows, spans
 
 
 # -- evolve ------------------------------------------------------------------
 
-def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
+def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
+    spans = Laps()
     consts = cfg.constants()
     n_gaps = cfg.int("evolve.n_gaps")
     gap_range = cfg.float("evolve.gap_range")
@@ -239,7 +248,8 @@ def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
             tolerance=freq_tol * max(1.0, abs(rec["closed_form_frequency"]))))
         rows.append((rec["k0"], rec["k1"], rec["delta"], rec["measured_frequency"],
                      rec["stationary"]))
-    return records, rows
+    spans.lap("mode_stationarity")
+    return records, rows, spans
 
 
 # -- simulate ----------------------------------------------------------------
@@ -256,7 +266,7 @@ def _configured_control(cfg: RunConfig, consts) -> soc.ControlField:
     raise ConfigError(f"simulate.control must be zero|constant|plane_wave, got {kind!r}")
 
 
-def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict[str, float]]:
+def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     """The simulate records, the rows of ``paths.csv``, and the seconds per check family."""
     consts = cfg.constants()
     seed = cfg.int("seed")
@@ -401,21 +411,17 @@ def run_suite(command: str, cfg: RunConfig, out: Path, **kwargs) -> int:
 
     ``<stem>_records`` is looked up by name at call time, so a wrapper bound to
     the module attribute (a tracer, a test's monkeypatch) sees the call.  A suite
-    returns its records, or the records followed by CSV rows (a list) and/or by
-    the seconds spent per check family (a dict, written to the meta file).
+    returns its records, its CSV rows (empty for none) and the seconds spent per
+    check family, which go to the meta file.
     """
     stem, csv = SUITES[command]
     started = time.time()
-    result = globals()[f"{stem}_records"](cfg, **kwargs)
-    records, *extras = result if isinstance(result, tuple) else (result,)
+    records, rows, spans = globals()[f"{stem}_records"](cfg, **kwargs)
     write_jsonl(out / f"{stem}.jsonl", records)
-    meta = {"records": len(records)}
-    for extra in extras:
-        if isinstance(extra, dict):
-            meta["check_seconds"] = extra
-        elif extra:
-            write_csv(out / csv[0], csv[1], extra)
-    write_meta(out / f"{stem}_meta.json", stem, elapsed=time.time() - started, extra=meta)
+    if rows:
+        write_csv(out / csv[0], csv[1], rows)
+    write_meta(out / f"{stem}_meta.json", stem, elapsed=time.time() - started,
+               extra={"records": len(records), "check_seconds": spans})
     if any(r.get("truncated_paths") for r in records):  # simulate's configured ensemble
         return EXIT_BLOWUP
     return _exit_for(records)
@@ -430,7 +436,7 @@ def cmd_report(out: Path) -> int:
     all_records = []
     for path in files:  # every input is read before anything is written
         try:
-            records = read_jsonl(path)
+            records = read_jsonl_numbered(path)
         except ValueError as exc:  # a line that is not a JSON object, or not text
             print(f"report: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -453,6 +459,13 @@ def cmd_report(out: Path) -> int:
     print(f"{'suite':<{width}}  total  passed  failed")
     for rec in summary_records:
         print(f"{rec['suite']:<{width}}  {rec['total']:>5}  {rec['passed']:>6}  {rec['failed']:>6}")
+    checks = [(rec["suite"], name, c) for rec in summary_records
+              for name, c in rec["checks"].items()]
+    cwidth = max(len(name) for _, name, _ in checks)
+    print(f"\n{'suite':<{width}}  {'check':<{cwidth}}  worst residual/tolerance  failed lines")
+    for suite, name, c in checks:
+        lines = ",".join(map(str, c["failed_lines"])) or "-"
+        print(f"{suite:<{width}}  {name:<{cwidth}}  {c['worst_margin']:>24.3g}  {lines}")
     print(f"overall: {'PASS' if total_failed == 0 else 'FAIL'} "
           f"({len(all_records)} records, {total_failed} failures)")
     return EXIT_PASS if total_failed == 0 else EXIT_FAIL

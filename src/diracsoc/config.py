@@ -129,18 +129,20 @@ class RunConfig:
                               f"{cfg.str('grid.points')}, got {cfg.str('identity.max_mode')}")
         if cfg.str("backend") not in ("spectral", "fd4"):
             raise ConfigError(f"backend must be spectral or fd4, got {cfg.str('backend')!r}")
+        # an infinite tolerance or n_sigma would pass every record it bounds
         for key in ("identity.tolerance", "clifford.det_tolerance", "dispersion.det_tolerance",
                     "evolve.stationary_tol", "evolve.frequency_tol", "evolve.dtau",
-                    "simulate.ds"):
-            if not cfg.float(key) > 0:
-                raise ConfigError(f"{key} must be positive, got {cfg.str(key)}")
+                    "simulate.ds", "simulate.n_sigma"):
+            if not 0 < cfg.float(key) < np.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {cfg.str(key)}")
         # fewer than two paths leave standard errors and correlations undefined;
-        # zero samples or points would let a check pass without testing anything
+        # zero samples, points or fields would let a check pass without testing anything
         for key, least in (("simulate.n_paths", 2), ("simulate.variance_paths", 2),
                            ("simulate.repro_paths", 2), ("simulate.variance_steps", 1),
-                           ("simulate.repro_steps", 1), ("dispersion.n_points", 1),
-                           ("clifford.det_samples", 1), ("evolve.n_gaps", 1),
-                           ("evolve.steps", 1)):
+                           ("simulate.repro_steps", 1), ("simulate.dump_max_paths", 1),
+                           ("dispersion.n_points", 1), ("clifford.det_samples", 1),
+                           ("evolve.n_gaps", 1), ("evolve.steps", 1),
+                           ("identity.n_fields", 1), ("identity.gauge_fields", 1)):
             if cfg.int(key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {cfg.str(key)}")
         # Philox keys are 128-bit, and the simulate suite derives keys up to this far

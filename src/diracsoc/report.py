@@ -9,6 +9,7 @@ run-local metadata go to a separate ``*_meta.json`` file.
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -59,6 +60,11 @@ def write_jsonl(path, records) -> None:
 
 def read_jsonl(path) -> list[dict]:
     """The records of a JSON-lines file; ValueError names the first line that is no object."""
+    return [rec for _, rec in read_jsonl_numbered(path)]
+
+
+def read_jsonl_numbered(path) -> list[tuple[int, dict]]:
+    """(1-based line number, record) for each non-blank line of a JSON-lines file."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -71,7 +77,7 @@ def read_jsonl(path) -> list[dict]:
                 raise ValueError(f"{path} line {lineno}: not JSON ({exc.msg})") from None
             if not isinstance(rec, dict):
                 raise ValueError(f"{path} line {lineno}: not a JSON object")
-            out.append(rec)
+            out.append((lineno, rec))
     return out
 
 
@@ -107,14 +113,40 @@ def write_csv(path, header: list[str], rows) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def summarize(records: list[dict]) -> dict:
+def margin(residual, tolerance) -> float:
+    """residual / tolerance; an exact check (tolerance 0) scores 0 at residual 0, else inf.
+
+    Values written as "nan" or "inf" strings are read back as floats; NaN stays NaN,
+    and a value that is no number gives NaN.
+    """
+    try:
+        r, t = float(residual), float(tolerance)
+    except (TypeError, ValueError):
+        return math.nan
+    if t == 0 and not math.isnan(r):
+        return 0.0 if r == 0 else math.inf
+    return r / t
+
+
+def summarize(numbered: list[tuple[int, dict]]) -> dict:
+    """Per suite: record counts and, per check, the worst margin and failing line numbers.
+
+    ``numbered`` holds (1-based .jsonl line number, record) pairs; a NaN margin is
+    the worst of all.  A record without residual or tolerance has margin NaN.
+    """
     by_suite: dict[str, dict] = {}
-    for rec in records:
-        suite = rec.get("suite", "?")
-        slot = by_suite.setdefault(suite, {"total": 0, "passed": 0, "failed": 0})
+    for lineno, rec in numbered:
+        slot = by_suite.setdefault(rec.get("suite", "?"),
+                                   {"total": 0, "passed": 0, "failed": 0, "checks": {}})
+        chk = slot["checks"].setdefault(rec.get("check", "?"),
+                                        {"worst_margin": -math.inf, "failed_lines": []})
+        m = margin(rec.get("residual", "nan"), rec.get("tolerance", "nan"))
+        # np.max, unlike max(), propagates NaN
+        chk["worst_margin"] = float(np.max([chk["worst_margin"], m]))
         slot["total"] += 1
         if rec.get("pass", False):
             slot["passed"] += 1
         else:
             slot["failed"] += 1
+            chk["failed_lines"].append(lineno)
     return by_suite

@@ -262,8 +262,8 @@ class EnsembleParams:
     def __post_init__(self) -> None:
         if self.n_paths < 1 or self.steps < 1:
             raise SocError("need n_paths >= 1 and steps >= 1")
-        if self.ds <= 0:
-            raise SocError("step size must be positive")
+        if not 0 < self.ds < math.inf:
+            raise SocError(f"step size must be positive and finite, got {self.ds}")
         object.__setattr__(self, "z0", as_four_vector(self.z0))
 
 

@@ -283,6 +283,46 @@ def test_report_counts_failures(tmp_path):
     assert main(["report", "--out", str(out)]) == 1
 
 
+def test_report_margins_and_failed_lines(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "made.jsonl").write_text(
+        '{"suite":"s","check":"exact","residual":0.0,"tolerance":0.0,"pass":true}\n'
+        '{"suite":"s","check":"exact","residual":1e-300,"tolerance":0.0,"pass":false}\n'
+        '{"suite":"s","check":"ratio","residual":0.5,"tolerance":2.0,"pass":true}\n'
+        '\n'
+        '{"suite":"s","check":"ratio","residual":"nan","tolerance":2.0,"pass":false}\n'
+        '{"suite":"s","check":"ratio","residual":1.0,"tolerance":4.0,"pass":true}\n'
+        '{"suite":"t","check":"exact","residual":0,"tolerance":0,"pass":true}\n'
+        '{"suite":"t","check":"ratio","residual":3.0,"tolerance":2.0,"pass":false}\n')
+    assert main(["report", "--out", str(out)]) == EXIT_FAIL
+    summary = read_jsonl(out / "summary.jsonl")
+    assert [r["suite"] for r in summary] == ["s", "t"]  # one record per suite
+    assert summary[0]["checks"] == {
+        "exact": {"worst_margin": "inf", "failed_lines": [2]},
+        "ratio": {"worst_margin": "nan", "failed_lines": [5]}}  # NaN is the worst
+    assert summary[1]["checks"] == {
+        "exact": {"worst_margin": 0.0, "failed_lines": []},
+        "ratio": {"worst_margin": 1.5, "failed_lines": [8]}}
+    assert list(summary[1]) == ["suite", "total", "passed", "failed", "checks", "pass"]
+    text = capsys.readouterr().out
+    assert any(line.split() == ["s", "exact", "inf", "2"] for line in text.splitlines())
+    assert any(line.split() == ["t", "exact", "0", "-"] for line in text.splitlines())
+
+
+def test_report_names_the_corrupted_clifford_lines(tmp_path):
+    out = tmp_path / "o"
+    assert main(["verify-clifford", "--out", str(out), "--corrupt-gamma"]) == EXIT_FAIL
+    assert main(["report", "--out", str(out)]) == EXIT_FAIL
+    records = read_jsonl(out / "clifford.jsonl")
+    (summary,) = read_jsonl(out / "summary.jsonl")
+    failed = sorted(n for c in summary["checks"].values() for n in c["failed_lines"])
+    assert failed == [i + 1 for i, r in enumerate(records) if not r["pass"]]
+    assert summary["checks"]["spin_antisymmetry"] == {"worst_margin": 0.0, "failed_lines": []}
+    assert summary["checks"]["anticommutator"]["worst_margin"] == "inf"
+    assert summary["checks"]["slash_square"]["worst_margin"] > 1
+
+
 # -- determinism ----------------------------------------------------------------
 
 def test_byte_identical_reruns(tmp_path):
@@ -406,6 +446,27 @@ def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
     proc = run_cli_process("diracsoc.cli", command, "--config", cfg,
                            "--out", str(tmp_path / "o"))
     assert_one_line_config_error(proc, key)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("verify-identity", "identity.n_fields = 0", "identity.n_fields"),
+    ("verify-identity", "identity.gauge_fields = 0", "identity.gauge_fields"),
+    ("simulate", "simulate.dump_paths = true\nsimulate.dump_max_paths = -4",
+     "simulate.dump_max_paths"),
+    ("simulate", "simulate.n_sigma = inf", "simulate.n_sigma"),
+    ("simulate", "simulate.n_sigma = -1", "simulate.n_sigma"),
+    ("simulate", "simulate.n_sigma = nan", "simulate.n_sigma"),
+    ("simulate", "simulate.ds = inf", "simulate.ds"),
+    ("verify-identity", "identity.tolerance = inf", "identity.tolerance"),
+])
+def test_vacuous_config_exit_2(tmp_path, capsys, command, text, key):
+    # each value would let the suite pass without checking what it names
+    cfg = write_cfg(tmp_path, text + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be")
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -546,6 +607,23 @@ def test_simulate_meta_records_check_family_seconds(tmp_path):
     assert {"generator", "straight_line_bitwise", "fixed_seed_bitwise", "reim_correlation_signs",
             "diffusion_variance", "action_constant_onshell", "configured_ensemble"} <= set(seconds)
     assert all(s >= 0 for s in seconds.values())
+
+
+@pytest.mark.parametrize("command,stem,families", [
+    ("verify-clifford", "clifford", ["relations", "slash_square", "slash_determinant"]),
+    ("dispersion", "dispersion", ["root_on_shell"]),
+    ("evolve", "evolve", ["mode_stationarity"]),
+])
+def test_small_suite_meta_records_check_family_seconds(tmp_path, command, stem, families):
+    out = tmp_path / "o"
+    assert main([command, "--out", str(out)]) == EXIT_PASS
+    seconds = json.loads((out / f"{stem}_meta.json").read_text())["check_seconds"]
+    assert list(seconds) == families
+    assert all(s >= 0 for s in seconds.values())
+    # every check the suite writes is timed, under its own name or under "relations"
+    checks = {r["check"] for r in read_jsonl(out / f"{stem}.jsonl")}
+    assert checks - set(families) <= {"anticommutator", "spin_antisymmetry",
+                                      "product_identity", "hermiticity"}
 
 
 # -- the record contract ------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_relation_residuals_are_the_failures_of_the_corrupted_run():
     bad = np.array(DIRAC.gammas)
     bad[1, 0, 3] += 0.5  # the set verify-clifford --corrupt-gamma checks
     nonzero = {(c, mu, nu) for c, mu, nu, resid in relation_residuals(bad) if resid != 0.0}
-    records = clifford_records(RunConfig.from_sources(), corrupt=True)
+    records, _, _ = clifford_records(RunConfig.from_sources(), corrupt=True)
     failed = {(r["check"], r["mu"], r["nu"]) for r in records if "mu" in r and not r["pass"]}
     assert nonzero == failed
     assert len(nonzero) == 11

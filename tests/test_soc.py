@@ -191,6 +191,12 @@ def test_diffusion_squares_formula():
 
 # -- SDE simulation -----------------------------------------------------------
 
+@pytest.mark.parametrize("ds", [0.0, -1e-3, np.nan, np.inf])
+def test_ensemble_params_reject_bad_step_size(ds):
+    with pytest.raises(SocError, match="step size"):
+        EnsembleParams(n_paths=2, steps=1, ds=ds)
+
+
 def test_simulate_straight_line_exact():
     w4 = np.array([1.0, 0.5, -0.25, 0.0], dtype=complex)
     params = EnsembleParams(n_paths=3, steps=32, ds=1.0 / 1024)
