@@ -2,7 +2,8 @@
 
 Subcommands: verify-clifford, verify-identity, dispersion, evolve,
 simulate, report.  Each suite is a module-level ``<stem>_records(cfg)``
-function whose records are all built by ``check``: the verdict is
+function that returns ``(records, rows, spans)``: its records, all built by
+``check``, its CSV rows and the seconds per check family.  The verdict is
 ``residual <= tolerance`` (a NaN residual fails), and every record carries
 the suite name, the effective-configuration hash, seed, constants, backend,
 and the branch choices, so outputs are self-describing.  One runner,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .clifford import DIRAC, METRIC_DIAG, ArrayC, as_four_vector

@@ -281,6 +281,13 @@ def test_report_counts_failures(tmp_path):
     out = tmp_path / "out"
     assert main(["verify-clifford", "--out", str(out), "--corrupt-gamma"]) == 1
     assert main(["report", "--out", str(out)]) == 1
+    # the summary names exactly the failing lines of clifford.jsonl
+    records = read_jsonl(out / "clifford.jsonl")
+    (summary,) = read_jsonl(out / "summary.jsonl")
+    failed = sorted(n for c in summary["checks"].values() for n in c["failed_lines"])
+    assert failed == [i + 1 for i, r in enumerate(records) if not r["pass"]]
+    assert summary["checks"]["spin_antisymmetry"] == {"worst_margin": 0.0, "failed_lines": []}
+    assert summary["checks"]["anticommutator"]["worst_margin"] == "inf"
 
 
 def test_report_margins_and_failed_lines(tmp_path, capsys):
@@ -308,19 +315,6 @@ def test_report_margins_and_failed_lines(tmp_path, capsys):
     text = capsys.readouterr().out
     assert any(line.split() == ["s", "exact", "inf", "2"] for line in text.splitlines())
     assert any(line.split() == ["t", "exact", "0", "-"] for line in text.splitlines())
-
-
-def test_report_names_the_corrupted_clifford_lines(tmp_path):
-    out = tmp_path / "o"
-    assert main(["verify-clifford", "--out", str(out), "--corrupt-gamma"]) == EXIT_FAIL
-    assert main(["report", "--out", str(out)]) == EXIT_FAIL
-    records = read_jsonl(out / "clifford.jsonl")
-    (summary,) = read_jsonl(out / "summary.jsonl")
-    failed = sorted(n for c in summary["checks"].values() for n in c["failed_lines"])
-    assert failed == [i + 1 for i, r in enumerate(records) if not r["pass"]]
-    assert summary["checks"]["spin_antisymmetry"] == {"worst_margin": 0.0, "failed_lines": []}
-    assert summary["checks"]["anticommutator"]["worst_margin"] == "inf"
-    assert summary["checks"]["slash_square"]["worst_margin"] > 1
 
 
 # -- determinism ----------------------------------------------------------------
@@ -440,33 +434,21 @@ def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
     ("dispersion", "dispersion.n_points", "0"),
     ("verify-clifford", "clifford.det_samples", "0"),
     ("evolve", "evolve.n_gaps", "0"),
+    # each of these would let the suite pass without checking what it names
+    ("verify-identity", "identity.n_fields", "0"),
+    ("verify-identity", "identity.gauge_fields", "0"),
+    ("verify-identity", "identity.tolerance", "inf"),
+    ("simulate", "simulate.dump_max_paths", "-4"),
+    ("simulate", "simulate.n_sigma", "inf"),
+    ("simulate", "simulate.n_sigma", "-1"),
+    ("simulate", "simulate.n_sigma", "nan"),
+    ("simulate", "simulate.ds", "inf"),
 ])
 def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
     cfg = write_cfg(tmp_path, f"{key} = {value}\n")
     proc = run_cli_process("diracsoc.cli", command, "--config", cfg,
                            "--out", str(tmp_path / "o"))
     assert_one_line_config_error(proc, key)
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("command,text,key", [
-    ("verify-identity", "identity.n_fields = 0", "identity.n_fields"),
-    ("verify-identity", "identity.gauge_fields = 0", "identity.gauge_fields"),
-    ("simulate", "simulate.dump_paths = true\nsimulate.dump_max_paths = -4",
-     "simulate.dump_max_paths"),
-    ("simulate", "simulate.n_sigma = inf", "simulate.n_sigma"),
-    ("simulate", "simulate.n_sigma = -1", "simulate.n_sigma"),
-    ("simulate", "simulate.n_sigma = nan", "simulate.n_sigma"),
-    ("simulate", "simulate.ds = inf", "simulate.ds"),
-    ("verify-identity", "identity.tolerance = inf", "identity.tolerance"),
-])
-def test_vacuous_config_exit_2(tmp_path, capsys, command, text, key):
-    # each value would let the suite pass without checking what it names
-    cfg = write_cfg(tmp_path, text + "\n")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key} must be")
-    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 
