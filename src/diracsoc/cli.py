@@ -18,6 +18,7 @@ Exit codes: 0 all checks pass, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -294,51 +295,50 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     # straight-line motion with diffusion disabled, against a literal recursion
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=np.complex128)
     params = soc.EnsembleParams(n_paths=3, steps=64, ds=1.0 / 512)
-    ens = soc.simulate(params, soc.constant_control(w4), consts, seed,
-                       diffusion=soc.zero_diffusion())
+    end = soc.EulerStream(params, soc.constant_control(w4), consts, seed,
+                          diffusion=soc.zero_diffusion()).end_state()
     z = np.broadcast_to(params.z0, (3, 4)).copy()
     for _ in range(64):
         z = z + w4 * params.ds
-    exact_line = np.array_equal(ens.paths[:, -1, :], z)
+    exact_line = np.array_equal(end, z)
     records.append(check(cfg, "simulate", "straight_line_bitwise",
                          residual=0.0 if exact_line else 1.0, tolerance=0.0))
     spans.lap("straight_line_bitwise")
 
-    # bitwise reproducibility of a seeded ensemble
+    # bitwise reproducibility of a seeded ensemble: two streams compared at every step
     rp = soc.EnsembleParams(n_paths=cfg.int("simulate.repro_paths"),
                             steps=cfg.int("simulate.repro_steps"), ds=ds)
-    e1 = soc.simulate(rp, soc.zero_control(), consts, seed)
-    e2 = soc.simulate(rp, soc.zero_control(), consts, seed)
-    repro = np.array_equal(e1.paths, e2.paths)
+    pairs = zip(soc.EulerStream(rp, soc.zero_control(), consts, seed),
+                soc.EulerStream(rp, soc.zero_control(), consts, seed))
+    start, first = next(pairs), next(pairs)  # steps 0 and 1; repro_steps >= 1
+    repro = all(np.array_equal(z1, z2) for z1, z2 in itertools.chain((start, first), pairs))
     records.append(check(cfg, "simulate", "fixed_seed_bitwise",
                          residual=0.0 if repro else 1.0, tolerance=0.0))
     spans.lap("fixed_seed_bitwise")
 
     # per-component Re/Im correlation pattern of the increments
-    dz = e1.paths[:, 1, :] - e1.paths[:, 0, :]
+    dz = first[0] - start[0]
     expected_sign = np.array([1.0, -1.0, -1.0, -1.0]) * consts.epsilon
     # np.max, unlike max(), propagates NaN, so an undefined statistic fails its check
     worst = float(np.max([abs(float(np.corrcoef(dz[:, mu].real, dz[:, mu].imag)[0, 1])
                               - expected_sign[mu]) for mu in range(4)]))
     records.append(check(cfg, "simulate", "reim_correlation_signs",
                          residual=worst, tolerance=1e-12))
-    del e1, e2, dz  # finished ensembles are released before the next is built
     spans.lap("reim_correlation_signs")
 
     # diffusion-only variance: Var[Re z_mu] = Var[Im z_mu] = |sigma|^2 s / 2
     vp = soc.EnsembleParams(n_paths=cfg.int("simulate.variance_paths"),
                             steps=cfg.int("simulate.variance_steps"), ds=ds)
-    ev = soc.simulate(vp, soc.zero_control(), consts, seed + 1)
+    end = soc.EulerStream(vp, soc.zero_control(), consts, seed + 1).end_state()
     total_s = vp.steps * ds
     rel_tol = 5.0 / np.sqrt(vp.n_paths)
     errors = []
     for mu in range(4):
         want = abs(diff.sigma[mu]) ** 2 * total_s / 2
-        for part in (ev.paths[:, -1, mu].real, ev.paths[:, -1, mu].imag):
+        for part in (end[:, mu].real, end[:, mu].imag):
             errors.append(abs(float(np.var(part, ddof=1)) - want) / want)
     records.append(check(cfg, "simulate", "diffusion_variance",
                          residual=float(np.max(errors)), tolerance=rel_tol))
-    del ev, part  # part is a view of ev.paths
     spans.lap("diffusion_variance")
 
     # action of a deterministic on-shell path: S = -m c^2 (tau_f - tau_i)
@@ -359,13 +359,19 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     uc = _configured_control(cfg, consts)
     up = soc.EnsembleParams(n_paths=cfg.int("simulate.repro_paths"),
                             steps=cfg.int("simulate.repro_steps"), ds=ds)
-    ue = soc.simulate(up, uc, consts, seed + 2)
-    n_trunc = int(np.count_nonzero(ue.truncated))
+    stream = soc.EulerStream(up, uc, consts, seed + 2)
+    kept = None
+    if cfg.bool("simulate.dump_paths"):  # only the dumped paths are kept while it streams
+        n_dump = min(cfg.int("simulate.dump_max_paths"), up.n_paths)
+        kept = np.stack([z[:n_dump].copy() for z in stream], axis=1)  # (n_dump, steps+1, 4)
+    else:
+        stream.end_state()
+    n_trunc = int(np.count_nonzero(stream.truncated))
     # the earliest blow-up over all paths (the lowest path index on ties); -1 when clean
     first_step = first_path = -1
     if n_trunc:
-        first_path = int(np.argmin(np.where(ue.truncated, ue.first_bad_step, up.steps)))
-        first_step = int(ue.first_bad_step[first_path])
+        first_path = int(np.argmin(np.where(stream.truncated, stream.first_bad_step, up.steps)))
+        first_step = int(stream.first_bad_step[first_path])
     records.append(check(cfg, "simulate", "configured_ensemble",
                          control=uc.label, n_paths=up.n_paths, steps=up.steps,
                          truncated_paths=n_trunc, first_bad_step=first_step,
@@ -373,11 +379,9 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     spans.lap("configured_ensemble")
 
     rows = []
-    if cfg.bool("simulate.dump_paths"):
-        n_dump = min(cfg.int("simulate.dump_max_paths"), ue.n_paths)
-        for p in range(n_dump):
-            for s in range(ue.steps + 1):
-                z = ue.paths[p, s]
+    if kept is not None:
+        for p, path in enumerate(kept):
+            for s, z in enumerate(path):
                 rows.append((p, s, s * ds,
                              z[0].real, z[0].imag, z[1].real, z[1].imag,
                              z[2].real, z[2].imag, z[3].real, z[3].imag))

@@ -166,22 +166,25 @@ def _spectral_pass(f: Field, axis: int, symbol: np.ndarray) -> np.ndarray:
     return np.fft.ifft(fhat, axis=axis, out=fhat)
 
 
-def partial(f: Field, mu: int, backend: str = "spectral") -> Field:
-    """d f / d z^mu on the periodic grid (lower-index derivative)."""
+def _partial_values(f: Field, mu: int, backend: str = "spectral") -> np.ndarray:
+    """The values of ``partial(f, mu, backend)`` as a fresh writable array, unchecked."""
     if not f.grid.is_active(mu):
         raise GridError(f"cannot differentiate along inactive axis {mu}")
     axis = _axis_of(f, mu)
     if backend == "spectral":
         ik, _ = _spectral_symbols(f.grid, mu)
-        out = _spectral_pass(f, axis, ik)
-    elif backend == "fd4":
+        return _spectral_pass(f, axis, ik)
+    if backend == "fd4":
         h = f.grid.spacing[mu]
         v = f.values
-        out = (-np.roll(v, -2, axis=axis) + 8 * np.roll(v, -1, axis=axis)
-               - 8 * np.roll(v, 1, axis=axis) + np.roll(v, 2, axis=axis)) / (12 * h)
-    else:
-        raise GridError(f"unknown backend {backend!r}; valid: {BACKENDS}")
-    return Field(f.grid, out, copy=False)
+        return (-np.roll(v, -2, axis=axis) + 8 * np.roll(v, -1, axis=axis)
+                - 8 * np.roll(v, 1, axis=axis) + np.roll(v, 2, axis=axis)) / (12 * h)
+    raise GridError(f"unknown backend {backend!r}; valid: {BACKENDS}")
+
+
+def partial(f: Field, mu: int, backend: str = "spectral") -> Field:
+    """d f / d z^mu on the periodic grid (lower-index derivative)."""
+    return Field(f.grid, _partial_values(f, mu, backend), copy=False)
 
 
 def partial_or_zero(f: Field, mu: int, backend: str = "spectral") -> Field:

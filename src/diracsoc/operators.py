@@ -22,7 +22,7 @@ import numpy as np
 from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet, as_four_vector
 from .constants import PhysicalConstants
 from .emfield import PotentialSpec, evaluate_potential, lorenz_residual, potential_jacobian
-from .grid import Field, SpacetimeGrid, dalembertian, l2norm, partial, plane_wave
+from .grid import Field, SpacetimeGrid, _partial_values, dalembertian, l2norm, partial, plane_wave
 
 
 class OperatorError(ValueError):
@@ -86,21 +86,33 @@ def _sampled(psi: Field, A: Potential) -> SampledPotential:
     return A
 
 
-def _gamma_mix(mat: ArrayC, comp: np.ndarray) -> np.ndarray:
+def _gamma_mix(mat: ArrayC, comp: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
     """Apply a 4x4 matrix in spinor space: out_a = sum_b M_ab v_b.
 
     A monomial matrix (one nonzero entry per row, as every gamma matrix
     and every commutator of two is) is applied as out_a = M_a,p(a) v_p(a),
     which equals the full sum exactly: the other terms are products with
-    zero.
+    zero.  With ``add_to`` the result is added into that array, one
+    component at a time, and the array is returned.
     """
     nonzero = mat != 0
-    if np.all(nonzero.sum(axis=1) == 1):
+    if not np.all(nonzero.sum(axis=1) == 1):
+        mixed = np.tensordot(mat, comp, axes=(1, 0))
+        if add_to is None:
+            return mixed
+        add_to += mixed
+        return add_to
+    rows = enumerate(nonzero.argmax(axis=1))
+    if add_to is None:
         out = np.empty(comp.shape, dtype=np.complex128)
-        for a, b in enumerate(nonzero.argmax(axis=1)):
+        for a, b in rows:
             np.multiply(mat[a, b], comp[b], out=out[a])
         return out
-    return np.tensordot(mat, comp, axes=(1, 0))
+    row = np.empty(comp.shape[1:], dtype=np.complex128)
+    for a, b in rows:
+        np.multiply(mat[a, b], comp[b], out=row)
+        add_to[a] += row
+    return add_to
 
 
 def minimal_coupling_slash(psi: Field, A: Potential, consts: PhysicalConstants,
@@ -109,21 +121,24 @@ def minimal_coupling_slash(psi: Field, A: Potential, consts: PhysicalConstants,
     _require_spinor(psi)
     pot = _sampled(psi, A)
     out = None  # axis 0 is always active, so at least one term is added
+    coupling = None  # e A_nu psi, one buffer reused across nu
     for nu in range(4):
         # d_nu psi vanishes on an inactive axis and A_nu may vanish: skip zero terms
         term = None
         if psi.grid.is_active(nu):
-            term = 1j * consts.hbar * partial(psi, nu, backend).values
+            term = _partial_values(psi, nu, backend)
+            np.multiply(1j * consts.hbar, term, out=term)
         if pot.coupled[nu]:
-            coupling = consts.e * pot.A[nu] * psi.values
-            term = -coupling if term is None else term - coupling
-        if term is None:
-            continue
-        mixed = _gamma_mix(gammas.gammas[nu], term)
-        if out is None:
-            out = mixed
-        else:
-            out += mixed
+            if coupling is None:
+                coupling = np.empty_like(psi.values)
+            np.multiply(consts.e * pot.A[nu], psi.values, out=coupling)
+            if term is None:
+                term = np.negative(coupling, out=coupling)
+            else:
+                term -= coupling
+        if term is not None:
+            out = _gamma_mix(gammas.gammas[nu], term, add_to=out)
+    # a non-finite term leaves a non-finite entry in out (inf - inf is nan), which Field refuses
     return Field(psi.grid, out, copy=False)
 
 

@@ -22,8 +22,21 @@ bit-reproducible for a fixed seed, and a path's noise depends neither on
 how many paths run beside it nor on how the steps are grouped.  One bit
 generator serves all steps: moving to step s resets its counter to
 [0, 0, s, 0] with an empty buffer, which gives the same substreams as a
-fresh generator per step without constructing one.  ``simulate`` draws
+fresh generator per step without constructing one.  ``EulerStream`` draws
 the noise inside its Euler loop, a bounded chunk of steps at a time.
+
+Streaming: ``EulerStream`` is the one Euler loop.  It yields each step's
+(n_paths, 4) positions and keeps the blow-up flags, so a statistic that
+needs only end points or step-to-step comparisons runs in O(n_paths)
+memory, whatever the number of steps.  ``simulate`` collects a stream into
+stored (n_paths, steps+1, 4) paths.  In the simulate suite the generator
+battery, the straight line, the variance law and the configured ensemble
+read end states or final flags, the bitwise reproducibility check runs two
+streams in lockstep, and the Re/Im correlation check takes steps 0 and 1
+of the first of them.  Only the action check (``accumulate_action`` needs
+every position) stores paths, and with ``simulate.dump_paths`` the
+configured ensemble keeps the dumped paths, at most
+``simulate.dump_max_paths`` of them.
 """
 
 from __future__ import annotations
@@ -287,7 +300,7 @@ class TrajectoryEnsemble:
         return self.paths.shape[1] - 1
 
 
-# path-steps of noise drawn per _path_noise call inside simulate's Euler loop
+# path-steps of noise drawn per _path_noise call inside the Euler loop
 NOISE_CHUNK = 1 << 16
 
 
@@ -310,31 +323,43 @@ def _path_noise(seed: int, n_paths: int, steps: int, start: int = 0) -> np.ndarr
     return xi.transpose(1, 0, 2)
 
 
-def simulate(params: EnsembleParams, w: ControlField, consts: PhysicalConstants, seed: int,
-             diffusion: DiffusionCoefficients | None = None) -> TrajectoryEnsemble:
-    """Forward Euler recursion z' = z + w ds + sigma sqrt(ds) xi.
+class EulerStream:
+    """The forward Euler recursion z' = z + w ds + sigma sqrt(ds) xi, one step at a time.
 
-    Paths whose positions stop being finite are frozen at their last
-    finite value and flagged as truncated.  The noise is drawn inside the
-    loop, at most max(n_paths, NOISE_CHUNK) path-steps at a time.
+    Iterating yields the fresh (n_paths, 4) position array at s = 0..steps;
+    no yielded array is written again.  ``truncated`` and ``first_bad_step``
+    are up to date at every yield: paths whose positions stop being finite are
+    frozen at their last finite value and flagged.  The noise is drawn inside
+    the loop, at most max(n_paths, NOISE_CHUNK) path-steps at a time, so a
+    stream holds O(n_paths) memory whatever its length.  Each iteration
+    restarts the recursion from z0.
     """
-    diff = diffusion if diffusion is not None else make_diffusion(consts)
-    n, steps, ds = params.n_paths, params.steps, params.ds
-    chunk = max(1, NOISE_CHUNK // n)
-    amp = diff.sigma * math.sqrt(ds)
 
-    paths = np.empty((n, steps + 1, 4), dtype=np.complex128)
-    truncated = np.zeros(n, dtype=bool)
-    first_bad = np.full(n, -1, dtype=np.int64)
+    def __init__(self, params: EnsembleParams, w: ControlField, consts: PhysicalConstants,
+                 seed: int, diffusion: DiffusionCoefficients | None = None) -> None:
+        self.params, self.w, self.seed = params, w, seed
+        self.diffusion = diffusion if diffusion is not None else make_diffusion(consts)
+        self.truncated = np.zeros(params.n_paths, dtype=bool)
+        self.first_bad_step = np.full(params.n_paths, -1, dtype=np.int64)
 
-    z = np.broadcast_to(params.z0, (n, 4)).copy()
-    paths[:, 0] = z
-    with np.errstate(over="ignore", invalid="ignore"):  # blow-ups are flagged below
-        drift = w.w * ds
+    def __iter__(self):
+        n, steps, ds = self.params.n_paths, self.params.steps, self.params.ds
+        chunk = max(1, NOISE_CHUNK // n)
+        amp = self.diffusion.sigma * math.sqrt(ds)
+        with np.errstate(over="ignore", invalid="ignore"):  # flagged at step 0 below
+            drift = self.w.w * ds
+        truncated, first_bad = self.truncated, self.first_bad_step
+        truncated[:] = False
+        first_bad[:] = -1
+
+        z = np.broadcast_to(self.params.z0, (n, 4)).copy()
+        yield z
         for s in range(steps):
             if s % chunk == 0:
-                xi = _path_noise(seed, n, min(chunk, steps - s), start=s)
-            z_new = z + drift + amp * xi[:, s % chunk]
+                xi = _path_noise(self.seed, n, min(chunk, steps - s), start=s)
+            # entered per step: an error state held across a yield would leak to the caller
+            with np.errstate(over="ignore", invalid="ignore"):  # blow-ups are flagged below
+                z_new = z + drift + amp * xi[:, s % chunk]
             bad = ~np.isfinite(z_new.view(np.float64)).reshape(n, 8).all(axis=1)
             if bad.any():
                 first_bad[bad & ~truncated] = s
@@ -342,9 +367,24 @@ def simulate(params: EnsembleParams, w: ControlField, consts: PhysicalConstants,
             if truncated.any():
                 z_new[truncated] = z[truncated]  # freeze blown-up paths
             z = z_new
-            paths[:, s + 1] = z
-    return TrajectoryEnsemble(paths=paths, w=w.w, ds=ds, truncated=truncated,
-                              first_bad_step=first_bad)
+            yield z
+
+    def end_state(self) -> np.ndarray:
+        """Run the recursion through its last step and return the positions there."""
+        for z in self:
+            pass
+        return z
+
+
+def simulate(params: EnsembleParams, w: ControlField, consts: PhysicalConstants, seed: int,
+             diffusion: DiffusionCoefficients | None = None) -> TrajectoryEnsemble:
+    """Every position of an ``EulerStream``, stored as (n_paths, steps+1, 4) paths."""
+    stream = EulerStream(params, w, consts, seed, diffusion)
+    paths = np.empty((params.n_paths, params.steps + 1, 4), dtype=np.complex128)
+    for s, z in enumerate(stream):
+        paths[:, s] = z
+    return TrajectoryEnsemble(paths=paths, w=w.w, ds=params.ds, truncated=stream.truncated,
+                              first_bad_step=stream.first_bad_step)
 
 
 # -- stochastic action -------------------------------------------------------
@@ -516,8 +556,7 @@ def generator_check(f: PolynomialTestFunction, w: ControlField,
     z0 = np.zeros(4, dtype=np.complex128) if z0 is None else as_four_vector(z0)
     diff = diffusion if diffusion is not None else make_diffusion(consts)
     params = EnsembleParams(n_paths=n_paths, steps=1, ds=ds, z0=z0)
-    ens = simulate(params, w, consts, seed, diffusion=diff)
-    f1 = f(ens.paths[:, 1, :])
+    f1 = f(EulerStream(params, w, consts, seed, diffusion=diff).end_state())
     f0 = complex(f(z0.reshape(1, 4))[0])
     estimate = complex((np.mean(f1) - f0) / ds)
     var = np.var(f1.real, ddof=1) + np.var(f1.imag, ddof=1)

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diracsoc
-from diracsoc import soc, spectrum
+from diracsoc import cli, soc, spectrum
 from diracsoc.cli import EXIT_BLOWUP, EXIT_FAIL, EXIT_PASS, _exit_for, main
 from diracsoc.config import ConfigError, RunConfig, parse_config_text
 from diracsoc.report import jsonl_dumps, read_jsonl
@@ -210,18 +211,16 @@ def test_simulate_blowup_exit_3(tmp_path):
 
 
 def test_configured_ensemble_names_the_earliest_blowup(tmp_path, monkeypatch):
-    real_simulate = soc.simulate
+    class LateBlowups(soc.EulerStream):
+        def __iter__(self):
+            yield from super().__iter__()
+            if self.seed == 12345 + 2:  # the configured ensemble, once it has run
+                self.truncated[:] = False
+                self.first_bad_step[:] = -1
+                for path, step in ((3, 6), (5, 2), (9, 2)):
+                    self.truncated[path], self.first_bad_step[path] = True, step
 
-    def late_blowups(params, w, consts, seed, **kwargs):
-        ens = real_simulate(params, w, consts, seed, **kwargs)
-        if seed == 12345 + 2:  # the configured ensemble
-            ens.truncated = np.zeros(ens.n_paths, dtype=bool)
-            ens.first_bad_step = np.full(ens.n_paths, -1, dtype=np.int64)
-            for path, step in ((3, 6), (5, 2), (9, 2)):
-                ens.truncated[path], ens.first_bad_step[path] = True, step
-        return ens
-
-    monkeypatch.setattr(soc, "simulate", late_blowups)
+    monkeypatch.setattr(soc, "EulerStream", LateBlowups)
     cfg = write_cfg(tmp_path, FAST_SIMULATE)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_BLOWUP
     records = {r["check"]: r for r in read_jsonl(tmp_path / "o" / "simulate.jsonl")}
@@ -229,6 +228,49 @@ def test_configured_ensemble_names_the_earliest_blowup(tmp_path, monkeypatch):
     assert (rec["truncated_paths"], rec["first_bad_step"], rec["first_bad_path"]) == (3, 2, 5)
     action = records["action_constant_onshell"]
     assert (action["n_branch_flags"], action["n_degenerate_flags"]) == (0, 0)
+
+
+def test_fixed_seed_bitwise_compares_every_step(tmp_path, monkeypatch):
+    # negative control: the two seeded streams draw the same noise except at the last
+    # step of the second one, and one step per noise chunk makes every step its own draw
+    real_noise = soc._path_noise
+    last_draws = []
+
+    def perturbed(seed, n_paths, steps, start=0):
+        xi = real_noise(seed, n_paths, steps, start=start)
+        if (seed, n_paths, start + steps) == (12345, 64, 40):  # a repro stream's last step
+            last_draws.append(start)
+            if len(last_draws) == 2:
+                xi[:, -1] += 1.0
+        return xi
+
+    monkeypatch.setattr(soc, "NOISE_CHUNK", 64)
+    monkeypatch.setattr(soc, "_path_noise", perturbed)
+    cfg = write_cfg(tmp_path, FAST_SIMULATE.replace("repro_steps = 8", "repro_steps = 40"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_FAIL
+    assert last_draws == [39, 39]
+    records = {r["check"]: r for r in read_jsonl(tmp_path / "o" / "simulate.jsonl")}
+    assert (records["fixed_seed_bitwise"]["pass"], records["fixed_seed_bitwise"]["residual"]) \
+        == (False, 1.0)
+    assert all(r["pass"] for name, r in records.items() if name != "fixed_seed_bitwise")
+
+
+def test_simulate_records_memory_does_not_grow_with_steps():
+    # the stored variance ensemble alone was 256 x 4097 x 64 B; streamed, every family
+    # but the 2 x 1024-path action check holds O(n_paths) positions
+    cfg = RunConfig.from_sources(parse_config_text(
+        "simulate.n_paths = 2000\n"
+        "simulate.variance_paths = 256\n"
+        "simulate.variance_steps = 4096\n"
+        "simulate.repro_steps = 4096\n"), {})
+    tracemalloc.start()
+    try:
+        records, _, _ = cli.simulate_records(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r["pass"] for r in records)
+    assert peak < 256 * 4097 * 64 / 4
 
 
 def test_epsilon_flag_changes_constants(tmp_path):

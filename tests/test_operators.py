@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from diracsoc import emfield
+from diracsoc import emfield, operators
 from diracsoc.clifford import DIRAC, METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
-from diracsoc.grid import (Field, SpacetimeGrid, dalembertian, l2norm, partial, plane_wave,
-                           random_band_limited)
+from diracsoc.grid import (Field, GridError, SpacetimeGrid, dalembertian, l2norm, partial,
+                           plane_wave, random_band_limited)
 from diracsoc.operators import (OperatorError, SampledPotential, _gamma_mix, build_spinor,
     conjugate_apply, dirac_apply, dirac_plane_wave, factored_rhs, factorization_discrepancy,
     fock_rhs, gauge_discrepancy_prediction, kg_residual_componentwise,
@@ -305,6 +305,40 @@ def test_gamma_mix_non_monomial_falls_back_to_tensordot(which, monkeypatch):
     calls = _spy_tensordot(monkeypatch)
     assert np.array_equal(_gamma_mix(mat, v), want)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("which", ["gamma", "random"])
+def test_gamma_mix_adds_into_an_array_bit_for_bit(which):
+    rng = np.random.default_rng(91)
+    v = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
+    acc = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
+    mat = np.array(DIRAC.gamma(2)) if which == "gamma" else \
+        rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    want = acc + np.tensordot(mat, v, axes=(1, 0))
+    got = _gamma_mix(mat, v, add_to=acc)
+    assert got is acc
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_minimal_coupling_refuses_a_non_finite_term(bad, monkeypatch):
+    # the derivative terms are accumulated unchecked; a non-finite entry in them, set on
+    # both axes at one point so that the gamma rows add it there with either sign, must
+    # reach the output, whose Field refuses it
+    real = operators._partial_values
+
+    def poisoned(f, mu, backend="spectral"):
+        values = real(f, mu, backend)
+        values[:, 3, 5] = bad
+        return values
+
+    rng = np.random.default_rng(109)
+    phi = random_band_limited(GRID, 4, rng, spinor=True)
+    pot = emfield.constant_potential([0.8, -0.3, 0.2, 0.0])
+    minimal_coupling_slash(phi, pot, CONSTS)
+    monkeypatch.setattr(operators, "_partial_values", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(GridError, match="non-finite"):
+        minimal_coupling_slash(phi, pot, CONSTS)
 
 
 # -- independent witness: the operators against their term-by-term definition -----

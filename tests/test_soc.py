@@ -5,8 +5,8 @@ from diracsoc import emfield, soc
 from diracsoc.clifford import METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
 from diracsoc.grid import Field, SpacetimeGrid, random_band_limited
-from diracsoc.soc import (EnsembleParams, HopfColeError, _path_noise,
-    PolynomialTestFunction, SocError, accumulate_action, constant_control,
+from diracsoc.soc import (DiffusionCoefficients, EnsembleParams, EulerStream, HopfColeError,
+    _path_noise, PolynomialTestFunction, SocError, accumulate_action, constant_control,
     generator_check, hjb_residual, hjb_residual_mode, hopf_cole_check,
     hopf_cole_exponential_error, make_diffusion, monomial, optimal_control,
     optimal_control_mode, run_generator_battery, simulate, standard_test_battery,
@@ -326,6 +326,50 @@ def test_simulate_blowup_flagged_and_frozen():
     assert ens.truncated.all()
     assert (ens.first_bad_step == 0).all()
     assert np.all(np.isfinite(ens.paths.view(np.float64)))
+
+
+def _stream_cases():
+    # 2048 paths draw 32 steps per noise chunk, so 80 steps cross two chunk boundaries
+    crossing = (EnsembleParams(n_paths=2048, steps=80, ds=1e-3),
+                constant_control(np.array([0.3, -0.2, 0.1, 0.05])), None)
+    # a real noise amplitude of 3e307 overflows a component after a few steps, at a
+    # different step on each path; the imaginary parts stay zero
+    blowup = (EnsembleParams(n_paths=64, steps=24, ds=1.0), zero_control(),
+              DiffusionCoefficients(np.full(4, 3e307), np.zeros(4)))
+    return {"chunk_boundary": crossing, "blowup": blowup}
+
+
+@pytest.mark.parametrize("case", ["chunk_boundary", "blowup"])
+def test_stream_positions_and_flags_match_stored_paths(case):
+    params, w, diff = _stream_cases()[case]
+    stored = simulate(params, w, CONSTS, seed=5, diffusion=diff)
+    stream = EulerStream(params, w, CONSTS, seed=5, diffusion=diff)
+    held = []
+    for s, z in enumerate(stream):
+        assert z.tobytes() == stored.paths[:, s].tobytes()
+        # the flags at step s name exactly the paths that blew up on an earlier step
+        blown = (stored.first_bad_step >= 0) & (stored.first_bad_step < s)
+        assert np.array_equal(stream.truncated, blown)
+        held.append(z)
+    assert len(held) == params.steps + 1
+    # no yielded array is written after its yield
+    assert all(z.tobytes() == stored.paths[:, s].tobytes() for s, z in enumerate(held))
+    assert np.array_equal(stream.truncated, stored.truncated)
+    assert np.array_equal(stream.first_bad_step, stored.first_bad_step)
+    if case == "chunk_boundary":
+        assert params.steps > soc.NOISE_CHUNK // params.n_paths
+        assert not stored.truncated.any()
+    else:
+        assert 0 < np.count_nonzero(stored.truncated) < params.n_paths
+        assert len(set(stored.first_bad_step[stored.truncated])) > 1
+
+
+def test_stream_end_state_restarts_from_z0():
+    params = EnsembleParams(n_paths=5, steps=7, ds=1e-3, z0=[0.5, 0, 0.25j, 0])
+    stream = EulerStream(params, zero_control(), CONSTS, seed=31)
+    first, again = stream.end_state(), stream.end_state()
+    assert np.array_equal(first, again)
+    assert np.array_equal(first, simulate(params, zero_control(), CONSTS, seed=31).paths[:, -1])
 
 
 # -- stochastic action --------------------------------------------------------
