@@ -79,8 +79,11 @@ def relation_residuals(g, metric_diag=METRIC_DIAG) -> list[tuple[str, int, int, 
     """Max-abs residual of each defining relation of four 4x4 matrices ``g``.
 
     Entries ``(check, mu, nu, residual)``: the anticommutators
-    ``{g^mu, g^nu} = 2 eta^{munu} I``, the antisymmetry of
-    ``sigma^{munu} = (i/2)[g^mu, g^nu]``, the product identity
+    ``{g^mu, g^nu} = 2 eta^{munu} I``, the Lorentz algebra of the spin
+    generators ``S^{munu} = (i/4)[g^mu, g^nu]``,
+    ``[S^{munu}, S^{rhosig}] = i(eta^{nurho} S^{musig} - eta^{murho} S^{nusig}
+    - eta^{nusig} S^{murho} + eta^{musig} S^{nurho})`` (worst over rho, sig),
+    the product identity
     ``g^nu g^mu = eta^{numu} I + (1/2)[g^nu, g^mu]`` (nu outer) and the
     hermiticity ``(g^mu)^dagger = eta^{mumu} g^mu`` (nu = mu).  All are exactly
     0.0 for a valid set of small-integer matrices; the matrices are not
@@ -96,9 +99,15 @@ def relation_residuals(g, metric_diag=METRIC_DIAG) -> list[tuple[str, int, int, 
     out = [("anticommutator", mu, nu,
             resid(g[mu] @ g[nu] + g[nu] @ g[mu] - (2 * metric_diag[mu] if mu == nu else 0) * eye))
            for mu, nu in pairs]
-    out += [("spin_antisymmetry", mu, nu,
-             resid(0.5j * (g[mu] @ g[nu] - g[nu] @ g[mu]) + 0.5j * (g[nu] @ g[mu] - g[mu] @ g[nu])))
-            for mu, nu in pairs]
+    eta = np.diag(metric_diag)
+    S = 0.25j * (g[:, None] @ g[None, :] - g[None, :] @ g[:, None])  # S[mu, nu]
+    # indexed [mu, nu, rho, sig, row, col]; the worst over (rho, sig) is taken with
+    # ndarray.max, which propagates NaN
+    lorentz = (S[:, :, None, None] @ S - S @ S[:, :, None, None]
+               - 1j * (np.einsum("nr,msij->mnrsij", eta, S) - np.einsum("mr,nsij->mnrsij", eta, S)
+                       - np.einsum("ns,mrij->mnrsij", eta, S) + np.einsum("ms,nrij->mnrsij", eta, S)))
+    worst = np.abs(lorentz).max(axis=(2, 3, 4, 5))
+    out += [("spin_lorentz_algebra", mu, nu, float(worst[mu, nu])) for mu, nu in pairs]
     out += [("product_identity", mu, nu,
              resid(g[nu] @ g[mu] - ((metric_diag[nu] if mu == nu else 0) * eye
                                     + 0.5 * (g[nu] @ g[mu] - g[mu] @ g[nu]))))

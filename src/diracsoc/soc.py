@@ -28,15 +28,22 @@ the noise inside its Euler loop, a bounded chunk of steps at a time.
 Streaming: ``EulerStream`` is the one Euler loop.  It yields each step's
 (n_paths, 4) positions and keeps the blow-up flags, so a statistic that
 needs only end points or step-to-step comparisons runs in O(n_paths)
-memory, whatever the number of steps.  ``simulate`` collects a stream into
-stored (n_paths, steps+1, 4) paths.  In the simulate suite the generator
-battery, the straight line, the variance law and the configured ensemble
-read end states or final flags, the bitwise reproducibility check runs two
-streams in lockstep, and the Re/Im correlation check takes steps 0 and 1
-of the first of them.  Only the action check (``accumulate_action`` needs
-every position) stores paths, and with ``simulate.dump_paths`` the
-configured ensemble keeps the dumped paths, at most
-``simulate.dump_max_paths`` of them.
+memory, whatever the number of steps.  It advances one noise chunk at a
+time: one multiply gives the chunk's increments, the positions follow row
+by row in the per-step order (z + w ds) + increment, and one finite sum of
+the chunk's last row clears every position in it, since a non-finite entry
+stays non-finite under later additions.  A chunk whose sum is not finite,
+or that starts with paths already frozen, is redone one step at a time
+from its start, with the per-path check that flags and freezes each
+blow-up at its step; positions and flags are the same either way.
+``simulate`` collects a stream into stored (n_paths, steps+1, 4) paths.
+In the simulate suite the generator battery, the straight line, the
+variance law and the configured ensemble read end states or final flags,
+the bitwise reproducibility check runs two streams in lockstep, and the
+Re/Im correlation check takes steps 0 and 1 of the first of them.  Only
+the action check (``accumulate_action`` needs every position) stores
+paths, and with ``simulate.dump_paths`` the configured ensemble keeps the
+dumped paths, at most ``simulate.dump_max_paths`` of them.
 """
 
 from __future__ import annotations
@@ -300,8 +307,11 @@ class TrajectoryEnsemble:
         return self.paths.shape[1] - 1
 
 
-# path-steps of noise drawn per _path_noise call inside the Euler loop
-NOISE_CHUNK = 1 << 16
+# path-steps of noise drawn per _path_noise call inside the Euler loop; EulerStream
+# advances a chunk at a time, so its complex block stays at 16 B x 4 x NOISE_CHUNK
+# = 0.5 MB (or one step when n_paths is larger).  The noise is keyed by step, so
+# the chunk size changes no position.
+NOISE_CHUNK = 1 << 13
 
 
 def _path_noise(seed: int, n_paths: int, steps: int, start: int = 0) -> np.ndarray:
@@ -326,13 +336,16 @@ def _path_noise(seed: int, n_paths: int, steps: int, start: int = 0) -> np.ndarr
 class EulerStream:
     """The forward Euler recursion z' = z + w ds + sigma sqrt(ds) xi, one step at a time.
 
-    Iterating yields the fresh (n_paths, 4) position array at s = 0..steps;
-    no yielded array is written again.  ``truncated`` and ``first_bad_step``
+    Iterating yields the (n_paths, 4) position array at s = 0..steps; no
+    yielded array is written again.  ``truncated`` and ``first_bad_step``
     are up to date at every yield: paths whose positions stop being finite are
     frozen at their last finite value and flagged.  The noise is drawn inside
-    the loop, at most max(n_paths, NOISE_CHUNK) path-steps at a time, so a
-    stream holds O(n_paths) memory whatever its length.  Each iteration
-    restarts the recursion from z0.
+    the loop, at most max(n_paths, NOISE_CHUNK) path-steps at a time, and the
+    positions of a chunk are computed together, with one finiteness check, as
+    rows of one block; a chunk that fails the check, or starts with frozen
+    paths, is recomputed one step at a time.  A stream holds O(n_paths)
+    memory whatever its length.  Each iteration restarts the recursion from
+    z0.
     """
 
     def __init__(self, params: EnsembleParams, w: ControlField, consts: PhysicalConstants,
@@ -345,29 +358,47 @@ class EulerStream:
     def __iter__(self):
         n, steps, ds = self.params.n_paths, self.params.steps, self.params.ds
         chunk = max(1, NOISE_CHUNK // n)
-        amp = self.diffusion.sigma * math.sqrt(ds)
-        with np.errstate(over="ignore", invalid="ignore"):  # flagged at step 0 below
+        with np.errstate(over="ignore", invalid="ignore"):  # flagged by the first step
             drift = self.w.w * ds
+            amp = self.diffusion.sigma * math.sqrt(ds)
         truncated, first_bad = self.truncated, self.first_bad_step
         truncated[:] = False
         first_bad[:] = -1
 
         z = np.broadcast_to(self.params.z0, (n, 4)).copy()
         yield z
-        for s in range(steps):
-            if s % chunk == 0:
-                xi = _path_noise(self.seed, n, min(chunk, steps - s), start=s)
-            # entered per step: an error state held across a yield would leak to the caller
-            with np.errstate(over="ignore", invalid="ignore"):  # blow-ups are flagged below
-                z_new = z + drift + amp * xi[:, s % chunk]
-            bad = ~np.isfinite(z_new.view(np.float64)).reshape(n, 8).all(axis=1)
-            if bad.any():
-                first_bad[bad & ~truncated] = s
-                truncated |= bad
-            if truncated.any():
-                z_new[truncated] = z[truncated]  # freeze blown-up paths
-            z = z_new
-            yield z
+        for start in range(0, steps, chunk):
+            xi = _path_noise(self.seed, n, min(chunk, steps - start), start=start)
+            if not truncated.any():
+                # the whole chunk, row by row in the per-step order (z + drift) + amp xi.
+                # A non-finite entry stays non-finite under every later addition, so a
+                # finite sum of the last row shows that every position in the chunk is
+                # finite.  Error states are entered per chunk and never held across a
+                # yield, where they would leak to the caller.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    block = amp * xi.transpose(1, 0, 2)  # (m, n, 4), never written after
+                    prev = z
+                    for row in block:
+                        np.add(prev + drift, row, out=row)
+                        prev = row
+                    clean = np.isfinite(block[-1].sum())
+                if clean:
+                    yield from block
+                    z = block[-1]
+                    continue
+            # a blow-up, a sum that overflows, or paths already frozen: redo the chunk
+            # from its start one step at a time, flagging and freezing at the exact step
+            for k in range(xi.shape[1]):
+                with np.errstate(over="ignore", invalid="ignore"):  # flagged below
+                    z_new = z + drift + amp * xi[:, k]
+                bad = ~np.isfinite(z_new.view(np.float64)).reshape(n, 8).all(axis=1)
+                if bad.any():
+                    first_bad[bad & ~truncated] = start + k
+                    truncated |= bad
+                if truncated.any():
+                    z_new[truncated] = z[truncated]  # freeze blown-up paths
+                z = z_new
+                yield z
 
     def end_state(self) -> np.ndarray:
         """Run the recursion through its last step and return the positions there."""

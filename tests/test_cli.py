@@ -328,7 +328,9 @@ def test_report_counts_failures(tmp_path):
     (summary,) = read_jsonl(out / "summary.jsonl")
     failed = sorted(n for c in summary["checks"].values() for n in c["failed_lines"])
     assert failed == [i + 1 for i, r in enumerate(records) if not r["pass"]]
-    assert summary["checks"]["spin_antisymmetry"] == {"worst_margin": 0.0, "failed_lines": []}
+    # the damaged gamma^1 breaks the spin generators' Lorentz algebra at every mu != nu
+    assert summary["checks"]["spin_lorentz_algebra"]["worst_margin"] == "inf"
+    assert len(summary["checks"]["spin_lorentz_algebra"]["failed_lines"]) == 12
     assert summary["checks"]["anticommutator"]["worst_margin"] == "inf"
 
 
@@ -646,7 +648,7 @@ def test_small_suite_meta_records_check_family_seconds(tmp_path, command, stem, 
     assert all(s >= 0 for s in seconds.values())
     # every check the suite writes is timed, under its own name or under "relations"
     checks = {r["check"] for r in read_jsonl(out / f"{stem}.jsonl")}
-    assert checks - set(families) <= {"anticommutator", "spin_antisymmetry",
+    assert checks - set(families) <= {"anticommutator", "spin_lorentz_algebra",
                                       "product_identity", "hermiticity"}
 
 

@@ -117,7 +117,7 @@ def test_gammaset_rejects_corrupted_matrices():
 
 def test_relation_residuals_exact_for_dirac():
     entries = relation_residuals(DIRAC.gammas)
-    assert [e[0] for e in entries] == (["anticommutator"] * 16 + ["spin_antisymmetry"] * 16
+    assert [e[0] for e in entries] == (["anticommutator"] * 16 + ["spin_lorentz_algebra"] * 16
                                        + ["product_identity"] * 16 + ["hermiticity"] * 4)
     assert all(resid == 0.0 for *_, resid in entries)
 
@@ -129,7 +129,11 @@ def test_relation_residuals_are_the_failures_of_the_corrupted_run():
     records, _, _ = clifford_records(RunConfig.from_sources(), corrupt=True)
     failed = {(r["check"], r["mu"], r["nu"]) for r in records if "mu" in r and not r["pass"]}
     assert nonzero == failed
-    assert len(nonzero) == 11
+    # the Lorentz algebra breaks at every off-diagonal (mu, nu); S^{mumu} = 0 makes the
+    # diagonal entries read 0 for any matrices
+    assert len(nonzero) == 23
+    assert {(mu, nu) for c, mu, nu in nonzero if c == "spin_lorentz_algebra"} \
+        == {(mu, nu) for mu in range(4) for nu in range(4) if mu != nu}
     with pytest.raises(CliffordError, match=r"Clifford relation violated at \(1,1\)"):
         GammaSet(gammas=bad)
 

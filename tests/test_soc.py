@@ -1,5 +1,9 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diracsoc import emfield, soc
 from diracsoc.clifford import METRIC_DIAG, mdot
@@ -329,7 +333,7 @@ def test_simulate_blowup_flagged_and_frozen():
 
 
 def _stream_cases():
-    # 2048 paths draw 32 steps per noise chunk, so 80 steps cross two chunk boundaries
+    # 2048 paths draw 4 steps per noise chunk, so 80 steps cross 19 chunk boundaries
     crossing = (EnsembleParams(n_paths=2048, steps=80, ds=1e-3),
                 constant_control(np.array([0.3, -0.2, 0.1, 0.05])), None)
     # a real noise amplitude of 3e307 overflows a component after a few steps, at a
@@ -370,6 +374,102 @@ def test_stream_end_state_restarts_from_z0():
     first, again = stream.end_state(), stream.end_state()
     assert np.array_equal(first, again)
     assert np.array_equal(first, simulate(params, zero_control(), CONSTS, seed=31).paths[:, -1])
+
+
+def literal_recursion(params, w, seed, diffusion):
+    """(positions, truncated, first_bad_step) after each step of the plain recursion
+    z' = (z + w ds) + sigma sqrt(ds) xi, one path and one step at a time, from the
+    noise of every step drawn at once; a path whose position stops being finite stays
+    at its last finite position and is flagged at that step."""
+    n = params.n_paths
+    xi = _path_noise(seed, n, params.steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = w.w * params.ds
+        amp = diffusion.sigma * math.sqrt(params.ds)
+    z = np.broadcast_to(params.z0, (n, 4)).copy()
+    truncated, first_bad = np.zeros(n, dtype=bool), np.full(n, -1)
+    states = [(z, truncated.copy(), first_bad.copy())]
+    for s in range(params.steps):
+        z = z.copy()
+        for p in np.flatnonzero(~truncated):
+            with np.errstate(over="ignore", invalid="ignore"):
+                moved = z[p] + drift + amp * xi[p, s]
+            if np.isfinite(moved).all():
+                z[p] = moved
+            else:
+                truncated[p], first_bad[p] = True, s
+        states.append((z, truncated.copy(), first_bad.copy()))
+    return states
+
+
+def _assert_stream_is_the_recursion(params, w, diffusion, seed, noise_chunk):
+    want = literal_recursion(params, w, seed, diffusion)
+    with mock.patch.object(soc, "NOISE_CHUNK", noise_chunk):
+        stream = EulerStream(params, w, CONSTS, seed, diffusion=diffusion)
+        held = []
+        for s, z in enumerate(stream):
+            pos, truncated, first_bad = want[s]
+            assert z.tobytes() == pos.tobytes(), s
+            assert np.array_equal(stream.truncated, truncated), s
+            assert np.array_equal(stream.first_bad_step, first_bad), s
+            held.append(z)
+    assert len(held) == params.steps + 1
+    # no yielded array is written after its yield
+    assert all(z.tobytes() == pos.tobytes() for z, (pos, _, _) in zip(held, want))
+    return want[-1]
+
+
+def _recursion_cases():
+    # one path drifting by 2.5e307 per step is finite through step 6 (1.75e308) and
+    # overflows at step 7; three steps per chunk put step 7 mid-chunk after two clean
+    # chunks, four steps per chunk make it a chunk's last step
+    one = EnsembleParams(n_paths=1, steps=12, ds=1.0)
+    rush = constant_control(np.array([2.5e307, 0, 0, 0]))
+    # every position is finite, but four paths at 1.5e308 overflow the sum of a row
+    near_max = EnsembleParams(n_paths=4, steps=10, ds=1.0, z0=[1.5e308, 0, 0, 0])
+    # a real noise amplitude of 6e307 blows path 0 up at step 4 and path 1 at step 11,
+    # two steps per chunk: path 0 stays frozen through chunks in which a whole-chunk
+    # update would have moved it and kept every position finite
+    noisy = EnsembleParams(n_paths=2, steps=40, ds=1.0)
+    loud = DiffusionCoefficients(np.full(4, 6e307), np.zeros(4))
+    return {
+        "blowup_in_later_chunk": (one, rush, zero_diffusion(), 3, {0: 7}),
+        "blowup_on_chunk_last_step": (one, rush, zero_diffusion(), 4, {0: 7}),
+        "finite_sum_overflows": (near_max, constant_control(np.array([1.0, 0, 0, 0])),
+                                 zero_diffusion(), 12, {}),
+        "frozen_in_earlier_chunk": (noisy, zero_control(), loud, 4, {0: 4, 1: 11}),
+    }
+
+
+@pytest.mark.parametrize("case", list(_recursion_cases()))
+def test_stream_is_the_literal_recursion(case):
+    params, w, diffusion, noise_chunk, blowups = _recursion_cases()[case]
+    z, _, first_bad = _assert_stream_is_the_recursion(params, w, diffusion, seed=1,
+                                                      noise_chunk=noise_chunk)
+    assert {p: s for p, s in enumerate(first_bad) if s >= 0} == blowups
+    if case == "finite_sum_overflows":
+        with np.errstate(over="ignore"):
+            assert np.isfinite(z).all() and not np.isfinite(z.sum())
+
+
+def _amplitudes():
+    # zero, or m x 10^e from small up to near the largest double
+    return st.one_of(st.just(0.0), st.builds(lambda m, e: m * 10.0 ** e,
+                                             st.floats(1.0, 9.99), st.integers(-3, 307)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_paths=st.integers(1, 12), steps=st.integers(1, 25), noise_chunk=st.integers(1, 64),
+       ds=st.sampled_from([1e-3, 1.0, 10.0]), drift=_amplitudes(), noise=_amplitudes(),
+       z0=st.sampled_from([0.0, 1e300, 1.7e308]), seed=st.integers(0, 2 ** 32 - 1))
+# sqrt(ds) = 3.16 overflows both the drift and the diffusion amplitude before any step
+@example(n_paths=3, steps=4, noise_chunk=6, ds=10.0, drift=9e307, noise=9e307, z0=0.0, seed=0)
+def test_stream_matches_literal_recursion_at_every_yield(n_paths, steps, noise_chunk, ds,
+                                                        drift, noise, z0, seed):
+    params = EnsembleParams(n_paths=n_paths, steps=steps, ds=ds, z0=[z0, 0, -z0, 0])
+    w = constant_control(drift * np.array([1.0, -0.5j, 0.25, 1 + 1j]))
+    diffusion = DiffusionCoefficients(noise * make_diffusion(CONSTS).sigma, np.zeros(4))
+    _assert_stream_is_the_recursion(params, w, diffusion, seed, noise_chunk)
 
 
 # -- stochastic action --------------------------------------------------------
