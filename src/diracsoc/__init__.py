@@ -15,7 +15,7 @@ from .grid import (Field, SpacetimeGrid, dalembertian, field_to_csv, l2norm, par
                    plane_wave, random_band_limited)
 from .operators import (SampledPotential, build_spinor, conjugate_apply, dirac_apply,
                         dirac_plane_wave, factored_rhs, factorization_discrepancy,
-                        fock_rhs, gauge_discrepancy_prediction,
+                        fock_and_factored, fock_rhs, gauge_discrepancy_prediction,
                         kg_residual_componentwise, legacy_factored_rhs)
 from .soc import (ControlField, DiffusionCoefficients, EnsembleParams,
                   TrajectoryEnsemble, accumulate_action, constant_control,

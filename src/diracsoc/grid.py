@@ -12,7 +12,9 @@ multiplies the transform along axis mu by the symbol i k for a first
 derivative and by -k^2 for a second (``dalembertian``), with the Nyquist
 entry zeroed in both, so the one-pass second derivative has the symbol of
 ``partial`` applied twice.  The fd4 backend is the fourth-order central
-stencil; its d'Alembertian composes that first-derivative stencil.
+stencil; its d'Alembertian composes that first-derivative stencil.  Where
+both orders are wanted (``_derivatives``), one forward transform per axis
+serves them, and each result is the same bits as when computed alone.
 """
 
 from __future__ import annotations
@@ -113,8 +115,7 @@ class Field:
             raise GridError(
                 f"field shape {v.shape} matches neither scalar {self.grid.shape} "
                 f"nor spinor {(4,) + self.grid.shape}")
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise GridError("field contains non-finite values")
+        _require_finite(v)
         if copy:
             v = v.copy()
         v.setflags(write=False)
@@ -141,6 +142,13 @@ class Field:
         return Field(self.grid, c * self.values, copy=False)
 
 
+def _require_finite(values: np.ndarray) -> np.ndarray:
+    """``values`` itself, once every entry is known to be finite (GridError otherwise)."""
+    if not np.all(np.isfinite(values.view(np.float64))):
+        raise GridError("field contains non-finite values")
+    return values
+
+
 def l2norm(f: Field) -> float:
     """Root-mean-square magnitude over all components and points."""
     return float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
@@ -157,29 +165,52 @@ def _spectral_symbols(grid: SpacetimeGrid, mu: int) -> tuple[np.ndarray, np.ndar
     return 1j * k, -(k * k)
 
 
-def _spectral_pass(f: Field, axis: int, symbol: np.ndarray) -> np.ndarray:
-    """Transform along one array axis, multiply by a symbol, transform back."""
-    shape = [1] * f.values.ndim
-    shape[axis] = symbol.size
-    fhat = np.fft.fft(f.values, axis=axis)
-    fhat *= symbol.reshape(shape)
-    return np.fft.ifft(fhat, axis=axis, out=fhat)
+def _spectral_passes(values: np.ndarray, axis: int, symbols: list[np.ndarray]
+                     ) -> list[np.ndarray]:
+    """Transform along one array axis once; multiply by each symbol and transform back.
+
+    Every product but the last is a new array; the last is formed in the
+    transform's own buffer.
+    """
+    shape = [1] * values.ndim
+    shape[axis] = values.shape[axis]
+    fhat = np.fft.fft(values, axis=axis)
+    products = [fhat * s.reshape(shape) for s in symbols[:-1]]
+    products.append(np.multiply(fhat, symbols[-1].reshape(shape), out=fhat))
+    return [np.fft.ifft(p, axis=axis, out=p) for p in products]
 
 
-def _partial_values(f: Field, mu: int, backend: str = "spectral") -> np.ndarray:
-    """The values of ``partial(f, mu, backend)`` as a fresh writable array, unchecked."""
+def _fd4(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """The fourth-order central first-derivative stencil along one array axis."""
+    return (-np.roll(values, -2, axis=axis) + 8 * np.roll(values, -1, axis=axis)
+            - 8 * np.roll(values, 1, axis=axis) + np.roll(values, 2, axis=axis)) / (12 * h)
+
+
+def _axis_derivatives(f: Field, mu: int, backend: str, orders: tuple[int, ...]
+                      ) -> list[np.ndarray]:
+    """For each order in ``orders``: d_mu f (1) or eta^{mumu} d_mu d_mu f (2).
+
+    The results are fresh writable arrays, unchecked.  Spectral: one forward
+    transform serves both orders.  fd4: the second is the first-derivative
+    stencil applied to the first.
+    """
     if not f.grid.is_active(mu):
         raise GridError(f"cannot differentiate along inactive axis {mu}")
     axis = _axis_of(f, mu)
     if backend == "spectral":
-        ik, _ = _spectral_symbols(f.grid, mu)
-        return _spectral_pass(f, axis, ik)
+        ik, minus_k2 = _spectral_symbols(f.grid, mu)
+        symbols = {1: ik, 2: METRIC_DIAG[mu] * minus_k2}
+        return _spectral_passes(f.values, axis, [symbols[n] for n in orders])
     if backend == "fd4":
         h = f.grid.spacing[mu]
-        v = f.values
-        return (-np.roll(v, -2, axis=axis) + 8 * np.roll(v, -1, axis=axis)
-                - 8 * np.roll(v, 1, axis=axis) + np.roll(v, 2, axis=axis)) / (12 * h)
+        d = _fd4(f.values, axis, h)
+        return [d if n == 1 else METRIC_DIAG[mu] * _fd4(d, axis, h) for n in orders]
     raise GridError(f"unknown backend {backend!r}; valid: {BACKENDS}")
+
+
+def _partial_values(f: Field, mu: int, backend: str = "spectral") -> np.ndarray:
+    """The values of ``partial(f, mu, backend)`` as a fresh writable array, unchecked."""
+    return _axis_derivatives(f, mu, backend, (1,))[0]
 
 
 def partial(f: Field, mu: int, backend: str = "spectral") -> Field:
@@ -194,6 +225,24 @@ def partial_or_zero(f: Field, mu: int, backend: str = "spectral") -> Field:
     return partial(f, mu, backend)
 
 
+def _derivatives(f: Field, backend: str = "spectral", first: bool = True
+                 ) -> tuple[list[np.ndarray], np.ndarray]:
+    """([d_mu f for each active mu], d^mu d_mu f) as fresh writable arrays, unchecked.
+
+    One forward transform per axis serves both; with ``first=False`` the
+    first derivatives are not kept and the list is empty.
+    """
+    grads, box = [], None
+    for mu in range(f.grid.dims):
+        *d, dd = _axis_derivatives(f, mu, backend, (1, 2) if first else (2,))
+        grads += d
+        if box is None:
+            box = dd
+        else:
+            box += dd
+    return grads, box
+
+
 def dalembertian(f: Field, backend: str = "spectral") -> Field:
     """d^mu d_mu f = eta^{munu} d_nu d_mu f over the active axes.
 
@@ -201,20 +250,7 @@ def dalembertian(f: Field, backend: str = "spectral") -> Field:
     (Nyquist entry zeroed, as in ``partial``).  fd4: the first-derivative
     stencil applied twice along each axis.
     """
-    if backend == "spectral":
-        out = None
-        for mu in range(f.grid.dims):
-            _, minus_k2 = _spectral_symbols(f.grid, mu)
-            term = _spectral_pass(f, _axis_of(f, mu), METRIC_DIAG[mu] * minus_k2)
-            if out is None:
-                out = term
-            else:
-                out += term
-        return Field(f.grid, out, copy=False)
-    out = np.zeros_like(f.values)
-    for mu in range(f.grid.dims):
-        out = out + METRIC_DIAG[mu] * partial(partial(f, mu, backend), mu, backend).values
-    return Field(f.grid, out, copy=False)
+    return Field(f.grid, _derivatives(f, backend, first=False)[1], copy=False)
 
 
 def plane_wave(grid: SpacetimeGrid, k, chi=None, amplitude: complex = 1.0) -> Field:

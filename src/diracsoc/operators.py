@@ -8,8 +8,12 @@ field -i e hbar g(z) phi, which ``gauge_discrepancy_prediction``
 computes directly.
 
 Compositions are evaluated by genuinely applying one operator to the
-output of the other on the grid -- there is no symbolic fusion -- so the
-equivalence checks are honest numerical tests.
+output of the other on the grid; there is no symbolic fusion.
+``fock_and_factored`` computes phi's derivative arrays once, from one
+forward transform per axis, and both sides read them: the A.d term of
+``fock_rhs`` and the first factor.  Those arrays are the same bits that
+each side computes alone, so the equivalence check is as honest a
+numerical test as two separate evaluations.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import numpy as np
 from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet, as_four_vector
 from .constants import PhysicalConstants
 from .emfield import PotentialSpec, evaluate_potential, lorenz_residual, potential_jacobian
-from .grid import Field, SpacetimeGrid, _partial_values, dalembertian, l2norm, partial, plane_wave
+from .grid import (Field, SpacetimeGrid, _derivatives, _partial_values, _require_finite,
+                   dalembertian, l2norm, plane_wave)
 
 
 class OperatorError(ValueError):
@@ -41,9 +46,15 @@ class SampledPotential:
     ``coupled[mu]`` says whether A_mu is anywhere nonzero and ``asq`` is
     A^mu A_mu (None where it vanishes identically).  ``F`` maps
     (mu, nu) to F_munu for the components that are not identically zero,
-    in row-major order; it is evaluated on first use, one component at a
-    time from the Jacobian, so the dense 4x4 field strength (16 MiB on a
-    256x256 grid) is never built.
+    in row-major order.  It is evaluated on first use, one component at a
+    time, from the dense 4x4 Jacobian that ``potential_jacobian`` builds
+    (16 MiB on a 256x256 grid, freed once F is taken).  The dense Jacobian
+    stays: taking F entry by entry from ``jacobian_entries`` lowers the
+    traced peak of the sampling but not the process's peak RSS, and it
+    multiplies the minor page faults, since the 16 MiB block is what raises
+    glibc's dynamic mmap threshold above the operators' 4 MiB arrays.  The
+    operators take F before phi's derivatives exist, so that its peak does
+    not add to theirs.
     """
 
     def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid) -> None:
@@ -86,74 +97,114 @@ def _sampled(psi: Field, A: Potential) -> SampledPotential:
     return A
 
 
-def _gamma_mix(mat: ArrayC, comp: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
-    """Apply a 4x4 matrix in spinor space: out_a = sum_b M_ab v_b.
+def _monomial_pairs(mat: ArrayC) -> list[tuple[int, int, complex]] | None:
+    """(a, p(a), M_a,p(a)) for each row of a monomial matrix, else None.
 
-    A monomial matrix (one nonzero entry per row, as every gamma matrix
-    and every commutator of two is) is applied as out_a = M_a,p(a) v_p(a),
-    which equals the full sum exactly: the other terms are products with
-    zero.  With ``add_to`` the result is added into that array, one
-    component at a time, and the array is returned.
+    A monomial matrix has one nonzero entry per row, as every gamma matrix
+    and every commutator of two has; out_a = M_a,p(a) v_p(a) then equals the
+    full sum over b exactly, since the other terms are products with zero.
     """
     nonzero = mat != 0
     if not np.all(nonzero.sum(axis=1) == 1):
+        return None
+    return [(a, b, mat[a, b]) for a, b in enumerate(nonzero.argmax(axis=1))]
+
+
+def _gamma_mix(mat: ArrayC, comp: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
+    """Apply a 4x4 matrix in spinor space: out_a = sum_b M_ab v_b.
+
+    A monomial matrix is applied one component at a time; any other matrix
+    by ``np.tensordot``.  With ``add_to`` the result is added into that
+    array and the array is returned.
+    """
+    pairs = _monomial_pairs(mat)
+    if pairs is None:
         mixed = np.tensordot(mat, comp, axes=(1, 0))
         if add_to is None:
             return mixed
         add_to += mixed
         return add_to
-    rows = enumerate(nonzero.argmax(axis=1))
     if add_to is None:
         out = np.empty(comp.shape, dtype=np.complex128)
-        for a, b in rows:
-            np.multiply(mat[a, b], comp[b], out=out[a])
+        for a, b, m in pairs:
+            np.multiply(m, comp[b], out=out[a])
         return out
     row = np.empty(comp.shape[1:], dtype=np.complex128)
-    for a, b in rows:
-        np.multiply(mat[a, b], comp[b], out=row)
+    for a, b, m in pairs:
+        np.multiply(m, comp[b], out=row)
         add_to[a] += row
     return add_to
+
+
+def _slash_values(psi: Field, pot: SampledPotential, consts: PhysicalConstants,
+                  gammas: GammaSet, backend: str, mass: int = 0,
+                  dpsi: list[np.ndarray] | None = None) -> np.ndarray:
+    """gamma^nu (i hbar d_nu - e A_nu) psi + mass m c psi as a fresh array, unchecked.
+
+    ``mass`` is 0, +1 or -1.  The potential and mass terms are formed one
+    spinor component at a time in one reused buffer.  ``dpsi``, if given,
+    holds d_nu psi for the active axes in order and is consumed: each array
+    is popped and overwritten by its term.  Otherwise each derivative is taken
+    when its term is reached.
+    """
+    values = psi.values
+    row = np.empty(psi.grid.shape, dtype=np.complex128)
+    out = None  # axis 0 is always active, so its term starts the sum
+    for nu in range(4):
+        active, coupled = psi.grid.is_active(nu), pot.coupled[nu]
+        eA = consts.e * pot.A[nu] if coupled else None
+        if active:
+            term = dpsi.pop(0) if dpsi is not None else _partial_values(psi, nu, backend)
+            np.multiply(1j * consts.hbar, term, out=term)
+            if coupled:
+                for b in range(4):
+                    np.multiply(eA, values[b], out=row)
+                    term[b] -= row
+            out = _gamma_mix(gammas.gammas[nu], term, add_to=out)
+            del term  # freed before the next axis's derivative is taken
+        elif coupled:
+            # d_nu psi vanishes on an inactive axis: the term is -e A_nu psi
+            pairs = _monomial_pairs(gammas.gammas[nu])
+            if pairs is None:
+                out = _gamma_mix(gammas.gammas[nu], np.negative(np.multiply(eA, values)),
+                                 add_to=out)
+                continue
+            for a, b, m in pairs:
+                np.multiply(eA, values[b], out=row)
+                np.negative(row, out=row)
+                np.multiply(m, row, out=row)
+                out[a] += row
+    if mass:
+        add = np.add if mass > 0 else np.subtract
+        for a in range(4):
+            np.multiply(consts.mc, values[a], out=row)
+            add(out[a], row, out=out[a])
+    # a non-finite term leaves a non-finite entry in out (inf - inf is nan), which Field refuses
+    return out
 
 
 def minimal_coupling_slash(psi: Field, A: Potential, consts: PhysicalConstants,
                            gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """gamma^nu (i hbar d_nu - e A_nu) psi -- the mass-free first-order part."""
     _require_spinor(psi)
-    pot = _sampled(psi, A)
-    out = None  # axis 0 is always active, so at least one term is added
-    coupling = None  # e A_nu psi, one buffer reused across nu
-    for nu in range(4):
-        # d_nu psi vanishes on an inactive axis and A_nu may vanish: skip zero terms
-        term = None
-        if psi.grid.is_active(nu):
-            term = _partial_values(psi, nu, backend)
-            np.multiply(1j * consts.hbar, term, out=term)
-        if pot.coupled[nu]:
-            if coupling is None:
-                coupling = np.empty_like(psi.values)
-            np.multiply(consts.e * pot.A[nu], psi.values, out=coupling)
-            if term is None:
-                term = np.negative(coupling, out=coupling)
-            else:
-                term -= coupling
-        if term is not None:
-            out = _gamma_mix(gammas.gammas[nu], term, add_to=out)
-    # a non-finite term leaves a non-finite entry in out (inf - inf is nan), which Field refuses
-    return Field(psi.grid, out, copy=False)
+    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, gammas, backend),
+                 copy=False)
 
 
 def dirac_apply(psi: Field, A: Potential, consts: PhysicalConstants,
                 gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """(i hbar gamma^nu d_nu - e gamma^nu A_nu - m c) psi."""
-    base = minimal_coupling_slash(psi, A, consts, gammas, backend)
-    return Field(psi.grid, base.values - consts.mc * psi.values, copy=False)
+    _require_spinor(psi)
+    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, gammas, backend,
+                                         mass=-1), copy=False)
 
 
 def conjugate_apply(psi: Field, A: Potential, consts: PhysicalConstants,
                     gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """(i hbar gamma^mu d_mu - e gamma^mu A_mu + m c) psi."""
-    base = minimal_coupling_slash(psi, A, consts, gammas, backend)
-    return Field(psi.grid, base.values + consts.mc * psi.values, copy=False)
+    _require_spinor(psi)
+    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, gammas, backend,
+                                         mass=+1), copy=False)
 
 
 def build_spinor(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -166,6 +217,50 @@ def build_spinor(phi: Field, A: Potential, consts: PhysicalConstants,
     return conjugate_apply(phi, A, consts, gammas, backend)
 
 
+def _fock_values(phi: Field, pot: SampledPotential, consts: PhysicalConstants,
+                 gammas: GammaSet, dphi: list[np.ndarray], box: np.ndarray) -> np.ndarray:
+    """The terms of ``fock_rhs``, unchecked, from phi's derivatives.
+
+    The result is formed in ``box``'s buffer; ``dphi`` is read on the
+    coupled axes.  The mass, field-strength, A.d and A^2 terms are formed
+    one spinor component at a time in one reused buffer.
+    """
+    hbar, e, mc = consts.hbar, consts.e, consts.mc
+    values = phi.values
+    row = np.empty(phi.grid.shape, dtype=np.complex128)
+    out = np.multiply(hbar ** 2, _require_finite(box), out=box)
+    for a in range(4):  # -m^2 c^2 phi - hbar^2 box
+        np.multiply(-(mc ** 2), values[a], out=row)
+        np.subtract(row, out[a], out=out[a])
+
+    for (mu, nu), F_munu in pot.F.items():
+        comm = gammas.commutator(mu, nu)
+        pairs = _monomial_pairs(comm)
+        if pairs is None:
+            out -= (0.25j * e * hbar) * _gamma_mix(comm, F_munu * values)
+            continue
+        for a, b, m in pairs:
+            np.multiply(F_munu, values[b], out=row)
+            np.multiply(m, row, out=row)
+            np.multiply(0.25j * e * hbar, row, out=row)
+            out[a] -= row
+
+    for mu in range(phi.grid.dims):
+        if pot.coupled[mu]:
+            coef = 2j * e * hbar * METRIC_DIAG[mu] * pot.A[mu]
+            d = _require_finite(dphi[mu])
+            for a in range(4):
+                np.multiply(coef, d[a], out=row)
+                out[a] -= row
+
+    if pot.asq is not None:
+        coef = e ** 2 * pot.asq
+        for a in range(4):
+            np.multiply(coef, values[a], out=row)
+            out[a] += row
+    return out
+
+
 def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
              gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
     """Second-order right-hand side, term by term:
@@ -176,24 +271,9 @@ def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     """
     _require_spinor(phi)
     pot = _sampled(phi, A)
-    hbar, e, mc = consts.hbar, consts.e, consts.mc
-    Av = pot.A
-
-    out = -(mc ** 2) * phi.values
-    out -= hbar ** 2 * dalembertian(phi, backend).values
-
-    for (mu, nu), F_munu in pot.F.items():
-        comm = gammas.commutator(mu, nu)
-        out -= (0.25j * e * hbar) * _gamma_mix(comm, F_munu * phi.values)
-
-    for mu in range(phi.grid.dims):
-        if pot.coupled[mu]:
-            dphi = partial(phi, mu, backend).values
-            out -= 2j * e * hbar * METRIC_DIAG[mu] * Av[mu] * dphi
-
-    if pot.asq is not None:
-        out += e ** 2 * pot.asq * phi.values
-    return Field(phi.grid, out, copy=False)
+    pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
+    dphi, box = _derivatives(phi, backend, first=any(pot.coupled[:phi.grid.dims]))
+    return Field(phi.grid, _fock_values(phi, pot, consts, gammas, dphi, box), copy=False)
 
 
 def factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -201,6 +281,25 @@ def factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     """(i hbar gamma d - e gamma A - mc)(i hbar gamma d - e gamma A + mc) phi."""
     return dirac_apply(conjugate_apply(phi, A, consts, gammas, backend),
                        A, consts, gammas, backend)
+
+
+def fock_and_factored(phi: Field, A: Potential, consts: PhysicalConstants,
+                      gammas: GammaSet = DIRAC, backend: str = "spectral"
+                      ) -> tuple[Field, Field]:
+    """(``fock_rhs``, ``factored_rhs``) of phi, sharing phi's derivatives.
+
+    d_mu phi and the d'Alembertian come from one forward transform per axis;
+    ``fock_rhs``'s A.d term reads the first derivatives and the first factor
+    then consumes them.  Each output is the same bits as the function's own.
+    """
+    _require_spinor(phi)
+    pot = _sampled(phi, A)
+    pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
+    dphi, box = _derivatives(phi, backend)
+    fock = Field(phi.grid, _fock_values(phi, pot, consts, gammas, dphi, box), copy=False)
+    psi = Field(phi.grid, _slash_values(phi, pot, consts, gammas, backend, mass=+1, dpsi=dphi),
+                copy=False)
+    return fock, dirac_apply(psi, pot, consts, gammas, backend)
 
 
 def legacy_factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -230,8 +329,7 @@ def factorization_discrepancy(phi: Field, A: Potential, consts: PhysicalConstant
                               gammas: GammaSet = DIRAC, backend: str = "spectral"
                               ) -> tuple[float, float, float]:
     """(relative, absolute, |fock|) discrepancy between the two forms."""
-    fock = fock_rhs(phi, A, consts, gammas, backend)
-    fact = factored_rhs(phi, A, consts, gammas, backend)
+    fock, fact = fock_and_factored(phi, A, consts, gammas, backend)
     diff = l2norm(fact - fock)
     ref = l2norm(fock)
     rel = diff / ref if ref > 0 else np.inf

@@ -342,10 +342,10 @@ class EulerStream:
     frozen at their last finite value and flagged.  The noise is drawn inside
     the loop, at most max(n_paths, NOISE_CHUNK) path-steps at a time, and the
     positions of a chunk are computed together, with one finiteness check, as
-    rows of one block; a chunk that fails the check, or starts with frozen
-    paths, is recomputed one step at a time.  A stream holds O(n_paths)
-    memory whatever its length.  Each iteration restarts the recursion from
-    z0.
+    rows of one block whose frozen paths are reset to their frozen positions;
+    a chunk that fails the check is recomputed one step at a time.  A stream
+    holds O(n_paths) memory whatever its length.  Each iteration restarts the
+    recursion from z0.
     """
 
     def __init__(self, params: EnsembleParams, w: ControlField, consts: PhysicalConstants,
@@ -369,25 +369,27 @@ class EulerStream:
         yield z
         for start in range(0, steps, chunk):
             xi = _path_noise(self.seed, n, min(chunk, steps - start), start=start)
-            if not truncated.any():
-                # the whole chunk, row by row in the per-step order (z + drift) + amp xi.
-                # A non-finite entry stays non-finite under every later addition, so a
-                # finite sum of the last row shows that every position in the chunk is
-                # finite.  Error states are entered per chunk and never held across a
-                # yield, where they would leak to the caller.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    block = amp * xi.transpose(1, 0, 2)  # (m, n, 4), never written after
-                    prev = z
-                    for row in block:
-                        np.add(prev + drift, row, out=row)
-                        prev = row
-                    clean = np.isfinite(block[-1].sum())
-                if clean:
-                    yield from block
-                    z = block[-1]
-                    continue
-            # a blow-up, a sum that overflows, or paths already frozen: redo the chunk
-            # from its start one step at a time, flagging and freezing at the exact step
+            # the whole chunk, row by row in the per-step order (z + drift) + amp xi, with
+            # frozen paths then put back at their frozen positions.  A non-finite entry
+            # stays non-finite under every later addition, so a finite sum of the last
+            # row shows that every position in the chunk is finite.  Error states are
+            # entered per chunk and never held across a yield, where they would leak to
+            # the caller.
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = amp * xi.transpose(1, 0, 2)  # (m, n, 4), never written after
+                prev = z
+                for row in block:
+                    np.add(prev + drift, row, out=row)
+                    prev = row
+                if truncated.any():
+                    block[:, truncated] = z[truncated]
+                clean = np.isfinite(block[-1].sum())
+            if clean:
+                yield from block
+                z = block[-1]
+                continue
+            # a blow-up or a sum that overflows: redo the chunk from its start one step
+            # at a time, flagging and freezing at the exact step
             for k in range(xi.shape[1]):
                 with np.errstate(over="ignore", invalid="ignore"):  # flagged below
                     z_new = z + drift + amp * xi[:, k]

@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diracsoc import emfield, operators
-from diracsoc.clifford import DIRAC, METRIC_DIAG, mdot
+from diracsoc.cli import gauge_violating_potential, identity_potentials
+from diracsoc.clifford import DIRAC, METRIC_DIAG, GammaSet, mdot
 from diracsoc.constants import PhysicalConstants
 from diracsoc.grid import (Field, GridError, SpacetimeGrid, dalembertian, l2norm, partial,
                            plane_wave, random_band_limited)
 from diracsoc.operators import (OperatorError, SampledPotential, _gamma_mix, build_spinor,
     conjugate_apply, dirac_apply, dirac_plane_wave, factored_rhs, factorization_discrepancy,
-    fock_rhs, gauge_discrepancy_prediction, kg_residual_componentwise,
+    fock_and_factored, fock_rhs, gauge_discrepancy_prediction, kg_residual_componentwise,
     legacy_factored_rhs, minimal_coupling_slash)
 
 GRID = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(64, 64))
@@ -371,20 +374,20 @@ def _ref_partial(f, mu, backend):
     return partial(f, mu, backend).values if f.grid.is_active(mu) else np.zeros_like(f.values)
 
 
-def _ref_slash(psi, spec, consts, backend):
+def _ref_slash(psi, spec, consts, backend, gammas):
     Av = emfield.evaluate_potential(spec, psi.grid.coords4())
     out = np.zeros_like(psi.values)
     for nu in range(4):
         term = 1j * consts.hbar * _ref_partial(psi, nu, backend)
         if np.any(Av[nu] != 0):
             term = term - consts.e * Av[nu] * psi.values
-        out = out + np.tensordot(DIRAC.gammas[nu], term, axes=(1, 0))
+        out = out + np.tensordot(gammas.gammas[nu], term, axes=(1, 0))
     return out
 
 
-def _ref_factored(phi, spec, consts, backend):
-    psi = Field(phi.grid, _ref_slash(phi, spec, consts, backend) + consts.mc * phi.values)
-    return _ref_slash(psi, spec, consts, backend) - consts.mc * psi.values
+def _ref_factored(phi, spec, consts, backend, gammas):
+    psi = Field(phi.grid, _ref_slash(phi, spec, consts, backend, gammas) + consts.mc * phi.values)
+    return _ref_slash(psi, spec, consts, backend, gammas) - consts.mc * psi.values
 
 
 def _ref_second_derivative(phi, mu, backend):
@@ -399,7 +402,7 @@ def _ref_second_derivative(phi, mu, backend):
     return np.fft.ifft(-(k * k).reshape(shape) * np.fft.fft(phi.values, axis=axis), axis=axis)
 
 
-def _ref_fock(phi, spec, consts, backend):
+def _ref_fock(phi, spec, consts, backend, gammas):
     hbar, e, mc = consts.hbar, consts.e, consts.mc
     coords = phi.grid.coords4()
     Av = emfield.evaluate_potential(spec, coords)
@@ -411,7 +414,7 @@ def _ref_fock(phi, spec, consts, backend):
     for mu in range(4):
         for nu in range(4):
             if np.any(F[mu, nu] != 0):
-                mixed = np.tensordot(DIRAC.commutator(mu, nu), F[mu, nu] * phi.values,
+                mixed = np.tensordot(gammas.commutator(mu, nu), F[mu, nu] * phi.values,
                                      axes=(1, 0))
                 out = out - (0.25j * e * hbar) * mixed
     for mu in range(4):
@@ -423,19 +426,106 @@ def _ref_fock(phi, spec, consts, backend):
     return out
 
 
+def _monomial(mat):
+    return bool(np.all(np.count_nonzero(mat, axis=1) == 1))
+
+
+# U = (H x H) CS / 2 is unitary with entries in {+-1/2, +-i/2}, so U gamma U^dagger is
+# exact and passes GammaSet's exact Clifford checks.  CS = diag(1, 1, 1, i) lies outside
+# the Clifford group: gamma^1..3 and most commutators of the rotated set are not
+# monomial, so the operators mix them by np.tensordot.
+_H = np.array([[1, 1], [1, -1]])
+_U = np.kron(_H, _H) @ np.diag([1, 1, 1, 1j]) / 2
+ROTATED = GammaSet(gammas=[_U @ g @ _U.conj().T for g in DIRAC.gammas])
+
+
+def _witness_cases_with_gammas():
+    g = WITNESS_GRID
+    # couples both active axes and the inactive axis 2, with F_01, F_02 and F_12 nonzero
+    wave = emfield.custom_wave([0.3, -0.2, 0.5, 0], g.commensurate_wavevector([1, 1]))
+    return ([(name, grid, spec, DIRAC) for name, grid, spec in witness_cases()]
+            + [("rotated_gammas", g, wave, ROTATED)])
+
+
+def test_rotated_gamma_set_is_not_monomial():
+    assert _monomial(ROTATED.gammas[0])
+    assert not any(_monomial(ROTATED.gammas[nu]) for nu in (1, 2, 3))
+    assert _monomial(ROTATED.commutator(1, 2))
+    assert not any(_monomial(ROTATED.commutator(mu, nu)) for mu, nu in [(0, 1), (0, 2)])
+
+
 @pytest.mark.parametrize("backend", ["spectral", "fd4"])
-@pytest.mark.parametrize("name,grid,spec", witness_cases())
-def test_operators_equal_term_by_term_reference(name, grid, spec, backend):
+@pytest.mark.parametrize("name,grid,spec,gammas", _witness_cases_with_gammas())
+def test_operators_equal_term_by_term_reference(name, grid, spec, gammas, backend):
     rng = np.random.default_rng(97)
     c = WITNESS_CONSTS
     for _ in range(2):
         phi = random_band_limited(grid, 3, rng, spinor=True)
-        fock_want = _ref_fock(phi, spec, c, backend)
-        fact_want = _ref_factored(phi, spec, c, backend)
+        fock_want = _ref_fock(phi, spec, c, backend, gammas)
+        fact_want = _ref_factored(phi, spec, c, backend, gammas)
         for pot in (spec, SampledPotential(spec, grid)):
-            assert np.array_equal(fock_rhs(phi, pot, c, backend=backend).values, fock_want), name
-            assert np.array_equal(factored_rhs(phi, pot, c, backend=backend).values,
+            assert np.array_equal(fock_rhs(phi, pot, c, gammas, backend).values, fock_want), name
+            assert np.array_equal(factored_rhs(phi, pot, c, gammas, backend).values,
                                   fact_want), name
+            # the shared kernel gives the same bits as the two operators alone
+            fock, fact = fock_and_factored(phi, pot, c, gammas, backend)
+            assert np.array_equal(fock.values, fock_want), name
+            assert np.array_equal(fact.values, fact_want), name
+
+
+def test_fock_and_factored_transforms_phi_once_per_axis(monkeypatch):
+    # 2-D: one forward transform per axis of phi and of psi; inverse transforms for phi's
+    # d'Alembertian and first derivatives and for psi's first derivatives
+    calls = {"fft": 0, "ifft": 0}
+    for kind in calls:
+        real = getattr(np.fft, kind)
+
+        def counted(*args, _real=real, _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, kind, counted)
+    rng = np.random.default_rng(113)
+    phi = random_band_limited(WITNESS_GRID, 3, rng, spinor=True)
+    calls.update(fft=0, ifft=0)
+    fock_and_factored(phi, emfield.constant_potential([0.8, -0.3, 0.2, 0.0]), WITNESS_CONSTS)
+    assert calls == {"fft": 4, "ifft": 6}
+
+
+def _traced_peak(fn, *args):
+    """Traced peak of fn(*args) above what was allocated on entry, in bytes."""
+    tracemalloc.reset_peak()
+    entry = tracemalloc.get_traced_memory()[0]
+    fn(*args)
+    return tracemalloc.get_traced_memory()[1] - entry
+
+
+def test_factorization_discrepancy_peak_memory_on_the_default_grid():
+    # The kernel holds at most five spinor-sized arrays above its inputs.  F is sampled
+    # inside the call for a fresh SampledPotential, before phi's derivative arrays
+    # exist, so its dense 16 MiB Jacobian adds nothing to the larger of the two peaks:
+    # sampling F, or the kernel on top of the F components that stay.
+    grid = SpacetimeGrid()
+    consts = PhysicalConstants()
+    rng = np.random.default_rng(127)
+    potentials = identity_potentials(grid) + [("negative-gauge", gauge_violating_potential(grid))]
+    tracemalloc.start()
+    try:
+        for name, spec in potentials:
+            phi = random_band_limited(grid, 8, rng, spinor=True)
+            size = phi.values.nbytes
+            probe = SampledPotential(spec, grid)
+            sampling = _traced_peak(lambda: probe.F)
+            del probe
+            pot = SampledPotential(spec, grid)
+            fresh = _traced_peak(factorization_discrepancy, phi, pot, consts)
+            kernel = _traced_peak(factorization_discrepancy, phi, pot, consts)
+            kept = sum(f.nbytes for f in pot.F.values())
+            assert kernel <= 5 * size, (name, kernel / size)
+            assert fresh <= max(sampling, kept + kernel) + size // 16, (name, fresh / size)
+            del pot, phi
+    finally:
+        tracemalloc.stop()
 
 
 WITNESS_GRID_256 = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(256, 256))

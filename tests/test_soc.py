@@ -432,12 +432,18 @@ def _recursion_cases():
     # update would have moved it and kept every position finite
     noisy = EnsembleParams(n_paths=2, steps=40, ds=1.0)
     loud = DiffusionCoefficients(np.full(4, 6e307), np.zeros(4))
+    # an infinite amplitude on component 0 blows every path up at step 0; two steps per
+    # chunk, so nine later chunks start with every path frozen
+    frozen = EnsembleParams(n_paths=4, steps=20, ds=1.0)
+    infinite = DiffusionCoefficients(np.array([np.inf, 0, 0, 0]), np.zeros(4))
     return {
         "blowup_in_later_chunk": (one, rush, zero_diffusion(), 3, {0: 7}),
         "blowup_on_chunk_last_step": (one, rush, zero_diffusion(), 4, {0: 7}),
         "finite_sum_overflows": (near_max, constant_control(np.array([1.0, 0, 0, 0])),
                                  zero_diffusion(), 12, {}),
         "frozen_in_earlier_chunk": (noisy, zero_control(), loud, 4, {0: 4, 1: 11}),
+        "all_frozen_at_step_0": (frozen, zero_control(), infinite, 8,
+                                 {0: 0, 1: 0, 2: 0, 3: 0}),
     }
 
 
