@@ -23,8 +23,9 @@ from .soc import (ControlField, DiffusionCoefficients, EnsembleParams,
                   hopf_cole_exponential_error, make_diffusion, optimal_control,
                   optimal_control_mode, run_generator_battery, simulate, standard_test_battery,
                   weak_condition_residual, zero_control, zero_diffusion)
-from .spectrum import (FourMomentum, ModeState, delta_sweep, dispersion_solve,
-                       fit_mode_frequency, legacy_mode_condition, matrix_nullspace,
-                       mode_phase_factor, nullspace_spinors, propertime_evolve)
+from .spectrum import (FourMomentum, ModeState, ModeTrajectory, delta_sweep,
+                       dispersion_solve, fit_mode_frequency, legacy_mode_condition,
+                       matrix_nullspace, mode_phase_factor, nullspace_spinors,
+                       propertime_evolve)
 
 __version__ = "0.1.0"

@@ -522,7 +522,8 @@ def main(argv=None) -> int:
     try:
         code = cmd_report(out) if args.command == "report" \
             else run_suite(args.command, cfg, out, **kwargs)
-    except (ConfigError, OperatorError) as exc:  # e.g. a potential the grid cannot represent
+    # e.g. a potential the grid cannot represent, or a gap with no real k^0
+    except (ConfigError, OperatorError, spectrum.SpectrumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.command != "report" and code != EXIT_CONFIG:

@@ -119,7 +119,7 @@ class RunConfig:
                     raise ConfigError(f"unknown configuration key {key!r}")
                 merged[key] = str(value)
         cfg = cls(raw=merged)
-        cfg.constants()  # validate eagerly
+        consts = cfg.constants()  # validate eagerly
         grid = cfg.grid()
         cfg.potential()
         nyquist = min(grid.points) // 2
@@ -132,9 +132,24 @@ class RunConfig:
         # an infinite tolerance or n_sigma would pass every record it bounds
         for key in ("identity.tolerance", "clifford.det_tolerance", "dispersion.det_tolerance",
                     "evolve.stationary_tol", "evolve.frequency_tol", "evolve.dtau",
-                    "simulate.ds", "simulate.n_sigma"):
+                    "evolve.gap_range", "dispersion.kmax", "simulate.ds", "simulate.n_sigma"):
             if not 0 < cfg.float(key) < np.inf:
                 raise ConfigError(f"{key} must be positive and finite, got {cfg.str(key)}")
+        if not np.isfinite(cfg.float("evolve.k1")):
+            raise ConfigError(f"evolve.k1 must be finite, got {cfg.str('evolve.k1')}")
+        # the evolve sweep's most negative gap, -gap_range, needs a real k^0 at k1; this is
+        # the expression spectrum.delta_sweep evaluates there.  The error names evolve.k1
+        # when it was given without evolve.gap_range, else evolve.gap_range
+        k1, gap_range = cfg.float("evolve.k1"), cfg.float("evolve.gap_range")
+        k0sq = (-gap_range + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2
+        if k0sq < 0:
+            given = {*(file_map or {}), *(overrides or {})}
+            key = ("evolve.k1" if "evolve.k1" in given and "evolve.gap_range" not in given
+                   else "evolve.gap_range")
+            raise ConfigError(
+                f"{key} = {cfg.str(key)} gives the gap -{gap_range:g} no real k^0 at "
+                f"evolve.k1 = {k1:g} (k^0^2 = {k0sq:.3g}); evolve.gap_range must stay within "
+                f"hbar^2 k1^2 + m^2 c^2 = {consts.hbar ** 2 * k1 ** 2 + consts.mass_shell:g}")
         # fewer than two paths leave standard errors and correlations undefined;
         # zero samples, points or fields would let a check pass without testing anything
         for key, least in (("simulate.n_paths", 2), ("simulate.variance_paths", 2),

@@ -7,12 +7,14 @@ its proper-time evolution has the closed form
     phi(tau) = exp(i epsilon Delta tau / (hbar m)) phi(0).
 
 Modes are therefore stationary exactly when Delta = 0, i.e. on the mass
-shell; no time-stepping error enters the comparison.
+shell; no time-stepping error enters the comparison.  A trajectory is a
+``ModeTrajectory``: the proper times and the amplitudes as two read-only
+arrays, one row per step, filled by the literal one-step recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +64,19 @@ class ModeState:
         return float(np.linalg.norm(self.chi))
 
 
+@dataclass(frozen=True)
+class ModeTrajectory:
+    """A mode's proper-time trajectory: amplitude ``chis[n]`` at proper time ``taus[n]``.
+
+    ``taus`` has shape (steps + 1,) and ``chis`` shape (steps + 1, 4); both
+    are read-only.
+    """
+
+    k: FourMomentum
+    taus: np.ndarray
+    chis: ArrayC
+
+
 def dispersion_solve(spatial_k, consts: PhysicalConstants) -> tuple[float, float]:
     """The two k^0 roots of the mass shell for given spatial wave components."""
     kvec = np.asarray(spatial_k, dtype=float).reshape(3)
@@ -96,42 +111,50 @@ def mode_phase_factor(k: FourMomentum, dtau: float, consts: PhysicalConstants) -
 
 
 def propertime_evolve(state: ModeState, A: PotentialSpec, dtau: float, steps: int,
-                      consts: PhysicalConstants) -> list[ModeState]:
+                      consts: PhysicalConstants) -> ModeTrajectory:
     """Evolve a Fourier mode in proper time (free potential only).
 
-    Returns the trajectory [state, state_1, ..., state_steps]; each step
-    multiplies the amplitude by the exact per-mode phase factor, so
-    on-shell modes are fixed points to rounding.
+    Returns the trajectory of ``steps + 1`` amplitudes, the first being
+    ``state.chi``: row n of ``chis`` is the scalar step factor times row
+    n - 1, one multiply per step with the factor as first operand, so
+    on-shell modes are fixed points to rounding.  ``taus[n]`` is
+    ``state.tau + n * dtau``.
     """
     if A.name != "free":
         raise SpectrumError("proper-time mode evolution supports the free potential only")
-    if steps < 0 or dtau <= 0:
-        raise SpectrumError("need steps >= 0 and dtau > 0")
-    factor = mode_phase_factor(state.k, dtau, consts)
-    traj = [state]
-    chi = state.chi
-    for n in range(1, steps + 1):
-        chi = factor * chi
-        traj.append(replace(state, chi=chi, tau=state.tau + n * dtau))
-    return traj
+    if steps < 0 or not 0 < dtau < np.inf:
+        raise SpectrumError(f"need steps >= 0 and a finite dtau > 0, got steps={steps}, "
+                            f"dtau={dtau}")
+    # a 0-d array spares each multiply the conversion of a scalar operand;
+    # the product's bits are the same
+    factor = np.array(mode_phase_factor(state.k, dtau, consts))
+    taus = state.tau + np.arange(steps + 1) * dtau
+    chis = np.empty((steps + 1, 4), dtype=np.complex128)
+    chis[0] = state.chi
+    prev = chis[0]
+    for row in chis[1:]:
+        prev = np.multiply(factor, prev, out=row)
+    taus.setflags(write=False)
+    chis.setflags(write=False)
+    return ModeTrajectory(state.k, taus, chis)
 
 
-def fit_mode_frequency(traj: list[ModeState]) -> float:
+def fit_mode_frequency(traj: ModeTrajectory) -> float:
     """Angular frequency of the mode's phase rotation, from a linear fit.
 
     Uses the overlap with the initial amplitude, whose phase advances
-    linearly for the closed-form evolution.
+    linearly for the closed-form evolution; the overlaps of all steps are
+    one matrix-vector product.
     """
-    if len(traj) < 2:
+    if len(traj.taus) < 2:
         raise SpectrumError("need at least two states to fit a frequency")
-    chi0 = traj[0].chi
+    chi0 = traj.chis[0]
     n0 = np.vdot(chi0, chi0)
     if n0 == 0:
         raise SpectrumError("cannot fit the frequency of a null mode")
-    taus = np.array([s.tau for s in traj])
-    overlaps = np.array([np.vdot(chi0, s.chi) / n0 for s in traj])
+    overlaps = traj.chis @ chi0.conj() / n0
     phases = np.unwrap(np.angle(overlaps))
-    slope = np.polyfit(taus - taus[0], phases, 1)[0]
+    slope = np.polyfit(traj.taus - traj.taus[0], phases, 1)[0]
     return float(slope)
 
 
@@ -171,7 +194,8 @@ def delta_sweep(k1: float, gaps, consts: PhysicalConstants, dtau: float, steps: 
     k^0 is solved from the gap at fixed spatial component k^1, the mode
     is evolved for ``steps`` proper-time steps, and a mode counts as
     stationary when its final amplitude deviates from the initial one by
-    at most stationary_tol in relative norm.
+    at most stationary_tol in relative norm.  Modes are evolved and fitted
+    one at a time, so one trajectory's arrays are alive at once.
     """
     records = []
     chi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
@@ -182,7 +206,8 @@ def delta_sweep(k1: float, gaps, consts: PhysicalConstants, dtau: float, steps: 
         k = FourMomentum(np.array([np.sqrt(k0sq), k1, 0.0, 0.0]))
         traj = propertime_evolve(ModeState(chi0, k), PotentialSpec("free"),
                                  dtau, steps, consts)
-        drift = float(np.linalg.norm(traj[-1].chi - traj[0].chi) / np.linalg.norm(traj[0].chi))
+        chis = traj.chis
+        drift = float(np.linalg.norm(chis[-1] - chis[0]) / np.linalg.norm(chis[0]))
         records.append({
             "k0": float(k.k[0]),
             "k1": float(k1),

@@ -128,7 +128,7 @@ def test_criterion_04_mass_shell_stationarity():
     k_on = spectrum.FourMomentum(np.array([np.sqrt(2.0), 1.0, 0, 0]))
     state = spectrum.ModeState(np.array([1.0, 0.3j, -0.2, 0.5]), k_on)
     traj = spectrum.propertime_evolve(state, emfield.free(), 1e-3, 1000, CONSTS)
-    drift = np.linalg.norm(traj[-1].chi - traj[0].chi)
+    drift = np.linalg.norm(traj.chis[-1] - traj.chis[0])
     stationary_ok = drift <= 1e-12
 
     k_off = spectrum.FourMomentum(np.array([1.8, 0.9, 0, 0]))

@@ -143,6 +143,17 @@ def test_dispersion_suite(tmp_path):
     assert len(csv_lines) == 65
 
 
+def test_spectrum_error_in_a_suite_exits_2(tmp_path, monkeypatch, capsys):
+    # the config check keeps delta_sweep's own refusal out of reach; if it is met
+    # anyway, it is a one-line config error, not a traceback
+    def no_real_k0(*args, **kwargs):
+        raise spectrum.SpectrumError("gap -2.0 gives no real k^0 at k^1=0.3")
+
+    monkeypatch.setattr(spectrum, "delta_sweep", no_real_k0)
+    assert main(["evolve", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: gap -2.0 gives no real k^0 at k^1=0.3\n"
+
+
 def test_evolve_record_states_the_bound_it_applies(tmp_path, monkeypatch):
     # the frequency bound scales with max(1, |closed_form_frequency|); a record off
     # by 1.5 frequency_tol at frequency 2 passes and must say its bound is 2e-8
@@ -487,6 +498,15 @@ def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
     ("simulate", "simulate.n_sigma", "-1"),
     ("simulate", "simulate.n_sigma", "nan"),
     ("simulate", "simulate.ds", "inf"),
+    # non-finite sweep bounds, and sweeps whose most negative gap has no real k^0
+    ("evolve", "evolve.gap_range", "nan"),
+    ("evolve", "evolve.gap_range", "inf"),
+    ("evolve", "evolve.k1", "nan"),
+    ("evolve", "evolve.k1", "inf"),
+    ("dispersion", "dispersion.kmax", "nan"),
+    ("dispersion", "dispersion.kmax", "inf"),
+    ("evolve", "evolve.k1", "0.3"),
+    ("evolve", "evolve.gap_range", "3"),
 ])
 def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
     cfg = write_cfg(tmp_path, f"{key} = {value}\n")

@@ -1,7 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from diracsoc import emfield
+from diracsoc import ModeTrajectory, emfield
 from diracsoc.clifford import DIRAC, mdot
 from diracsoc.constants import PhysicalConstants
 from diracsoc.spectrum import (FourMomentum, ModeState, SpectrumError, delta_sweep,
@@ -89,7 +92,7 @@ def test_on_shell_mode_is_stationary():
     assert k.is_on_shell(CONSTS)
     state = ModeState(np.array([1.0, 0.2j, -0.3, 0.4]), k)
     traj = propertime_evolve(state, FREE, dtau=0.01, steps=1000, consts=CONSTS)
-    assert np.linalg.norm(traj[-1].chi - traj[0].chi) <= 1e-12
+    assert np.linalg.norm(traj.chis[-1] - traj.chis[0]) <= 1e-12
 
 
 def test_off_shell_mode_rotation_frequency():
@@ -118,7 +121,7 @@ def test_norm_preserved():
     k = FourMomentum(np.array([2.0, 1.1, 0, 0]))
     state = ModeState(np.array([0.3, -0.4j, 0.6, 0.2]), k)
     traj = propertime_evolve(state, FREE, 0.01, 500, CONSTS)
-    norms = np.array([s.norm for s in traj])
+    norms = np.linalg.norm(traj.chis, axis=1)
     assert np.abs(norms - norms[0]).max() <= 1e-12
 
 
@@ -129,6 +132,90 @@ def test_evolution_rejects_potentials_and_bad_steps():
         propertime_evolve(state, emfield.constant_electric(1.0), 0.01, 10, CONSTS)
     with pytest.raises(SpectrumError):
         propertime_evolve(state, FREE, -0.01, 10, CONSTS)
+    # nan <= 0 is False, so a sign test alone would let nan through
+    for dtau in (np.nan, np.inf):
+        with pytest.raises(SpectrumError, match="finite dtau"):
+            propertime_evolve(state, FREE, dtau, 10, CONSTS)
+
+
+# on shell, off shell, and either sign of epsilon; tau starts away from 0
+@pytest.mark.parametrize("k0", [np.sqrt(2.0), 1.8])
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_trajectory_is_the_literal_recursion_bit_for_bit(k0, epsilon):
+    consts = CONSTS.with_epsilon(epsilon)
+    k = FourMomentum(np.array([k0, 1.0, 0, 0]))
+    state = ModeState(np.array([1.0, 0.3j, -0.2, 0.5 - 0.1j]), k, tau=0.25)
+    dtau, steps = 1e-3, 1000
+    traj = propertime_evolve(state, FREE, dtau, steps, consts)
+    assert isinstance(traj, ModeTrajectory) and traj.k is k
+    assert traj.taus.shape == (steps + 1,) and traj.chis.shape == (steps + 1, 4)
+    assert not traj.taus.flags.writeable and not traj.chis.flags.writeable
+    # the scalar is the first operand, as here: chi * factor or a multiply.accumulate
+    # can differ in the last bit of the imaginary part
+    factor = mode_phase_factor(k, dtau, consts)
+    chi, chis, taus = state.chi, [state.chi], [state.tau]
+    for n in range(1, steps + 1):
+        chi = factor * chi
+        chis.append(chi)
+        taus.append(state.tau + n * dtau)
+    assert np.array_equal(traj.chis.view(float), np.array(chis).view(float))
+    assert np.array_equal(traj.taus, np.array(taus))
+
+
+def _list_of_states_sweep(k1, gaps, consts, dtau, steps, stationary_tol=1e-10):
+    """Reference sweep: one ModeState per step, overlaps one np.vdot at a time."""
+    records = []
+    chi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    for gap in gaps:
+        k0sq = (gap + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2
+        k = FourMomentum(np.array([np.sqrt(k0sq), k1, 0.0, 0.0]))
+        state = ModeState(chi0, k)
+        factor = mode_phase_factor(k, dtau, consts)
+        traj = [state]
+        chi = state.chi
+        for n in range(1, steps + 1):
+            chi = factor * chi
+            traj.append(replace(state, chi=chi, tau=state.tau + n * dtau))
+        drift = float(np.linalg.norm(traj[-1].chi - traj[0].chi) / np.linalg.norm(traj[0].chi))
+        first = traj[0].chi
+        n0 = np.vdot(first, first)
+        taus = np.array([s.tau for s in traj])
+        overlaps = np.array([np.vdot(first, s.chi) / n0 for s in traj])
+        phases = np.unwrap(np.angle(overlaps))
+        records.append({
+            "k0": float(k.k[0]),
+            "k1": float(k1),
+            "delta": float(k.gap(consts)),
+            "measured_frequency": float(np.polyfit(taus - taus[0], phases, 1)[0]),
+            "closed_form_frequency": consts.epsilon * k.gap(consts) / (consts.hbar * consts.m),
+            "final_drift": drift,
+            "stationary": drift <= stationary_tol,
+        })
+    return records
+
+
+@pytest.mark.parametrize("k1,gap_range,n_gaps,steps,epsilon", [
+    (1.0, 2.0, 41, 1000, 1),   # the evolve suite's default
+    (1.3, 2.5, 7, 257, -1),
+])
+def test_delta_sweep_equals_the_list_of_states_sweep(k1, gap_range, n_gaps, steps, epsilon):
+    consts = CONSTS.with_epsilon(epsilon)
+    gaps = np.linspace(-gap_range, gap_range, n_gaps)
+    assert (delta_sweep(k1, gaps, consts, 1e-3, steps)
+            == _list_of_states_sweep(k1, gaps, consts, 1e-3, steps))
+
+
+def test_default_sweep_peak_memory():
+    # one mode's trajectory is 1001 x 4 complex128 = 64 KiB; the sweep keeps one at a time
+    gaps = np.linspace(-2.0, 2.0, 41)
+    delta_sweep(1.0, gaps, CONSTS, 1e-3, 1000)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        delta_sweep(1.0, gaps, CONSTS, 1e-3, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_stationary_iff_on_shell_sweep():
