@@ -230,18 +230,11 @@ def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
 def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     spans = Laps()
     consts = cfg.constants()
-    n_gaps = cfg.int("evolve.n_gaps")
-    gap_range = cfg.float("evolve.gap_range")
-    dtau = cfg.float("evolve.dtau")
-    steps = cfg.int("evolve.steps")
-    stat_tol = cfg.float("evolve.stationary_tol")
     freq_tol = cfg.float("evolve.frequency_tol")
-    gaps = np.linspace(-gap_range, gap_range, n_gaps)
-    sweep = spectrum.delta_sweep(cfg.float("evolve.k1"), gaps, consts, dtau, steps,
-                                 stationary_tol=stat_tol)
-    # drift bound stat_tol translates into a gap threshold via 2 sin(|D| T / 2 hbar m)
-    total_tau = steps * dtau
-    gap_threshold = stat_tol * consts.hbar * consts.m / total_tau
+    gaps, gap_threshold = cfg.evolve_gaps()
+    sweep = spectrum.delta_sweep(cfg.float("evolve.k1"), gaps, consts, cfg.float("evolve.dtau"),
+                                 cfg.int("evolve.steps"),
+                                 stationary_tol=cfg.float("evolve.stationary_tol"))
     records, rows = [], []
     for rec in sweep:
         expect_stationary = abs(rec["delta"]) <= gap_threshold
@@ -512,7 +505,7 @@ def main(argv=None) -> int:
             overrides["backend"] = args.backend
         if args.epsilon is not None:
             overrides["constants.epsilon"] = str(int(args.epsilon))
-        cfg = RunConfig.from_sources(file_map, overrides)
+        cfg = RunConfig.from_sources(file_map, overrides, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

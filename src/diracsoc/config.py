@@ -109,7 +109,13 @@ class RunConfig:
 
     @classmethod
     def from_sources(cls, file_map: dict[str, str] | None = None,
-                     overrides: dict[str, str] | None = None) -> "RunConfig":
+                     overrides: dict[str, str] | None = None,
+                     command: str | None = None) -> "RunConfig":
+        """The defaults, then ``file_map``, then ``overrides``, validated.
+
+        ``command`` adds the checks that only its suite needs: for ``evolve``,
+        that every gap of the sweep has a real k^0 and that one gap is on shell.
+        """
         merged = dict(DEFAULTS)
         for source in (file_map or {}), (overrides or {}):
             for key, value in source.items():
@@ -137,19 +143,6 @@ class RunConfig:
                 raise ConfigError(f"{key} must be positive and finite, got {cfg.str(key)}")
         if not np.isfinite(cfg.float("evolve.k1")):
             raise ConfigError(f"evolve.k1 must be finite, got {cfg.str('evolve.k1')}")
-        # the evolve sweep's most negative gap, -gap_range, needs a real k^0 at k1; this is
-        # the expression spectrum.delta_sweep evaluates there.  The error names evolve.k1
-        # when it was given without evolve.gap_range, else evolve.gap_range
-        k1, gap_range = cfg.float("evolve.k1"), cfg.float("evolve.gap_range")
-        k0sq = (-gap_range + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2
-        if k0sq < 0:
-            given = {*(file_map or {}), *(overrides or {})}
-            key = ("evolve.k1" if "evolve.k1" in given and "evolve.gap_range" not in given
-                   else "evolve.gap_range")
-            raise ConfigError(
-                f"{key} = {cfg.str(key)} gives the gap -{gap_range:g} no real k^0 at "
-                f"evolve.k1 = {k1:g} (k^0^2 = {k0sq:.3g}); evolve.gap_range must stay within "
-                f"hbar^2 k1^2 + m^2 c^2 = {consts.hbar ** 2 * k1 ** 2 + consts.mass_shell:g}")
         # fewer than two paths leave standard errors and correlations undefined;
         # zero samples, points or fields would let a check pass without testing anything
         for key, least in (("simulate.n_paths", 2), ("simulate.variance_paths", 2),
@@ -165,7 +158,41 @@ class RunConfig:
         max_seed = 2 ** 128 - 1 - BATTERY_SEED_STRIDE * len(standard_test_battery())
         if not 0 <= cfg.int("seed") <= max_seed:
             raise ConfigError(f"seed must be in 0..{max_seed}, got {cfg.str('seed')}")
+        if command == "evolve":
+            # the sweep's most negative gap, -gap_range, needs a real k^0 at k1; this is
+            # the expression spectrum.delta_sweep evaluates there.  The error names
+            # evolve.k1 when it was given without evolve.gap_range, else evolve.gap_range
+            k1, gap_range = cfg.float("evolve.k1"), cfg.float("evolve.gap_range")
+            k0sq = (-gap_range + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2
+            if k0sq < 0:
+                given = {*(file_map or {}), *(overrides or {})}
+                key = ("evolve.k1" if "evolve.k1" in given and "evolve.gap_range" not in given
+                       else "evolve.gap_range")
+                raise ConfigError(
+                    f"{key} = {cfg.str(key)} gives the gap -{gap_range:g} no real k^0 at "
+                    f"evolve.k1 = {k1:g} (k^0^2 = {k0sq:.3g}); evolve.gap_range must stay "
+                    f"within hbar^2 k1^2 + m^2 c^2 = "
+                    f"{consts.hbar ** 2 * k1 ** 2 + consts.mass_shell:g}")
+            # a sweep with no on-shell mode never checks that one is stationary
+            gaps, threshold = cfg.evolve_gaps()
+            if not np.any(np.abs(gaps) <= threshold):
+                raise ConfigError(
+                    f"evolve.n_gaps = {cfg.str('evolve.n_gaps')} puts no gap within "
+                    f"{threshold:.3g} of 0 on [-{gap_range:g}, {gap_range:g}], so no mode is "
+                    f"on shell; use an odd count of at least 3")
         return cfg
+
+    def evolve_gaps(self) -> tuple[np.ndarray, float]:
+        """The evolve sweep's gaps, and the largest |gap| whose mode must stay stationary.
+
+        The drift bound evolve.stationary_tol translates into that gap threshold
+        via 2 sin(|D| T / 2 hbar m) over the proper time T = steps * dtau.
+        """
+        consts = self.constants()
+        gap_range = self.float("evolve.gap_range")
+        gaps = np.linspace(-gap_range, gap_range, self.int("evolve.n_gaps"))
+        total_tau = self.int("evolve.steps") * self.float("evolve.dtau")
+        return gaps, self.float("evolve.stationary_tol") * consts.hbar * consts.m / total_tau
 
     def str(self, key: str) -> str:
         return self.raw[key]

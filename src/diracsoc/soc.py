@@ -32,10 +32,11 @@ memory, whatever the number of steps.  It advances one noise chunk at a
 time: one multiply gives the chunk's increments, the positions follow row
 by row in the per-step order (z + w ds) + increment, and one finite sum of
 the chunk's last row clears every position in it, since a non-finite entry
-stays non-finite under later additions.  A chunk whose sum is not finite,
-or that starts with paths already frozen, is redone one step at a time
-from its start, with the per-path check that flags and freezes each
-blow-up at its step; positions and flags are the same either way.
+stays non-finite under later additions.  Paths frozen in an earlier
+chunk are put back at their frozen positions.  A chunk whose sum is not
+finite is redone one step at a time from its start, with the per-path
+check that flags and freezes each blow-up at its step; positions and
+flags are the same either way.  The start is a read-only view of z0.
 ``simulate`` collects a stream into stored (n_paths, steps+1, 4) paths.
 In the simulate suite the generator battery, the straight line, the
 variance law and the configured ensemble read end states or final flags,
@@ -337,7 +338,9 @@ class EulerStream:
     """The forward Euler recursion z' = z + w ds + sigma sqrt(ds) xi, one step at a time.
 
     Iterating yields the (n_paths, 4) position array at s = 0..steps; no
-    yielded array is written again.  ``truncated`` and ``first_bad_step``
+    yielded array is written again.  The start is a read-only view of z0, and
+    the first step adds z0 + w ds as a four-vector, so a one-step ensemble holds
+    its noise plus one block of positions.  ``truncated`` and ``first_bad_step``
     are up to date at every yield: paths whose positions stop being finite are
     frozen at their last finite value and flagged.  The noise is drawn inside
     the loop, at most max(n_paths, NOISE_CHUNK) path-steps at a time, and the
@@ -365,7 +368,8 @@ class EulerStream:
         truncated[:] = False
         first_bad[:] = -1
 
-        z = np.broadcast_to(self.params.z0, (n, 4)).copy()
+        z0 = self.params.z0
+        z = np.broadcast_to(z0, (n, 4))  # read-only: every path starts at z0
         yield z
         for start in range(0, steps, chunk):
             xi = _path_noise(self.seed, n, min(chunk, steps - start), start=start)
@@ -377,7 +381,7 @@ class EulerStream:
             # the caller.
             with np.errstate(over="ignore", invalid="ignore"):
                 block = amp * xi.transpose(1, 0, 2)  # (m, n, 4), never written after
-                prev = z
+                prev = z if start else z0  # every start row is z0: the same bits, no (n, 4) sum
                 for row in block:
                     np.add(prev + drift, row, out=row)
                     prev = row

@@ -507,12 +507,31 @@ def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
     ("dispersion", "dispersion.kmax", "inf"),
     ("evolve", "evolve.k1", "0.3"),
     ("evolve", "evolve.gap_range", "3"),
+    # sweeps with no on-shell gap, which never check that an on-shell mode is stationary
+    ("evolve", "evolve.n_gaps", "40"),
+    ("evolve", "evolve.n_gaps", "1"),
 ])
 def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
     cfg = write_cfg(tmp_path, f"{key} = {value}\n")
     proc = run_cli_process("diracsoc.cli", command, "--config", cfg,
                            "--out", str(tmp_path / "o"))
     assert_one_line_config_error(proc, key)
+    assert not (tmp_path / "o").exists()
+
+
+# at m = 0.5 the default evolve sweep's gap -2 has no real k^0 at k1 = 1; only evolve
+# runs that sweep, so only evolve refuses the mass
+@pytest.mark.parametrize("command", ["verify-clifford", "dispersion", "verify-identity"])
+def test_evolve_sweep_checks_leave_other_suites_alone(tmp_path, command):
+    cfg = write_cfg(tmp_path, "constants.m = 0.5\ngrid.points = 32,32\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PASS
+
+
+def test_evolve_refuses_a_mass_its_sweep_cannot_reach(tmp_path):
+    cfg = write_cfg(tmp_path, "constants.m = 0.5\n")
+    proc = run_cli_process("diracsoc.cli", "evolve", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    assert_one_line_config_error(proc, "evolve.gap_range")
     assert not (tmp_path / "o").exists()
 
 

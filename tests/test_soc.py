@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -374,6 +375,43 @@ def test_stream_end_state_restarts_from_z0():
     first, again = stream.end_state(), stream.end_state()
     assert np.array_equal(first, again)
     assert np.array_equal(first, simulate(params, zero_control(), CONSTS, seed=31).paths[:, -1])
+
+
+def test_stream_start_is_a_read_only_view_of_z0():
+    params = EnsembleParams(n_paths=6, steps=3, ds=1e-3, z0=[0.5, 0, 0.25j, -1])
+    start = next(iter(EulerStream(params, zero_control(), CONSTS, seed=31)))
+    assert start.shape == (6, 4)
+    assert all(np.array_equal(row, params.z0) for row in start)
+    assert not start.flags.writeable
+    with pytest.raises(ValueError):
+        start[0, 0] = 1.0
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Traced peak of fn(*args, **kwargs), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_step_stream_holds_its_noise_and_one_position_block():
+    # the noise and the positions after the step are one (n, 4) complex block each; a
+    # full-size copy of the start or a full-size z + w ds would add a block apiece
+    params = EnsembleParams(n_paths=50_000, steps=1, ds=1e-3)
+    stream = EulerStream(params, constant_control(np.array([0.3, -0.2, 0.1, 0.05])), CONSTS,
+                         seed=5)
+    block = params.n_paths * 4 * np.dtype(np.complex128).itemsize
+    assert _traced_peak(stream.end_state) < 2.5 * block
+
+
+def test_generator_battery_peak_memory_at_the_default_path_count():
+    # six one-step ensembles of 100,000 paths (6.1 MiB per position block), run one
+    # after another as the simulate suite runs them
+    peak = _traced_peak(run_generator_battery, CONSTS, ds=1e-3, n_paths=100_000, seed=5)
+    assert peak < 14 * 2 ** 20
 
 
 def literal_recursion(params, w, seed, diffusion):
