@@ -5,23 +5,23 @@ mode evolution, the optimal control law, and the complex controlled
 diffusion -- each with machine-checkable identities.
 """
 
-from .clifford import DIRAC, METRIC_DIAG, GammaSet, Metric, mdot, raise_index
-from .constants import NATURAL, PhysicalConstants
+from .clifford import DIRAC, METRIC_DIAG, GammaSet, mdot
+from .constants import PhysicalConstants
 from .emfield import (PotentialSpec, constant_electric, constant_magnetic,
                       constant_potential, custom_polynomial, custom_wave,
                       em_plane_wave, evaluate_potential, field_strength, free,
                       lorenz_residual, spin_coupling_matrix)
-from .grid import (Field, SpacetimeGrid, dalembertian, field_to_csv, l2norm, partial,
-                   plane_wave, random_band_limited)
+from .grid import (Field, SpacetimeGrid, dalembertian, l2norm, partial, plane_wave,
+                   random_band_limited)
 from .operators import (SampledPotential, build_spinor, conjugate_apply, dirac_apply,
-                        dirac_plane_wave, factored_rhs, factorization_discrepancy,
-                        fock_and_factored, fock_rhs, gauge_discrepancy_prediction,
-                        kg_residual_componentwise, legacy_factored_rhs)
+                        factored_rhs, factorization_discrepancy, fock_and_factored, fock_rhs,
+                        gauge_discrepancy_prediction, kg_residual_componentwise,
+                        legacy_factored_rhs)
 from .soc import (ControlField, DiffusionCoefficients, EnsembleParams,
                   TrajectoryEnsemble, accumulate_action, constant_control,
-                  generator_check, hjb_residual, hjb_residual_mode, hopf_cole_check,
-                  hopf_cole_exponential_error, make_diffusion, optimal_control,
-                  optimal_control_mode, run_generator_battery, simulate, standard_test_battery,
+                  generator_check, hjb_residual_mode, hopf_cole_check,
+                  hopf_cole_exponential_error, make_diffusion, optimal_control_mode,
+                  run_generator_battery, simulate, standard_test_battery,
                   weak_condition_residual, zero_control, zero_diffusion)
 from .spectrum import (FourMomentum, ModeState, ModeTrajectory, delta_sweep,
                        dispersion_solve, fit_mode_frequency, legacy_mode_condition,

@@ -281,8 +281,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     records.append(check(cfg, "simulate", "diffusion_squares", residual=sq_resid, tolerance=0.0))
     spans.lap("diffusion_squares")
 
-    for rpt in soc.run_generator_battery(consts, ds=ds, n_paths=n_paths,
-                                         seed=seed, n_sigma=n_sigma):
+    for rpt in soc.run_generator_battery(consts, ds=ds, n_paths=n_paths, seed=seed):
         records.append(check(
             cfg, "simulate", "generator", function=rpt.label,
             estimate=rpt.estimate, exact=rpt.exact, residual=rpt.abs_error,
@@ -509,8 +508,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # created by the first file a suite writes
     kwargs = {"corrupt": args.corrupt_gamma} if args.command == "verify-clifford" else {}
     try:
         code = cmd_report(out) if args.command == "report" \

@@ -38,26 +38,6 @@ def _check_index(mu: int) -> None:
         raise CliffordError(f"spacetime index must be 0..3, got {mu!r}")
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Diagonal Minkowski metric with signature (1, 3)."""
-
-    diag: tuple[int, int, int, int] = (1, -1, -1, -1)
-
-    def __post_init__(self) -> None:
-        if len(self.diag) != 4 or any(d not in (1, -1) for d in self.diag):
-            raise CliffordError(f"metric diagonal must be four entries of +-1, got {self.diag}")
-        if sorted(self.diag, reverse=True) != [1, -1, -1, -1]:
-            raise CliffordError(f"metric signature must be (1,3), got {self.diag}")
-
-    @property
-    def array(self) -> ArrayC:
-        return np.diag(np.array(self.diag, dtype=np.complex128))
-
-
-MINKOWSKI = Metric()
-
-
 def _pauli() -> list[ArrayC]:
     s1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     s2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -75,7 +55,7 @@ def _dirac_gammas() -> ArrayC:
     return gammas
 
 
-def relation_residuals(g, metric_diag=METRIC_DIAG) -> list[tuple[str, int, int, float]]:
+def relation_residuals(g) -> list[tuple[str, int, int, float]]:
     """Max-abs residual of each defining relation of four 4x4 matrices ``g``.
 
     Entries ``(check, mu, nu, residual)``: the anticommutators
@@ -97,9 +77,9 @@ def relation_residuals(g, metric_diag=METRIC_DIAG) -> list[tuple[str, int, int, 
         return float(np.abs(a).max())
 
     out = [("anticommutator", mu, nu,
-            resid(g[mu] @ g[nu] + g[nu] @ g[mu] - (2 * metric_diag[mu] if mu == nu else 0) * eye))
+            resid(g[mu] @ g[nu] + g[nu] @ g[mu] - (2 * METRIC_DIAG[mu] if mu == nu else 0) * eye))
            for mu, nu in pairs]
-    eta = np.diag(metric_diag)
+    eta = np.diag(METRIC_DIAG)
     S = 0.25j * (g[:, None] @ g[None, :] - g[None, :] @ g[:, None])  # S[mu, nu]
     # indexed [mu, nu, rho, sig, row, col]; the worst over (rho, sig) is taken with
     # ndarray.max, which propagates NaN
@@ -109,19 +89,18 @@ def relation_residuals(g, metric_diag=METRIC_DIAG) -> list[tuple[str, int, int, 
     worst = np.abs(lorentz).max(axis=(2, 3, 4, 5))
     out += [("spin_lorentz_algebra", mu, nu, float(worst[mu, nu])) for mu, nu in pairs]
     out += [("product_identity", mu, nu,
-             resid(g[nu] @ g[mu] - ((metric_diag[nu] if mu == nu else 0) * eye
+             resid(g[nu] @ g[mu] - ((METRIC_DIAG[nu] if mu == nu else 0) * eye
                                     + 0.5 * (g[nu] @ g[mu] - g[mu] @ g[nu]))))
             for nu, mu in pairs]
-    out += [("hermiticity", mu, mu, resid(g[mu].conj().T - metric_diag[mu] * g[mu]))
+    out += [("hermiticity", mu, mu, resid(g[mu].conj().T - METRIC_DIAG[mu] * g[mu]))
             for mu in range(4)]
     return out
 
 
 @dataclass(frozen=True)
 class GammaSet:
-    """The four Dirac-representation gamma matrices plus the metric."""
+    """Four gamma matrices (Dirac representation by default), checked on construction."""
 
-    metric: Metric = MINKOWSKI
     gammas: ArrayC = field(default_factory=_dirac_gammas)
 
     def __post_init__(self) -> None:
@@ -130,11 +109,11 @@ class GammaSet:
             raise CliffordError(f"expected four 4x4 matrices, got shape {g.shape}")
         g.setflags(write=False)
         object.__setattr__(self, "gammas", g)
-        for check, mu, nu, resid in relation_residuals(g, self.metric.diag):
+        for check, mu, nu, resid in relation_residuals(g):
             if resid != 0.0:  # NaN included
                 if check != "hermiticity":
                     raise CliffordError(f"Clifford relation violated at ({mu},{nu})")
-                kind = "Hermitian" if self.metric.diag[mu] > 0 else "anti-Hermitian"
+                kind = "Hermitian" if METRIC_DIAG[mu] > 0 else "anti-Hermitian"
                 raise CliffordError(f"gamma^{mu} must be {kind}")
 
     def gamma(self, mu: int) -> ArrayC:
@@ -170,11 +149,6 @@ def as_four_vector(v) -> ArrayC:
     if arr.shape != (4,):
         raise CliffordError(f"four-vector must have shape (4,), got {arr.shape}")
     return arr
-
-
-def raise_index(v) -> ArrayC:
-    """v^mu = eta^{mumu} v_mu (also lowers, since eta is its own inverse)."""
-    return METRIC_DIAG * as_four_vector(v)
 
 
 def mdot(u, v) -> complex:

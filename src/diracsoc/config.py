@@ -114,7 +114,8 @@ class RunConfig:
         """The defaults, then ``file_map``, then ``overrides``, validated.
 
         ``command`` adds the checks that only its suite needs: for ``evolve``,
-        that every gap of the sweep has a real k^0 and that one gap is on shell.
+        that every gap of the sweep has a real k^0, that its per-step phase stays
+        below pi and that one gap is on shell.
         """
         merged = dict(DEFAULTS)
         for source in (file_map or {}), (overrides or {}):
@@ -173,6 +174,15 @@ class RunConfig:
                     f"evolve.k1 = {k1:g} (k^0^2 = {k0sq:.3g}); evolve.gap_range must stay "
                     f"within hbar^2 k1^2 + m^2 c^2 = "
                     f"{consts.hbar ** 2 * k1 ** 2 + consts.mass_shell:g}")
+            # the largest per-step phase of the sweep is at its end gaps; np.unwrap in
+            # spectrum.fit_mode_frequency folds a step of pi or more into a wrong frequency
+            phase = gap_range * cfg.float("evolve.dtau") / (consts.hbar * consts.m)
+            if phase >= np.pi:
+                raise ConfigError(
+                    f"evolve.dtau = {cfg.str('evolve.dtau')} turns the phase of the gap "
+                    f"{gap_range:g} by {phase:.6g} rad per step, which the frequency fit cannot "
+                    f"unwrap; evolve.dtau must stay below pi hbar m / evolve.gap_range = "
+                    f"{np.pi * consts.hbar * consts.m / gap_range:.8g}")
             # a sweep with no on-shell mode never checks that one is stationary
             gaps, threshold = cfg.evolve_gaps()
             if not np.any(np.abs(gaps) <= threshold):

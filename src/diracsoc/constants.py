@@ -36,6 +36,3 @@ class PhysicalConstants:
 
     def with_epsilon(self, epsilon: int) -> "PhysicalConstants":
         return replace(self, epsilon=epsilon)
-
-
-NATURAL = PhysicalConstants()

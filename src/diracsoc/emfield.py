@@ -259,13 +259,8 @@ _PAIRS = tuple((mu, nu) for mu in range(4) for nu in range(4))
 _DIAGONAL = tuple((mu, mu) for mu in range(4))
 
 
-def potential_jacobian(spec: PotentialSpec, z, method: str = "analytic",
-                       h: float = 1e-3, order: int = 2) -> np.ndarray:
+def potential_jacobian(spec: PotentialSpec, z) -> np.ndarray:
     """J[mu, nu] = d A_nu / d z^mu, shape (4, 4) + broadcast(z)."""
-    if method == "finite_difference":
-        return np.stack(list(_fd_derivatives(spec, z, h, order)))
-    if method != "analytic":
-        raise PotentialError(f"unknown differentiation method {method!r}")
     zs = _coords(z)
     J = np.zeros((4, 4) + zs[0].shape, dtype=np.complex128)
     for (mu, nu), entry in zip(_PAIRS, spec.family.jacobian_entries(zs, _PAIRS)):
@@ -274,47 +269,20 @@ def potential_jacobian(spec: PotentialSpec, z, method: str = "analytic",
     return J
 
 
-def _fd_derivatives(spec: PotentialSpec, z, h: float, order: int, diagonal: bool = False):
-    """d A / d z^mu by central differences for mu = 0..3, one at a time: the row
-    over all four components, or with ``diagonal`` only component mu."""
-    if h <= 0:
-        raise PotentialError("finite-difference step must be positive")
-    if order not in (2, 4):
-        raise PotentialError("finite-difference order must be 2 or 4")
-    zs = _coords(z)
-    for mu in range(4):
-        def shifted(delta):
-            pt = [zs[nu] + (delta if nu == mu else 0.0) for nu in range(4)]
-            A = evaluate_potential(spec, pt)
-            return A[mu] if diagonal else A
-
-        if order == 2:
-            yield (shifted(h) - shifted(-h)) / (2 * h)
-        else:
-            yield (-shifted(2 * h) + 8 * shifted(h) - 8 * shifted(-h) + shifted(-2 * h)) / (12 * h)
-
-
-def field_strength(spec: PotentialSpec, z, method: str = "analytic",
-                   h: float = 1e-3, order: int = 2) -> np.ndarray:
+def field_strength(spec: PotentialSpec, z) -> np.ndarray:
     """F[mu, nu] = d_mu A_nu - d_nu A_mu, shape (4, 4) + broadcast(z)."""
-    J = potential_jacobian(spec, z, method=method, h=h, order=order)
+    J = potential_jacobian(spec, z)
     return J - np.swapaxes(J, 0, 1)
 
 
-def lorenz_residual(spec: PotentialSpec, z, method: str = "analytic",
-                    h: float = 1e-3, order: int = 2):
+def lorenz_residual(spec: PotentialSpec, z):
     """Divergence d_mu A^mu(z); identically zero for gauge-respecting entries.
 
     Only the diagonal Jacobian entries J[mu, mu] are computed, one at a time.
     """
-    if method == "finite_difference":
-        diagonal = _fd_derivatives(spec, z, h, order, diagonal=True)
-    elif method == "analytic":
-        zs = _coords(z)
-        diagonal = (np.zeros(zs[0].shape, dtype=np.complex128) if entry is None else entry
-                    for entry in spec.family.jacobian_entries(zs, _DIAGONAL))
-    else:
-        raise PotentialError(f"unknown differentiation method {method!r}")
+    zs = _coords(z)
+    diagonal = (np.zeros(zs[0].shape, dtype=np.complex128) if entry is None else entry
+                for entry in spec.family.jacobian_entries(zs, _DIAGONAL))
     res = sum(METRIC_DIAG[mu] * d for mu, d in enumerate(diagonal))
     return complex(res) if np.ndim(res) == 0 else res
 

@@ -125,13 +125,6 @@ class Field:
     def is_spinor(self) -> bool:
         return self.values.ndim == self.grid.dims + 1
 
-    @property
-    def ncomp(self) -> int:
-        return 4 if self.is_spinor else 1
-
-    def component(self, a: int) -> np.ndarray:
-        return self.values[a] if self.is_spinor else self.values
-
     def __add__(self, other: "Field") -> "Field":
         return Field(self.grid, self.values + other.values, copy=False)
 
@@ -297,20 +290,3 @@ def random_band_limited(grid: SpacetimeGrid, max_mode: int, rng: np.random.Gener
         values = np.fft.ifft(padded, axis=mu + 1, out=padded)
     values *= np.sqrt(np.prod(grid.shape))
     return Field(grid, values if spinor else values[0], copy=False)
-
-
-def field_to_csv(f: Field, path) -> None:
-    """Dump point coordinates and component values (17 significant digits)."""
-    zs = f.grid.meshes()
-    d = f.grid.dims
-    header = [f"z{mu}" for mu in range(d)]
-    for a in range(f.ncomp):
-        header += [f"c{a}_re", f"c{a}_im"]
-    cols = [z.ravel() for z in zs]
-    for a in range(f.ncomp):
-        comp = f.component(a).ravel()
-        cols += [comp.real, comp.imag]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%.17g" % float(x) for x in row) + "\n")

@@ -23,11 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet, as_four_vector
+from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet
 from .constants import PhysicalConstants
 from .emfield import PotentialSpec, evaluate_potential, lorenz_residual, potential_jacobian
 from .grid import (Field, SpacetimeGrid, _derivatives, _partial_values, _require_finite,
-                   dalembertian, l2norm, plane_wave)
+                   dalembertian, l2norm)
 
 
 class OperatorError(ValueError):
@@ -75,7 +75,7 @@ class SampledPotential:
 
     @cached_property
     def F(self) -> dict[tuple[int, int], np.ndarray]:
-        J = potential_jacobian(self.spec, self.grid.coords4(), method="analytic")
+        J = potential_jacobian(self.spec, self.grid.coords4())
         F = {}
         for mu in range(4):
             for nu in range(4):
@@ -369,16 +369,3 @@ def kg_residual_componentwise(psi: Field, A: PotentialSpec, consts: PhysicalCons
             continue
         residuals[a] = float(np.sqrt(np.mean(np.abs(op[a]) ** 2))) / na
     return KGResidual(residuals, degenerate)
-
-
-def dirac_plane_wave(grid, k, chi, consts: PhysicalConstants,
-                     gammas: GammaSet = DIRAC) -> Field:
-    """psi = (hbar slash(k) + mc) chi exp(-i k.z).
-
-    For on-shell k this lies in the kernel of ``dirac_apply`` with A=0,
-    since (hbar slash(k) - mc)(hbar slash(k) + mc) = (hbar^2 k.k - m^2c^2) I.
-    """
-    k = as_four_vector(k)
-    chi = np.asarray(chi, dtype=np.complex128).reshape(4)
-    amp = (consts.hbar * gammas.slash(k) + consts.mc * np.eye(4)) @ chi
-    return plane_wave(grid, k, chi=amp)

@@ -1,4 +1,5 @@
-"""Stochastic layer: optimal control, HJB residuals, and the complex SDE.
+"""Stochastic layer: plane-wave optimal control and HJB residual, the Hopf-Cole
+identity, the stochastic action and the complex SDE.
 
 The equation of motion is  dz_mu = w_mu ds + sigma_mu dW_mu  with real,
 independent Wiener increments dW_mu; all complexity enters through the
@@ -106,24 +107,6 @@ def optimal_control_mode(k, consts: PhysicalConstants, A_const=None) -> ControlF
     return constant_control(w, label="plane_wave_mode")
 
 
-def optimal_control(jtilde: Field, A: PotentialSpec, consts: PhysicalConstants,
-                    backend: str = "spectral") -> np.ndarray:
-    """w_mu = (eps/m)(i hbar d_mu Jtilde - e A_mu) sampled on the grid.
-
-    Returns the four control components stacked along the first axis.
-    """
-    if jtilde.is_spinor:
-        raise SocError("the log-amplitude must be a scalar field")
-    Av = evaluate_potential(A, jtilde.grid.coords4())
-    w = np.empty((4,) + jtilde.grid.shape, dtype=np.complex128)
-    for mu in range(4):
-        dj = partial_or_zero(jtilde, mu, backend).values
-        w[mu] = (consts.epsilon / consts.m) * (1j * consts.hbar * dj - consts.e * Av[mu])
-    if not np.all(np.isfinite(w.view(np.float64))):
-        raise SocError("control field has non-finite entries (bad gradient?)")
-    return w
-
-
 def weak_condition_residual(w, consts: PhysicalConstants):
     """w_mu w^mu - c^2; zero for controls derived from on-shell modes."""
     if isinstance(w, ControlField):
@@ -150,38 +133,6 @@ def hjb_residual_mode(k, consts: PhysicalConstants, A_const=None) -> complex:
     quad = complex(np.sum(METRIC_DIAG * grad * grad))
     rhs = -consts.mass_shell + quad
     return -rhs
-
-
-def hjb_residual(jtilde: Field, A: PotentialSpec, consts: PhysicalConstants,
-                 tau_derivative: Field | None = None, backend: str = "spectral",
-                 spin_scalar=0.0) -> Field:
-    """LHS - RHS of the scalar HJB equation on the grid.
-
-    LHS = -i eps hbar m dtau_J (zero when no proper-time derivative is
-    supplied); RHS = -m^2c^2 - hbar^2 d^mu d_mu J - spin_scalar
-    + (i hbar d^mu J - e A^mu)(i hbar d_mu J - e A_mu).
-
-    The spin coupling is a 4x4 matrix in general; for a scalar
-    log-amplitude the caller must supply its scalar restriction (an
-    eigenvalue, or zero when the field strength vanishes).
-    """
-    if jtilde.is_spinor:
-        raise SocError("the log-amplitude must be a scalar field")
-    if isinstance(spin_scalar, Field):
-        spin_scalar = spin_scalar.values
-    Av = evaluate_potential(A, jtilde.grid.coords4())
-    quad = np.zeros(jtilde.grid.shape, dtype=np.complex128)
-    for mu in range(4):
-        g = 1j * consts.hbar * partial_or_zero(jtilde, mu, backend).values - consts.e * Av[mu]
-        quad += METRIC_DIAG[mu] * g * g
-    rhs = (-consts.mass_shell
-           - consts.hbar ** 2 * dalembertian(jtilde, backend).values
-           - np.asarray(spin_scalar)
-           + quad)
-    lhs = np.zeros_like(rhs)
-    if tau_derivative is not None:
-        lhs = -1j * consts.epsilon * consts.hbar * consts.m * tau_derivative.values
-    return Field(jtilde.grid, lhs - rhs)
 
 
 def hopf_cole_check(phi: Field, backend: str = "spectral",
@@ -439,23 +390,17 @@ class ActionEstimate:
 
 
 def accumulate_action(ensemble: TrajectoryEnsemble, A: PotentialSpec,
-                      consts: PhysicalConstants, reference_bispinor=None) -> ActionEstimate:
+                      consts: PhysicalConstants) -> ActionEstimate:
     """Per-path stochastic action sum_s L(z_s, w_s) ds, with
 
     L = -mc sqrt(w.w) - eps e A.w - <chi| (e hbar/2m) sigma^{munu} F_munu |chi>.
 
     The square root takes the principal branch; steps that cross its cut
     (Re(w.w) < 0) are counted in ``n_branch_flags``.  The spin term is
-    collapsed to a scalar by sandwiching with a fixed unit reference
-    bispinor (rest-frame spin-up by default) -- a convention, recorded in
-    output metadata.  A path contributes nothing from its blow-up step on.
+    collapsed to a scalar by sandwiching with the unit rest-frame spin-up
+    bispinor chi, a convention.  A path contributes nothing from its blow-up
+    step on.
     """
-    chi = np.asarray(reference_bispinor if reference_bispinor is not None
-                     else REST_FRAME_SPIN_UP, dtype=np.complex128).reshape(4)
-    nrm = np.vdot(chi, chi).real
-    if nrm == 0:
-        raise SocError("reference bispinor must be nonzero")
-
     first_bad = ensemble.first_bad_step[:, None]
     live = (first_bad < 0) | (np.arange(ensemble.steps) < first_bad)
     w = np.where(live[..., None], ensemble.w, 0)  # (n, steps, 4)
@@ -472,14 +417,14 @@ def accumulate_action(ensemble: TrajectoryEnsemble, A: PotentialSpec,
         eta * np.moveaxis(Av, 0, -1) * w, axis=2)
 
     if A.name != "free":
-        F = field_strength(A, coords, method="analytic")
+        F = field_strength(A, coords)
         # <chi| sigma^{munu} |chi> is a constant scalar per index pair
-        gam = DIRAC
+        chi = REST_FRAME_SPIN_UP
         pref = consts.e * consts.hbar / (2 * consts.m)
         sandwich = np.zeros((4, 4), dtype=np.complex128)
         for mu in range(4):
             for nu in range(4):
-                sandwich[mu, nu] = np.vdot(chi, gam.spin_tensor(mu, nu) @ chi) / nrm
+                sandwich[mu, nu] = np.vdot(chi, DIRAC.spin_tensor(mu, nu) @ chi)
         spin = pref * np.einsum("mn,mn...->...", sandwich, F)
         lagrangian = lagrangian - spin
 
@@ -549,11 +494,9 @@ class GeneratorReport:
     estimate: complex
     exact: complex
     abs_error: float
-    rel_error: float
     stderr: float
     n_paths: int
     ds: float
-    passed: bool
 
 
 # battery function i (counted from 1) draws its paths from key seed + i * stride
@@ -561,34 +504,32 @@ BATTERY_SEED_STRIDE = 7919
 
 
 def run_generator_battery(consts: PhysicalConstants, ds: float, n_paths: int,
-                          seed: int, n_sigma: float = 3.0,
-                          drift=(0.3, -0.2, 0.1, 0.05)) -> list[GeneratorReport]:
+                          seed: int) -> list[GeneratorReport]:
     """The standard six-function battery, one independent substream set each.
 
     Linear test functions run with a constant drift (the diffusion term
     cancels for them); the nonlinear ones run drift-free so the one-step
-    recursion has no O(ds) bias and the 3-sigma verdict is sharp.
+    recursion has no O(ds) bias and a verdict on the error is sharp.
     """
-    drift_w = constant_control(np.asarray(drift, dtype=np.complex128), "battery_drift")
+    drift_w = constant_control([0.3, -0.2, 0.1, 0.05], "battery_drift")
     reports = []
     for i, f in enumerate(standard_test_battery()):
         w = drift_w if f.label in ("z0", "z1") else zero_control()
         reports.append(generator_check(f, w, consts, ds=ds, n_paths=n_paths,
-                                       seed=seed + BATTERY_SEED_STRIDE * (i + 1),
-                                       n_sigma=n_sigma))
+                                       seed=seed + BATTERY_SEED_STRIDE * (i + 1)))
     return reports
 
 
 def generator_check(f: PolynomialTestFunction, w: ControlField,
                     consts: PhysicalConstants, ds: float, n_paths: int, seed: int,
-                    z0=None, diffusion: DiffusionCoefficients | None = None,
-                    n_sigma: float = 3.0) -> GeneratorReport:
+                    z0=None, diffusion: DiffusionCoefficients | None = None
+                    ) -> GeneratorReport:
     """Compare (E[f(z_ds)] - f(z_0))/ds against the generator of the diffusion,
 
         G f = w_mu df/dz_mu + 1/2 sum_mu sigma_mu^2 d2f/dz_mu^2,
 
-    evaluated at z_0.  The pass verdict is |estimate - G f| <= n_sigma
-    standard errors of the Monte Carlo mean.
+    evaluated at z_0.  The report holds |estimate - G f| and the standard
+    error of the Monte Carlo mean; the caller sets the verdict.
     """
     z0 = np.zeros(4, dtype=np.complex128) if z0 is None else as_four_vector(z0)
     diff = diffusion if diffusion is not None else make_diffusion(consts)
@@ -600,9 +541,6 @@ def generator_check(f: PolynomialTestFunction, w: ControlField,
     stderr = float(np.sqrt(var / n_paths) / ds)
 
     exact = complex(np.dot(w.w, f.grad(z0)) + 0.5 * np.dot(diff.squares, f.hess_diag(z0)))
-    abs_error = abs(estimate - exact)
-    rel_error = abs_error / abs(exact) if exact != 0 else float("inf")
     return GeneratorReport(label=f.label, estimate=estimate, exact=exact,
-                           abs_error=abs_error, rel_error=rel_error, stderr=stderr,
-                           n_paths=n_paths, ds=ds,
-                           passed=abs_error <= n_sigma * stderr)
+                           abs_error=abs(estimate - exact), stderr=stderr,
+                           n_paths=n_paths, ds=ds)

@@ -44,9 +44,6 @@ class FourMomentum:
         """Delta = hbar^2 k.k - m^2 c^2 (real since k is real)."""
         return consts.hbar ** 2 * mdot(self.k, self.k).real - consts.mass_shell
 
-    def is_on_shell(self, consts: PhysicalConstants, rel_tol: float = 1e-12) -> bool:
-        return abs(self.gap(consts)) <= rel_tol * consts.mass_shell
-
 
 @dataclass(frozen=True)
 class ModeState:
@@ -58,10 +55,6 @@ class ModeState:
         chi = np.asarray(self.chi, dtype=np.complex128).reshape(4)
         chi.setflags(write=False)
         object.__setattr__(self, "chi", chi)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.chi))
 
 
 @dataclass(frozen=True)

@@ -243,7 +243,7 @@ def test_criterion_09_stochastic_layer():
         exact_ok &= bool(np.array_equal(d.squares, want))
 
     reports = soc.run_generator_battery(CONSTS, ds=1e-3, n_paths=100000, seed=12345)
-    battery_ok = len(reports) == 6 and all(r.passed for r in reports)
+    battery_ok = len(reports) == 6 and all(r.abs_error <= 3 * r.stderr for r in reports)
 
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=complex)
     params = soc.EnsembleParams(n_paths=3, steps=64, ds=1.0 / 512)

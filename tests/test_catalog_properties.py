@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from diracsoc import emfield
 from diracsoc.emfield import (field_strength, is_lorenz_gauge, lorenz_residual,
                               potential_jacobian)
+from test_emfield import fd_field_strength, fd_jacobian
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -45,10 +46,10 @@ def test_polynomial_jacobian_matches_fourth_order_differences(spec):
     # the fourth-order stencil is exact for degree <= 4, so only rounding remains
     for z in _points():
         J = potential_jacobian(spec, z)
-        Jfd = potential_jacobian(spec, z, method="finite_difference", h=1e-2, order=4)
+        Jfd = fd_jacobian(spec, z, h=1e-2, order=4)
         assert np.abs(J - Jfd).max() <= 1e-11
         F = field_strength(spec, z)
-        Ffd = field_strength(spec, z, method="finite_difference", h=1e-2, order=4)
+        Ffd = fd_field_strength(spec, z, h=1e-2, order=4)
         assert np.abs(F - Ffd).max() <= 1e-11
 
 

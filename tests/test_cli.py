@@ -152,6 +152,7 @@ def test_spectrum_error_in_a_suite_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(spectrum, "delta_sweep", no_real_k0)
     assert main(["evolve", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: gap -2.0 gives no real k^0 at k^1=0.3\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_evolve_record_states_the_bound_it_applies(tmp_path, monkeypatch):
@@ -310,6 +311,13 @@ def test_report_no_inputs_exit_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", "--out", str(empty)]) == 2
+
+
+def test_report_missing_directory_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["report", "--out", str(missing)]) == 2
+    assert "no suite outputs found" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("content,words", [
@@ -510,6 +518,10 @@ def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
     # sweeps with no on-shell gap, which never check that an on-shell mode is stationary
     ("evolve", "evolve.n_gaps", "40"),
     ("evolve", "evolve.n_gaps", "1"),
+    # a per-step phase gap_range * dtau / (hbar m) of pi or more, which np.unwrap folds
+    ("evolve", "evolve.dtau", "1.5708"),
+    ("evolve", "evolve.dtau", "2"),
+    ("evolve", "evolve.dtau", "4"),
 ])
 def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
     cfg = write_cfg(tmp_path, f"{key} = {value}\n")
@@ -533,6 +545,15 @@ def test_evolve_refuses_a_mass_its_sweep_cannot_reach(tmp_path):
                            "--out", str(tmp_path / "o"))
     assert_one_line_config_error(proc, "evolve.gap_range")
     assert not (tmp_path / "o").exists()
+
+
+def test_evolve_accepts_a_step_just_below_the_unwrap_bound(tmp_path):
+    # the end gaps turn by 2 * 1.5707 = 3.1414 < pi per step; the nested output path is
+    # created by the first file written
+    cfg = write_cfg(tmp_path, "evolve.dtau = 1.5707\n")
+    out = tmp_path / "a" / "b"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+    assert (out / "evolve.jsonl").exists() and (out / "evolve_sweep.csv").exists()
 
 
 # Philox keys are below 2**128, and the simulate suite derives keys up to seed + 6 * 7919
@@ -579,7 +600,7 @@ def test_identity_dealiasing_on_small_grid(tmp_path, max_mode, code):
     else:
         assert_one_line_config_error(proc, "identity.max_mode")
         assert "em_wave_spacelike on axis 1" in proc.stderr
-        assert not (tmp_path / "o" / "identity.jsonl").exists()
+        assert not (tmp_path / "o").exists()
 
 
 def test_identity_dealiasing_configured_plane_wave(tmp_path):
@@ -643,7 +664,7 @@ def test_identity_refuses_non_periodic_polynomial(tmp_path, name, key, axis):
                            "--out", str(tmp_path / "o"))
     assert_one_line_config_error(proc, f"potential {name}")
     assert f"varies along axis {axis}" in proc.stderr
-    assert not (tmp_path / "o" / "identity.jsonl").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_identity_accepts_constant_configured_polynomial(tmp_path):

@@ -2,20 +2,11 @@ import numpy as np
 import pytest
 
 from diracsoc.cli import clifford_records
-from diracsoc.clifford import (DIRAC, METRIC_DIAG, CliffordError, GammaSet, Metric,
-                               as_four_vector, mdot, raise_index, relation_residuals)
+from diracsoc.clifford import (DIRAC, METRIC_DIAG, CliffordError, GammaSet, as_four_vector,
+                               mdot, relation_residuals)
 from diracsoc.config import RunConfig
 
 I4 = np.eye(4, dtype=np.complex128)
-
-
-def test_metric_signature():
-    m = Metric()
-    assert m.diag == (1, -1, -1, -1)
-    with pytest.raises(CliffordError):
-        Metric(diag=(1, 1, -1, -1))
-    with pytest.raises(CliffordError):
-        Metric(diag=(1, -1, -1, -2))
 
 
 def test_anticommutator_exact_all_pairs():
@@ -99,13 +90,6 @@ def test_index_and_shape_errors():
         DIRAC.spin_tensor(0, -1)
     with pytest.raises(CliffordError):
         as_four_vector([1, 2, 3])
-
-
-def test_raise_index_involution():
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert np.array_equal(raise_index(raise_index(v)), v)
-    assert mdot(v, v) == pytest.approx(complex(np.sum(raise_index(v) * v)))
 
 
 def test_gammaset_rejects_corrupted_matrices():

@@ -1,0 +1,40 @@
+"""The suites' outputs at the default configuration, pinned by SHA-256.
+
+A refactor must leave every record byte-identical.  The hashes were taken with
+NumPy 2.4.6 on Python 3.11.7; another NumPy may round differently, so there the
+test skips.  A change that alters these bytes on purpose updates the pin and
+says so in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from diracsoc.cli import EXIT_PASS, main
+
+PINNED_NUMPY = "2.4.6"
+GOLDEN = {
+    "clifford.jsonl": "339faae0b5e00498ffc107449efe7c713fa812ecd2ad330ac3cc5080ba36731b",
+    "dispersion.jsonl": "b812866ac7b8d276d87312372b8cea3b0500ef4c046b0aff84cd293dc7ab12a3",
+    "evolve.jsonl": "aceb134f8cf1892f24d129a8ce0b678aa47bbc23977b2243f4f9746273eabd64",
+    "identity.jsonl": "5bf9ff0bb51009c5022f162f71b91dc015f01a1e33137626384ad3a789dd9df3",
+    "simulate.jsonl": "c8ba4a8d4ee4a2bdec4815354efd7349e8d0d0bfb4e4ef0f104e9b90956e388a",
+    "dispersion.csv": "02bf122e6c7c44554888a58a844cc715b6f90e1f48639d519204e86069b3b7ae",
+    "evolve_sweep.csv": "94a162db749e7010fb53b7c694c848552d5d85d0aaad04e12019a17e492ce49a",
+}
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    out = tmp_path_factory.mktemp("default")
+    for command in ("verify-clifford", "verify-identity", "dispersion", "evolve", "simulate"):
+        assert main([command, "--out", str(out)]) == EXIT_PASS
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_default_output_matches_pin(default_outputs, name):
+    assert hashlib.sha256((default_outputs / name).read_bytes()).hexdigest() == GOLDEN[name]

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from diracsoc.clifford import mdot
-from diracsoc.grid import (Field, GridError, SpacetimeGrid, dalembertian,
-                           field_to_csv, l2norm, partial, partial_or_zero,
-                           plane_wave, random_band_limited)
+from diracsoc.grid import (Field, GridError, SpacetimeGrid, dalembertian, l2norm, partial,
+                           partial_or_zero, plane_wave, random_band_limited)
 
 GRID = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(64, 64))
 
@@ -118,7 +117,7 @@ def test_spinor_field_shape_and_derivative():
     k = GRID.commensurate_wavevector([1, 1])
     chi = np.array([1.0, 0.5j, -0.25, 0.0])
     psi = plane_wave(GRID, k, chi=chi)
-    assert psi.is_spinor and psi.ncomp == 4
+    assert psi.is_spinor and psi.values.shape == (4,) + GRID.shape
     dpsi = partial(psi, 0)
     assert rel_err(dpsi.values, -1j * k[0] * psi.values) <= 1e-10
 
@@ -197,16 +196,3 @@ def test_grid_outputs_are_read_only_and_unaliased():
     for out in outputs[2:10]:
         assert not np.shares_memory(out.values, f.values)
         assert not np.shares_memory(out.values, g.values)
-
-
-def test_csv_export(tmp_path):
-    g = SpacetimeGrid(dims=1, extent=(1.0,), points=(8,))
-    f = Field(g, np.arange(8) + 1j * np.arange(8))
-    out = tmp_path / "field.csv"
-    field_to_csv(f, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "z0,c0_re,c0_im"
-    assert len(lines) == 9
-    cells = lines[4].split(",")
-    assert float(cells[0]) == pytest.approx(3 / 8)
-    assert float(cells[1]) == 3.0 and float(cells[2]) == 3.0
