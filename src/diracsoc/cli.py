@@ -28,7 +28,7 @@ import numpy as np
 from . import emfield, soc, spectrum
 from .clifford import DIRAC, mdot, relation_residuals
 from .config import ConfigError, RunConfig, load_config_file
-from .grid import SpacetimeGrid, random_band_limited
+from .grid import BACKENDS, SpacetimeGrid, random_band_limited
 from .operators import (OperatorError, SampledPotential, factorization_discrepancy,
                         fock_and_factored, gauge_discrepancy_prediction)
 from .report import read_jsonl_numbered, summarize, write_csv, write_jsonl, write_meta
@@ -86,8 +86,8 @@ def clifford_records(cfg: RunConfig, corrupt: bool = False) -> tuple[list[dict],
                for name, mu, nu, resid in relation_residuals(g)]
     spans.lap("relations")
 
-    rng = np.random.default_rng(cfg.int("seed"))
-    n = cfg.int("clifford.det_samples")
+    rng = np.random.default_rng(cfg["seed"])
+    n = cfg["clifford.det_samples"]
     # per sample: v draws its real then imaginary parts, then the shift a does
     samples = [(rng.standard_normal(4) + 1j * rng.standard_normal(4),
                 complex(rng.standard_normal() + 1j * rng.standard_normal())) for _ in range(n)]
@@ -106,7 +106,7 @@ def clifford_records(cfg: RunConfig, corrupt: bool = False) -> tuple[list[dict],
         det_residuals.append(abs(det - want) / max(abs(want), 1.0))
     records.append(check(cfg, "verify-clifford", "slash_determinant", samples=n,
                          residual=float(np.max(det_residuals)),
-                         tolerance=cfg.float("clifford.det_tolerance")))
+                         tolerance=cfg["clifford.det_tolerance"]))
     spans.lap("slash_determinant")
     return records, [], spans
 
@@ -143,11 +143,11 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
     """The identity records, no CSV rows, and the seconds spent on each check family."""
     consts = cfg.constants()
     grid = cfg.grid()
-    backend = cfg.str("backend")
-    tol = cfg.float("identity.tolerance")
-    max_mode = cfg.int("identity.max_mode")
-    n_fields = cfg.int("identity.n_fields")
-    rng = np.random.default_rng(cfg.int("seed"))
+    backend = cfg["backend"]
+    tol = cfg["identity.tolerance"]
+    max_mode = cfg["identity.max_mode"]
+    n_fields = cfg["identity.n_fields"]
+    rng = np.random.default_rng(cfg["seed"])
     glabel = _grid_label(grid)
     records = []
 
@@ -190,7 +190,7 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
 
     for name, spec in negatives:
         pot = SampledPotential(spec, grid)
-        for i in range(cfg.int("identity.gauge_fields")):
+        for i in range(cfg["identity.gauge_fields"]):
             phi = random_band_limited(grid, max_mode, rng, spinor=True)
             resid = _gauge_law_residual(phi, pot, consts, backend)
             records.append(check(cfg, "verify-identity", "gauge_discrepancy_law",
@@ -206,9 +206,9 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
 def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     spans = Laps()
     consts = cfg.constants()
-    tol = cfg.float("dispersion.det_tolerance")
-    n = cfg.int("dispersion.n_points")
-    kmax = cfg.float("dispersion.kmax")
+    tol = cfg["dispersion.det_tolerance"]
+    n = cfg["dispersion.n_points"]
+    kmax = cfg["dispersion.kmax"]
     eye = np.eye(4, dtype=np.complex128)
     records, rows = [], []
     for k1 in np.linspace(-kmax, kmax, n):
@@ -230,11 +230,11 @@ def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
 def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     spans = Laps()
     consts = cfg.constants()
-    freq_tol = cfg.float("evolve.frequency_tol")
+    freq_tol = cfg["evolve.frequency_tol"]
     gaps, gap_threshold = cfg.evolve_gaps()
-    sweep = spectrum.delta_sweep(cfg.float("evolve.k1"), gaps, consts, cfg.float("evolve.dtau"),
-                                 cfg.int("evolve.steps"),
-                                 stationary_tol=cfg.float("evolve.stationary_tol"))
+    sweep = spectrum.delta_sweep(cfg["evolve.k1"], gaps, consts, cfg["evolve.dtau"],
+                                 cfg["evolve.steps"],
+                                 stationary_tol=cfg["evolve.stationary_tol"])
     records, rows = [], []
     for rec in sweep:
         expect_stationary = abs(rec["delta"]) <= gap_threshold
@@ -255,24 +255,21 @@ def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
 # -- simulate ----------------------------------------------------------------
 
 def _configured_control(cfg: RunConfig, consts) -> soc.ControlField:
-    kind = cfg.str("simulate.control")
+    kind, w = cfg["simulate.control"], np.array(cfg["simulate.control_w"])
     if kind == "zero":
         return soc.zero_control()
     if kind == "constant":
-        return soc.constant_control(np.array(cfg.floats("simulate.control_w")))
-    if kind == "plane_wave":
-        k = np.array(cfg.floats("simulate.control_w"))
-        return soc.optimal_control_mode(k, consts)
-    raise ConfigError(f"simulate.control must be zero|constant|plane_wave, got {kind!r}")
+        return soc.constant_control(w)
+    return soc.optimal_control_mode(w, consts)  # plane_wave: w holds the wave vector k
 
 
 def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     """The simulate records, the rows of ``paths.csv``, and the seconds per check family."""
     consts = cfg.constants()
-    seed = cfg.int("seed")
-    ds = cfg.float("simulate.ds")
-    n_paths = cfg.int("simulate.n_paths")
-    n_sigma = cfg.float("simulate.n_sigma")
+    seed = cfg["seed"]
+    ds = cfg["simulate.ds"]
+    n_paths = cfg["simulate.n_paths"]
+    n_sigma = cfg["simulate.n_sigma"]
     records = []
     spans = Laps()
 
@@ -303,8 +300,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     spans.lap("straight_line_bitwise")
 
     # bitwise reproducibility of a seeded ensemble: two streams compared at every step
-    rp = soc.EnsembleParams(n_paths=cfg.int("simulate.repro_paths"),
-                            steps=cfg.int("simulate.repro_steps"), ds=ds)
+    rp = soc.EnsembleParams(n_paths=cfg["simulate.repro_paths"],
+                            steps=cfg["simulate.repro_steps"], ds=ds)
     pairs = zip(soc.EulerStream(rp, soc.zero_control(), consts, seed),
                 soc.EulerStream(rp, soc.zero_control(), consts, seed))
     start, first = next(pairs), next(pairs)  # steps 0 and 1; repro_steps >= 1
@@ -324,8 +321,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     spans.lap("reim_correlation_signs")
 
     # diffusion-only variance: Var[Re z_mu] = Var[Im z_mu] = |sigma|^2 s / 2
-    vp = soc.EnsembleParams(n_paths=cfg.int("simulate.variance_paths"),
-                            steps=cfg.int("simulate.variance_steps"), ds=ds)
+    vp = soc.EnsembleParams(n_paths=cfg["simulate.variance_paths"],
+                            steps=cfg["simulate.variance_steps"], ds=ds)
     end = soc.EulerStream(vp, soc.zero_control(), consts, seed + 1).end_state()
     total_s = vp.steps * ds
     rel_tol = 5.0 / np.sqrt(vp.n_paths)
@@ -354,12 +351,12 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
 
     # user-configured ensemble (blow-up detection hooks in here)
     uc = _configured_control(cfg, consts)
-    up = soc.EnsembleParams(n_paths=cfg.int("simulate.repro_paths"),
-                            steps=cfg.int("simulate.repro_steps"), ds=ds)
+    up = soc.EnsembleParams(n_paths=cfg["simulate.repro_paths"],
+                            steps=cfg["simulate.repro_steps"], ds=ds)
     stream = soc.EulerStream(up, uc, consts, seed + 2)
     kept = None
-    if cfg.bool("simulate.dump_paths"):  # only the dumped paths are kept while it streams
-        n_dump = min(cfg.int("simulate.dump_max_paths"), up.n_paths)
+    if cfg["simulate.dump_paths"]:  # only the dumped paths are kept while it streams
+        n_dump = min(cfg["simulate.dump_max_paths"], up.n_paths)
         kept = np.stack([z[:n_dump].copy() for z in stream], axis=1)  # (n_dump, steps+1, 4)
     else:
         stream.end_state()
@@ -486,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="path to a key=value config file")
         p.add_argument("--out", type=str, default="diracsoc-out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--backend", choices=("spectral", "fd4"), default=None)
+        p.add_argument("--backend", choices=BACKENDS, default=None)
         p.add_argument("--epsilon", choices=("+1", "-1"), default=None)
         if name == "verify-clifford":
             p.add_argument("--corrupt-gamma", action="store_true", help=argparse.SUPPRESS)

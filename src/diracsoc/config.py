@@ -1,22 +1,26 @@
 """Flat key-value run configuration with dotted section names.
 
 Format: one ``section.key = value`` per line, ``#`` comments, blank
-lines ignored.  Every key has a default, so an empty (or absent)
-configuration is a complete one; unknown keys are rejected.  The
-effective configuration -- defaults merged with the file and any
-command-line overrides -- is what gets hashed into output records.
+lines ignored.  Every key has a default and a rule in ``KEYS``, so an
+empty (or absent) configuration is a complete one; unknown keys are
+rejected, and every value is parsed and checked once, when the
+configuration is loaded.  The effective configuration -- defaults merged
+with the file and any command-line overrides -- is what gets hashed into
+output records.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .grid import SpacetimeGrid
+from .emfield import CATALOG, PotentialError, PotentialSpec
+from .grid import BACKENDS, SpacetimeGrid
 from .soc import BATTERY_SEED_STRIDE, standard_test_battery
 
 
@@ -24,50 +28,104 @@ class ConfigError(ValueError):
     pass
 
 
+def rule(convert, holds, need: str):
+    """A key's rule: ``convert`` the text and require ``holds`` of the value, else
+    raise ValueError with what the value must be (from_sources prefixes the key)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise ValueError(f"must be {need}, got {text!r}")
+        return value
+    return parse
+
+
+# an infinite tolerance or n_sigma would pass every record it bounds
+positive = rule(float, lambda x: 0 < x < math.inf, "positive and finite")
+finite = rule(float, math.isfinite, "finite")
+power_of_two = rule(int, lambda n: n >= 8 and not n & (n - 1), "a power of two >= 8")
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+boolean = rule(lambda text: _BOOLEANS.get(text.lower()), lambda b: True,
+               "true, yes, 1, false, no or 0")
+
+
+def integer(least: int, most: float = math.inf):
+    return rule(int, lambda n: least <= n <= most,
+                f"an integer >= {least}" if most == math.inf else f"an integer in {least}..{most}")
+
+
+def one_of(*options):
+    """The text, read as the options' type, must equal one of them."""
+    return rule(type(options[0]), options.__contains__, "one of " + ", ".join(map(str, options)))
+
+
+def tuple_of(entry, length: int | None = None):
+    """Comma-separated entries, each read by ``entry``; exactly ``length`` of them if given."""
+    def parse(text: str) -> tuple:
+        items = text.split(",")
+        if length is not None and len(items) != length:
+            raise ValueError(f"must have {length} comma-separated entries, got {text!r}")
+        try:
+            return tuple(entry(item) for item in items)
+        except ValueError as exc:
+            raise ValueError(f"entries {exc}") from None
+    return parse
+
+
 TWO_PI = 2 * np.pi
 
-DEFAULTS: dict[str, str] = {
-    "constants.hbar": "1.0",
-    "constants.c": "1.0",
-    "constants.m": "1.0",
-    "constants.e": "1.0",
-    "constants.epsilon": "1",
+# Philox keys are 128-bit, and the simulate suite derives keys up to this far above
+# the seed
+MAX_SEED = 2 ** 128 - 1 - BATTERY_SEED_STRIDE * len(standard_test_battery())
+
+# key -> (default text, rule); the parameters of a configured potential are further
+# potential.* keys, named by its catalog entry and read by ``finite``
+KEYS = {
+    "constants.hbar": ("1.0", positive),
+    "constants.c": ("1.0", positive),
+    "constants.m": ("1.0", positive),
+    "constants.e": ("1.0", finite),
+    "constants.epsilon": ("1", one_of(1, -1)),
     # "catalog" sweeps the built-in divergence-free entries; any catalog
     # name here (with its parameters as further potential.* keys) makes
     # the identity suite target that single potential instead
-    "potential.name": "catalog",
-    "grid.dims": "2",
-    "grid.extent": f"{TWO_PI!r},{TWO_PI!r}",
-    "grid.points": "256,256",
-    "backend": "spectral",
-    "seed": "12345",
-    "identity.n_fields": "20",
-    "identity.max_mode": "8",
-    "identity.tolerance": "1e-8",
-    "identity.gauge_fields": "5",
-    "clifford.det_samples": "100",
-    "clifford.det_tolerance": "1e-10",
-    "dispersion.n_points": "32",
-    "dispersion.kmax": "3.0",
-    "dispersion.det_tolerance": "1e-9",
-    "evolve.k1": "1.0",
-    "evolve.gap_range": "2.0",
-    "evolve.n_gaps": "41",
-    "evolve.dtau": "1e-3",
-    "evolve.steps": "1000",
-    "evolve.stationary_tol": "1e-10",
-    "evolve.frequency_tol": "1e-8",
-    "simulate.n_paths": "100000",
-    "simulate.ds": "1e-3",
-    "simulate.n_sigma": "3.0",
-    "simulate.control": "zero",
-    "simulate.control_w": "0,0,0,0",
-    "simulate.variance_paths": "20000",
-    "simulate.variance_steps": "32",
-    "simulate.repro_paths": "256",
-    "simulate.repro_steps": "16",
-    "simulate.dump_paths": "false",
-    "simulate.dump_max_paths": "16",
+    "potential.name": ("catalog", one_of("catalog", *CATALOG)),
+    "grid.dims": ("2", integer(1, 4)),
+    "grid.extent": (f"{TWO_PI!r},{TWO_PI!r}", tuple_of(positive)),
+    "grid.points": ("256,256", tuple_of(power_of_two)),
+    "backend": ("spectral", one_of(*BACKENDS)),
+    "seed": ("12345", integer(0, MAX_SEED)),
+    # zero samples, points or fields would let a check pass without testing anything
+    "identity.n_fields": ("20", integer(1)),
+    "identity.max_mode": ("8", integer(0)),
+    "identity.tolerance": ("1e-8", positive),
+    "identity.gauge_fields": ("5", integer(1)),
+    "clifford.det_samples": ("100", integer(1)),
+    "clifford.det_tolerance": ("1e-10", positive),
+    "dispersion.n_points": ("32", integer(1)),
+    "dispersion.kmax": ("3.0", positive),
+    "dispersion.det_tolerance": ("1e-9", positive),
+    "evolve.k1": ("1.0", finite),
+    "evolve.gap_range": ("2.0", positive),
+    "evolve.n_gaps": ("41", integer(1)),
+    "evolve.dtau": ("1e-3", positive),
+    "evolve.steps": ("1000", integer(1)),
+    "evolve.stationary_tol": ("1e-10", positive),
+    "evolve.frequency_tol": ("1e-8", positive),
+    # fewer than two paths leave standard errors and correlations undefined
+    "simulate.n_paths": ("100000", integer(2)),
+    "simulate.ds": ("1e-3", positive),
+    "simulate.n_sigma": ("3.0", positive),
+    "simulate.control": ("zero", one_of("zero", "constant", "plane_wave")),
+    "simulate.control_w": ("0,0,0,0", tuple_of(finite, 4)),
+    "simulate.variance_paths": ("20000", integer(2)),
+    "simulate.variance_steps": ("32", integer(1)),
+    "simulate.repro_paths": ("256", integer(2)),
+    "simulate.repro_steps": ("16", integer(1)),
+    "simulate.dump_paths": ("false", boolean),
+    "simulate.dump_max_paths": ("16", integer(1)),
 }
 
 
@@ -95,91 +153,73 @@ def load_config_file(path) -> dict[str, str]:
     return parse_config_text(p.read_text())
 
 
-def _as_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """The merged texts (``raw``, which ``hash`` reads) and their parsed values,
+    read as ``cfg[key]``."""
+
     raw: dict[str, str]
+    values: dict[str, object]
 
     @classmethod
     def from_sources(cls, file_map: dict[str, str] | None = None,
                      overrides: dict[str, str] | None = None,
                      command: str | None = None) -> "RunConfig":
-        """The defaults, then ``file_map``, then ``overrides``, validated.
+        """The defaults, then ``file_map``, then ``overrides``, each value parsed by
+        its key's rule, then the checks that relate keys.
 
         ``command`` adds the checks that only its suite needs: for ``evolve``,
         that every gap of the sweep has a real k^0, that its per-step phase stays
         below pi and that one gap is on shell.
         """
-        merged = dict(DEFAULTS)
+        merged = {key: default for key, (default, _) in KEYS.items()}
         for source in (file_map or {}), (overrides or {}):
             for key, value in source.items():
-                # potential parameters are named by the catalog entry, so
-                # anything under potential. is deferred to spec validation
-                if key not in DEFAULTS and not key.startswith("potential."):
+                if key not in KEYS and not key.startswith("potential."):
                     raise ConfigError(f"unknown configuration key {key!r}")
                 merged[key] = str(value)
-        cfg = cls(raw=merged)
-        consts = cfg.constants()  # validate eagerly
-        grid = cfg.grid()
-        cfg.potential()
-        nyquist = min(grid.points) // 2
-        if not 0 <= cfg.int("identity.max_mode") < nyquist:
+        values = {}
+        for key, text in merged.items():
+            try:
+                values[key] = (KEYS[key][1] if key in KEYS else finite)(text)
+            except ValueError as exc:
+                raise ConfigError(f"{key} {exc}") from None
+        cfg = cls(raw=merged, values=values)
+        for key in ("grid.extent", "grid.points"):
+            if len(cfg[key]) != cfg["grid.dims"]:
+                raise ConfigError(f"{key} must have one entry per axis of grid.dims = "
+                                  f"{cfg['grid.dims']}, got {merged[key]}")
+        try:
+            cfg.potential()
+        except PotentialError as exc:
+            raise ConfigError(f"potential.name: {exc}") from None
+        nyquist = min(cfg["grid.points"]) // 2
+        if cfg["identity.max_mode"] >= nyquist:
             raise ConfigError(f"identity.max_mode must be 0..{nyquist - 1} so that random "
                               f"fields stay below the Nyquist mode of grid.points "
-                              f"{cfg.str('grid.points')}, got {cfg.str('identity.max_mode')}")
-        if cfg.str("backend") not in ("spectral", "fd4"):
-            raise ConfigError(f"backend must be spectral or fd4, got {cfg.str('backend')!r}")
-        # an infinite tolerance or n_sigma would pass every record it bounds
-        for key in ("identity.tolerance", "clifford.det_tolerance", "dispersion.det_tolerance",
-                    "evolve.stationary_tol", "evolve.frequency_tol", "evolve.dtau",
-                    "evolve.gap_range", "dispersion.kmax", "simulate.ds", "simulate.n_sigma"):
-            if not 0 < cfg.float(key) < np.inf:
-                raise ConfigError(f"{key} must be positive and finite, got {cfg.str(key)}")
-        if not np.isfinite(cfg.float("evolve.k1")):
-            raise ConfigError(f"evolve.k1 must be finite, got {cfg.str('evolve.k1')}")
-        # fewer than two paths leave standard errors and correlations undefined;
-        # zero samples, points or fields would let a check pass without testing anything
-        for key, least in (("simulate.n_paths", 2), ("simulate.variance_paths", 2),
-                           ("simulate.repro_paths", 2), ("simulate.variance_steps", 1),
-                           ("simulate.repro_steps", 1), ("simulate.dump_max_paths", 1),
-                           ("dispersion.n_points", 1), ("clifford.det_samples", 1),
-                           ("evolve.n_gaps", 1), ("evolve.steps", 1),
-                           ("identity.n_fields", 1), ("identity.gauge_fields", 1)):
-            if cfg.int(key) < least:
-                raise ConfigError(f"{key} must be at least {least}, got {cfg.str(key)}")
-        # Philox keys are 128-bit, and the simulate suite derives keys up to this far
-        # above the seed
-        max_seed = 2 ** 128 - 1 - BATTERY_SEED_STRIDE * len(standard_test_battery())
-        if not 0 <= cfg.int("seed") <= max_seed:
-            raise ConfigError(f"seed must be in 0..{max_seed}, got {cfg.str('seed')}")
+                              f"{merged['grid.points']}, got {merged['identity.max_mode']}")
         if command == "evolve":
+            consts = cfg.constants()
             # the sweep's most negative gap, -gap_range, needs a real k^0 at k1; this is
             # the expression spectrum.delta_sweep evaluates there.  The error names
             # evolve.k1 when it was given without evolve.gap_range, else evolve.gap_range
-            k1, gap_range = cfg.float("evolve.k1"), cfg.float("evolve.gap_range")
+            k1, gap_range = cfg["evolve.k1"], cfg["evolve.gap_range"]
             k0sq = (-gap_range + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2
             if k0sq < 0:
                 given = {*(file_map or {}), *(overrides or {})}
                 key = ("evolve.k1" if "evolve.k1" in given and "evolve.gap_range" not in given
                        else "evolve.gap_range")
                 raise ConfigError(
-                    f"{key} = {cfg.str(key)} gives the gap -{gap_range:g} no real k^0 at "
+                    f"{key} = {merged[key]} gives the gap -{gap_range:g} no real k^0 at "
                     f"evolve.k1 = {k1:g} (k^0^2 = {k0sq:.3g}); evolve.gap_range must stay "
                     f"within hbar^2 k1^2 + m^2 c^2 = "
                     f"{consts.hbar ** 2 * k1 ** 2 + consts.mass_shell:g}")
             # the largest per-step phase of the sweep is at its end gaps; np.unwrap in
             # spectrum.fit_mode_frequency folds a step of pi or more into a wrong frequency
-            phase = gap_range * cfg.float("evolve.dtau") / (consts.hbar * consts.m)
+            phase = gap_range * cfg["evolve.dtau"] / (consts.hbar * consts.m)
             if phase >= np.pi:
                 raise ConfigError(
-                    f"evolve.dtau = {cfg.str('evolve.dtau')} turns the phase of the gap "
+                    f"evolve.dtau = {merged['evolve.dtau']} turns the phase of the gap "
                     f"{gap_range:g} by {phase:.6g} rad per step, which the frequency fit cannot "
                     f"unwrap; evolve.dtau must stay below pi hbar m / evolve.gap_range = "
                     f"{np.pi * consts.hbar * consts.m / gap_range:.8g}")
@@ -187,10 +227,13 @@ class RunConfig:
             gaps, threshold = cfg.evolve_gaps()
             if not np.any(np.abs(gaps) <= threshold):
                 raise ConfigError(
-                    f"evolve.n_gaps = {cfg.str('evolve.n_gaps')} puts no gap within "
+                    f"evolve.n_gaps = {merged['evolve.n_gaps']} puts no gap within "
                     f"{threshold:.3g} of 0 on [-{gap_range:g}, {gap_range:g}], so no mode is "
                     f"on shell; use an odd count of at least 3")
         return cfg
+
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def evolve_gaps(self) -> tuple[np.ndarray, float]:
         """The evolve sweep's gaps, and the largest |gap| whose mode must stay stationary.
@@ -199,74 +242,26 @@ class RunConfig:
         via 2 sin(|D| T / 2 hbar m) over the proper time T = steps * dtau.
         """
         consts = self.constants()
-        gap_range = self.float("evolve.gap_range")
-        gaps = np.linspace(-gap_range, gap_range, self.int("evolve.n_gaps"))
-        total_tau = self.int("evolve.steps") * self.float("evolve.dtau")
-        return gaps, self.float("evolve.stationary_tol") * consts.hbar * consts.m / total_tau
-
-    def str(self, key: str) -> str:
-        return self.raw[key]
-
-    def int(self, key: str) -> int:
-        try:
-            return int(self.raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {self.raw[key]!r}") from exc
-
-    def float(self, key: str) -> float:
-        try:
-            return float(self.raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected a number, got {self.raw[key]!r}") from exc
-
-    def bool(self, key: str) -> bool:
-        return _as_bool(self.raw[key])
-
-    def floats(self, key: str) -> tuple[float, ...]:
-        try:
-            return tuple(float(tok) for tok in self.raw[key].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected comma-separated numbers") from exc
-
-    def ints(self, key: str) -> tuple[int, ...]:
-        try:
-            return tuple(int(tok) for tok in self.raw[key].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected comma-separated integers") from exc
+        gap_range = self["evolve.gap_range"]
+        gaps = np.linspace(-gap_range, gap_range, self["evolve.n_gaps"])
+        total_tau = self["evolve.steps"] * self["evolve.dtau"]
+        return gaps, self["evolve.stationary_tol"] * consts.hbar * consts.m / total_tau
 
     def constants(self) -> PhysicalConstants:
-        eps = self.int("constants.epsilon")
-        try:
-            return PhysicalConstants(hbar=self.float("constants.hbar"),
-                                     c=self.float("constants.c"),
-                                     m=self.float("constants.m"),
-                                     e=self.float("constants.e"),
-                                     epsilon=eps)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return PhysicalConstants(*(self[f"constants.{name}"]
+                                   for name in ("hbar", "c", "m", "e", "epsilon")))
 
     def grid(self) -> SpacetimeGrid:
-        try:
-            return SpacetimeGrid(dims=self.int("grid.dims"),
-                                 extent=self.floats("grid.extent"),
-                                 points=self.ints("grid.points"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SpacetimeGrid(self["grid.dims"], self["grid.extent"], self["grid.points"])
 
-    def potential(self):
+    def potential(self) -> PotentialSpec | None:
         """The configured PotentialSpec, or None for the catalog sweep."""
-        name = self.str("potential.name")
+        name = self["potential.name"]
         if name == "catalog":
             return None
-        from .emfield import PotentialError, PotentialSpec
-        params = {}
-        for key, value in self.raw.items():
-            if key.startswith("potential.") and key != "potential.name":
-                params[key.split(".", 1)[1]] = self.float(key)
-        try:
-            return PotentialSpec(name, params)
-        except PotentialError as exc:
-            raise ConfigError(str(exc)) from exc
+        return PotentialSpec(name, {key.split(".", 1)[1]: value
+                                    for key, value in self.values.items()
+                                    if key.startswith("potential.") and key != "potential.name"})
 
     def hash(self) -> str:
         canon = "\n".join(f"{k} = {self.raw[k]}" for k in sorted(self.raw))
@@ -277,8 +272,8 @@ class RunConfig:
         c = self.constants()
         return {
             "config_hash": self.hash(),
-            "seed": self.int("seed"),
-            "backend": self.str("backend"),
+            "seed": self["seed"],
+            "backend": self["backend"],
             "constants": {"hbar": c.hbar, "c": c.c, "m": c.m, "e": c.e,
                           "epsilon": c.epsilon},
             "branch": {"sigma": "principal rho_eps = exp(eps*i*pi/4)",

@@ -11,7 +11,7 @@ import pytest
 import diracsoc
 from diracsoc import cli, soc, spectrum
 from diracsoc.cli import EXIT_BLOWUP, EXIT_FAIL, EXIT_PASS, _exit_for, main
-from diracsoc.config import ConfigError, RunConfig, parse_config_text
+from diracsoc.config import KEYS, ConfigError, RunConfig, parse_config_text
 from diracsoc.report import jsonl_dumps, read_jsonl
 
 FAST_IDENTITY = """
@@ -54,7 +54,7 @@ def test_config_defaults_and_overrides():
     assert cfg.grid().points == (256, 256)
     cfg2 = RunConfig.from_sources({"constants.epsilon": "-1"}, {"seed": "7"})
     assert cfg2.constants().epsilon == -1
-    assert cfg2.int("seed") == 7
+    assert cfg2["seed"] == 7
     assert cfg.hash() != cfg2.hash()
     assert cfg.hash() == RunConfig.from_sources().hash()
 
@@ -70,6 +70,22 @@ def test_config_rejects_unknown_and_invalid():
         RunConfig.from_sources({"grid.points": "100,100"})
     with pytest.raises(ConfigError):
         RunConfig.from_sources({"identity.tolerance": "-1"})
+
+
+# a key added without a rule would reach the suites unchecked
+@pytest.mark.parametrize("key", [*KEYS, "potential.E"])
+def test_every_key_is_parsed_at_load(key):
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_sources({key: "x?"})
+    assert str(info.value).startswith(key)
+
+
+def test_readme_table_lists_every_key_and_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    table = {key.strip().strip("`"): default.strip().strip("`") for key, default in rows}
+    assert table == {key: default for key, (default, _) in KEYS.items()}
 
 
 def test_jsonl_formatting_17_digits():
@@ -522,9 +538,47 @@ def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
     ("evolve", "evolve.dtau", "1.5708"),
     ("evolve", "evolve.dtau", "2"),
     ("evolve", "evolve.dtau", "4"),
+    # every key is parsed at load, whichever suite runs and whether it reads the key
+    ("verify-clifford", "simulate.control", "bogus"),
+    ("simulate", "simulate.control_w", "1,2,3"),
+    ("simulate", "simulate.dump_paths", "maybe"),
+    ("verify-identity", "potential.a0_0000", "inf"),
+    # non-finite constants and extents
+    ("verify-identity", "grid.extent", "nan,1"),
+    ("verify-identity", "grid.extent", "inf,inf"),
+    ("verify-identity", "constants.e", "inf"),
+    ("dispersion", "constants.e", "nan"),
+    ("dispersion", "constants.c", "inf"),
+    ("evolve", "constants.hbar", "inf"),
+    ("simulate", "constants.m", "inf"),
+    # refusals whose message names the key
+    ("dispersion", "constants.m", "-1"),
+    ("dispersion", "constants.epsilon", "2"),
+    ("dispersion", "grid.points", "100,100"),
+    ("dispersion", "grid.dims", "5"),
 ])
 def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
-    cfg = write_cfg(tmp_path, f"{key} = {value}\n")
+    assert_refused_at_load(tmp_path, command, f"{key} = {value}\n", key)
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("simulate", "simulate.control = constant\nsimulate.control_w = 1,2,3", "simulate.control_w"),
+    ("simulate", "simulate.control = plane_wave\nsimulate.control_w = 1,2,3",
+     "simulate.control_w"),
+    ("verify-identity", "potential.name = custom_polynomial\npotential.a0_0000 = inf",
+     "potential.a0_0000"),
+    ("verify-identity", "potential.name = custom_polynomial\npotential.a0_0000 = nan",
+     "potential.a0_0000"),
+    # entry counts that do not match grid.dims
+    ("dispersion", "grid.dims = 3", "grid.extent"),
+    ("dispersion", "grid.dims = 1\ngrid.extent = 1", "grid.points"),
+])
+def test_refused_config_values_name_their_key(tmp_path, command, text, key):
+    assert_refused_at_load(tmp_path, command, text + "\n", key)
+
+
+def assert_refused_at_load(tmp_path, command, text, key):
+    cfg = write_cfg(tmp_path, text)
     proc = run_cli_process("diracsoc.cli", command, "--config", cfg,
                            "--out", str(tmp_path / "o"))
     assert_one_line_config_error(proc, key)
@@ -568,8 +622,8 @@ def test_seed_outside_philox_key_range_exit_2(tmp_path, seed):
 
 
 def test_largest_seed_accepted():
-    assert RunConfig.from_sources(overrides={"seed": str(MAX_SEED)}).int("seed") == MAX_SEED
-    assert RunConfig.from_sources(overrides={"seed": "0"}).int("seed") == 0
+    assert RunConfig.from_sources(overrides={"seed": str(MAX_SEED)})["seed"] == MAX_SEED
+    assert RunConfig.from_sources(overrides={"seed": "0"})["seed"] == 0
 
 
 def test_empty_record_list_is_not_a_pass():
