@@ -17,12 +17,10 @@ from .operators import (SampledPotential, build_spinor, conjugate_apply, dirac_a
                         factored_rhs, factorization_discrepancy, fock_and_factored, fock_rhs,
                         gauge_discrepancy_prediction, kg_residual_componentwise,
                         legacy_factored_rhs)
-from .soc import (ControlField, DiffusionCoefficients, EnsembleParams,
-                  TrajectoryEnsemble, accumulate_action, constant_control,
-                  generator_check, hjb_residual_mode, hopf_cole_check,
+from .soc import (BATTERY, DiffusionCoefficients, EnsembleParams, TrajectoryEnsemble,
+                  accumulate_action, generator_check, hjb_residual_mode, hopf_cole_check,
                   hopf_cole_exponential_error, make_diffusion, optimal_control_mode,
-                  run_generator_battery, simulate, standard_test_battery,
-                  weak_condition_residual, zero_control, zero_diffusion)
+                  run_generator_battery, simulate, weak_condition_residual, zero_diffusion)
 from .spectrum import (FourMomentum, ModeState, ModeTrajectory, delta_sweep,
                        dispersion_solve, fit_mode_frequency, legacy_mode_condition,
                        matrix_nullspace, mode_phase_factor, nullspace_spinors,

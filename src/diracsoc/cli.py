@@ -254,12 +254,12 @@ def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
 
 # -- simulate ----------------------------------------------------------------
 
-def _configured_control(cfg: RunConfig, consts) -> soc.ControlField:
+def _configured_control(cfg: RunConfig, consts) -> np.ndarray:
     kind, w = cfg["simulate.control"], np.array(cfg["simulate.control_w"])
     if kind == "zero":
-        return soc.zero_control()
+        return np.zeros(4)
     if kind == "constant":
-        return soc.constant_control(w)
+        return w
     return soc.optimal_control_mode(w, consts)  # plane_wave: w holds the wave vector k
 
 
@@ -278,9 +278,10 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     records.append(check(cfg, "simulate", "diffusion_squares", residual=sq_resid, tolerance=0.0))
     spans.lap("diffusion_squares")
 
-    for rpt in soc.run_generator_battery(consts, ds=ds, n_paths=n_paths, seed=seed):
+    reports = soc.run_generator_battery(consts, ds=ds, n_paths=n_paths, seed=seed)
+    for (label, _, _), rpt in zip(soc.BATTERY, reports):
         records.append(check(
-            cfg, "simulate", "generator", function=rpt.label,
+            cfg, "simulate", "generator", function=label,
             estimate=rpt.estimate, exact=rpt.exact, residual=rpt.abs_error,
             stderr=rpt.stderr, n_sigma=n_sigma, n_paths=n_paths, ds=ds,
             tolerance=n_sigma * rpt.stderr))
@@ -289,8 +290,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     # straight-line motion with diffusion disabled, against a literal recursion
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=np.complex128)
     params = soc.EnsembleParams(n_paths=3, steps=64, ds=1.0 / 512)
-    end = soc.EulerStream(params, soc.constant_control(w4), consts, seed,
-                          diffusion=soc.zero_diffusion()).end_state()
+    end = soc.EulerStream(params, w4, consts, seed, diffusion=soc.zero_diffusion()).end_state()
     z = np.broadcast_to(params.z0, (3, 4)).copy()
     for _ in range(64):
         z = z + w4 * params.ds
@@ -302,8 +302,8 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     # bitwise reproducibility of a seeded ensemble: two streams compared at every step
     rp = soc.EnsembleParams(n_paths=cfg["simulate.repro_paths"],
                             steps=cfg["simulate.repro_steps"], ds=ds)
-    pairs = zip(soc.EulerStream(rp, soc.zero_control(), consts, seed),
-                soc.EulerStream(rp, soc.zero_control(), consts, seed))
+    pairs = zip(soc.EulerStream(rp, np.zeros(4), consts, seed),
+                soc.EulerStream(rp, np.zeros(4), consts, seed))
     start, first = next(pairs), next(pairs)  # steps 0 and 1; repro_steps >= 1
     repro = all(np.array_equal(z1, z2) for z1, z2 in itertools.chain((start, first), pairs))
     records.append(check(cfg, "simulate", "fixed_seed_bitwise",
@@ -323,7 +323,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     # diffusion-only variance: Var[Re z_mu] = Var[Im z_mu] = |sigma|^2 s / 2
     vp = soc.EnsembleParams(n_paths=cfg["simulate.variance_paths"],
                             steps=cfg["simulate.variance_steps"], ds=ds)
-    end = soc.EulerStream(vp, soc.zero_control(), consts, seed + 1).end_state()
+    end = soc.EulerStream(vp, np.zeros(4), consts, seed + 1).end_state()
     total_s = vp.steps * ds
     rel_tol = 5.0 / np.sqrt(vp.n_paths)
     errors = []
@@ -339,8 +339,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     ap = soc.EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
     on_shell_w = np.zeros(4, dtype=np.complex128)
     on_shell_w[0] = consts.c
-    ea = soc.simulate(ap, soc.constant_control(on_shell_w), consts, seed,
-                      diffusion=soc.zero_diffusion())
+    ea = soc.simulate(ap, on_shell_w, consts, seed, diffusion=soc.zero_diffusion())
     est = soc.accumulate_action(ea, emfield.free(), consts)
     want = -consts.m * consts.c ** 2 * 1.0
     records.append(check(cfg, "simulate", "action_constant_onshell", mean=est.mean,
@@ -367,7 +366,7 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
         first_path = int(np.argmin(np.where(stream.truncated, stream.first_bad_step, up.steps)))
         first_step = int(stream.first_bad_step[first_path])
     records.append(check(cfg, "simulate", "configured_ensemble",
-                         control=uc.label, n_paths=up.n_paths, steps=up.steps,
+                         control=cfg["simulate.control"], n_paths=up.n_paths, steps=up.steps,
                          truncated_paths=n_trunc, first_bad_step=first_step,
                          first_bad_path=first_path, residual=float(n_trunc), tolerance=0.0))
     spans.lap("configured_ensemble")

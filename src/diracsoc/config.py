@@ -21,7 +21,7 @@ import numpy as np
 from .constants import PhysicalConstants
 from .emfield import CATALOG, PotentialError, PotentialSpec
 from .grid import BACKENDS, SpacetimeGrid
-from .soc import BATTERY_SEED_STRIDE, standard_test_battery
+from .soc import BATTERY, BATTERY_SEED_STRIDE
 
 
 class ConfigError(ValueError):
@@ -78,7 +78,7 @@ TWO_PI = 2 * np.pi
 
 # Philox keys are 128-bit, and the simulate suite derives keys up to this far above
 # the seed
-MAX_SEED = 2 ** 128 - 1 - BATTERY_SEED_STRIDE * len(standard_test_battery())
+MAX_SEED = 2 ** 128 - 1 - BATTERY_SEED_STRIDE * len(BATTERY)
 
 # key -> (default text, rule); the parameters of a configured potential are further
 # potential.* keys, named by its catalog entry and read by ``finite``
@@ -189,10 +189,14 @@ class RunConfig:
             if len(cfg[key]) != cfg["grid.dims"]:
                 raise ConfigError(f"{key} must have one entry per axis of grid.dims = "
                                   f"{cfg['grid.dims']}, got {merged[key]}")
+        params = [key for key in merged if key.startswith("potential.") and key not in KEYS]
+        if params and cfg["potential.name"] == "catalog":
+            raise ConfigError(f"{params[0]} is a parameter of no potential: the catalog sweep "
+                              "(potential.name = catalog) takes none")
         try:
             cfg.potential()
         except PotentialError as exc:
-            raise ConfigError(f"potential.name: {exc}") from None
+            raise ConfigError(f"potential.{exc.param or 'name'}: {exc}") from None
         nyquist = min(cfg["grid.points"]) // 2
         if cfg["identity.max_mode"] >= nyquist:
             raise ConfigError(f"identity.max_mode must be 0..{nyquist - 1} so that random "

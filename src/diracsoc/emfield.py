@@ -38,7 +38,9 @@ Exponents = tuple[int, int, int, int]
 
 
 class PotentialError(ValueError):
-    pass
+    def __init__(self, message: str, param: str | None = None) -> None:
+        super().__init__(message)
+        self.param = param  # the parameter at fault, when one is
 
 
 @dataclass(frozen=True)
@@ -170,20 +172,24 @@ def _parse_poly_key(key: str) -> tuple[int, Exponents]:
     # a<mu>_<e0><e1><e2><e3>, single-digit exponents
     if (len(key) != 7 or key[0] != "a" or key[2] != "_"
             or not key[1].isdigit() or not key[3:].isdigit() or int(key[1]) > 3):
-        raise PotentialError(f"bad polynomial term key {key!r}; expected a<mu>_<e0e1e2e3>")
+        raise PotentialError(f"bad polynomial term key {key!r}; expected a<mu>_<e0e1e2e3>",
+                             param=key)
     return int(key[1]), tuple(int(c) for c in key[3:])
 
 
-# catalog name -> (required parameter keys, family built from the parameters)
+# catalog name -> (required parameter keys, optional parameter keys, family built from
+# the parameters); custom_polynomial (optional keys None) takes any number of term
+# keys, which its builder parses
 CATALOG = {
-    "free": ((), lambda p: PolynomialPotential({})),
-    "constant_electric": (("E",), lambda p: PolynomialPotential({(0, (0, 1, 0, 0)): -p["E"]})),
-    "constant_magnetic": (("B",), lambda p: PolynomialPotential(
+    "free": ((), (), lambda p: PolynomialPotential({})),
+    "constant_electric": (("E",), (), lambda p: PolynomialPotential(
+        {(0, (0, 1, 0, 0)): -p["E"]})),
+    "constant_magnetic": (("B",), (), lambda p: PolynomialPotential(
         {(1, (0, 0, 1, 0)): -0.5 * p["B"], (2, (0, 1, 0, 0)): 0.5 * p["B"]})),
-    "em_plane_wave": (_WAVE_KEYS, lambda p: TransverseWave(*_wave_args(p))),
-    "custom_polynomial": ((), lambda p: PolynomialPotential(
+    "em_plane_wave": (_WAVE_KEYS, ("phase",), lambda p: TransverseWave(*_wave_args(p))),
+    "custom_polynomial": ((), None, lambda p: PolynomialPotential(
         {_parse_poly_key(key): coef for key, coef in p.items()})),
-    "custom_wave": (_WAVE_KEYS, lambda p: CosineWave(*_wave_args(p))),
+    "custom_wave": (_WAVE_KEYS, ("phase",), lambda p: CosineWave(*_wave_args(p))),
 }
 
 
@@ -199,10 +205,15 @@ class PotentialSpec:
         if self.name not in CATALOG:
             raise PotentialError(f"unknown potential {self.name!r}; catalog: {tuple(CATALOG)}")
         object.__setattr__(self, "params", dict(self.params))
-        required, build = CATALOG[self.name]
+        required, optional, build = CATALOG[self.name]
         missing = [k for k in required if k not in self.params]
         if missing:
             raise PotentialError(f"{self.name}: missing parameters {missing}")
+        if optional is not None:
+            for key in self.params:
+                if key not in required + optional:
+                    raise PotentialError(f"{self.name} takes no parameter {key!r}, only "
+                                         f"{list(required + optional)}", param=key)
         object.__setattr__(self, "family", build(self.params))
 
 

@@ -9,8 +9,12 @@ and imaginary parts of each increment are therefore exactly
 epsilon.
 
 Every simulated control is constant in z (zero, a configured constant,
-the plane-wave optimal control and the battery drift), so a control is
-one complex four-vector and an Euler step is  z + w ds + sigma sqrt(ds) xi.
+the plane-wave optimal control and the battery drift), so a control is a
+plain complex four-vector w_mu, of which ``EulerStream`` keeps a read-only
+copy, and an Euler step is  z + w ds + sigma sqrt(ds) xi.  The generator
+battery is the table ``BATTERY`` of (label, ``Polynomial``, drift) rows;
+``generator_check`` takes the polynomial's derivatives from
+``Polynomial.derivative``.
 
 Positions and controls are stored as lower-index components, matching
 the equation of motion; coordinates z^mu are recovered by metric raising
@@ -29,16 +33,9 @@ the noise inside its Euler loop, a bounded chunk of steps at a time.
 Streaming: ``EulerStream`` is the one Euler loop.  It yields each step's
 (n_paths, 4) positions and keeps the blow-up flags, so a statistic that
 needs only end points or step-to-step comparisons runs in O(n_paths)
-memory, whatever the number of steps.  It advances one noise chunk at a
-time: one multiply gives the chunk's increments, the positions follow row
-by row in the per-step order (z + w ds) + increment, and one finite sum of
-the chunk's last row clears every position in it, since a non-finite entry
-stays non-finite under later additions.  Paths frozen in an earlier
-chunk are put back at their frozen positions.  A chunk whose sum is not
-finite is redone one step at a time from its start, with the per-path
-check that flags and freezes each blow-up at its step; positions and
-flags are the same either way.  The start is a read-only view of z0.
-``simulate`` collects a stream into stored (n_paths, steps+1, 4) paths.
+memory, whatever the number of steps; its docstring gives how a chunk of
+steps advances and how a blow-up is flagged and frozen.  ``simulate``
+collects a stream into stored (n_paths, steps+1, 4) paths.
 In the simulate suite the generator battery, the straight line, the
 variance law and the configured ensemble read end states or final flags,
 the bitwise reproducibility check runs two streams in lockstep, and the
@@ -71,31 +68,7 @@ class HopfColeError(SocError):
 
 # -- optimal control ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ControlField:
-    """Constant control policy: the complex four-velocity w_mu at every position.
-
-    ``w`` holds the four lower-index components as a read-only array.
-    """
-
-    w: ArrayC
-    label: str
-
-    def __post_init__(self) -> None:
-        w = np.array(as_four_vector(self.w))
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-
-
-def constant_control(w, label: str = "constant") -> ControlField:
-    return ControlField(w, label)
-
-
-def zero_control() -> ControlField:
-    return constant_control(np.zeros(4), "zero")
-
-
-def optimal_control_mode(k, consts: PhysicalConstants, A_const=None) -> ControlField:
+def optimal_control_mode(k, consts: PhysicalConstants, A_const=None) -> ArrayC:
     """Control of a plane-wave log-amplitude: w_mu = eps/m (hbar k_mu - e A_mu).
 
     This is the closed form obtained from d_mu(-i k.z) = -i k_mu; the
@@ -103,14 +76,11 @@ def optimal_control_mode(k, consts: PhysicalConstants, A_const=None) -> ControlF
     """
     k = as_four_vector(k)
     a = np.zeros(4, dtype=np.complex128) if A_const is None else as_four_vector(A_const)
-    w = (consts.epsilon / consts.m) * (consts.hbar * k - consts.e * a)
-    return constant_control(w, label="plane_wave_mode")
+    return (consts.epsilon / consts.m) * (consts.hbar * k - consts.e * a)
 
 
 def weak_condition_residual(w, consts: PhysicalConstants):
     """w_mu w^mu - c^2; zero for controls derived from on-shell modes."""
-    if isinstance(w, ControlField):
-        w = w.w
     w = np.asarray(w, dtype=np.complex128)
     if w.shape[0] != 4:
         raise SocError("control components must be stacked along the first axis")
@@ -135,18 +105,17 @@ def hjb_residual_mode(k, consts: PhysicalConstants, A_const=None) -> complex:
     return -rhs
 
 
-def hopf_cole_check(phi: Field, backend: str = "spectral",
-                    floor_rel: float = 1e-8) -> float:
+def hopf_cole_check(phi: Field, backend: str = "spectral") -> float:
     """Max |(dJ)^2 + ddJ - ddphi/phi| over the grid, with J = log phi.
 
     Both sides are computed through genuinely different routes: the left
     through derivatives of the pointwise logarithm, the right through
-    derivatives of phi itself.  phi must be bounded away from zero.
+    derivatives of phi itself.  |phi| must stay above 1e-8 of its largest value.
     """
     if phi.is_spinor:
         raise HopfColeError("the Hopf-Cole check takes a scalar field")
     mag = np.abs(phi.values)
-    floor = floor_rel * float(mag.max())
+    floor = 1e-8 * float(mag.max())
     if float(mag.min()) < floor:
         idx = np.unravel_index(int(np.argmin(mag)), mag.shape)
         point = tuple(float(phi.grid.axis(mu)[idx[mu]]) for mu in range(phi.grid.dims))
@@ -162,16 +131,16 @@ def hopf_cole_check(phi: Field, backend: str = "spectral",
     return float(np.abs(lhs - rhs).max())
 
 
-def hopf_cole_exponential_error(a: complex, points=None, h: float = 5e-3) -> float:
+def hopf_cole_exponential_error(a: complex) -> float:
     """The identity error for phi = exp(a z^1), by local finite differences.
 
-    Both routes use 4th-order central stencils at isolated points, so no
-    periodicity is needed; the exact value of both sides is -a^2.
+    Both routes use 4th-order central stencils of step h = 5e-3 at nine
+    isolated points on [-1, 1], so no periodicity is needed; the exact value
+    of both sides is -a^2.
     """
     a = complex(a)
-    if points is None:
-        points = np.linspace(-1.0, 1.0, 9)
-    pts = np.asarray(points, dtype=np.complex128)
+    h = 5e-3
+    pts = np.linspace(-1.0, 1.0, 9).astype(np.complex128)
     if np.abs(a.imag * (np.abs(pts) + 2 * h)).max() >= np.pi:
         raise HopfColeError("sample points wind past the logarithm branch cut")
     offsets = h * np.array([-2, -1, 0, 1, 2])
@@ -299,12 +268,15 @@ class EulerStream:
     rows of one block whose frozen paths are reset to their frozen positions;
     a chunk that fails the check is recomputed one step at a time.  A stream
     holds O(n_paths) memory whatever its length.  Each iteration restarts the
-    recursion from z0.
+    recursion from z0.  The control ``w`` is a complex four-vector, of which the
+    stream keeps a read-only copy.
     """
 
-    def __init__(self, params: EnsembleParams, w: ControlField, consts: PhysicalConstants,
+    def __init__(self, params: EnsembleParams, w, consts: PhysicalConstants,
                  seed: int, diffusion: DiffusionCoefficients | None = None) -> None:
-        self.params, self.w, self.seed = params, w, seed
+        self.w = np.array(as_four_vector(w))
+        self.w.setflags(write=False)
+        self.params, self.seed = params, seed
         self.diffusion = diffusion if diffusion is not None else make_diffusion(consts)
         self.truncated = np.zeros(params.n_paths, dtype=bool)
         self.first_bad_step = np.full(params.n_paths, -1, dtype=np.int64)
@@ -313,7 +285,7 @@ class EulerStream:
         n, steps, ds = self.params.n_paths, self.params.steps, self.params.ds
         chunk = max(1, NOISE_CHUNK // n)
         with np.errstate(over="ignore", invalid="ignore"):  # flagged by the first step
-            drift = self.w.w * ds
+            drift = self.w * ds
             amp = self.diffusion.sigma * math.sqrt(ds)
         truncated, first_bad = self.truncated, self.first_bad_step
         truncated[:] = False
@@ -364,14 +336,14 @@ class EulerStream:
         return z
 
 
-def simulate(params: EnsembleParams, w: ControlField, consts: PhysicalConstants, seed: int,
+def simulate(params: EnsembleParams, w, consts: PhysicalConstants, seed: int,
              diffusion: DiffusionCoefficients | None = None) -> TrajectoryEnsemble:
     """Every position of an ``EulerStream``, stored as (n_paths, steps+1, 4) paths."""
     stream = EulerStream(params, w, consts, seed, diffusion)
     paths = np.empty((params.n_paths, params.steps + 1, 4), dtype=np.complex128)
     for s, z in enumerate(stream):
         paths[:, s] = z
-    return TrajectoryEnsemble(paths=paths, w=w.w, ds=params.ds, truncated=stream.truncated,
+    return TrajectoryEnsemble(paths=paths, w=stream.w, ds=params.ds, truncated=stream.truncated,
                               first_bad_step=stream.first_bad_step)
 
 
@@ -442,61 +414,28 @@ def accumulate_action(ensemble: TrajectoryEnsemble, A: PotentialSpec,
 
 # -- generator consistency ---------------------------------------------------
 
-@dataclass(frozen=True)
-class PolynomialTestFunction:
-    """Holomorphic polynomial in the four complex position components."""
-
-    coeffs: dict
-    label: str
-
-    def __post_init__(self) -> None:
-        for exps, _ in self.coeffs.items():
-            if len(exps) != 4 or any(e < 0 for e in exps):
-                raise SocError(f"bad exponent tuple {exps}")
-            if sum(exps) > 4:
-                raise SocError("test polynomials must have degree <= 4")
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        return Polynomial(self.coeffs)([z[..., mu] for mu in range(4)])
-
-    def grad(self, z0) -> ArrayC:
-        z0 = as_four_vector(z0)
-        return np.array([Polynomial(self.coeffs).derivative(mu)(z0) for mu in range(4)])
-
-    def hess_diag(self, z0) -> ArrayC:
-        z0 = as_four_vector(z0)
-        return np.array([Polynomial(self.coeffs).derivative(mu).derivative(mu)(z0)
-                         for mu in range(4)])
-
-
-def monomial(mu: int, power: int = 1, label: str | None = None) -> PolynomialTestFunction:
-    exps = [0, 0, 0, 0]
-    exps[mu] = power
-    default = f"z{mu}^{power}" if power > 1 else f"z{mu}"
-    return PolynomialTestFunction({tuple(exps): 1.0}, label or default)
-
-
-def standard_test_battery() -> list[PolynomialTestFunction]:
-    return [
-        monomial(1),
-        monomial(0),
-        monomial(1, 2),
-        PolynomialTestFunction({(1, 1, 0, 0): 1.0}, "z0*z1"),
-        monomial(0, 2),
-        monomial(1, 3),
-    ]
+# the generator battery: (label, holomorphic test polynomial of degree <= 4, drift).
+# The linear functions run with a constant drift (the diffusion term cancels for
+# them); the nonlinear ones run drift-free, so the one-step recursion has no O(ds)
+# bias and a verdict on the error is sharp.
+BATTERY_DRIFT = (0.3, -0.2, 0.1, 0.05)
+NO_DRIFT = (0.0, 0.0, 0.0, 0.0)
+BATTERY = (
+    ("z1", Polynomial({(0, 1, 0, 0): 1.0}), BATTERY_DRIFT),
+    ("z0", Polynomial({(1, 0, 0, 0): 1.0}), BATTERY_DRIFT),
+    ("z1^2", Polynomial({(0, 2, 0, 0): 1.0}), NO_DRIFT),
+    ("z0*z1", Polynomial({(1, 1, 0, 0): 1.0}), NO_DRIFT),
+    ("z0^2", Polynomial({(2, 0, 0, 0): 1.0}), NO_DRIFT),
+    ("z1^3", Polynomial({(0, 3, 0, 0): 1.0}), NO_DRIFT),
+)
 
 
 @dataclass(frozen=True)
 class GeneratorReport:
-    label: str
     estimate: complex
     exact: complex
     abs_error: float
     stderr: float
-    n_paths: int
-    ds: float
 
 
 # battery function i (counted from 1) draws its paths from key seed + i * stride
@@ -505,42 +444,34 @@ BATTERY_SEED_STRIDE = 7919
 
 def run_generator_battery(consts: PhysicalConstants, ds: float, n_paths: int,
                           seed: int) -> list[GeneratorReport]:
-    """The standard six-function battery, one independent substream set each.
-
-    Linear test functions run with a constant drift (the diffusion term
-    cancels for them); the nonlinear ones run drift-free so the one-step
-    recursion has no O(ds) bias and a verdict on the error is sharp.
-    """
-    drift_w = constant_control([0.3, -0.2, 0.1, 0.05], "battery_drift")
-    reports = []
-    for i, f in enumerate(standard_test_battery()):
-        w = drift_w if f.label in ("z0", "z1") else zero_control()
-        reports.append(generator_check(f, w, consts, ds=ds, n_paths=n_paths,
-                                       seed=seed + BATTERY_SEED_STRIDE * (i + 1)))
-    return reports
+    """One report per ``BATTERY`` row, in table order, each under the row's drift
+    and from its own independent substream set."""
+    return [generator_check(f, w, consts, ds=ds, n_paths=n_paths,
+                            seed=seed + BATTERY_SEED_STRIDE * i)
+            for i, (_, f, w) in enumerate(BATTERY, start=1)]
 
 
-def generator_check(f: PolynomialTestFunction, w: ControlField,
-                    consts: PhysicalConstants, ds: float, n_paths: int, seed: int,
-                    z0=None, diffusion: DiffusionCoefficients | None = None
-                    ) -> GeneratorReport:
+def generator_check(f: Polynomial, w, consts: PhysicalConstants, ds: float, n_paths: int,
+                    seed: int, z0=None) -> GeneratorReport:
     """Compare (E[f(z_ds)] - f(z_0))/ds against the generator of the diffusion,
 
         G f = w_mu df/dz_mu + 1/2 sum_mu sigma_mu^2 d2f/dz_mu^2,
 
-    evaluated at z_0.  The report holds |estimate - G f| and the standard
-    error of the Monte Carlo mean; the caller sets the verdict.
+    evaluated at z_0, for the constant control ``w``.  The report holds
+    |estimate - G f| and the standard error of the Monte Carlo mean; the caller
+    sets the verdict.
     """
     z0 = np.zeros(4, dtype=np.complex128) if z0 is None else as_four_vector(z0)
-    diff = diffusion if diffusion is not None else make_diffusion(consts)
+    diff = make_diffusion(consts)
     params = EnsembleParams(n_paths=n_paths, steps=1, ds=ds, z0=z0)
-    f1 = f(EulerStream(params, w, consts, seed, diffusion=diff).end_state())
-    f0 = complex(f(z0.reshape(1, 4))[0])
+    f1 = f(EulerStream(params, w, consts, seed, diffusion=diff).end_state().T)
+    f0 = complex(f(z0))
     estimate = complex((np.mean(f1) - f0) / ds)
     var = np.var(f1.real, ddof=1) + np.var(f1.imag, ddof=1)
     stderr = float(np.sqrt(var / n_paths) / ds)
 
-    exact = complex(np.dot(w.w, f.grad(z0)) + 0.5 * np.dot(diff.squares, f.hess_diag(z0)))
-    return GeneratorReport(label=f.label, estimate=estimate, exact=exact,
-                           abs_error=abs(estimate - exact), stderr=stderr,
-                           n_paths=n_paths, ds=ds)
+    grad = np.array([f.derivative(mu)(z0) for mu in range(4)])
+    hess_diag = np.array([f.derivative(mu).derivative(mu)(z0) for mu in range(4)])
+    exact = complex(np.dot(as_four_vector(w), grad) + 0.5 * np.dot(diff.squares, hess_diag))
+    return GeneratorReport(estimate=estimate, exact=exact, abs_error=abs(estimate - exact),
+                           stderr=stderr)

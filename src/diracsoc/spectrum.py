@@ -77,22 +77,25 @@ def dispersion_solve(spatial_k, consts: PhysicalConstants) -> tuple[float, float
     return k0, -k0
 
 
-def matrix_nullspace(M: ArrayC, rel_tol: float = 1e-8) -> ArrayC:
+# singular values at most this fraction of the largest one span the nullspace
+NULLSPACE_REL_TOL = 1e-8
+
+
+def matrix_nullspace(M: ArrayC) -> ArrayC:
     """Orthonormal nullspace basis of a matrix via SVD (rows are vectors)."""
     _, s, vh = np.linalg.svd(np.asarray(M, dtype=np.complex128))
-    cutoff = rel_tol * (s[0] if s.size else 0.0)
+    cutoff = NULLSPACE_REL_TOL * (s[0] if s.size else 0.0)
     return vh[s <= cutoff].conj()
 
 
 def nullspace_spinors(k: FourMomentum, gammas: GammaSet = DIRAC,
-                      consts: PhysicalConstants = PhysicalConstants(),
-                      rel_tol: float = 1e-8) -> ArrayC:
+                      consts: PhysicalConstants = PhysicalConstants()) -> ArrayC:
     """Orthonormal basis of null(hbar slash(k) - mc I); dimension 2 on shell."""
     if abs(k.gap(consts)) > 1e-10 * consts.mass_shell:
         raise SpectrumError(
             f"no nontrivial nullspace: k is off shell by Delta={k.gap(consts):g}")
     M = consts.hbar * gammas.slash(k.k) - consts.mc * np.eye(4)
-    basis = matrix_nullspace(M, rel_tol)
+    basis = matrix_nullspace(M)
     if basis.shape[0] != 2:
         raise SpectrumError(f"expected a 2-dimensional nullspace, found {basis.shape[0]}")
     return basis

@@ -247,7 +247,7 @@ def test_criterion_09_stochastic_layer():
 
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=complex)
     params = soc.EnsembleParams(n_paths=3, steps=64, ds=1.0 / 512)
-    ens = soc.simulate(params, soc.constant_control(w4), CONSTS, 12345,
+    ens = soc.simulate(params, w4, CONSTS, 12345,
                        diffusion=soc.zero_diffusion())
     z = np.zeros((3, 4), dtype=complex)
     for _ in range(64):
@@ -255,8 +255,8 @@ def test_criterion_09_stochastic_layer():
     line_ok = bool(np.array_equal(ens.paths[:, -1, :], z))
 
     rp = soc.EnsembleParams(n_paths=256, steps=16, ds=1e-3)
-    e1 = soc.simulate(rp, soc.zero_control(), CONSTS, 777)
-    e2 = soc.simulate(rp, soc.zero_control(), CONSTS, 777)
+    e1 = soc.simulate(rp, np.zeros(4), CONSTS, 777)
+    e2 = soc.simulate(rp, np.zeros(4), CONSTS, 777)
     repro_ok = bool(np.array_equal(e1.paths, e2.paths))
 
     elapsed = time.monotonic() - started

@@ -1,4 +1,4 @@
-"""Bitwise witness for the potential catalog and the generator test functions.
+"""Bitwise witness for the potential catalog and the generator battery's polynomials.
 
 The references below write out each catalog entry's formula term by term,
 in the order the library sums the terms, so any change to how the library
@@ -16,7 +16,7 @@ import pytest
 from diracsoc import emfield
 from diracsoc.emfield import evaluate_potential, potential_jacobian
 from diracsoc.grid import SpacetimeGrid
-from diracsoc.soc import standard_test_battery
+from diracsoc.soc import BATTERY
 
 
 def _poly_key(key):
@@ -156,7 +156,7 @@ def same_bits(a, b):
     # stricter than np.array_equal: -0.0 and 0.0 print differently in the JSONL
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape \
-        and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        and np.array_equal(a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64))
 
 
 @pytest.mark.parametrize("where", ["origin", "random"])
@@ -165,8 +165,12 @@ def test_battery_matches_term_by_term_reference(where):
     z0 = np.zeros(4, dtype=np.complex128) if where == "origin" \
         else rng.standard_normal(4) + 1j * rng.standard_normal(4)
     paths = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-    for f in standard_test_battery():
-        assert same_bits(f(paths), reference_call(f.coeffs, paths)), f.label
-        assert same_bits(f(z0.reshape(1, 4)), reference_call(f.coeffs, z0.reshape(1, 4))), f.label
-        assert same_bits(f.grad(z0), reference_grad(f.coeffs, z0)), f.label
-        assert same_bits(f.hess_diag(z0), reference_hess_diag(f.coeffs, z0)), f.label
+    # evaluated as generator_check evaluates them: at the columns of the end positions,
+    # at z0, and through Polynomial.derivative at z0
+    for label, f, _ in BATTERY:
+        assert same_bits(f(paths.T), reference_call(f.terms, paths)), label
+        assert same_bits(f(z0), reference_call(f.terms, z0)), label
+        grad = np.array([f.derivative(mu)(z0) for mu in range(4)])
+        hess_diag = np.array([f.derivative(mu).derivative(mu)(z0) for mu in range(4)])
+        assert same_bits(grad, reference_grad(f.terms, z0)), label
+        assert same_bits(hess_diag, reference_hess_diag(f.terms, z0)), label

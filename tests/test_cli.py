@@ -22,6 +22,10 @@ identity.max_mode = 4
 identity.gauge_fields = 2
 """
 
+PLANE_WAVE_PARAMS = "".join(f"potential.{key} = {value}\n" for key, value in (
+    ("eps0", 0), ("eps1", 0), ("eps2", 0.5), ("eps3", 0), ("k0", 1), ("k1", 1), ("k2", 0),
+    ("k3", 0)))
+
 FAST_SIMULATE = """
 simulate.n_paths = 5000
 simulate.variance_paths = 5000
@@ -256,6 +260,28 @@ def test_configured_ensemble_names_the_earliest_blowup(tmp_path, monkeypatch):
     assert (rec["truncated_paths"], rec["first_bad_step"], rec["first_bad_path"]) == (3, 2, 5)
     action = records["action_constant_onshell"]
     assert (action["n_branch_flags"], action["n_degenerate_flags"]) == (0, 0)
+
+
+# hbar = 4 and eps = -1 make (eps/m) hbar k differ from k, and keep sigma^2 exact
+@pytest.mark.parametrize("control", ["zero", "constant", "plane_wave"])
+def test_configured_control_sets_the_stream_drift(tmp_path, monkeypatch, control):
+    drifts = []
+
+    class Recorded(soc.EulerStream):
+        def __init__(self, params, w, consts, seed, diffusion=None):
+            super().__init__(params, w, consts, seed, diffusion)
+            if seed == 12345 + 2:  # the configured ensemble
+                drifts.append(self.w)
+
+    monkeypatch.setattr(soc, "EulerStream", Recorded)
+    cfg = write_cfg(tmp_path, FAST_SIMULATE + "constants.hbar = 4\nconstants.epsilon = -1\n"
+                    f"simulate.control = {control}\nsimulate.control_w = 0.5,0.25,-0.125,0\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PASS
+    records = {r["check"]: r for r in read_jsonl(tmp_path / "o" / "simulate.jsonl")}
+    assert records["configured_ensemble"]["control"] == control
+    k = np.array([0.5, 0.25, -0.125, 0])
+    want = {"zero": np.zeros(4), "constant": k, "plane_wave": -4 * k}[control]  # (eps/m) hbar k
+    assert len(drifts) == 1 and np.array_equal(drifts[0], want)
 
 
 def test_fixed_seed_bitwise_compares_every_step(tmp_path, monkeypatch):
@@ -572,9 +598,26 @@ def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
     # entry counts that do not match grid.dims
     ("dispersion", "grid.dims = 3", "grid.extent"),
     ("dispersion", "grid.dims = 1\ngrid.extent = 1", "grid.points"),
+    # a potential parameter that no configured entry takes, which would change
+    # config_hash and nothing else
+    ("verify-identity", "potential.name = em_plane_wave\n" + PLANE_WAVE_PARAMS
+     + "potential.phse = 0.7", "potential.phse"),
+    ("verify-identity", "potential.name = constant_electric\npotential.E = 1\n"
+     "potential.B = 2", "potential.B"),
+    ("dispersion", "potential.name = free\npotential.phase = 0", "potential.phase"),
+    ("verify-identity", "potential.E = 3", "potential.E"),
+    ("simulate", "potential.name = catalog\npotential.a0_0000 = 1", "potential.a0_0000"),
+    ("verify-identity", "potential.name = custom_polynomial\npotential.foo = 1",
+     "potential.foo"),
 ])
 def test_refused_config_values_name_their_key(tmp_path, command, text, key):
     assert_refused_at_load(tmp_path, command, text + "\n", key)
+
+
+def test_plane_wave_phase_is_a_potential_parameter():
+    cfg = RunConfig.from_sources(parse_config_text(
+        "potential.name = em_plane_wave\n" + PLANE_WAVE_PARAMS + "potential.phase = 0.7\n"))
+    assert cfg.potential().family.phase == 0.7
 
 
 def assert_refused_at_load(tmp_path, command, text, key):

@@ -220,6 +220,23 @@ def test_spec_validation_errors():
         emfield.custom_polynomial({"b0_0000": 1.0})
 
 
+WAVE = {"eps0": 0.0, "eps1": 0.0, "eps2": 0.5, "eps3": 0.0,
+        "k0": 1.0, "k1": 1.0, "k2": 0.0, "k3": 0.0}
+
+
+@pytest.mark.parametrize("name,params,key", [
+    ("em_plane_wave", {**WAVE, "phse": 0.7}, "phse"),
+    ("custom_wave", {**WAVE, "E": 1.0}, "E"),
+    ("constant_electric", {"E": 1.0, "B": 2.0}, "B"),
+    ("free", {"phase": 0.0}, "phase"),
+    ("custom_polynomial", {"a0_0000": 1.0, "foo": 2.0}, "foo"),
+])
+def test_spec_refuses_a_parameter_its_entry_does_not_take(name, params, key):
+    with pytest.raises(PotentialError, match=repr(key)) as exc:
+        PotentialSpec(name, params)
+    assert exc.value.param == key
+
+
 @pytest.mark.parametrize("kdoteps,plane_wave,custom", [
     (5e-15, True, True),     # below custom_wave's absolute 1e-14
     (1e-13, True, False),    # em_plane_wave accepts up to a relative 1e-12 and stays gauge

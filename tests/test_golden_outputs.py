@@ -1,4 +1,5 @@
-"""The suites' outputs at the default configuration, pinned by SHA-256.
+"""The suites' outputs at the default configuration, and one small simulate run under
+the plane-wave control, pinned by SHA-256.
 
 A refactor must leave every record byte-identical.  The hashes were taken with
 NumPy 2.4.6 on Python 3.11.7; another NumPy may round differently, so there the
@@ -38,3 +39,39 @@ def default_outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_default_output_matches_pin(default_outputs, name):
     assert hashlib.sha256((default_outputs / name).read_bytes()).hexdigest() == GOLDEN[name]
+
+
+# the configured ensemble under the plane-wave control, its paths dumped: the control
+# path that the default configuration never takes
+PLANE_WAVE_CONFIG = """
+simulate.n_paths = 2000
+simulate.variance_paths = 2000
+simulate.variance_steps = 8
+simulate.repro_paths = 64
+simulate.repro_steps = 8
+simulate.control = plane_wave
+simulate.control_w = 1.25,0.75,0,0
+simulate.dump_paths = true
+simulate.dump_max_paths = 4
+"""
+GOLDEN_PLANE_WAVE = {
+    "simulate.jsonl": "1b7d78c9e84252881d172a1d3589f8f10444cc58e729ff70f0228c653367d29e",
+    "paths.csv": "90f0e85e370ab33329261546c42780e78662cffb8abcd62866fafd5476d94f5f",
+}
+
+
+@pytest.fixture(scope="module")
+def plane_wave_outputs(tmp_path_factory):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    out = tmp_path_factory.mktemp("plane_wave")
+    cfg = out / "run.cfg"
+    cfg.write_text(PLANE_WAVE_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANE_WAVE))
+def test_plane_wave_simulate_output_matches_pin(plane_wave_outputs, name):
+    digest = hashlib.sha256((plane_wave_outputs / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_PLANE_WAVE[name]

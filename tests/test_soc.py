@@ -10,11 +10,12 @@ from diracsoc import emfield, soc
 from diracsoc.clifford import METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
 from diracsoc.grid import Field, SpacetimeGrid, random_band_limited
-from diracsoc.soc import (DiffusionCoefficients, EnsembleParams, EulerStream, HopfColeError,
-    _path_noise, PolynomialTestFunction, SocError, accumulate_action, constant_control,
-    generator_check, hjb_residual_mode, hopf_cole_check, hopf_cole_exponential_error,
-    make_diffusion, monomial, optimal_control_mode, run_generator_battery, simulate,
-    standard_test_battery, weak_condition_residual, zero_control, zero_diffusion)
+from diracsoc.emfield import Polynomial
+from diracsoc.soc import (BATTERY, DiffusionCoefficients, EnsembleParams, EulerStream,
+    HopfColeError, _path_noise, SocError, accumulate_action, generator_check,
+    hjb_residual_mode, hopf_cole_check, hopf_cole_exponential_error, make_diffusion,
+    optimal_control_mode, run_generator_battery, simulate, weak_condition_residual,
+    zero_diffusion)
 
 CONSTS = PhysicalConstants()
 GRID = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(64, 64))
@@ -25,22 +26,13 @@ K_ON = np.array([np.sqrt(2.0), 1.0, 0.0, 0.0])  # k.k = 1 = (mc/hbar)^2
 
 def test_optimal_control_mode_free():
     w = optimal_control_mode(K_ON, CONSTS)
-    assert np.allclose(w.w, CONSTS.hbar * K_ON / CONSTS.m, atol=1e-15)
-
-
-def test_control_is_a_read_only_copy():
-    v = np.array([0.3, -0.2, 0.1, 0.05], dtype=complex)
-    w = constant_control(v, "drift")
-    v[0] = 9.0
-    assert w.w[0] == 0.3 and w.label == "drift"
-    with pytest.raises(ValueError):
-        w.w[1] = 0.0
+    assert np.allclose(w, CONSTS.hbar * K_ON / CONSTS.m, atol=1e-15)
 
 
 def test_optimal_control_mode_epsilon_flip():
     wp = optimal_control_mode(K_ON, CONSTS.with_epsilon(1))
     wm = optimal_control_mode(K_ON, CONSTS.with_epsilon(-1))
-    assert np.array_equal(wp.w, -wm.w)
+    assert np.array_equal(wp, -wm)
 
 
 def test_optimal_control_mode_constant_potential_shift():
@@ -48,7 +40,7 @@ def test_optimal_control_mode_constant_potential_shift():
     w0 = optimal_control_mode(K_ON, CONSTS)
     wa = optimal_control_mode(K_ON, CONSTS, A_const=a)
     shift = -CONSTS.epsilon * CONSTS.e * a / CONSTS.m
-    assert np.allclose(wa.w - w0.w, shift, atol=1e-15)
+    assert np.allclose(wa - w0, shift, atol=1e-15)
 
 
 def test_weak_condition_on_shell_both_epsilons():
@@ -155,7 +147,7 @@ def test_ensemble_params_reject_bad_step_size(ds):
 def test_simulate_straight_line_exact():
     w4 = np.array([1.0, 0.5, -0.25, 0.0], dtype=complex)
     params = EnsembleParams(n_paths=3, steps=32, ds=1.0 / 1024)
-    ens = simulate(params, constant_control(w4), CONSTS, seed=1,
+    ens = simulate(params, w4, CONSTS, seed=1,
                    diffusion=zero_diffusion())
     z = np.zeros((3, 4), dtype=complex)
     for _ in range(32):
@@ -166,19 +158,19 @@ def test_simulate_straight_line_exact():
 
 def test_simulate_bitwise_reproducible():
     params = EnsembleParams(n_paths=128, steps=16, ds=1e-3)
-    e1 = simulate(params, zero_control(), CONSTS, seed=99)
-    e2 = simulate(params, zero_control(), CONSTS, seed=99)
+    e1 = simulate(params, np.zeros(4), CONSTS, seed=99)
+    e2 = simulate(params, np.zeros(4), CONSTS, seed=99)
     assert np.array_equal(e1.paths, e2.paths)
-    e3 = simulate(params, zero_control(), CONSTS, seed=100)
+    e3 = simulate(params, np.zeros(4), CONSTS, seed=100)
     assert not np.array_equal(e1.paths, e3.paths)
 
 
 def test_simulate_path_prefix_independent_of_ensemble_size():
     # counter-based substreams: path p draws the same noise regardless of n_paths
     small = simulate(EnsembleParams(n_paths=4, steps=8, ds=1e-3),
-                     zero_control(), CONSTS, seed=5)
+                     np.zeros(4), CONSTS, seed=5)
     large = simulate(EnsembleParams(n_paths=16, steps=8, ds=1e-3),
-                     zero_control(), CONSTS, seed=5)
+                     np.zeros(4), CONSTS, seed=5)
     assert np.array_equal(small.paths, large.paths[:4])
 
 
@@ -216,7 +208,7 @@ def test_path_noise_from_a_later_step_is_a_slice():
 def test_simulate_independent_of_noise_chunk(monkeypatch, chunk, n_paths):
     # a call draws max(1, chunk // n_paths) steps: 1, 2, 3 and 13 (all) steps occur
     params = EnsembleParams(n_paths=n_paths, steps=13, ds=1e-3)
-    w = constant_control(np.array([0.3, -0.2, 0.1, 0.05]))
+    w = np.array([0.3, -0.2, 0.1, 0.05])
     want = simulate(params, w, CONSTS, seed=17)
     monkeypatch.setattr(soc, "NOISE_CHUNK", chunk)
     got = simulate(params, w, CONSTS, seed=17)
@@ -236,7 +228,7 @@ def test_simulate_draws_noise_in_bounded_chunks(monkeypatch, chunk, n_paths, ste
         monkeypatch.setattr(soc, "NOISE_CHUNK", chunk)
     monkeypatch.setattr(soc, "_path_noise", recorded)
     simulate(EnsembleParams(n_paths=n_paths, steps=steps, ds=1e-3),
-             zero_control(), CONSTS, seed=3)
+             np.zeros(4), CONSTS, seed=3)
     assert all(n * k <= max(n, soc.NOISE_CHUNK) for n, k, _ in calls)
     # the calls tile the steps in order, each step drawn once
     assert [s for _, k, start in calls for s in range(start, start + k)] == list(range(steps))
@@ -252,7 +244,7 @@ def test_noise_uncorrelated_across_adjacent_steps_and_paths():
 def test_simulate_diffusion_variance():
     n, steps, ds = 20000, 16, 1e-3
     ens = simulate(EnsembleParams(n_paths=n, steps=steps, ds=ds),
-                   zero_control(), CONSTS, seed=7)
+                   np.zeros(4), CONSTS, seed=7)
     d = make_diffusion(CONSTS)
     total = steps * ds
     tol = 5.0 / np.sqrt(n)
@@ -267,7 +259,7 @@ def test_simulate_diffusion_variance():
 def test_increment_reim_correlation_pattern(eps, expected):
     consts = CONSTS.with_epsilon(eps)
     ens = simulate(EnsembleParams(n_paths=512, steps=1, ds=1e-3),
-                   zero_control(), consts, seed=11)
+                   np.zeros(4), consts, seed=11)
     dz = ens.paths[:, 1, :] - ens.paths[:, 0, :]
     for mu in range(4):
         corr = np.corrcoef(dz[:, mu].real, dz[:, mu].imag)[0, 1]
@@ -275,7 +267,7 @@ def test_increment_reim_correlation_pattern(eps, expected):
 
 
 def test_simulate_blowup_flagged_and_frozen():
-    w = constant_control(np.array([1e308, 0, 0, 0]))
+    w = np.array([1e308, 0, 0, 0])
     params = EnsembleParams(n_paths=4, steps=5, ds=10.0)
     ens = simulate(params, w, CONSTS, seed=3, diffusion=zero_diffusion())
     assert ens.truncated.all()
@@ -286,10 +278,10 @@ def test_simulate_blowup_flagged_and_frozen():
 def _stream_cases():
     # 2048 paths draw 4 steps per noise chunk, so 80 steps cross 19 chunk boundaries
     crossing = (EnsembleParams(n_paths=2048, steps=80, ds=1e-3),
-                constant_control(np.array([0.3, -0.2, 0.1, 0.05])), None)
+                np.array([0.3, -0.2, 0.1, 0.05]), None)
     # a real noise amplitude of 3e307 overflows a component after a few steps, at a
     # different step on each path; the imaginary parts stay zero
-    blowup = (EnsembleParams(n_paths=64, steps=24, ds=1.0), zero_control(),
+    blowup = (EnsembleParams(n_paths=64, steps=24, ds=1.0), np.zeros(4),
               DiffusionCoefficients(np.full(4, 3e307), np.zeros(4)))
     return {"chunk_boundary": crossing, "blowup": blowup}
 
@@ -321,20 +313,33 @@ def test_stream_positions_and_flags_match_stored_paths(case):
 
 def test_stream_end_state_restarts_from_z0():
     params = EnsembleParams(n_paths=5, steps=7, ds=1e-3, z0=[0.5, 0, 0.25j, 0])
-    stream = EulerStream(params, zero_control(), CONSTS, seed=31)
+    stream = EulerStream(params, np.zeros(4), CONSTS, seed=31)
     first, again = stream.end_state(), stream.end_state()
     assert np.array_equal(first, again)
-    assert np.array_equal(first, simulate(params, zero_control(), CONSTS, seed=31).paths[:, -1])
+    assert np.array_equal(first, simulate(params, np.zeros(4), CONSTS, seed=31).paths[:, -1])
 
 
 def test_stream_start_is_a_read_only_view_of_z0():
     params = EnsembleParams(n_paths=6, steps=3, ds=1e-3, z0=[0.5, 0, 0.25j, -1])
-    start = next(iter(EulerStream(params, zero_control(), CONSTS, seed=31)))
+    start = next(iter(EulerStream(params, np.zeros(4), CONSTS, seed=31)))
     assert start.shape == (6, 4)
     assert all(np.array_equal(row, params.z0) for row in start)
     assert not start.flags.writeable
     with pytest.raises(ValueError):
         start[0, 0] = 1.0
+
+
+def test_stream_keeps_a_read_only_copy_of_its_control():
+    v = np.array([0.3, -0.2, 0.1, 0.05], dtype=complex)
+    params = EnsembleParams(n_paths=3, steps=4, ds=1e-3)
+    stream = EulerStream(params, v, CONSTS, seed=31, diffusion=zero_diffusion())
+    v[0] = 9.0
+    assert stream.w[0] == 0.3
+    with pytest.raises(ValueError):
+        stream.w[1] = 0.0
+    assert np.array_equal(stream.end_state(),
+                          np.broadcast_to(4 * params.ds * np.array([0.3, -0.2, 0.1, 0.05]),
+                                          (3, 4)))
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -351,8 +356,7 @@ def test_one_step_stream_holds_its_noise_and_one_position_block():
     # the noise and the positions after the step are one (n, 4) complex block each; a
     # full-size copy of the start or a full-size z + w ds would add a block apiece
     params = EnsembleParams(n_paths=50_000, steps=1, ds=1e-3)
-    stream = EulerStream(params, constant_control(np.array([0.3, -0.2, 0.1, 0.05])), CONSTS,
-                         seed=5)
+    stream = EulerStream(params, np.array([0.3, -0.2, 0.1, 0.05]), CONSTS, seed=5)
     block = params.n_paths * 4 * np.dtype(np.complex128).itemsize
     assert _traced_peak(stream.end_state) < 2.5 * block
 
@@ -372,7 +376,7 @@ def literal_recursion(params, w, seed, diffusion):
     n = params.n_paths
     xi = _path_noise(seed, n, params.steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = w.w * params.ds
+        drift = np.asarray(w, dtype=np.complex128) * params.ds
         amp = diffusion.sigma * math.sqrt(params.ds)
     z = np.broadcast_to(params.z0, (n, 4)).copy()
     truncated, first_bad = np.zeros(n, dtype=bool), np.full(n, -1)
@@ -412,7 +416,7 @@ def _recursion_cases():
     # overflows at step 7; three steps per chunk put step 7 mid-chunk after two clean
     # chunks, four steps per chunk make it a chunk's last step
     one = EnsembleParams(n_paths=1, steps=12, ds=1.0)
-    rush = constant_control(np.array([2.5e307, 0, 0, 0]))
+    rush = np.array([2.5e307, 0, 0, 0])
     # every position is finite, but four paths at 1.5e308 overflow the sum of a row
     near_max = EnsembleParams(n_paths=4, steps=10, ds=1.0, z0=[1.5e308, 0, 0, 0])
     # a real noise amplitude of 6e307 blows path 0 up at step 4 and path 1 at step 11,
@@ -427,10 +431,10 @@ def _recursion_cases():
     return {
         "blowup_in_later_chunk": (one, rush, zero_diffusion(), 3, {0: 7}),
         "blowup_on_chunk_last_step": (one, rush, zero_diffusion(), 4, {0: 7}),
-        "finite_sum_overflows": (near_max, constant_control(np.array([1.0, 0, 0, 0])),
+        "finite_sum_overflows": (near_max, np.array([1.0, 0, 0, 0]),
                                  zero_diffusion(), 12, {}),
-        "frozen_in_earlier_chunk": (noisy, zero_control(), loud, 4, {0: 4, 1: 11}),
-        "all_frozen_at_step_0": (frozen, zero_control(), infinite, 8,
+        "frozen_in_earlier_chunk": (noisy, np.zeros(4), loud, 4, {0: 4, 1: 11}),
+        "all_frozen_at_step_0": (frozen, np.zeros(4), infinite, 8,
                                  {0: 0, 1: 0, 2: 0, 3: 0}),
     }
 
@@ -461,7 +465,7 @@ def _amplitudes():
 def test_stream_matches_literal_recursion_at_every_yield(n_paths, steps, noise_chunk, ds,
                                                         drift, noise, z0, seed):
     params = EnsembleParams(n_paths=n_paths, steps=steps, ds=ds, z0=[z0, 0, -z0, 0])
-    w = constant_control(drift * np.array([1.0, -0.5j, 0.25, 1 + 1j]))
+    w = drift * np.array([1.0, -0.5j, 0.25, 1 + 1j])
     diffusion = DiffusionCoefficients(noise * make_diffusion(CONSTS).sigma, np.zeros(4))
     _assert_stream_is_the_recursion(params, w, diffusion, seed, noise_chunk)
 
@@ -472,7 +476,7 @@ def test_action_constant_on_shell_control_exact():
     w4 = np.zeros(4, dtype=complex)
     w4[0] = CONSTS.c
     params = EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
-    ens = simulate(params, constant_control(w4), CONSTS, seed=13,
+    ens = simulate(params, w4, CONSTS, seed=13,
                    diffusion=zero_diffusion())
     est = accumulate_action(ens, emfield.free(), CONSTS)
     assert est.mean == -CONSTS.m * CONSTS.c ** 2  # tau_f - tau_i = 1 in binary steps
@@ -481,7 +485,7 @@ def test_action_constant_on_shell_control_exact():
 
 def test_action_zero_control_degenerate():
     params = EnsembleParams(n_paths=2, steps=8, ds=1.0 / 64)
-    ens = simulate(params, zero_control(), CONSTS, seed=17,
+    ens = simulate(params, np.zeros(4), CONSTS, seed=17,
                    diffusion=zero_diffusion())
     est = accumulate_action(ens, emfield.free(), CONSTS)
     assert est.mean == 0.0
@@ -491,7 +495,7 @@ def test_action_zero_control_degenerate():
 def test_action_branch_cut_flagged():
     w4 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)  # w.w = -1 < 0
     params = EnsembleParams(n_paths=3, steps=4, ds=1.0 / 64)
-    ens = simulate(params, constant_control(w4), CONSTS, seed=19,
+    ens = simulate(params, w4, CONSTS, seed=19,
                    diffusion=zero_diffusion())
     est = accumulate_action(ens, emfield.free(), CONSTS)
     assert est.n_branch_flags == 3 * 4
@@ -504,7 +508,7 @@ def test_action_epsilon_flip_changes_only_charge_term():
     pot = emfield.constant_potential(a)
     w4 = np.array([1.2, 0.4, -0.1, 0.05], dtype=complex)
     params = EnsembleParams(n_paths=2, steps=16, ds=1.0 / 256)
-    ens = simulate(params, constant_control(w4), CONSTS, seed=23,
+    ens = simulate(params, w4, CONSTS, seed=23,
                    diffusion=zero_diffusion())
     sp = accumulate_action(ens, pot, CONSTS.with_epsilon(1))
     sm = accumulate_action(ens, pot, CONSTS.with_epsilon(-1))
@@ -517,7 +521,7 @@ def test_action_stops_at_the_blowup_step():
     # a path contributes w before its blow-up step and nothing from that step on
     w4 = np.array([CONSTS.c, 0.0, 0.0, 0.0], dtype=complex)
     params = EnsembleParams(n_paths=3, steps=8, ds=1.0 / 64)
-    ens = simulate(params, constant_control(w4), CONSTS, seed=29, diffusion=zero_diffusion())
+    ens = simulate(params, w4, CONSTS, seed=29, diffusion=zero_diffusion())
     ens.truncated[[0, 2]] = True
     ens.first_bad_step[[0, 2]] = (3, 0)
     est = accumulate_action(ens, emfield.free(), CONSTS)
@@ -528,32 +532,30 @@ def test_action_stops_at_the_blowup_step():
 
 # -- generator consistency ----------------------------------------------------
 
-def test_polynomial_validation_and_derivatives():
-    with pytest.raises(SocError):
-        PolynomialTestFunction({(3, 2, 0, 0): 1.0}, "too_big")
-    f = PolynomialTestFunction({(1, 2, 0, 0): 2.0, (0, 0, 1, 0): -1.0}, "mix")
+def test_polynomial_derivatives_match_finite_differences():
+    # the gradient and Hessian diagonal that generator_check takes from Polynomial.derivative
+    f = Polynomial({(1, 2, 0, 0): 2.0, (0, 0, 1, 0): -1.0})
     z0 = np.array([0.3, -0.2, 0.5, 0.1], dtype=complex)
     h = 1e-6
     for mu in range(4):
         zp, zm = z0.copy(), z0.copy()
         zp[mu] += h
         zm[mu] -= h
-        fd = (f(zp.reshape(1, 4))[0] - f(zm.reshape(1, 4))[0]) / (2 * h)
-        assert abs(fd - f.grad(z0)[mu]) <= 1e-6
-        fdd = (f(zp.reshape(1, 4))[0] - 2 * f(z0.reshape(1, 4))[0]
-               + f(zm.reshape(1, 4))[0]) / h ** 2
-        assert abs(fdd - f.hess_diag(z0)[mu]) <= 1e-3
+        fd = (f(zp) - f(zm)) / (2 * h)
+        assert abs(fd - f.derivative(mu)(z0)) <= 1e-6
+        fdd = (f(zp) - 2 * f(z0) + f(zm)) / h ** 2
+        assert abs(fdd - f.derivative(mu).derivative(mu)(z0)) <= 1e-3
 
 
 def test_generator_linear_drift_only():
-    rpt = generator_check(monomial(1), constant_control([0.3, -0.2, 0, 0]),
+    rpt = generator_check(Polynomial({(0, 1, 0, 0): 1.0}), [0.3, -0.2, 0, 0],
                           CONSTS, ds=1e-3, n_paths=20000, seed=31)
     assert rpt.abs_error <= 3 * rpt.stderr
     assert rpt.exact == pytest.approx(-0.2)
 
 
 def test_generator_quadratic_pure_diffusion():
-    rpt = generator_check(monomial(1, 2), zero_control(), CONSTS,
+    rpt = generator_check(Polynomial({(0, 2, 0, 0): 1.0}), np.zeros(4), CONSTS,
                           ds=1e-3, n_paths=50000, seed=37)
     d = make_diffusion(CONSTS)
     assert rpt.exact == d.squares[1]
@@ -562,8 +564,8 @@ def test_generator_quadratic_pure_diffusion():
 
 
 def test_generator_cross_term_vanishes():
-    f = PolynomialTestFunction({(1, 1, 0, 0): 1.0}, "z0*z1")
-    rpt = generator_check(f, zero_control(), CONSTS, ds=1e-3, n_paths=50000, seed=41)
+    f = Polynomial({(1, 1, 0, 0): 1.0})
+    rpt = generator_check(f, np.zeros(4), CONSTS, ds=1e-3, n_paths=50000, seed=41)
     assert rpt.exact == 0
     assert rpt.abs_error <= 3 * rpt.stderr
 
@@ -572,9 +574,9 @@ def test_standard_battery_passes():
     reports = run_generator_battery(CONSTS, ds=1e-3, n_paths=20000, seed=12345)
     assert len(reports) == 6
     assert all(r.abs_error <= 3 * r.stderr for r in reports)
-    assert {r.label for r in reports} == {"z0", "z1", "z1^2", "z0*z1", "z0^2", "z1^3"}
+    assert [label for label, _, _ in BATTERY] == ["z1", "z0", "z1^2", "z0*z1", "z0^2", "z1^3"]
 
 
 def test_battery_functions_have_degree_le_4():
-    for f in standard_test_battery():
-        assert all(sum(e) <= 4 for e in f.coeffs)
+    for _, f, _ in BATTERY:
+        assert all(len(e) == 4 and min(e) >= 0 and sum(e) <= 4 for e in f.terms)

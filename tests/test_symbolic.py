@@ -1,6 +1,6 @@
 """Symbolic witness of the diffusion generator.
 
-For each function of the standard battery, sympy derives
+For each polynomial of ``soc.BATTERY``, sympy derives
 
     G f = w_mu df/dz_mu + 1/2 sum_mu sigma_mu^2 d2f/dz_mu^2
 
@@ -17,19 +17,18 @@ sympy = pytest.importorskip("sympy")
 
 from diracsoc import soc  # noqa: E402
 from diracsoc.constants import PhysicalConstants  # noqa: E402
+from diracsoc.emfield import Polynomial  # noqa: E402
 
 Z = sympy.symbols("z0:4")
-BATTERY_DRIFT = (0.3, -0.2, 0.1, 0.05)
-DRIFTS = {"battery": BATTERY_DRIFT, "zero": (0.0, 0.0, 0.0, 0.0)}
+DRIFTS = {"battery": (0.3, -0.2, 0.1, 0.05), "zero": (0.0, 0.0, 0.0, 0.0)}
 # dyadic rationals, so the double z0 is the symbolic point exactly
 NONZERO_Z0 = (0.5, -0.25, 0.375, 1.125)
 
 
-def symbolic_generator(f: soc.PolynomialTestFunction, drift, consts: PhysicalConstants,
-                       z0) -> complex:
+def symbolic_generator(f: Polynomial, drift, consts: PhysicalConstants, z0) -> complex:
     """G f at z0 in exact arithmetic, rounded once to a complex double."""
     poly = sum(sympy.Rational(c) * sympy.Mul(*(z ** e for z, e in zip(Z, exps)))
-               for exps, c in f.coeffs.items())
+               for exps, c in f.terms.items())
     eps = sympy.Integer(consts.epsilon)
     rho = sympy.sqrt(sympy.Rational(consts.hbar) / sympy.Rational(consts.m)) * (1 + sympy.I * eps)
     sigma = [rho, sympy.I * rho, sympy.I * rho, sympy.I * rho]
@@ -41,16 +40,15 @@ def symbolic_generator(f: soc.PolynomialTestFunction, drift, consts: PhysicalCon
 
 
 def numeric_generator(f, drift, consts, z0) -> complex:
-    w = soc.constant_control(np.array(drift, dtype=np.complex128))
-    return soc.generator_check(f, w, consts, ds=1e-3, n_paths=2, seed=1,
+    return soc.generator_check(f, drift, consts, ds=1e-3, n_paths=2, seed=1,
                                z0=np.array(z0, dtype=np.complex128)).exact
 
 
 @pytest.mark.parametrize("eps", [1, -1])
 @pytest.mark.parametrize("drift", sorted(DRIFTS))
-@pytest.mark.parametrize("index", range(len(soc.standard_test_battery())))
+@pytest.mark.parametrize("index", range(len(soc.BATTERY)))
 def test_generator_exact_matches_symbolic(index, drift, eps):
-    f = soc.standard_test_battery()[index]
+    f = soc.BATTERY[index][1]
     consts = PhysicalConstants(epsilon=eps)
     at_origin = (0.0, 0.0, 0.0, 0.0)
     assert numeric_generator(f, DRIFTS[drift], consts, at_origin) \
@@ -62,9 +60,9 @@ def test_generator_exact_matches_symbolic(index, drift, eps):
 
 @pytest.mark.parametrize("eps", [1, -1])
 def test_battery_exact_values_match_symbolic(eps):
-    # the suite runs the linear functions with the battery drift and the rest drift-free
+    # each report against the symbolic generator under the drift of its table row
     consts = PhysicalConstants(epsilon=eps)
     reports = soc.run_generator_battery(consts, ds=1e-3, n_paths=2, seed=12345)
-    for f, rpt in zip(soc.standard_test_battery(), reports):
-        drift = DRIFTS["battery" if f.label in ("z0", "z1") else "zero"]
+    assert len(reports) == len(soc.BATTERY)
+    for (_, f, drift), rpt in zip(soc.BATTERY, reports):
         assert rpt.exact == symbolic_generator(f, drift, consts, (0.0, 0.0, 0.0, 0.0))
