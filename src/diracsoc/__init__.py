@@ -21,9 +21,7 @@ from .soc import (BATTERY, DiffusionCoefficients, EnsembleParams, TrajectoryEnse
                   accumulate_action, generator_check, hjb_residual_mode, hopf_cole_check,
                   hopf_cole_exponential_error, make_diffusion, optimal_control_mode,
                   run_generator_battery, simulate, weak_condition_residual, zero_diffusion)
-from .spectrum import (FourMomentum, ModeState, ModeTrajectory, delta_sweep,
-                       dispersion_solve, fit_mode_frequency, legacy_mode_condition,
-                       matrix_nullspace, mode_phase_factor, nullspace_spinors,
-                       propertime_evolve)
+from .spectrum import (delta_sweep, dispersion_solve, fit_mode_frequency, legacy_mode_condition,
+                       matrix_nullspace, nullspace_spinors, propertime_evolve)
 
 __version__ = "0.1.0"

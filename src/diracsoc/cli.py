@@ -27,7 +27,7 @@ import numpy as np
 
 from . import emfield, soc, spectrum
 from .clifford import DIRAC, mdot, relation_residuals
-from .config import ConfigError, RunConfig, load_config_file
+from .config import KEYS, ConfigError, RunConfig, load_config_file
 from .grid import BACKENDS, SpacetimeGrid, random_band_limited
 from .operators import (OperatorError, SampledPotential, factorization_discrepancy,
                         fock_and_factored, gauge_discrepancy_prediction)
@@ -216,11 +216,10 @@ def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
         for k0 in roots:
             k = np.array([k0, k1, 0.0, 0.0])
             det = complex(np.linalg.det(consts.hbar * DIRAC.slash(k) - consts.mc * eye))
-            gap = consts.hbar ** 2 * mdot(k, k).real - consts.mass_shell
             rec = check(cfg, "dispersion", "root_on_shell", k1=float(k1), k0=float(k0),
                         residual=abs(det), tolerance=tol)
             records.append(rec)
-            rows.append((float(k1), float(k0), gap, abs(det), rec["pass"]))
+            rows.append((float(k1), float(k0), spectrum.gap(k, consts), abs(det), rec["pass"]))
     spans.lap("root_on_shell")
     return records, rows, spans
 
@@ -228,13 +227,55 @@ def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
 # -- evolve ------------------------------------------------------------------
 
 def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
+    """The evolve records, the rows of ``evolve_sweep.csv``, and the seconds per check
+    family.
+
+    Before any mode is evolved, the sweep is refused (ConfigError) unless every
+    gap has a real k^0, the per-step phase stays below pi and one gap is on shell.
+    """
     spans = Laps()
     consts = cfg.constants()
+    raw = cfg.raw
+    k1, gap_range = cfg["evolve.k1"], cfg["evolve.gap_range"]
+    dtau, steps = cfg["evolve.dtau"], cfg["evolve.steps"]
+    # the sweep's extremes are its end gaps, -gap_range and gap_range, and k0sq is the
+    # expression spectrum.delta_sweep solves k^0 from.  The most negative gap needs a
+    # real k^0 at k1; the error names evolve.k1 when that key alone is off its
+    # default, else evolve.gap_range
+    k0sq = [(g + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2 for g in (-gap_range, gap_range)]
+    if k0sq[0] < 0:
+        off_default = [key for key in ("evolve.k1", "evolve.gap_range")
+                       if raw[key] != KEYS[key][0]]
+        key = "evolve.k1" if off_default == ["evolve.k1"] else "evolve.gap_range"
+        raise ConfigError(
+            f"{key} = {raw[key]} gives the gap -{gap_range:g} no real k^0 at "
+            f"evolve.k1 = {k1:g} (k^0^2 = {k0sq[0]:.3g}); evolve.gap_range must stay "
+            f"within hbar^2 k1^2 + m^2 c^2 = "
+            f"{consts.hbar ** 2 * k1 ** 2 + consts.mass_shell:g}")
+    # np.unwrap in spectrum.fit_mode_frequency folds a step of pi or more into a wrong
+    # frequency.  The phase is taken from the gaps the end modes realize, as
+    # spectrum.propertime_evolve takes it, so that its own refusal is never reached
+    largest = max(abs(spectrum.gap(np.array([np.sqrt(s), k1, 0.0, 0.0]), consts)) for s in k0sq)
+    phase = largest * dtau / (consts.hbar * consts.m)
+    if phase >= np.pi:
+        raise ConfigError(
+            f"evolve.dtau = {raw['evolve.dtau']} turns the phase of the gap "
+            f"{gap_range:g} by {phase:.6g} rad per step, which the frequency fit cannot "
+            f"unwrap; evolve.dtau must stay below pi hbar m / evolve.gap_range = "
+            f"{np.pi * consts.hbar * consts.m / gap_range:.8g}")
+    # the drift bound evolve.stationary_tol translates into this largest |gap| whose
+    # mode must stay stationary via 2 sin(|D| T / 2 hbar m), over T = steps * dtau; a
+    # sweep with no gap that close to 0 never checks that a mode is stationary
+    gaps = np.linspace(-gap_range, gap_range, cfg["evolve.n_gaps"])
+    gap_threshold = cfg["evolve.stationary_tol"] * consts.hbar * consts.m / (steps * dtau)
+    if not np.any(np.abs(gaps) <= gap_threshold):
+        raise ConfigError(
+            f"evolve.n_gaps = {raw['evolve.n_gaps']} puts no gap within "
+            f"{gap_threshold:.3g} of 0 on [-{gap_range:g}, {gap_range:g}], so no mode is "
+            f"on shell; use an odd count of at least 3")
+
     freq_tol = cfg["evolve.frequency_tol"]
-    gaps, gap_threshold = cfg.evolve_gaps()
-    sweep = spectrum.delta_sweep(cfg["evolve.k1"], gaps, consts, cfg["evolve.dtau"],
-                                 cfg["evolve.steps"],
-                                 stationary_tol=cfg["evolve.stationary_tol"])
+    sweep = spectrum.delta_sweep(k1, gaps, consts, dtau, steps, cfg["evolve.stationary_tol"])
     records, rows = [], []
     for rec in sweep:
         expect_stationary = abs(rec["delta"]) <= gap_threshold
@@ -500,7 +541,7 @@ def main(argv=None) -> int:
             overrides["backend"] = args.backend
         if args.epsilon is not None:
             overrides["constants.epsilon"] = str(int(args.epsilon))
-        cfg = RunConfig.from_sources(file_map, overrides, args.command)
+        cfg = RunConfig.from_sources(file_map, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

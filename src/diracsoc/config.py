@@ -163,15 +163,9 @@ class RunConfig:
 
     @classmethod
     def from_sources(cls, file_map: dict[str, str] | None = None,
-                     overrides: dict[str, str] | None = None,
-                     command: str | None = None) -> "RunConfig":
+                     overrides: dict[str, str] | None = None) -> "RunConfig":
         """The defaults, then ``file_map``, then ``overrides``, each value parsed by
-        its key's rule, then the checks that relate keys.
-
-        ``command`` adds the checks that only its suite needs: for ``evolve``,
-        that every gap of the sweep has a real k^0, that its per-step phase stays
-        below pi and that one gap is on shell.
-        """
+        its key's rule, then the checks that relate keys."""
         merged = {key: default for key, (default, _) in KEYS.items()}
         for source in (file_map or {}), (overrides or {}):
             for key, value in source.items():
@@ -202,54 +196,10 @@ class RunConfig:
             raise ConfigError(f"identity.max_mode must be 0..{nyquist - 1} so that random "
                               f"fields stay below the Nyquist mode of grid.points "
                               f"{merged['grid.points']}, got {merged['identity.max_mode']}")
-        if command == "evolve":
-            consts = cfg.constants()
-            # the sweep's most negative gap, -gap_range, needs a real k^0 at k1; this is
-            # the expression spectrum.delta_sweep evaluates there.  The error names
-            # evolve.k1 when it was given without evolve.gap_range, else evolve.gap_range
-            k1, gap_range = cfg["evolve.k1"], cfg["evolve.gap_range"]
-            k0sq = (-gap_range + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2
-            if k0sq < 0:
-                given = {*(file_map or {}), *(overrides or {})}
-                key = ("evolve.k1" if "evolve.k1" in given and "evolve.gap_range" not in given
-                       else "evolve.gap_range")
-                raise ConfigError(
-                    f"{key} = {merged[key]} gives the gap -{gap_range:g} no real k^0 at "
-                    f"evolve.k1 = {k1:g} (k^0^2 = {k0sq:.3g}); evolve.gap_range must stay "
-                    f"within hbar^2 k1^2 + m^2 c^2 = "
-                    f"{consts.hbar ** 2 * k1 ** 2 + consts.mass_shell:g}")
-            # the largest per-step phase of the sweep is at its end gaps; np.unwrap in
-            # spectrum.fit_mode_frequency folds a step of pi or more into a wrong frequency
-            phase = gap_range * cfg["evolve.dtau"] / (consts.hbar * consts.m)
-            if phase >= np.pi:
-                raise ConfigError(
-                    f"evolve.dtau = {merged['evolve.dtau']} turns the phase of the gap "
-                    f"{gap_range:g} by {phase:.6g} rad per step, which the frequency fit cannot "
-                    f"unwrap; evolve.dtau must stay below pi hbar m / evolve.gap_range = "
-                    f"{np.pi * consts.hbar * consts.m / gap_range:.8g}")
-            # a sweep with no on-shell mode never checks that one is stationary
-            gaps, threshold = cfg.evolve_gaps()
-            if not np.any(np.abs(gaps) <= threshold):
-                raise ConfigError(
-                    f"evolve.n_gaps = {merged['evolve.n_gaps']} puts no gap within "
-                    f"{threshold:.3g} of 0 on [-{gap_range:g}, {gap_range:g}], so no mode is "
-                    f"on shell; use an odd count of at least 3")
         return cfg
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def evolve_gaps(self) -> tuple[np.ndarray, float]:
-        """The evolve sweep's gaps, and the largest |gap| whose mode must stay stationary.
-
-        The drift bound evolve.stationary_tol translates into that gap threshold
-        via 2 sin(|D| T / 2 hbar m) over the proper time T = steps * dtau.
-        """
-        consts = self.constants()
-        gap_range = self["evolve.gap_range"]
-        gaps = np.linspace(-gap_range, gap_range, self["evolve.n_gaps"])
-        total_tau = self["evolve.steps"] * self["evolve.dtau"]
-        return gaps, self["evolve.stationary_tol"] * consts.hbar * consts.m / total_tau
 
     def constants(self) -> PhysicalConstants:
         return PhysicalConstants(*(self[f"constants.{name}"]

@@ -164,8 +164,9 @@ def test_dispersion_suite(tmp_path):
 
 
 def test_spectrum_error_in_a_suite_exits_2(tmp_path, monkeypatch, capsys):
-    # the config check keeps delta_sweep's own refusal out of reach; if it is met
-    # anyway, it is a one-line config error, not a traceback
+    # the evolve suite checks its sweep before delta_sweep runs, which keeps
+    # delta_sweep's own refusals out of reach but for rounding; one that is met
+    # anyway is a one-line config error, not a traceback
     def no_real_k0(*args, **kwargs):
         raise spectrum.SpectrumError("gap -2.0 gives no real k^0 at k^1=0.3")
 
@@ -605,6 +606,12 @@ def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
     ("verify-identity", "potential.name = constant_electric\npotential.E = 1\n"
      "potential.B = 2", "potential.B"),
     ("dispersion", "potential.name = free\npotential.phase = 0", "potential.phase"),
+    # a k^0 refusal names evolve.k1 only when evolve.gap_range is at its default text
+    ("evolve", "evolve.k1 = 0.3\nevolve.gap_range = 1.5", "evolve.gap_range"),
+    ("evolve", "evolve.k1 = 0.3\nevolve.gap_range = 2.0", "evolve.k1"),
+    # dtau is the largest with 1.7 dtau < pi, but the end modes realize |gap| a rounding
+    # above 1.7 and so turn by pi per step, which the frequency fit cannot unwrap
+    ("evolve", "evolve.gap_range = 1.7\nevolve.dtau = 1.8479956785822311", "evolve.dtau"),
     ("verify-identity", "potential.E = 3", "potential.E"),
     ("simulate", "potential.name = catalog\npotential.a0_0000 = 1", "potential.a0_0000"),
     ("verify-identity", "potential.name = custom_polynomial\npotential.foo = 1",
