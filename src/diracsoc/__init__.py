@@ -13,8 +13,8 @@ from .emfield import (PotentialSpec, constant_electric, constant_magnetic,
                       lorenz_residual, spin_coupling_matrix)
 from .grid import (Field, SpacetimeGrid, dalembertian, l2norm, partial, plane_wave,
                    random_band_limited)
-from .operators import (SampledPotential, build_spinor, conjugate_apply, dirac_apply,
-                        factored_rhs, factorization_discrepancy, fock_and_factored, fock_rhs,
+from .operators import (SampledPotential, build_spinor, dirac_apply, factored_rhs,
+                        factorization_discrepancy, fock_and_factored, fock_rhs,
                         gauge_discrepancy_prediction, kg_residual_componentwise,
                         legacy_factored_rhs)
 from .soc import (BATTERY, DiffusionCoefficients, EnsembleParams, TrajectoryEnsemble,

@@ -182,7 +182,7 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
         pot = SampledPotential(spec, grid)
         for i in range(n_fields):
             phi = random_band_limited(grid, max_mode, rng, spinor=True)
-            rel, _, _ = factorization_discrepancy(phi, pot, consts, backend=backend)
+            rel = factorization_discrepancy(phi, pot, consts, backend=backend)
             records.append(check(cfg, "verify-identity", "factored_vs_fock", potential=name,
                                  field_index=i, grid=glabel, residual=rel, tolerance=tol))
         del pot

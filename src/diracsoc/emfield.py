@@ -31,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet
+from .clifford import DIRAC, METRIC_DIAG, ArrayC
 from .constants import PhysicalConstants
 
 Exponents = tuple[int, int, int, int]
@@ -303,8 +303,7 @@ def is_lorenz_gauge(spec: PotentialSpec) -> bool:
     return spec.family.divergence_free()
 
 
-def spin_coupling_matrix(F: ArrayC, consts: PhysicalConstants,
-                         gammas: GammaSet = DIRAC, form: str = "sigma") -> ArrayC:
+def spin_coupling_matrix(F: ArrayC, consts: PhysicalConstants, form: str = "sigma") -> ArrayC:
     """Spin/EM coupling (e hbar / 2m) sigma^{munu} F_{munu} as a 4x4 matrix.
 
     ``form="sigma"`` contracts the spin tensor directly;
@@ -317,9 +316,9 @@ def spin_coupling_matrix(F: ArrayC, consts: PhysicalConstants,
     if F.shape != (4, 4):
         raise PotentialError(f"pointwise field strength must be 4x4, got {F.shape}")
     if form == "sigma":
-        pref, matrix = consts.e * consts.hbar / (2 * consts.m), gammas.spin_tensor
+        pref, matrix = consts.e * consts.hbar / (2 * consts.m), DIRAC.spin_tensor
     elif form == "commutator":
-        pref, matrix = 1j * consts.e * consts.hbar / (4 * consts.m), gammas.commutator
+        pref, matrix = 1j * consts.e * consts.hbar / (4 * consts.m), DIRAC.commutator
     else:
         raise PotentialError(f"unknown coupling form {form!r}")
     out = np.zeros((4, 4), dtype=np.complex128)

@@ -14,6 +14,11 @@ forward transform per axis, and both sides read them: the A.d term of
 ``fock_rhs`` and the first factor.  Those arrays are the same bits that
 each side computes alone, so the equivalence check is as honest a
 numerical test as two separate evaluations.
+
+The operators apply the Dirac matrices of ``clifford.DIRAC``.  Each of those
+gammas, and each commutator of two distinct ones, has one nonzero entry per
+row, so the operators mix spinor components through row tables
+(a, p(a), M_a,p(a)) taken from those matrices once, at import.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import DIRAC, METRIC_DIAG, ArrayC, GammaSet
+from .clifford import DIRAC, METRIC_DIAG, ArrayC
 from .constants import PhysicalConstants
 from .emfield import PotentialSpec, evaluate_potential, lorenz_residual, potential_jacobian
 from .grid import (Field, SpacetimeGrid, _derivatives, _partial_values, _require_finite,
@@ -80,7 +85,7 @@ class SampledPotential:
         for mu in range(4):
             for nu in range(4):
                 component = J[mu, nu] - J[nu, mu]
-                if np.any(component != 0):
+                if mu != nu and np.any(component != 0):
                     component.setflags(write=False)
                     F[(mu, nu)] = component
         return F
@@ -97,47 +102,49 @@ def _sampled(psi: Field, A: Potential) -> SampledPotential:
     return A
 
 
-def _monomial_pairs(mat: ArrayC) -> list[tuple[int, int, complex]] | None:
-    """(a, p(a), M_a,p(a)) for each row of a monomial matrix, else None.
+Rows = tuple[tuple[int, int, complex], ...]
+
+
+def _monomial_rows(mat: ArrayC) -> Rows:
+    """(a, p(a), M_a,p(a)) for each row of a monomial matrix.
 
     A monomial matrix has one nonzero entry per row, as every gamma matrix
-    and every commutator of two has; out_a = M_a,p(a) v_p(a) then equals the
-    full sum over b exactly, since the other terms are products with zero.
+    and every commutator of two distinct ones has; out_a = M_a,p(a) v_p(a)
+    then equals the full sum over b exactly, since the other terms are
+    products with zero.
     """
     nonzero = mat != 0
     if not np.all(nonzero.sum(axis=1) == 1):
-        return None
-    return [(a, b, mat[a, b]) for a, b in enumerate(nonzero.argmax(axis=1))]
+        raise OperatorError("spinor mixing needs a matrix with one nonzero entry per row")
+    return tuple((a, b, mat[a, b]) for a, b in enumerate(nonzero.argmax(axis=1)))
 
 
-def _gamma_mix(mat: ArrayC, comp: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
-    """Apply a 4x4 matrix in spinor space: out_a = sum_b M_ab v_b.
+# the rows of gamma^mu and of [gamma^mu, gamma^nu] for mu != nu: F_munu vanishes for mu = nu
+_GAMMA_ROWS = tuple(_monomial_rows(g) for g in DIRAC.gammas)
+_COMMUTATOR_ROWS = {(mu, nu): _monomial_rows(DIRAC.commutator(mu, nu))
+                    for mu in range(4) for nu in range(4) if mu != nu}
 
-    A monomial matrix is applied one component at a time; any other matrix
-    by ``np.tensordot``.  With ``add_to`` the result is added into that
-    array and the array is returned.
+
+def _gamma_mix(rows: Rows, comp: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
+    """Apply a monomial 4x4 matrix, given by its rows, in spinor space: out_a = M_a,p(a) v_p(a).
+
+    With ``add_to`` the result is added into that array, one component at a
+    time, and the array is returned.
     """
-    pairs = _monomial_pairs(mat)
-    if pairs is None:
-        mixed = np.tensordot(mat, comp, axes=(1, 0))
-        if add_to is None:
-            return mixed
-        add_to += mixed
-        return add_to
     if add_to is None:
         out = np.empty(comp.shape, dtype=np.complex128)
-        for a, b, m in pairs:
+        for a, b, m in rows:
             np.multiply(m, comp[b], out=out[a])
         return out
     row = np.empty(comp.shape[1:], dtype=np.complex128)
-    for a, b, m in pairs:
+    for a, b, m in rows:
         np.multiply(m, comp[b], out=row)
         add_to[a] += row
     return add_to
 
 
 def _slash_values(psi: Field, pot: SampledPotential, consts: PhysicalConstants,
-                  gammas: GammaSet, backend: str, mass: int = 0,
+                  backend: str, mass: int = 0,
                   dpsi: list[np.ndarray] | None = None) -> np.ndarray:
     """gamma^nu (i hbar d_nu - e A_nu) psi + mass m c psi as a fresh array, unchecked.
 
@@ -160,16 +167,11 @@ def _slash_values(psi: Field, pot: SampledPotential, consts: PhysicalConstants,
                 for b in range(4):
                     np.multiply(eA, values[b], out=row)
                     term[b] -= row
-            out = _gamma_mix(gammas.gammas[nu], term, add_to=out)
+            out = _gamma_mix(_GAMMA_ROWS[nu], term, add_to=out)
             del term  # freed before the next axis's derivative is taken
         elif coupled:
             # d_nu psi vanishes on an inactive axis: the term is -e A_nu psi
-            pairs = _monomial_pairs(gammas.gammas[nu])
-            if pairs is None:
-                out = _gamma_mix(gammas.gammas[nu], np.negative(np.multiply(eA, values)),
-                                 add_to=out)
-                continue
-            for a, b, m in pairs:
+            for a, b, m in _GAMMA_ROWS[nu]:
                 np.multiply(eA, values[b], out=row)
                 np.negative(row, out=row)
                 np.multiply(m, row, out=row)
@@ -184,41 +186,33 @@ def _slash_values(psi: Field, pot: SampledPotential, consts: PhysicalConstants,
 
 
 def minimal_coupling_slash(psi: Field, A: Potential, consts: PhysicalConstants,
-                           gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
+                           backend: str = "spectral") -> Field:
     """gamma^nu (i hbar d_nu - e A_nu) psi -- the mass-free first-order part."""
     _require_spinor(psi)
-    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, gammas, backend),
-                 copy=False)
+    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, backend), copy=False)
 
 
 def dirac_apply(psi: Field, A: Potential, consts: PhysicalConstants,
-                gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
+                backend: str = "spectral") -> Field:
     """(i hbar gamma^nu d_nu - e gamma^nu A_nu - m c) psi."""
     _require_spinor(psi)
-    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, gammas, backend,
-                                         mass=-1), copy=False)
-
-
-def conjugate_apply(psi: Field, A: Potential, consts: PhysicalConstants,
-                    gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
-    """(i hbar gamma^mu d_mu - e gamma^mu A_mu + m c) psi."""
-    _require_spinor(psi)
-    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, gammas, backend,
-                                         mass=+1), copy=False)
+    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, backend, mass=-1),
+                 copy=False)
 
 
 def build_spinor(phi: Field, A: Potential, consts: PhysicalConstants,
-                 gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
+                 backend: str = "spectral") -> Field:
     """psi = i hbar gamma^mu d_mu phi - e gamma^mu A_mu phi + m c phi.
 
-    Identical to ``conjugate_apply``; exposed under the name of the
-    spinor construction it implements.
+    The conjugate factor of ``dirac_apply`` (+m c in place of -m c) applied to phi.
     """
-    return conjugate_apply(phi, A, consts, gammas, backend)
+    _require_spinor(phi)
+    return Field(phi.grid, _slash_values(phi, _sampled(phi, A), consts, backend, mass=+1),
+                 copy=False)
 
 
 def _fock_values(phi: Field, pot: SampledPotential, consts: PhysicalConstants,
-                 gammas: GammaSet, dphi: list[np.ndarray], box: np.ndarray) -> np.ndarray:
+                 dphi: list[np.ndarray], box: np.ndarray) -> np.ndarray:
     """The terms of ``fock_rhs``, unchecked, from phi's derivatives.
 
     The result is formed in ``box``'s buffer; ``dphi`` is read on the
@@ -234,12 +228,7 @@ def _fock_values(phi: Field, pot: SampledPotential, consts: PhysicalConstants,
         np.subtract(row, out[a], out=out[a])
 
     for (mu, nu), F_munu in pot.F.items():
-        comm = gammas.commutator(mu, nu)
-        pairs = _monomial_pairs(comm)
-        if pairs is None:
-            out -= (0.25j * e * hbar) * _gamma_mix(comm, F_munu * values)
-            continue
-        for a, b, m in pairs:
+        for a, b, m in _COMMUTATOR_ROWS[mu, nu]:
             np.multiply(F_munu, values[b], out=row)
             np.multiply(m, row, out=row)
             np.multiply(0.25j * e * hbar, row, out=row)
@@ -262,7 +251,7 @@ def _fock_values(phi: Field, pot: SampledPotential, consts: PhysicalConstants,
 
 
 def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
-             gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
+             backend: str = "spectral") -> Field:
     """Second-order right-hand side, term by term:
 
     -m^2 c^2 phi - hbar^2 d^mu d_mu phi
@@ -273,19 +262,17 @@ def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     pot = _sampled(phi, A)
     pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
     dphi, box = _derivatives(phi, backend, first=any(pot.coupled[:phi.grid.dims]))
-    return Field(phi.grid, _fock_values(phi, pot, consts, gammas, dphi, box), copy=False)
+    return Field(phi.grid, _fock_values(phi, pot, consts, dphi, box), copy=False)
 
 
 def factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
-                 gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
+                 backend: str = "spectral") -> Field:
     """(i hbar gamma d - e gamma A - mc)(i hbar gamma d - e gamma A + mc) phi."""
-    return dirac_apply(conjugate_apply(phi, A, consts, gammas, backend),
-                       A, consts, gammas, backend)
+    return dirac_apply(build_spinor(phi, A, consts, backend), A, consts, backend)
 
 
 def fock_and_factored(phi: Field, A: Potential, consts: PhysicalConstants,
-                      gammas: GammaSet = DIRAC, backend: str = "spectral"
-                      ) -> tuple[Field, Field]:
+                      backend: str = "spectral") -> tuple[Field, Field]:
     """(``fock_rhs``, ``factored_rhs``) of phi, sharing phi's derivatives.
 
     d_mu phi and the d'Alembertian come from one forward transform per axis;
@@ -296,21 +283,20 @@ def fock_and_factored(phi: Field, A: Potential, consts: PhysicalConstants,
     pot = _sampled(phi, A)
     pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
     dphi, box = _derivatives(phi, backend)
-    fock = Field(phi.grid, _fock_values(phi, pot, consts, gammas, dphi, box), copy=False)
-    psi = Field(phi.grid, _slash_values(phi, pot, consts, gammas, backend, mass=+1, dpsi=dphi),
+    fock = Field(phi.grid, _fock_values(phi, pot, consts, dphi, box), copy=False)
+    psi = Field(phi.grid, _slash_values(phi, pot, consts, backend, mass=+1, dpsi=dphi),
                 copy=False)
-    return fock, dirac_apply(psi, pot, consts, gammas, backend)
+    return fock, dirac_apply(psi, pot, consts, backend)
 
 
 def legacy_factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
-                        gammas: GammaSet = DIRAC, backend: str = "spectral") -> Field:
+                        backend: str = "spectral") -> Field:
     """(i hbar gamma d - e gamma A - mc)(i hbar gamma d - e gamma A) phi.
 
     The earlier factored form whose second factor lacks the +mc term;
     kept for side-by-side comparison with ``factored_rhs``.
     """
-    return dirac_apply(minimal_coupling_slash(phi, A, consts, gammas, backend),
-                       A, consts, gammas, backend)
+    return dirac_apply(minimal_coupling_slash(phi, A, consts, backend), A, consts, backend)
 
 
 def gauge_discrepancy_prediction(phi: Field, A: PotentialSpec, consts: PhysicalConstants,
@@ -326,14 +312,13 @@ def gauge_discrepancy_prediction(phi: Field, A: PotentialSpec, consts: PhysicalC
 
 
 def factorization_discrepancy(phi: Field, A: Potential, consts: PhysicalConstants,
-                              gammas: GammaSet = DIRAC, backend: str = "spectral"
-                              ) -> tuple[float, float, float]:
-    """(relative, absolute, |fock|) discrepancy between the two forms."""
-    fock, fact = fock_and_factored(phi, A, consts, gammas, backend)
+                              backend: str = "spectral") -> float:
+    """|factored - fock| / |fock|, the relative discrepancy between the two forms
+    (inf where fock vanishes)."""
+    fock, fact = fock_and_factored(phi, A, consts, backend)
     diff = l2norm(fact - fock)
     ref = l2norm(fock)
-    rel = diff / ref if ref > 0 else np.inf
-    return rel, diff, ref
+    return diff / ref if ref > 0 else np.inf
 
 
 @dataclass(frozen=True)

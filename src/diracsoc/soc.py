@@ -52,9 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import DIRAC, METRIC_DIAG, ArrayC, as_four_vector
+from .clifford import METRIC_DIAG, ArrayC, as_four_vector
 from .constants import PhysicalConstants
-from .emfield import Polynomial, PotentialSpec, evaluate_potential, field_strength
+from .emfield import (Polynomial, PotentialSpec, evaluate_potential, field_strength,
+                      spin_coupling_matrix)
 from .grid import Field, dalembertian, partial_or_zero
 
 
@@ -390,15 +391,12 @@ def accumulate_action(ensemble: TrajectoryEnsemble, A: PotentialSpec,
 
     if A.name != "free":
         F = field_strength(A, coords)
-        # <chi| sigma^{munu} |chi> is a constant scalar per index pair
+        # the coupling is linear in F, so its sandwich contracts F with the sandwich of
+        # the coupling of each unit field strength
         chi = REST_FRAME_SPIN_UP
-        pref = consts.e * consts.hbar / (2 * consts.m)
-        sandwich = np.zeros((4, 4), dtype=np.complex128)
-        for mu in range(4):
-            for nu in range(4):
-                sandwich[mu, nu] = np.vdot(chi, DIRAC.spin_tensor(mu, nu) @ chi)
-        spin = pref * np.einsum("mn,mn...->...", sandwich, F)
-        lagrangian = lagrangian - spin
+        per_unit = np.array([np.vdot(chi, spin_coupling_matrix(unit, consts) @ chi)
+                             for unit in np.eye(16).reshape(16, 4, 4)]).reshape(4, 4)
+        lagrangian = lagrangian - np.einsum("mn,mn...->...", per_unit, F)
 
     samples = np.sum(lagrangian, axis=1) * ensemble.ds
     mean = complex(np.mean(samples))

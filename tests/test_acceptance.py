@@ -66,7 +66,7 @@ def test_criterion_02_factorization_equivalence():
     for name, pot in identity_potentials(GRID256):
         for _ in range(20):
             phi = random_band_limited(GRID256, 8, rng, spinor=True)
-            rel, _, _ = factorization_discrepancy(phi, pot, CONSTS, backend="spectral")
+            rel = factorization_discrepancy(phi, pot, CONSTS, backend="spectral")
             worst = max(worst, rel)
     spectral_ok = worst <= 1e-8
 
@@ -75,7 +75,7 @@ def test_criterion_02_factorization_equivalence():
         g = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(n, n))
         pot = emfield.em_plane_wave([0, 0, 0.5, 0], g.commensurate_wavevector([1, 1]))
         phi = plane_wave(g, g.commensurate_wavevector([2, 1]), chi=[1.0, 0.3, -0.2, 0.1])
-        rel, _, _ = factorization_discrepancy(phi, pot, CONSTS, backend="fd4")
+        rel = factorization_discrepancy(phi, pot, CONSTS, backend="fd4")
         errs.append(rel)
         hs.append(g.spacing[0])
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

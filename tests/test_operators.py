@@ -5,14 +5,14 @@ import pytest
 
 from diracsoc import emfield, operators
 from diracsoc.cli import gauge_violating_potential, identity_potentials
-from diracsoc.clifford import DIRAC, METRIC_DIAG, GammaSet, mdot
+from diracsoc.clifford import DIRAC, METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
 from diracsoc.grid import (Field, GridError, SpacetimeGrid, dalembertian, l2norm, partial,
                            plane_wave, random_band_limited)
-from diracsoc.operators import (OperatorError, SampledPotential, _gamma_mix, build_spinor,
-    conjugate_apply, dirac_apply, factored_rhs, factorization_discrepancy,
-    fock_and_factored, fock_rhs, gauge_discrepancy_prediction, kg_residual_componentwise,
-    legacy_factored_rhs, minimal_coupling_slash)
+from diracsoc.operators import (_COMMUTATOR_ROWS, _GAMMA_ROWS, OperatorError, SampledPotential,
+    _gamma_mix, _monomial_rows, build_spinor, dirac_apply, factored_rhs,
+    factorization_discrepancy, fock_and_factored, fock_rhs, gauge_discrepancy_prediction,
+    kg_residual_componentwise, legacy_factored_rhs, minimal_coupling_slash)
 
 GRID = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(64, 64))
 CONSTS = PhysicalConstants(m=3.0)  # mass 3 so modes (5,4) sit exactly on shell
@@ -70,7 +70,7 @@ def test_off_shell_residual_norm():
 def test_conjugate_apply_plane_wave():
     chi = np.array([0.3, 1.0, -0.2, 0.5j])
     phi = plane_wave(GRID, K_OFF, chi=chi)
-    out = conjugate_apply(phi, FREE, CONSTS)
+    out = build_spinor(phi, FREE, CONSTS)
     amp = (CONSTS.hbar * DIRAC.slash(K_OFF) + CONSTS.mc * np.eye(4)) @ chi
     want = plane_wave(GRID, K_OFF, chi=amp)
     assert l2norm(out - want) / l2norm(want) <= 1e-12
@@ -79,7 +79,7 @@ def test_conjugate_apply_plane_wave():
 def test_conjugate_apply_constant_field():
     chi = np.array([0.2, 0.4, -0.6, 0.8])
     phi = Field(GRID, np.tile(chi.reshape(4, 1, 1), (1,) + GRID.shape).astype(complex))
-    out = conjugate_apply(phi, FREE, CONSTS)
+    out = build_spinor(phi, FREE, CONSTS)
     assert l2norm(out - CONSTS.mc * phi) <= 1e-13 * CONSTS.mc
 
 
@@ -88,7 +88,7 @@ def test_conjugate_apply_rest_frame_annihilates_lower_bispinor():
     grid = SpacetimeGrid(dims=1, extent=(2 * np.pi,), points=(32,))
     k = np.array([consts.mc / consts.hbar, 0.0, 0.0, 0.0])  # integer mode for m=c=1
     phi = plane_wave(grid, k, chi=[0.0, 0.0, 0.0, 1.0])
-    out = conjugate_apply(phi, FREE, consts)
+    out = build_spinor(phi, FREE, consts)
     assert l2norm(out) <= 1e-12
 
 
@@ -118,14 +118,14 @@ def test_factored_equals_fock_in_lorenz_gauge(name, pot):
     rng = np.random.default_rng(21)
     for _ in range(5):
         phi = random_band_limited(GRID, 4, rng, spinor=True)
-        rel, _, _ = factorization_discrepancy(phi, pot, CONSTS)
+        rel = factorization_discrepancy(phi, pot, CONSTS)
         assert rel <= 1e-8, name
 
 
 def test_factored_equals_fock_exactly_for_free():
     rng = np.random.default_rng(2)
     phi = random_band_limited(GRID, 4, rng, spinor=True)
-    rel, _, _ = factorization_discrepancy(phi, FREE, CONSTS)
+    rel = factorization_discrepancy(phi, FREE, CONSTS)
     assert rel <= 1e-12
 
 
@@ -177,18 +177,9 @@ def test_legacy_zero_field():
 def test_free_factors_commute():
     rng = np.random.default_rng(43)
     phi = random_band_limited(GRID, 4, rng, spinor=True)
-    ab = dirac_apply(conjugate_apply(phi, FREE, CONSTS), FREE, CONSTS)
-    ba = conjugate_apply(dirac_apply(phi, FREE, CONSTS), FREE, CONSTS)
+    ab = dirac_apply(build_spinor(phi, FREE, CONSTS), FREE, CONSTS)
+    ba = build_spinor(dirac_apply(phi, FREE, CONSTS), FREE, CONSTS)
     assert l2norm(ab - ba) / l2norm(ab) <= 1e-12
-
-
-def test_build_spinor_is_conjugate_apply():
-    rng = np.random.default_rng(47)
-    phi = random_band_limited(GRID, 4, rng, spinor=True)
-    pot = lorenz_potentials()[2][1]
-    a = build_spinor(phi, pot, CONSTS)
-    b = conjugate_apply(phi, pot, CONSTS)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_kg_residual_on_shell():
@@ -254,7 +245,7 @@ def test_fd4_backend_discrepancy_converges_at_fourth_order():
         # same continuum field on every grid: fixed low modes
         phi = plane_wave(g, g.commensurate_wavevector([2, 1]),
                          chi=[1.0, 0.3, -0.2, 0.1])
-        rel, _, _ = factorization_discrepancy(phi, pot, CONSTS, backend="fd4")
+        rel = factorization_discrepancy(phi, pot, CONSTS, backend="fd4")
         errs.append(rel)
         hs.append(g.spacing[0])
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -268,7 +259,7 @@ def test_two_plus_one_dimensional_identity():
     pot = emfield.em_plane_wave([0, 0, 0, 0.4], g.commensurate_wavevector([0, 0, 1]))
     rng = np.random.default_rng(73)
     phi = random_band_limited(g, 3, rng, spinor=True)
-    rel, _, _ = factorization_discrepancy(phi, pot, CONSTS)
+    rel = factorization_discrepancy(phi, pot, CONSTS)
     assert rel <= 1e-8
 
 
@@ -279,58 +270,32 @@ MIX_MATRICES = ([("gamma", mu, DIRAC.gamma(mu)) for mu in range(4)]
                    for mu in range(4) for nu in range(4)])
 
 
-def _spy_tensordot(monkeypatch):
-    calls = []
-    real = np.tensordot
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np, "tensordot", spy)
-    return calls
-
-
 @pytest.mark.parametrize("kind,index,mat", MIX_MATRICES)
-def test_gamma_mix_permutation_equals_tensordot(kind, index, mat, monkeypatch):
+def test_gamma_mix_permutation_equals_tensordot(kind, index, mat):
+    # every import-time row table applies its Dirac matrix as np.tensordot does, bit for
+    # bit, alone and added into an array; the table builder refuses the zero commutator
+    # [gamma^mu, gamma^mu], which F never needs, and a matrix with a second nonzero entry
+    # in a row
+    assert sorted(_COMMUTATOR_ROWS) == [(mu, nu) for mu in range(4) for nu in range(4)
+                                        if mu != nu]
+    if kind == "commutator" and index[0] == index[1]:
+        with pytest.raises(OperatorError, match="one nonzero entry per row"):
+            _monomial_rows(mat)
+        return
+    rows = _GAMMA_ROWS[index] if kind == "gamma" else _COMMUTATOR_ROWS[index]
     rng = np.random.default_rng(83)
     v = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
-    want = np.tensordot(mat, v, axes=(1, 0))
-    calls = _spy_tensordot(monkeypatch)
-    got = _gamma_mix(mat, v)
-    assert np.array_equal(got, want)
-    # the zero commutator [gamma^mu, gamma^mu] is the one non-monomial matrix here
-    monomial = np.all(np.count_nonzero(mat, axis=1) == 1)
-    assert monomial == (kind == "gamma" or index[0] != index[1])
-    assert len(calls) == (0 if monomial else 1)
-
-
-@pytest.mark.parametrize("which", ["random", "corrupted_gamma"])
-def test_gamma_mix_non_monomial_falls_back_to_tensordot(which, monkeypatch):
-    rng = np.random.default_rng(89)
-    v = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
-    if which == "random":
-        mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    else:
-        mat = np.array(DIRAC.gamma(1))
-        mat[0, 0] += 0.5  # a second nonzero entry in row 0
-    want = np.tensordot(mat, v, axes=(1, 0))
-    calls = _spy_tensordot(monkeypatch)
-    assert np.array_equal(_gamma_mix(mat, v), want)
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("which", ["gamma", "random"])
-def test_gamma_mix_adds_into_an_array_bit_for_bit(which):
-    rng = np.random.default_rng(91)
-    v = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
     acc = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
-    mat = np.array(DIRAC.gamma(2)) if which == "gamma" else \
-        rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    want = acc + np.tensordot(mat, v, axes=(1, 0))
-    got = _gamma_mix(mat, v, add_to=acc)
+    mixed = np.tensordot(mat, v, axes=(1, 0))
+    assert np.array_equal(_gamma_mix(rows, v), mixed)
+    want = acc + mixed
+    got = _gamma_mix(rows, v, add_to=acc)
     assert got is acc
     assert np.array_equal(got, want)
+    corrupted = np.array(mat)
+    corrupted[0, rows[0][1] ^ 1] = 0.5
+    with pytest.raises(OperatorError, match="one nonzero entry per row"):
+        _monomial_rows(corrupted)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -384,20 +349,20 @@ def _ref_partial(f, mu, backend):
     return partial(f, mu, backend).values if f.grid.is_active(mu) else np.zeros_like(f.values)
 
 
-def _ref_slash(psi, spec, consts, backend, gammas):
+def _ref_slash(psi, spec, consts, backend):
     Av = emfield.evaluate_potential(spec, psi.grid.coords4())
     out = np.zeros_like(psi.values)
     for nu in range(4):
         term = 1j * consts.hbar * _ref_partial(psi, nu, backend)
         if np.any(Av[nu] != 0):
             term = term - consts.e * Av[nu] * psi.values
-        out = out + np.tensordot(gammas.gammas[nu], term, axes=(1, 0))
+        out = out + np.tensordot(DIRAC.gammas[nu], term, axes=(1, 0))
     return out
 
 
-def _ref_factored(phi, spec, consts, backend, gammas):
-    psi = Field(phi.grid, _ref_slash(phi, spec, consts, backend, gammas) + consts.mc * phi.values)
-    return _ref_slash(psi, spec, consts, backend, gammas) - consts.mc * psi.values
+def _ref_factored(phi, spec, consts, backend):
+    psi = Field(phi.grid, _ref_slash(phi, spec, consts, backend) + consts.mc * phi.values)
+    return _ref_slash(psi, spec, consts, backend) - consts.mc * psi.values
 
 
 def _ref_second_derivative(phi, mu, backend):
@@ -412,7 +377,7 @@ def _ref_second_derivative(phi, mu, backend):
     return np.fft.ifft(-(k * k).reshape(shape) * np.fft.fft(phi.values, axis=axis), axis=axis)
 
 
-def _ref_fock(phi, spec, consts, backend, gammas):
+def _ref_fock(phi, spec, consts, backend):
     hbar, e, mc = consts.hbar, consts.e, consts.mc
     coords = phi.grid.coords4()
     Av = emfield.evaluate_potential(spec, coords)
@@ -424,7 +389,7 @@ def _ref_fock(phi, spec, consts, backend, gammas):
     for mu in range(4):
         for nu in range(4):
             if np.any(F[mu, nu] != 0):
-                mixed = np.tensordot(gammas.commutator(mu, nu), F[mu, nu] * phi.values,
+                mixed = np.tensordot(DIRAC.commutator(mu, nu), F[mu, nu] * phi.values,
                                      axes=(1, 0))
                 out = out - (0.25j * e * hbar) * mixed
     for mu in range(4):
@@ -436,54 +401,22 @@ def _ref_fock(phi, spec, consts, backend, gammas):
     return out
 
 
-def _monomial(mat):
-    return bool(np.all(np.count_nonzero(mat, axis=1) == 1))
-
-
-# U = (H x H) CS / 2 is unitary with entries in {+-1/2, +-i/2}, so U gamma U^dagger is
-# exact and passes GammaSet's exact Clifford checks.  CS = diag(1, 1, 1, i) lies outside
-# the Clifford group: gamma^1..3 and most commutators of the rotated set are not
-# monomial, so the operators mix them by np.tensordot.
-_H = np.array([[1, 1], [1, -1]])
-_U = np.kron(_H, _H) @ np.diag([1, 1, 1, 1j]) / 2
-ROTATED = GammaSet(gammas=[_U @ g @ _U.conj().T for g in DIRAC.gammas])
-
-
-def test_rotated_gamma_set_is_not_monomial():
-    assert _monomial(ROTATED.gammas[0])
-    assert not any(_monomial(ROTATED.gammas[nu]) for nu in (1, 2, 3))
-    assert _monomial(ROTATED.commutator(1, 2))
-    assert not any(_monomial(ROTATED.commutator(mu, nu)) for mu, nu in [(0, 1), (0, 2)])
-
-
-def _assert_operators_equal_reference(grid, spec, gammas, backend):
+@pytest.mark.parametrize("backend", ["spectral", "fd4"])
+@pytest.mark.parametrize("name,grid,spec", witness_cases())
+def test_operators_equal_term_by_term_reference(name, grid, spec, backend):
     rng = np.random.default_rng(97)
     c = WITNESS_CONSTS
     for _ in range(2):
         phi = random_band_limited(grid, 3, rng, spinor=True)
-        fock_want = _ref_fock(phi, spec, c, backend, gammas)
-        fact_want = _ref_factored(phi, spec, c, backend, gammas)
+        fock_want = _ref_fock(phi, spec, c, backend)
+        fact_want = _ref_factored(phi, spec, c, backend)
         for pot in (spec, SampledPotential(spec, grid)):
-            assert np.array_equal(fock_rhs(phi, pot, c, gammas, backend).values, fock_want)
-            assert np.array_equal(factored_rhs(phi, pot, c, gammas, backend).values, fact_want)
+            assert np.array_equal(fock_rhs(phi, pot, c, backend).values, fock_want)
+            assert np.array_equal(factored_rhs(phi, pot, c, backend).values, fact_want)
             # the shared kernel gives the same bits as the two operators alone
-            fock, fact = fock_and_factored(phi, pot, c, gammas, backend)
+            fock, fact = fock_and_factored(phi, pot, c, backend)
             assert np.array_equal(fock.values, fock_want)
             assert np.array_equal(fact.values, fact_want)
-
-
-@pytest.mark.parametrize("backend", ["spectral", "fd4"])
-@pytest.mark.parametrize("name,grid,spec", witness_cases())
-def test_operators_equal_term_by_term_reference(name, grid, spec, backend):
-    _assert_operators_equal_reference(grid, spec, DIRAC, backend)
-
-
-@pytest.mark.parametrize("backend", ["spectral", "fd4"])
-def test_operators_equal_term_by_term_reference_rotated_gammas(backend):
-    # couples both active axes and the inactive axis 2, with F_01, F_02 and F_12 nonzero
-    g = WITNESS_GRID
-    wave = emfield.custom_wave([0.3, -0.2, 0.5, 0], g.commensurate_wavevector([1, 1]))
-    _assert_operators_equal_reference(g, wave, ROTATED, backend)
 
 
 def test_fock_and_factored_transforms_phi_once_per_axis(monkeypatch):
@@ -592,9 +525,8 @@ def test_operator_outputs_are_read_only_and_unaliased():
     rng = np.random.default_rng(103)
     phi = random_band_limited(GRID, 4, rng, spinor=True)
     pot = emfield.constant_potential([0.8, -0.3, 0.2, 0.0])
-    outputs = [op(phi, pot, CONSTS) for op in (minimal_coupling_slash, dirac_apply,
-                                                conjugate_apply, build_spinor, fock_rhs,
-                                                factored_rhs, legacy_factored_rhs)]
+    outputs = [op(phi, pot, CONSTS) for op in (minimal_coupling_slash, dirac_apply, build_spinor,
+                                                fock_rhs, factored_rhs, legacy_factored_rhs)]
     outputs.append(gauge_discrepancy_prediction(phi, gauge_violating(), CONSTS))
     for out in outputs:
         assert not out.values.flags.writeable

@@ -517,6 +517,25 @@ def test_action_epsilon_flip_changes_only_charge_term():
     assert sp.mean - sm.mean == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("form", ["sigma", "commutator"])
+def test_action_spin_term_is_the_coupling_sandwich(form):
+    # a constant magnetic field and a control with A.w = 0 exactly: against the free
+    # action on the same paths, only the spin term -<chi|(e hbar/2m) sigma F|chi> is left,
+    # summed over a unit proper time
+    consts = PhysicalConstants(hbar=0.75, c=1.5, m=1.25, e=-0.6)
+    w4 = np.array([1.8, 0.0, 0.0, 0.1], dtype=complex)
+    params = EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
+    ens = simulate(params, w4, consts, seed=37, diffusion=zero_diffusion())
+    pot = emfield.constant_magnetic(0.7)
+    free = accumulate_action(ens, emfield.free(), consts)
+    got = accumulate_action(ens, pot, consts).mean - free.mean
+    F = emfield.field_strength(pot, np.zeros(4))
+    chi = soc.REST_FRAME_SPIN_UP
+    want = -np.vdot(chi, emfield.spin_coupling_matrix(F, consts, form=form) @ chi)
+    assert want != 0
+    assert abs(got - want) <= 4 * np.spacing(abs(free.mean))
+
+
 def test_action_stops_at_the_blowup_step():
     # a path contributes w before its blow-up step and nothing from that step on
     w4 = np.array([CONSTS.c, 0.0, 0.0, 0.0], dtype=complex)
