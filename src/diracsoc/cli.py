@@ -285,7 +285,7 @@ def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
             k0=rec["k0"], k1=rec["k1"], delta=rec["delta"],
             measured_frequency=rec["measured_frequency"],
             closed_form_frequency=rec["closed_form_frequency"],
-            stationary=rec["stationary"], residual=freq_err,
+            final_drift=rec["final_drift"], stationary=rec["stationary"], residual=freq_err,
             tolerance=freq_tol * max(1.0, abs(rec["closed_form_frequency"]))))
         rows.append((rec["k0"], rec["k1"], rec["delta"], rec["measured_frequency"],
                      rec["stationary"]))

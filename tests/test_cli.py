@@ -200,6 +200,8 @@ def test_evolve_suite_flags_only_on_shell(tmp_path):
     assert main(["evolve", "--out", str(out)]) == 0
     records = read_jsonl(out / "evolve.jsonl")
     assert all(r["pass"] for r in records)
+    tol = RunConfig.from_sources()["evolve.stationary_tol"]
+    assert all(r["stationary"] == (r["final_drift"] <= tol) for r in records)
     stationary = [r for r in records if r["stationary"]]
     assert len(stationary) == 1
     assert abs(stationary[0]["delta"]) <= 1e-12

@@ -18,7 +18,7 @@ PINNED_NUMPY = "2.4.6"
 GOLDEN = {
     "clifford.jsonl": "339faae0b5e00498ffc107449efe7c713fa812ecd2ad330ac3cc5080ba36731b",
     "dispersion.jsonl": "b812866ac7b8d276d87312372b8cea3b0500ef4c046b0aff84cd293dc7ab12a3",
-    "evolve.jsonl": "aceb134f8cf1892f24d129a8ce0b678aa47bbc23977b2243f4f9746273eabd64",
+    "evolve.jsonl": "f57380845d299b7c27db284d0b2c56999411f480a1242cf0c4444f841d4a0562",
     "identity.jsonl": "5bf9ff0bb51009c5022f162f71b91dc015f01a1e33137626384ad3a789dd9df3",
     "simulate.jsonl": "c8ba4a8d4ee4a2bdec4815354efd7349e8d0d0bfb4e4ef0f104e9b90956e388a",
     "dispersion.csv": "02bf122e6c7c44554888a58a844cc715b6f90e1f48639d519204e86069b3b7ae",
