@@ -28,9 +28,9 @@ import numpy as np
 from . import emfield, soc, spectrum
 from .clifford import DIRAC, mdot, relation_residuals
 from .config import KEYS, ConfigError, RunConfig, load_config_file
-from .grid import BACKENDS, SpacetimeGrid, random_band_limited
-from .operators import (OperatorError, SampledPotential, factorization_discrepancy,
-                        fock_and_factored, gauge_discrepancy_prediction)
+from .grid import BACKENDS, SpacetimeGrid, band_limited_jet
+from .operators import (OperatorError, SampledPotential, fock_and_factored_in_place,
+                        gauge_discrepancy_coefficient, relative_discrepancy)
 from .report import read_jsonl_numbered, summarize, write_csv, write_jsonl, write_meta
 
 EXIT_PASS = 0
@@ -130,13 +130,18 @@ def gauge_violating_potential(grid: SpacetimeGrid) -> emfield.PotentialSpec:
     return emfield.custom_wave([0.3, 0.0, 0.0, 0.0], k)
 
 
-def _gauge_law_residual(phi, pot: SampledPotential, consts, backend: str) -> float:
-    """max |(factored - fock) - predicted| / max |predicted| for one field; its arrays
-    are freed on return, before the next field's are made."""
-    fock, fact = fock_and_factored(phi, pot, consts, backend=backend)
-    pred = gauge_discrepancy_prediction(phi, pot.spec, consts).values
-    scale = float(np.abs(pred).max())
-    return float(np.abs(fact.values - fock.values - pred).max()) / scale
+def _gauge_law_residual(phi, fock, fact, coef) -> float:
+    """max |(factored - fock) - predicted| / max |predicted| for one field, where the
+    prediction is ``coef phi`` (``gauge_discrepancy_prediction``); formed one spinor
+    component at a time, with ``fact`` overwritten."""
+    worst, scale = [], []
+    for a in range(4):
+        pred = coef * phi[a]
+        diff = np.subtract(fact[a], fock[a], out=fact[a])
+        diff -= pred
+        scale.append(np.abs(pred).max())
+        worst.append(np.abs(diff).max())
+    return float(np.max(worst)) / float(np.max(scale))
 
 
 def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
@@ -176,27 +181,37 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
                                   f"{name} on axis {mu} reaches the Nyquist mode of "
                                   f"{grid.points[mu]} points; products would alias")
 
-    # each potential is sampled once and held only while its fields are checked
+    # Each potential is sampled once and held only while its fields are checked.  Every
+    # field is drawn with its derivatives into the first field's arrays, and both sides
+    # are formed in place in them (the fd4 jet makes new arrays).
+    jet = None
+    scratch = np.empty((4,) + grid.shape)
+
+    def fields(pot, n):
+        nonlocal jet
+        pot.F  # sampled before the field's derivatives are formed
+        for i in range(n):
+            phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
+            jet = [phi, *dphi, box]
+            yield i, phi, *fock_and_factored_in_place(phi, grid, pot, consts, backend,
+                                                      dphi, box)
+
     spans = Laps()
     for name, spec in sweep:
-        pot = SampledPotential(spec, grid)
-        for i in range(n_fields):
-            phi = random_band_limited(grid, max_mode, rng, spinor=True)
-            rel = factorization_discrepancy(phi, pot, consts, backend=backend)
+        for i, _, fock, fact in fields(SampledPotential(spec, grid), n_fields):
+            rel = relative_discrepancy(fock, fact, scratch)
             records.append(check(cfg, "verify-identity", "factored_vs_fock", potential=name,
                                  field_index=i, grid=glabel, residual=rel, tolerance=tol))
-        del pot
     spans.lap("factored_vs_fock")
 
     for name, spec in negatives:
-        pot = SampledPotential(spec, grid)
-        for i in range(cfg["identity.gauge_fields"]):
-            phi = random_band_limited(grid, max_mode, rng, spinor=True)
-            resid = _gauge_law_residual(phi, pot, consts, backend)
+        coef = gauge_discrepancy_coefficient(spec, grid, consts)
+        for i, phi, fock, fact in fields(SampledPotential(spec, grid),
+                                         cfg["identity.gauge_fields"]):
             records.append(check(cfg, "verify-identity", "gauge_discrepancy_law",
                                  potential=name, field_index=i, grid=glabel,
-                                 residual=resid, tolerance=tol))
-        del pot
+                                 residual=_gauge_law_residual(phi, fock, fact, coef),
+                                 tolerance=tol))
     spans.lap("gauge_discrepancy_law")
     return records, [], spans
 
@@ -314,9 +329,13 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     records = []
     spans = Laps()
 
+    # sigma^2 is formed in floating point and rounds by about one ulp of its largest
+    # entry; the exact squares hold to 4 ulps of it
     diff = soc.make_diffusion(consts)
-    sq_resid = float(np.abs(diff.sigma ** 2 - diff.squares).max())
-    records.append(check(cfg, "simulate", "diffusion_squares", residual=sq_resid, tolerance=0.0))
+    sq = diff.sigma ** 2
+    records.append(check(cfg, "simulate", "diffusion_squares",
+                         residual=float(np.abs(sq - diff.squares).max()),
+                         tolerance=4 * float(np.spacing(np.abs(sq).max()))))
     spans.lap("diffusion_squares")
 
     reports = soc.run_generator_battery(consts, ds=ds, n_paths=n_paths, seed=seed)

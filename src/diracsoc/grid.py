@@ -15,6 +15,9 @@ entry zeroed in both, so the one-pass second derivative has the symbol of
 stencil; its d'Alembertian composes that first-derivative stencil.  Where
 both orders are wanted (``_derivatives``), one forward transform per axis
 serves them, and each result is the same bits as when computed alone.
+``band_limited_jet`` draws a random band-limited spinor with its first
+derivatives and d'Alembertian; spectral ones come from the drawn spectrum
+itself, with no forward transform.
 """
 
 from __future__ import annotations
@@ -142,13 +145,16 @@ def _require_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _rms(values: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """Root-mean-square magnitude of an array; the moduli go in ``scratch`` (real, of
+    the same shape) when given."""
+    mod = np.abs(values, out=scratch)
+    return float(np.sqrt(np.mean(np.square(mod, out=mod))))
+
+
 def l2norm(f: Field) -> float:
     """Root-mean-square magnitude over all components and points."""
-    return float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
-
-
-def _axis_of(f: Field, mu: int) -> int:
-    return mu + (1 if f.is_spinor else 0)
+    return _rms(f.values)
 
 
 def _spectral_symbols(grid: SpacetimeGrid, mu: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,16 +164,16 @@ def _spectral_symbols(grid: SpacetimeGrid, mu: int) -> tuple[np.ndarray, np.ndar
     return 1j * k, -(k * k)
 
 
-def _spectral_passes(values: np.ndarray, axis: int, symbols: list[np.ndarray]
-                     ) -> list[np.ndarray]:
+def _spectral_passes(values: np.ndarray, axis: int, symbols: list[np.ndarray],
+                     out: np.ndarray | None = None) -> list[np.ndarray]:
     """Transform along one array axis once; multiply by each symbol and transform back.
 
     Every product but the last is a new array; the last is formed in the
-    transform's own buffer.
+    transform's own buffer, which is ``out`` when given.
     """
     shape = [1] * values.ndim
     shape[axis] = values.shape[axis]
-    fhat = np.fft.fft(values, axis=axis)
+    fhat = np.fft.fft(values, axis=axis, out=out)
     products = [fhat * s.reshape(shape) for s in symbols[:-1]]
     products.append(np.multiply(fhat, symbols[-1].reshape(shape), out=fhat))
     return [np.fft.ifft(p, axis=axis, out=p) for p in products]
@@ -179,36 +185,40 @@ def _fd4(values: np.ndarray, axis: int, h: float) -> np.ndarray:
             - 8 * np.roll(values, 1, axis=axis) + np.roll(values, 2, axis=axis)) / (12 * h)
 
 
-def _axis_derivatives(f: Field, mu: int, backend: str, orders: tuple[int, ...]
+def _axis_derivatives(values: np.ndarray, grid: SpacetimeGrid, mu: int, backend: str,
+                      orders: tuple[int, ...], out: np.ndarray | None = None
                       ) -> list[np.ndarray]:
     """For each order in ``orders``: d_mu f (1) or eta^{mumu} d_mu d_mu f (2).
 
-    The results are fresh writable arrays, unchecked.  Spectral: one forward
-    transform serves both orders.  fd4: the second is the first-derivative
-    stencil applied to the first.
+    ``values`` holds a field, or one spinor component of it: its last
+    ``grid.dims`` axes are the grid's.  The results are writable arrays,
+    unchecked.  Spectral: one forward transform serves both orders, and the
+    last result is formed in ``out`` when given.  fd4: the second is the
+    first-derivative stencil applied to the first; ``out`` is not used.
     """
-    if not f.grid.is_active(mu):
+    if not grid.is_active(mu):
         raise GridError(f"cannot differentiate along inactive axis {mu}")
-    axis = _axis_of(f, mu)
+    axis = values.ndim - grid.dims + mu
     if backend == "spectral":
-        ik, minus_k2 = _spectral_symbols(f.grid, mu)
+        ik, minus_k2 = _spectral_symbols(grid, mu)
         symbols = {1: ik, 2: METRIC_DIAG[mu] * minus_k2}
-        return _spectral_passes(f.values, axis, [symbols[n] for n in orders])
+        return _spectral_passes(values, axis, [symbols[n] for n in orders], out)
     if backend == "fd4":
-        h = f.grid.spacing[mu]
-        d = _fd4(f.values, axis, h)
+        h = grid.spacing[mu]
+        d = _fd4(values, axis, h)
         return [d if n == 1 else METRIC_DIAG[mu] * _fd4(d, axis, h) for n in orders]
     raise GridError(f"unknown backend {backend!r}; valid: {BACKENDS}")
 
 
-def _partial_values(f: Field, mu: int, backend: str = "spectral") -> np.ndarray:
-    """The values of ``partial(f, mu, backend)`` as a fresh writable array, unchecked."""
-    return _axis_derivatives(f, mu, backend, (1,))[0]
+def _partial_values(values: np.ndarray, grid: SpacetimeGrid, mu: int,
+                    backend: str = "spectral", out: np.ndarray | None = None) -> np.ndarray:
+    """d_mu of a field's values, or of one spinor component (see ``_axis_derivatives``)."""
+    return _axis_derivatives(values, grid, mu, backend, (1,), out)[0]
 
 
 def partial(f: Field, mu: int, backend: str = "spectral") -> Field:
     """d f / d z^mu on the periodic grid (lower-index derivative)."""
-    return Field(f.grid, _partial_values(f, mu, backend), copy=False)
+    return Field(f.grid, _partial_values(f.values, f.grid, mu, backend), copy=False)
 
 
 def partial_or_zero(f: Field, mu: int, backend: str = "spectral") -> Field:
@@ -227,7 +237,7 @@ def _derivatives(f: Field, backend: str = "spectral", first: bool = True
     """
     grads, box = [], None
     for mu in range(f.grid.dims):
-        *d, dd = _axis_derivatives(f, mu, backend, (1, 2) if first else (2,))
+        *d, dd = _axis_derivatives(f.values, f.grid, mu, backend, (1, 2) if first else (2,))
         grads += d
         if box is None:
             box = dd
@@ -265,28 +275,93 @@ def plane_wave(grid: SpacetimeGrid, k, chi=None, amplitude: complex = 1.0) -> Fi
     return Field(grid, chi.reshape((4,) + (1,) * grid.dims) * wave[np.newaxis], copy=False)
 
 
+def _mode_window(n: int, max_mode: int) -> np.ndarray:
+    """The transform indices of the modes -max_mode..max_mode on an axis of n points."""
+    return np.r_[0:max_mode + 1, n - max_mode:n]
+
+
+def _mode_block(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator,
+                ncomp: int) -> np.ndarray:
+    """ncomp components, each drawing its (2 max_mode + 1)^dims spectral coefficients in turn."""
+    for n in grid.points:
+        if max_mode >= n // 2:
+            raise GridError(f"max_mode {max_mode} reaches the Nyquist mode of {n} points")
+    block_shape = tuple(2 * max_mode + 1 for _ in range(grid.dims))
+    return np.stack([rng.standard_normal(block_shape) + 1j * rng.standard_normal(block_shape)
+                     for _ in range(ncomp)])
+
+
+def _pruned_ifft(block: np.ndarray, grid: SpacetimeGrid, max_mode: int, axes,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The inverse transform of a mode block, one pass per grid axis in the order ``axes``.
+
+    Each pass pads its axis to full length, the block's modes going to
+    ``_mode_window``, and transforms only the lines whose untransformed
+    indices lie in the window; every other line is zero before and after, so
+    the result equals the dense ifftn.  Only the last pass spans the whole
+    grid; it is formed in ``out`` when given.
+    """
+    values = block
+    for i, mu in enumerate(axes):
+        n, axis = grid.points[mu], values.ndim - grid.dims + mu
+        if out is not None and i == grid.dims - 1:
+            padded = out
+            padded.fill(0)
+        else:
+            padded = np.zeros(values.shape[:axis] + (n,) + values.shape[axis + 1:],
+                              dtype=np.complex128)
+        padded[(slice(None),) * axis + (_mode_window(n, max_mode),)] = values
+        values = np.fft.ifft(padded, axis=axis, out=padded)
+    return values
+
+
 def random_band_limited(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator,
                         spinor: bool = False) -> Field:
     """Random field whose spectrum is supported on modes |n_mu| <= max_mode.
 
     Each component draws its (2 max_mode + 1)^dims block of spectral
-    coefficients in turn.  The inverse transform runs axis by axis, last
-    axis first as ``np.fft.ifftn`` does, and each pass transforms only the
-    lines whose untransformed indices lie in the mode window; every other
-    line is zero before and after, so the result equals the dense ifftn.
+    coefficients in turn.  The inverse transform runs as pruned passes, last
+    axis first as ``np.fft.ifftn`` does, and equals the dense ifftn.
     """
-    for n, L in zip(grid.points, grid.extent):
-        if max_mode >= n // 2:
-            raise GridError(f"max_mode {max_mode} reaches the Nyquist mode of {n} points")
-    ncomp = 4 if spinor else 1
-    block_shape = tuple(2 * max_mode + 1 for _ in range(grid.dims))
-    values = np.stack([rng.standard_normal(block_shape) + 1j * rng.standard_normal(block_shape)
-                       for _ in range(ncomp)])
-    for mu in reversed(range(grid.dims)):
-        n = grid.points[mu]
-        padded = np.zeros(values.shape[:mu + 1] + (n,) + values.shape[mu + 2:],
-                          dtype=np.complex128)
-        padded[(slice(None),) * (mu + 1) + (np.r_[0:max_mode + 1, n - max_mode:n],)] = values
-        values = np.fft.ifft(padded, axis=mu + 1, out=padded)
+    values = _pruned_ifft(_mode_block(grid, max_mode, rng, 4 if spinor else 1), grid, max_mode,
+                          reversed(range(grid.dims)))
     values *= np.sqrt(np.prod(grid.shape))
     return Field(grid, values if spinor else values[0], copy=False)
+
+
+def band_limited_jet(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator,
+                     backend: str = "spectral", out: list[np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """A random spinor phi with its derivatives: (phi, [d_mu phi, active mu], d^mu d_mu phi).
+
+    phi takes the draws of ``random_band_limited(grid, max_mode, rng,
+    spinor=True)`` and has its bits; it is checked finite and the derivatives
+    are not.  Spectral: each derivative is synthesized from phi's mode block
+    times its symbol (i k_mu, or the sum of eta^{mumu} (-k_mu^2)) by pruned
+    passes, axis 0 first, so that the one full pass runs along the contiguous
+    last axis; they agree with ``_derivatives(phi, "spectral")`` up to
+    rounding.  ``out`` holds dims + 2 spinor-shaped buffers, filled in the
+    order phi, d_0 phi, ..., box; without it the arrays are new.  fd4: phi is
+    read-only and the derivatives are ``_derivatives(phi, "fd4")``, new
+    arrays, since the stencil is what the fd4 backend verifies.
+    """
+    if backend == "fd4":
+        phi = random_band_limited(grid, max_mode, rng, spinor=True)
+        return (phi.values, *_derivatives(phi, "fd4"))
+    if backend != "spectral":
+        raise GridError(f"unknown backend {backend!r}; valid: {BACKENDS}")
+    bufs = out if out is not None else [None] * (grid.dims + 2)
+    block = _mode_block(grid, max_mode, rng, 4)
+    scale = np.sqrt(np.prod(grid.shape))
+    phi = _pruned_ifft(block, grid, max_mode, reversed(range(grid.dims)), bufs[0])
+    phi *= scale
+    symbols, box = [], 0.0
+    for mu in range(grid.dims):
+        ik, minus_k2 = (s[_mode_window(grid.points[mu], max_mode)].reshape(
+            (-1,) + (1,) * (grid.dims - 1 - mu)) for s in _spectral_symbols(grid, mu))
+        symbols.append(ik)
+        box = box + METRIC_DIAG[mu] * minus_k2
+    symbols.append(box)
+    derived = [_pruned_ifft(block * (scale * s), grid, max_mode, range(grid.dims), buf)
+               for s, buf in zip(symbols, bufs[1:])]
+    return _require_finite(phi), derived[:-1], derived[-1]

@@ -13,7 +13,11 @@ output of the other on the grid; there is no symbolic fusion.
 forward transform per axis, and both sides read them: the A.d term of
 ``fock_rhs`` and the first factor.  Those arrays are the same bits that
 each side computes alone, so the equivalence check is as honest a
-numerical test as two separate evaluations.
+numerical test as two separate evaluations.  Its kernel,
+``fock_and_factored_in_place``, takes the derivative arrays from its caller
+(``verify-identity`` passes those of ``grid.band_limited_jet``) and forms
+both sides in their buffers, taking psi's derivatives one spinor component
+at a time.
 
 The operators apply the Dirac matrices of ``clifford.DIRAC``.  Each of those
 gammas, and each commutator of two distinct ones, has one nonzero entry per
@@ -30,9 +34,9 @@ import numpy as np
 
 from .clifford import DIRAC, METRIC_DIAG, ArrayC
 from .constants import PhysicalConstants
-from .emfield import PotentialSpec, evaluate_potential, lorenz_residual, potential_jacobian
-from .grid import (Field, SpacetimeGrid, _derivatives, _partial_values, _require_finite,
-                   dalembertian, l2norm)
+from .emfield import PotentialSpec, _coords, evaluate_potential, lorenz_residual
+from .grid import (Field, SpacetimeGrid, _derivatives, _partial_values, _require_finite, _rms,
+                   dalembertian)
 
 
 class OperatorError(ValueError):
@@ -51,15 +55,10 @@ class SampledPotential:
     ``coupled[mu]`` says whether A_mu is anywhere nonzero and ``asq`` is
     A^mu A_mu (None where it vanishes identically).  ``F`` maps
     (mu, nu), mu != nu, to F_munu for the components that are not identically zero,
-    in row-major order.  It is evaluated on first use, one component at a
-    time, from the dense 4x4 Jacobian that ``potential_jacobian`` builds
-    (16 MiB on a 256x256 grid, freed once F is taken).  The dense Jacobian
-    stays: taking F entry by entry from ``jacobian_entries`` lowers the
-    traced peak of the sampling but not the process's peak RSS, and it
-    multiplies the minor page faults, since the 16 MiB block is what raises
-    glibc's dynamic mmap threshold above the operators' 4 MiB arrays.  The
-    operators take F before phi's derivatives exist, so that its peak does
-    not add to theirs.
+    in row-major order.  It is evaluated on first use, pair by pair: the two
+    Jacobian entries d_mu A_nu and d_nu A_mu are taken once and give both
+    F_munu and F_numu, with no dense 4x4 Jacobian.  The operators take F
+    before phi's derivatives exist, so that its peak does not add to theirs.
     """
 
     def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid) -> None:
@@ -80,15 +79,19 @@ class SampledPotential:
 
     @cached_property
     def F(self) -> dict[tuple[int, int], np.ndarray]:
-        J = potential_jacobian(self.spec, self.grid.coords4())
+        pairs = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
+        # d_mu A_nu then d_nu A_mu for each pair; None where it vanishes identically
+        entries = self.spec.family.jacobian_entries(
+            _coords(self.grid.coords4()), [p for mu, nu in pairs for p in ((mu, nu), (nu, mu))])
         F = {}
-        for mu in range(4):
-            for nu in range(4):
-                component = J[mu, nu] - J[nu, mu]
-                if mu != nu and np.any(component != 0):
-                    component.setflags(write=False)
-                    F[(mu, nu)] = component
-        return F
+        for mu, nu in pairs:
+            d_mu_nu, d_nu_mu = (0j if d is None else d for d in (next(entries), next(entries)))
+            component = d_mu_nu - d_nu_mu
+            if np.any(component != 0):
+                F[(mu, nu)], F[(nu, mu)] = component, d_nu_mu - d_mu_nu
+        for component in F.values():
+            component.setflags(write=False)
+        return dict(sorted(F.items()))
 
 
 Potential = PotentialSpec | SampledPotential
@@ -129,79 +132,92 @@ _COMMUTATOR_ROWS = {(mu, nu): _monomial_rows(DIRAC.commutator(mu, nu))
                     for mu in range(4) for nu in range(4) if mu != nu}
 
 
-def _gamma_mix(rows: Rows, comp: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
-    """Apply a monomial 4x4 matrix, given by its rows, in spinor space: out_a = M_a,p(a) v_p(a).
-
-    With ``add_to`` the result is added into that array, one component at a
-    time, and the array is returned.
+def _accumulate(out: np.ndarray, m: complex, term: np.ndarray, row: np.ndarray) -> None:
+    """out += m term for a gamma entry m, with ``row`` (which may be ``term``) as the
+    product's buffer.  For m = +1 or -1 term is added or subtracted without
+    forming the product: the result is the same up to the sign of an exact zero.
     """
-    if add_to is None:
-        out = np.empty(comp.shape, dtype=np.complex128)
-        for a, b, m in rows:
-            np.multiply(m, comp[b], out=out[a])
-        return out
-    row = np.empty(comp.shape[1:], dtype=np.complex128)
-    for a, b, m in rows:
-        np.multiply(m, comp[b], out=row)
-        add_to[a] += row
-    return add_to
+    if m == 1:
+        out += term
+    elif m == -1:
+        out -= term
+    else:
+        out += np.multiply(m, term, out=row)
 
 
-def _slash_values(psi: Field, pot: SampledPotential, consts: PhysicalConstants,
-                  backend: str, mass: int = 0,
-                  dpsi: list[np.ndarray] | None = None) -> np.ndarray:
-    """gamma^nu (i hbar d_nu - e A_nu) psi + mass m c psi as a fresh array, unchecked.
+def _slash_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
+                  consts: PhysicalConstants, backend: str, mass: int = 0,
+                  dpsi: list[np.ndarray] | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """gamma^nu (i hbar d_nu - e A_nu) psi + mass m c psi from psi's values, unchecked.
 
-    ``mass`` is 0, +1 or -1.  The potential and mass terms are formed one
-    spinor component at a time in one reused buffer.  ``dpsi``, if given,
-    holds d_nu psi for the active axes in order and is consumed: each array
-    is popped and overwritten by its term.  Otherwise each derivative is taken
-    when its term is reached.
+    ``mass`` is 0, +1 or -1.  Spinor components are mixed through the gamma
+    row tables, one component at a time, with the potential and mass terms
+    formed in one reused buffer.  ``dpsi``, if given, holds d_nu psi for the
+    active axes in order and is consumed: the sum is formed in ``dpsi[0]``'s
+    buffer (gamma^0 is diagonal) and each later array is overwritten by its
+    term.  Otherwise each derivative is taken one component at a time, and
+    the sum is formed in ``out``, or in a new array.
     """
-    values = psi.values
-    row = np.empty(psi.grid.shape, dtype=np.complex128)
-    out = None  # axis 0 is always active, so its term starts the sum
+    ihbar = 1j * consts.hbar
+    row = np.empty(grid.shape, dtype=np.complex128)
+    if dpsi is not None:
+        out = dpsi[0]
+    elif out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    deriv = None if dpsi is not None or grid.dims == 1 else np.empty_like(row)
     for nu in range(4):
-        active, coupled = psi.grid.is_active(nu), pot.coupled[nu]
+        coupled = pot.coupled[nu]
         eA = consts.e * pot.A[nu] if coupled else None
-        if active:
-            term = dpsi.pop(0) if dpsi is not None else _partial_values(psi, nu, backend)
-            np.multiply(1j * consts.hbar, term, out=term)
-            if coupled:
-                for b in range(4):
+        if grid.is_active(nu):
+            for a, b, m in _GAMMA_ROWS[nu]:
+                # axis 0 is always active and gamma^0 is diagonal: its term starts out[a]
+                if dpsi is not None:
+                    term = dpsi[nu][b]
+                else:
+                    term = _partial_values(values[b], grid, nu, backend,
+                                           out=out[a] if nu == 0 else deriv)
+                np.multiply(ihbar, term, out=term)
+                if coupled:
                     np.multiply(eA, values[b], out=row)
-                    term[b] -= row
-            out = _gamma_mix(_GAMMA_ROWS[nu], term, add_to=out)
-            del term  # freed before the next axis's derivative is taken
+                    term -= row
+                if nu == 0:
+                    np.multiply(m, term, out=out[a])
+                else:
+                    _accumulate(out[a], m, term, row)
         elif coupled:
-            # d_nu psi vanishes on an inactive axis: the term is -e A_nu psi
+            # d_nu psi vanishes on an inactive axis: the term is -e A_nu psi, and
+            # m (-x) is (-m) x exactly
             for a, b, m in _GAMMA_ROWS[nu]:
                 np.multiply(eA, values[b], out=row)
-                np.negative(row, out=row)
-                np.multiply(m, row, out=row)
-                out[a] += row
+                _accumulate(out[a], -m, row, row)
+        del eA  # freed before the next axis's is formed
     if mass:
         add = np.add if mass > 0 else np.subtract
         for a in range(4):
             np.multiply(consts.mc, values[a], out=row)
             add(out[a], row, out=out[a])
-    # a non-finite term leaves a non-finite entry in out (inf - inf is nan), which Field refuses
+    # a non-finite term leaves a non-finite entry in out (inf - inf is nan), which is refused
     return out
+
+
+def _slash(psi: Field, A: Potential, consts: PhysicalConstants, backend: str,
+           mass: int) -> Field:
+    _require_spinor(psi)
+    return Field(psi.grid, _slash_values(psi.values, psi.grid, _sampled(psi, A), consts,
+                                         backend, mass), copy=False)
 
 
 def minimal_coupling_slash(psi: Field, A: Potential, consts: PhysicalConstants,
                            backend: str = "spectral") -> Field:
     """gamma^nu (i hbar d_nu - e A_nu) psi -- the mass-free first-order part."""
-    _require_spinor(psi)
-    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, backend), copy=False)
+    return _slash(psi, A, consts, backend, mass=0)
 
 
 def dirac_apply(psi: Field, A: Potential, consts: PhysicalConstants,
                 backend: str = "spectral") -> Field:
     """(i hbar gamma^nu d_nu - e gamma^nu A_nu - m c) psi."""
-    _require_spinor(psi)
-    return Field(psi.grid, _slash_values(psi, _sampled(psi, A), consts, backend, mass=-1),
-                 copy=False)
+    return _slash(psi, A, consts, backend, mass=-1)
 
 
 def build_spinor(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -210,22 +226,21 @@ def build_spinor(phi: Field, A: Potential, consts: PhysicalConstants,
 
     The conjugate factor of ``dirac_apply`` (+m c in place of -m c) applied to phi.
     """
-    _require_spinor(phi)
-    return Field(phi.grid, _slash_values(phi, _sampled(phi, A), consts, backend, mass=+1),
-                 copy=False)
+    return _slash(phi, A, consts, backend, mass=+1)
 
 
-def _fock_values(phi: Field, pot: SampledPotential, consts: PhysicalConstants,
-                 dphi: list[np.ndarray], box: np.ndarray) -> np.ndarray:
-    """The terms of ``fock_rhs``, unchecked, from phi's derivatives.
+def _fock_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
+                 consts: PhysicalConstants, dphi: list[np.ndarray],
+                 box: np.ndarray) -> np.ndarray:
+    """The terms of ``fock_rhs`` from phi's values and derivatives.
 
     The result is formed in ``box``'s buffer; ``dphi`` is read on the
-    coupled axes.  The mass, field-strength, A.d and A^2 terms are formed
+    coupled axes.  box, and dphi where it is read, are checked finite; the
+    result is not.  The mass, field-strength, A.d and A^2 terms are formed
     one spinor component at a time in one reused buffer.
     """
     hbar, e, mc = consts.hbar, consts.e, consts.mc
-    values = phi.values
-    row = np.empty(phi.grid.shape, dtype=np.complex128)
+    row = np.empty(grid.shape, dtype=np.complex128)
     out = np.multiply(hbar ** 2, _require_finite(box), out=box)
     for a in range(4):  # -m^2 c^2 phi - hbar^2 box
         np.multiply(-(mc ** 2), values[a], out=row)
@@ -238,7 +253,7 @@ def _fock_values(phi: Field, pot: SampledPotential, consts: PhysicalConstants,
             np.multiply(0.25j * e * hbar, row, out=row)
             out[a] -= row
 
-    for mu in range(phi.grid.dims):
+    for mu in range(grid.dims):
         if pot.coupled[mu]:
             coef = 2j * e * hbar * METRIC_DIAG[mu] * pot.A[mu]
             d = _require_finite(dphi[mu])
@@ -266,7 +281,8 @@ def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     pot = _sampled(phi, A)
     pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
     dphi, box = _derivatives(phi, backend, first=any(pot.coupled[:phi.grid.dims]))
-    return Field(phi.grid, _fock_values(phi, pot, consts, dphi, box), copy=False)
+    return Field(phi.grid, _fock_values(phi.values, phi.grid, pot, consts, dphi, box),
+                 copy=False)
 
 
 def factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -275,22 +291,47 @@ def factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     return dirac_apply(build_spinor(phi, A, consts, backend), A, consts, backend)
 
 
+def fock_and_factored_in_place(phi: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
+                               consts: PhysicalConstants, backend: str,
+                               dphi: list[np.ndarray], box: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """(``fock_rhs``, ``factored_rhs``) values of the spinor values phi, from its derivatives.
+
+    ``dphi`` (d_mu phi for the active axes) and ``box`` (the d'Alembertian)
+    are consumed: fock is formed in box's buffer, the first factor psi in
+    dphi[0]'s, and the second factor in dphi[1]'s, freed once psi is formed
+    (a new array on a 1-dim grid).  phi is only read.  Both sides read the
+    same derivative arrays, which ``fock_rhs`` and the first factor would each
+    compute alone; psi's derivatives are taken one component at a time.  The
+    derivative arrays read, psi and both outputs are checked finite; phi is
+    not, being a Field's values or the checked phi of ``grid.band_limited_jet``.
+    """
+    fock = _require_finite(_fock_values(phi, grid, pot, consts, dphi, box))
+    psi = _require_finite(_slash_values(phi, grid, pot, consts, backend, mass=+1, dpsi=dphi))
+    fact = _slash_values(psi, grid, pot, consts, backend, mass=-1,
+                         out=dphi[1] if len(dphi) > 1 else None)
+    return fock, _require_finite(fact)
+
+
+def _fock_and_factored(phi: Field, A: Potential, consts: PhysicalConstants,
+                       backend: str) -> tuple[np.ndarray, np.ndarray]:
+    _require_spinor(phi)
+    pot = _sampled(phi, A)
+    pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
+    return fock_and_factored_in_place(phi.values, phi.grid, pot, consts, backend,
+                                      *_derivatives(phi, backend))
+
+
 def fock_and_factored(phi: Field, A: Potential, consts: PhysicalConstants,
                       backend: str = "spectral") -> tuple[Field, Field]:
     """(``fock_rhs``, ``factored_rhs``) of phi, sharing phi's derivatives.
 
-    d_mu phi and the d'Alembertian come from one forward transform per axis;
-    ``fock_rhs``'s A.d term reads the first derivatives and the first factor
-    then consumes them.  Each output is the same bits as the function's own.
+    d_mu phi and the d'Alembertian come from one forward transform per axis
+    and feed ``fock_and_factored_in_place``.  Each output is the same bits as
+    the function's own.
     """
-    _require_spinor(phi)
-    pot = _sampled(phi, A)
-    pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
-    dphi, box = _derivatives(phi, backend)
-    fock = Field(phi.grid, _fock_values(phi, pot, consts, dphi, box), copy=False)
-    psi = Field(phi.grid, _slash_values(phi, pot, consts, backend, mass=+1, dpsi=dphi),
-                copy=False)
-    return fock, dirac_apply(psi, pot, consts, backend)
+    fock, fact = _fock_and_factored(phi, A, consts, backend)
+    return Field(phi.grid, fock, copy=False), Field(phi.grid, fact, copy=False)
 
 
 def legacy_factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -303,6 +344,13 @@ def legacy_factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     return dirac_apply(minimal_coupling_slash(phi, A, consts, backend), A, consts, backend)
 
 
+def gauge_discrepancy_coefficient(A: PotentialSpec, grid: SpacetimeGrid,
+                                  consts: PhysicalConstants) -> np.ndarray:
+    """-i e hbar (d_mu A^mu)(z) on the grid: the factor of phi in
+    ``gauge_discrepancy_prediction``."""
+    return -1j * consts.e * consts.hbar * lorenz_residual(A, grid.coords4())
+
+
 def gauge_discrepancy_prediction(phi: Field, A: PotentialSpec, consts: PhysicalConstants,
                                  backend: str = "spectral") -> Field:
     """-i e hbar (d_mu A^mu)(z) phi: the symmetric term absent from fock_rhs.
@@ -311,18 +359,25 @@ def gauge_discrepancy_prediction(phi: Field, A: PotentialSpec, consts: PhysicalC
     in Lorenz gauge, which is the content of the equivalence theorem.
     """
     _require_spinor(phi)
-    div = lorenz_residual(A, phi.grid.coords4())
-    return Field(phi.grid, -1j * consts.e * consts.hbar * div * phi.values, copy=False)
+    return Field(phi.grid, gauge_discrepancy_coefficient(A, phi.grid, consts) * phi.values,
+                 copy=False)
+
+
+def relative_discrepancy(fock: np.ndarray, fact: np.ndarray,
+                         scratch: np.ndarray | None = None) -> float:
+    """|fact - fock| / |fock| in root mean square, as ``l2norm`` takes it (inf where fock
+    vanishes).  ``fact`` is overwritten by the difference; the moduli go in
+    ``scratch``, a real array of their shape, when given."""
+    ref = _rms(fock, scratch)
+    diff = _rms(np.subtract(fact, fock, out=fact), scratch)
+    return diff / ref if ref > 0 else np.inf
 
 
 def factorization_discrepancy(phi: Field, A: Potential, consts: PhysicalConstants,
                               backend: str = "spectral") -> float:
     """|factored - fock| / |fock|, the relative discrepancy between the two forms
     (inf where fock vanishes)."""
-    fock, fact = fock_and_factored(phi, A, consts, backend)
-    diff = l2norm(fact - fock)
-    ref = l2norm(fock)
-    return diff / ref if ref > 0 else np.inf
+    return relative_discrepancy(*_fock_and_factored(phi, A, consts, backend))
 
 
 @dataclass(frozen=True)
@@ -352,9 +407,9 @@ def kg_residual_componentwise(psi: Field, A: PotentialSpec, consts: PhysicalCons
     residuals = np.zeros(4)
     degenerate = np.zeros(4, dtype=bool)
     for a in range(4):
-        na = float(np.sqrt(np.mean(np.abs(psi.values[a]) ** 2)))
+        na = _rms(psi.values[a])
         if na == 0.0:
             degenerate[a] = True
             continue
-        residuals[a] = float(np.sqrt(np.mean(np.abs(op[a]) ** 2))) / na
+        residuals[a] = _rms(op[a]) / na
     return KGResidual(residuals, degenerate)

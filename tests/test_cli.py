@@ -145,6 +145,42 @@ def test_verify_identity_records(tmp_path):
     assert all(r["pass"] for r in records)
 
 
+def test_identity_fields_after_the_first_allocate_no_spinor(monkeypatch):
+    # Every field is drawn into the first field's arrays and checked in place.  On the
+    # default grid, the traced peak of each field after the first (its draw, kernel and
+    # residual, in both families) stays below one spinor's bytes: its temporaries are
+    # single components.  A field that samples a potential is not measured.
+    cfg = RunConfig.from_sources({"identity.n_fields": "3", "identity.gauge_fields": "3"})
+    spinor_bytes = 4 * np.prod(cfg.grid().shape) * 16
+    real_jet, real_potential = cli.band_limited_jet, cli.SampledPotential
+    peaks, state = [], {"fields": 0, "sampled": False}
+
+    def jet(*args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        if state["fields"] > 1 and not state["sampled"]:
+            peaks.append(peak - state["start"])  # the previous field
+        state.update(fields=state["fields"] + 1, sampled=False, start=current)
+        tracemalloc.reset_peak()
+        return real_jet(*args, **kwargs)
+
+    def potential(*args):
+        state["sampled"] = True
+        return real_potential(*args)
+
+    monkeypatch.setattr(cli, "band_limited_jet", jet)
+    monkeypatch.setattr(cli, "SampledPotential", potential)
+    tracemalloc.start()
+    try:
+        records, _, _ = cli.identity_records(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4 * 3 + 3 and all(r["pass"] for r in records)
+    # 15 fields: not the first, not the last (no later draw closes it), not the four that
+    # sample the next potential
+    assert len(peaks) == 15 - 1 - 1 - 4
+    assert max(peaks) < spinor_bytes, max(peaks) / spinor_bytes
+
+
 def test_verify_identity_tolerance_override_fails(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, FAST_IDENTITY + "identity.tolerance = 1e-15\n")
@@ -228,6 +264,40 @@ def test_simulate_suite_and_dump(tmp_path):
     lines = (out / "paths.csv").read_text().strip().splitlines()
     assert lines[0].startswith("path,step,s,z0_re,z0_im")
     assert len(lines) == 1 + 3 * 9  # 3 paths, 8 steps + initial point
+
+
+NON_UNIT_CONSTANTS = ("constants.hbar = 0.75\nconstants.c = 1.5\nconstants.m = 1.25\n"
+                      "constants.e = -0.6\n")
+
+
+@pytest.mark.parametrize("constants", ["constants.m = 0.5\n", NON_UNIT_CONSTANTS],
+                         ids=["m_half", "non_unit"])
+def test_diffusion_squares_bound_passes_rounding_and_catches_a_conjugate(tmp_path, monkeypatch,
+                                                                         constants):
+    # At these constants sigma^2 rounds, so the exact squares cannot be held to 0: the
+    # bound of 4 ulps of max |sigma^2| lets simulate pass, while conjugating one amplitude
+    # still fails the record by more than 1e10 times the bound.
+    def squares_record(out):
+        return {r["check"]: r for r in read_jsonl(out / "simulate.jsonl")}["diffusion_squares"]
+
+    cfg = write_cfg(tmp_path, constants)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ok")]) == EXIT_PASS
+    rec = squares_record(tmp_path / "ok")
+    assert 0 < rec["residual"] <= rec["tolerance"]
+
+    real = soc.make_diffusion
+
+    def conjugated(consts):
+        d = real(consts)
+        sigma = d.sigma.copy()
+        sigma[1] = sigma[1].conjugate()
+        return soc.DiffusionCoefficients(sigma, d.squares)
+
+    monkeypatch.setattr(soc, "make_diffusion", conjugated)
+    cfg = write_cfg(tmp_path, constants + FAST_SIMULATE, "fast.cfg")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "fault")]) == EXIT_FAIL
+    rec = squares_record(tmp_path / "fault")
+    assert not rec["pass"] and rec["residual"] > 1e10 * rec["tolerance"]
 
 
 def test_simulate_blowup_exit_3(tmp_path):

@@ -1,5 +1,5 @@
-"""The suites' outputs at the default configuration, and one small simulate run under
-the plane-wave control, pinned by SHA-256.
+"""The suites' outputs at the default configuration, one small simulate run under the
+plane-wave control, and ``verify-identity --backend fd4``, pinned by SHA-256.
 
 A refactor must leave every record byte-identical.  The hashes were taken with
 NumPy 2.4.6 on Python 3.11.7; another NumPy may round differently, so there the
@@ -12,15 +12,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from diracsoc.cli import EXIT_PASS, main
+from diracsoc.cli import EXIT_FAIL, EXIT_PASS, main
 
 PINNED_NUMPY = "2.4.6"
 GOLDEN = {
     "clifford.jsonl": "339faae0b5e00498ffc107449efe7c713fa812ecd2ad330ac3cc5080ba36731b",
     "dispersion.jsonl": "b812866ac7b8d276d87312372b8cea3b0500ef4c046b0aff84cd293dc7ab12a3",
     "evolve.jsonl": "f57380845d299b7c27db284d0b2c56999411f480a1242cf0c4444f841d4a0562",
-    "identity.jsonl": "5bf9ff0bb51009c5022f162f71b91dc015f01a1e33137626384ad3a789dd9df3",
-    "simulate.jsonl": "c8ba4a8d4ee4a2bdec4815354efd7349e8d0d0bfb4e4ef0f104e9b90956e388a",
+    "identity.jsonl": "fb29633cf50ce4921c34aaa7b98152e64ec76dc036e4058f8800e9fe1776176f",
+    "simulate.jsonl": "c09c8f062ddfc05cc7c2598c849dc8c94365460a382f9f21015edce17e599d7b",
     "dispersion.csv": "02bf122e6c7c44554888a58a844cc715b6f90e1f48639d519204e86069b3b7ae",
     "evolve_sweep.csv": "94a162db749e7010fb53b7c694c848552d5d85d0aaad04e12019a17e492ce49a",
 }
@@ -55,7 +55,7 @@ simulate.dump_paths = true
 simulate.dump_max_paths = 4
 """
 GOLDEN_PLANE_WAVE = {
-    "simulate.jsonl": "1b7d78c9e84252881d172a1d3589f8f10444cc58e729ff70f0228c653367d29e",
+    "simulate.jsonl": "666511eca88322deba7e6e87bbdf16c86f5bc4ebb624d220807ebd1d430ce0d1",
     "paths.csv": "90f0e85e370ab33329261546c42780e78662cffb8abcd62866fafd5476d94f5f",
 }
 
@@ -75,3 +75,17 @@ def plane_wave_outputs(tmp_path_factory):
 def test_plane_wave_simulate_output_matches_pin(plane_wave_outputs, name):
     digest = hashlib.sha256((plane_wave_outputs / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_PLANE_WAVE[name]
+
+
+# fd4 carries its stencil's truncation error into the identity residuals, so this run
+# exits 1 against the spectral tolerance; its records pin that the operator kernel
+# reproduces the fd4 arithmetic exactly
+GOLDEN_FD4_IDENTITY = "b8356498e07b63d8afb73fefdb2ab2c5743f0c9cf324af7d89bccba1ed0eef68"
+
+
+def test_fd4_identity_output_matches_pin(tmp_path):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    assert main(["verify-identity", "--backend", "fd4", "--out", str(tmp_path)]) == EXIT_FAIL
+    digest = hashlib.sha256((tmp_path / "identity.jsonl").read_bytes()).hexdigest()
+    assert digest == GOLDEN_FD4_IDENTITY

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from diracsoc.clifford import mdot
-from diracsoc.grid import (Field, GridError, SpacetimeGrid, dalembertian, l2norm, partial,
-                           partial_or_zero, plane_wave, random_band_limited)
+from diracsoc.grid import (Field, GridError, SpacetimeGrid, _derivatives, band_limited_jet,
+                           dalembertian, l2norm, partial, partial_or_zero, plane_wave,
+                           random_band_limited)
 
 GRID = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(64, 64))
 
@@ -134,6 +135,10 @@ def test_random_band_limited_spectrum_confined():
         random_band_limited(GRID, 32, rng)
 
 
+BAND_LIMITED_SHAPES = [((256, 256), 8), ((64, 64), 3), ((32, 32, 8), 2), ((16,), 5),
+                       ((8, 8, 8, 8), 1)]
+
+
 def _naive_band_limited(grid, max_mode, rng, spinor):
     # per component: the dense spectrum, one ifftn, scaled by sqrt(N)
     window = np.r_[0:max_mode + 1, -max_mode:0]
@@ -148,13 +153,57 @@ def _naive_band_limited(grid, max_mode, rng, spinor):
 
 
 @pytest.mark.parametrize("spinor", [False, True])
-@pytest.mark.parametrize("points,max_mode", [((256, 256), 8), ((64, 64), 3), ((32, 32, 8), 2),
-                                             ((16,), 5), ((8, 8, 8, 8), 1)])
+@pytest.mark.parametrize("points,max_mode", BAND_LIMITED_SHAPES)
 def test_random_band_limited_equals_dense_ifftn(points, max_mode, spinor):
     grid = SpacetimeGrid(dims=len(points), extent=(2 * np.pi,) * len(points), points=points)
     got = random_band_limited(grid, max_mode, np.random.default_rng(17), spinor=spinor)
     want = _naive_band_limited(grid, max_mode, np.random.default_rng(17), spinor)
     assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("points,max_mode", BAND_LIMITED_SHAPES)
+def test_band_limited_jet_is_the_field_with_its_derivatives(points, max_mode):
+    # phi and the generator state after the draw equal random_band_limited's bit for bit.
+    # Spectral: each derivative agrees with _derivatives(phi) within eps log2(N) K max|phi|,
+    # K being the symbol's largest value on the grid (|k| at the Nyquist mode for d_mu, the
+    # sum of those k^2 for the box): _derivatives takes phi's own rounding, spread over
+    # every mode, up to K.  fd4: the jet is _derivatives(phi, "fd4") bit for bit.
+    grid = SpacetimeGrid(dims=len(points), extent=(2 * np.pi,) * len(points), points=points)
+    rng_field, rng_jet = np.random.default_rng(17), np.random.default_rng(17)
+    field = random_band_limited(grid, max_mode, rng_field, spinor=True)
+    nyquist = [np.pi * n / L for n, L in zip(grid.points, grid.extent)]
+    for backend in ("spectral", "fd4"):
+        state = rng_jet.bit_generator.state
+        phi, dphi, box = band_limited_jet(grid, max_mode, rng_jet, backend)
+        assert np.array_equal(phi, field.values)
+        assert rng_jet.bit_generator.state == rng_field.bit_generator.state
+        rng_jet.bit_generator.state = state
+        want_dphi, want_box = _derivatives(field, backend)
+        assert len(dphi) == grid.dims
+        if backend == "fd4":
+            assert all(np.array_equal(got, want) for got, want in zip(dphi + [box],
+                                                                      want_dphi + [want_box]))
+            continue
+        scale = np.finfo(float).eps * np.log2(np.prod(points)) * np.abs(phi).max()
+        for got, want, k in zip(dphi + [box], want_dphi + [want_box],
+                                nyquist + [sum(k * k for k in nyquist)]):
+            assert np.abs(got - want).max() <= k * scale
+
+
+def test_band_limited_jet_fills_the_given_buffers():
+    # spectral: phi, the derivatives and the box land in the buffers, in that order, with
+    # the bits of a jet drawn into new arrays; whatever the buffers held is overwritten
+    shape = (4,) + GRID.shape
+    bufs = [np.full(shape, np.nan + 1j) for _ in range(GRID.dims + 2)]
+    phi, dphi, box = band_limited_jet(GRID, 5, np.random.default_rng(3), out=bufs)
+    assert all(got is buf for got, buf in zip([phi, *dphi, box], bufs))
+    want = band_limited_jet(GRID, 5, np.random.default_rng(3))
+    assert np.array_equal(phi, want[0]) and np.array_equal(box, want[2])
+    assert all(np.array_equal(got, w) for got, w in zip(dphi, want[1]))
+    with pytest.raises(GridError):
+        band_limited_jet(GRID, 32, np.random.default_rng(3))
+    with pytest.raises(GridError):
+        band_limited_jet(GRID, 5, np.random.default_rng(3), backend="fd2")
 
 
 def test_field_norm_and_immutability():

@@ -7,12 +7,13 @@ from diracsoc import emfield, operators
 from diracsoc.cli import gauge_violating_potential, identity_potentials
 from diracsoc.clifford import DIRAC, METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
-from diracsoc.grid import (Field, GridError, SpacetimeGrid, dalembertian, l2norm, partial,
-                           plane_wave, random_band_limited)
+from diracsoc.grid import (Field, GridError, SpacetimeGrid, _derivatives, band_limited_jet,
+                           dalembertian, l2norm, partial, plane_wave, random_band_limited)
 from diracsoc.operators import (_COMMUTATOR_ROWS, _GAMMA_ROWS, OperatorError, SampledPotential,
-    _gamma_mix, _monomial_rows, build_spinor, dirac_apply, factored_rhs,
-    factorization_discrepancy, fock_and_factored, fock_rhs, gauge_discrepancy_prediction,
-    kg_residual_componentwise, legacy_factored_rhs, minimal_coupling_slash)
+    _accumulate, _monomial_rows, build_spinor, dirac_apply, factored_rhs,
+    factorization_discrepancy, fock_and_factored, fock_and_factored_in_place, fock_rhs,
+    gauge_discrepancy_prediction, kg_residual_componentwise, legacy_factored_rhs,
+    minimal_coupling_slash, relative_discrepancy)
 
 GRID = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(64, 64))
 CONSTS = PhysicalConstants(m=3.0)  # mass 3 so modes (5,4) sit exactly on shell
@@ -273,7 +274,8 @@ MIX_MATRICES = ([("gamma", mu, DIRAC.gamma(mu)) for mu in range(4)]
 @pytest.mark.parametrize("kind,index,mat", MIX_MATRICES)
 def test_gamma_mix_permutation_equals_tensordot(kind, index, mat):
     # every import-time row table applies its Dirac matrix as np.tensordot does, bit for
-    # bit, alone and added into an array; the table builder refuses the zero commutator
+    # bit, alone (out_a = M_a,p(a) v_p(a), as the operators form it) and added into an
+    # array by ``_accumulate``; the table builder refuses the zero commutator
     # [gamma^mu, gamma^mu], which F never needs, and a matrix with a second nonzero entry
     # in a row
     assert sorted(_COMMUTATOR_ROWS) == [(mu, nu) for mu in range(4) for nu in range(4)
@@ -287,11 +289,15 @@ def test_gamma_mix_permutation_equals_tensordot(kind, index, mat):
     v = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
     acc = rng.standard_normal((4, 16, 8)) + 1j * rng.standard_normal((4, 16, 8))
     mixed = np.tensordot(mat, v, axes=(1, 0))
-    assert np.array_equal(_gamma_mix(rows, v), mixed)
+    alone = np.empty_like(v)
+    for a, b, m in rows:
+        np.multiply(m, v[b], out=alone[a])
+    assert np.array_equal(alone, mixed)
     want = acc + mixed
-    got = _gamma_mix(rows, v, add_to=acc)
-    assert got is acc
-    assert np.array_equal(got, want)
+    row = np.empty_like(v[0])
+    for a, b, m in rows:
+        _accumulate(acc[a], m, v[b], row)
+    assert np.array_equal(acc, want)
     corrupted = np.array(mat)
     corrupted[0, rows[0][1] ^ 1] = 0.5
     with pytest.raises(OperatorError, match="one nonzero entry per row"):
@@ -301,14 +307,14 @@ def test_gamma_mix_permutation_equals_tensordot(kind, index, mat):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_minimal_coupling_refuses_a_non_finite_term(bad, monkeypatch):
     # the derivative terms are accumulated unchecked; a non-finite entry in them, set on
-    # both axes at one point so that the gamma rows add it there with either sign, must
-    # reach the output, whose Field refuses it
+    # both axes at one point of every component so that the gamma rows add it there with
+    # either sign, must reach the output, whose Field refuses it
     real = operators._partial_values
 
-    def poisoned(f, mu, backend="spectral"):
-        values = real(f, mu, backend)
-        values[:, 3, 5] = bad
-        return values
+    def poisoned(values, grid, mu, backend="spectral", out=None):
+        d = real(values, grid, mu, backend, out)
+        d[3, 5] = bad
+        return d
 
     rng = np.random.default_rng(109)
     phi = random_band_limited(GRID, 4, rng, spinor=True)
@@ -419,23 +425,67 @@ def test_operators_equal_term_by_term_reference(name, grid, spec, backend):
             assert np.array_equal(fact.values, fact_want)
 
 
-def test_fock_and_factored_transforms_phi_once_per_axis(monkeypatch):
-    # 2-D: one forward transform per axis of phi and of psi; inverse transforms for phi's
-    # d'Alembertian and first derivatives and for psi's first derivatives
-    calls = {"fft": 0, "ifft": 0}
-    for kind in calls:
+@pytest.mark.parametrize("backend", ["spectral", "fd4"])
+@pytest.mark.parametrize("name,grid,spec", witness_cases())
+def test_in_place_kernel_gives_fock_and_factored_bits(name, grid, spec, backend):
+    # fed _derivatives(phi), the kernel forms fock in box's buffer and the second factor in
+    # dphi[1]'s with fock_and_factored's bits, and the residual it leaves equals
+    # factorization_discrepancy's
+    rng = np.random.default_rng(131)
+    phi = random_band_limited(grid, 3, rng, spinor=True)
+    pot = SampledPotential(spec, grid)
+    want = fock_and_factored(phi, pot, WITNESS_CONSTS, backend)
+    dphi, box = _derivatives(phi, backend)
+    fock, fact = fock_and_factored_in_place(phi.values, grid, pot, WITNESS_CONSTS, backend,
+                                            dphi, box)
+    assert fock is box and fact is dphi[1]
+    assert fock.tobytes() == want[0].values.tobytes()
+    assert fact.tobytes() == want[1].values.tobytes()
+    rel = relative_discrepancy(fock, fact, np.empty(fock.shape))
+    assert rel == factorization_discrepancy(phi, pot, WITNESS_CONSTS, backend)
+
+
+def count_transforms(monkeypatch, grid):
+    """Count np.fft transforms in spinor passes: a call over the whole grid adds the share
+    of the four components it transforms; any other call is one window pass."""
+    passes = {"fft": 0.0, "ifft": 0.0, "window": 0}
+    for kind in ("fft", "ifft"):
         real = getattr(np.fft, kind)
 
-        def counted(*args, _real=real, _kind=kind, **kwargs):
-            calls[_kind] += 1
-            return _real(*args, **kwargs)
+        def counted(a, *args, _real=real, _kind=kind, **kwargs):
+            if a.shape[a.ndim - grid.dims:] == grid.shape:
+                passes[_kind] += a.size / (4 * np.prod(grid.shape))
+            else:
+                passes["window"] += 1
+            return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, kind, counted)
+    return passes
+
+
+def test_fock_and_factored_transforms_phi_once_per_axis(monkeypatch):
+    # 2-D: one forward transform per axis of phi and of psi; inverse transforms for phi's
+    # d'Alembertian and first derivatives and for psi's first derivatives (psi's one
+    # spinor component at a time)
     rng = np.random.default_rng(113)
     phi = random_band_limited(WITNESS_GRID, 3, rng, spinor=True)
-    calls.update(fft=0, ifft=0)
+    passes = count_transforms(monkeypatch, WITNESS_GRID)
     fock_and_factored(phi, emfield.constant_potential([0.8, -0.3, 0.2, 0.0]), WITNESS_CONSTS)
-    assert calls == {"fft": 4, "ifft": 6}
+    assert passes == {"fft": 4, "ifft": 6, "window": 0}
+
+
+def test_identity_field_path_transforms(monkeypatch):
+    # the suite's path for one field on the default grid, 8 full passes and 4 window passes:
+    # the jet's 4 full inverse passes (phi, d_0 phi, d_1 phi, box) and 4 window passes, then
+    # psi's 2 forward and 2 inverse passes.  Drawing phi and then transforming it, as
+    # fock_and_factored does, takes 11 full passes and 1 window pass.
+    grid = SpacetimeGrid()
+    pot = SampledPotential(identity_potentials(grid)[2][1], grid)
+    pot.F
+    passes = count_transforms(monkeypatch, grid)
+    phi, dphi, box = band_limited_jet(grid, 8, np.random.default_rng(5))
+    fock_and_factored_in_place(phi, grid, pot, PhysicalConstants(), "spectral", dphi, box)
+    assert passes == {"fft": 2, "ifft": 6, "window": 4}
 
 
 def _traced_peak(fn, *args):
@@ -449,8 +499,8 @@ def _traced_peak(fn, *args):
 def test_factorization_discrepancy_peak_memory_on_the_default_grid():
     # The kernel holds at most five spinor-sized arrays above its inputs.  F is sampled
     # inside the call for a fresh SampledPotential, before phi's derivative arrays
-    # exist, so its dense 16 MiB Jacobian adds nothing to the larger of the two peaks:
-    # sampling F, or the kernel on top of the F components that stay.
+    # exist, so its sampling adds nothing to the larger of the two peaks: sampling F, or
+    # the kernel on top of the F components that stay.
     grid = SpacetimeGrid()
     consts = PhysicalConstants()
     rng = np.random.default_rng(127)
