@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -28,9 +30,10 @@ import numpy as np
 from . import emfield, soc, spectrum
 from .clifford import DIRAC, mdot, relation_residuals
 from .config import KEYS, ConfigError, RunConfig, load_config_file
-from .grid import BACKENDS, SpacetimeGrid, band_limited_jet
+from .grid import BACKENDS, SpacetimeGrid, band_limited_jet, spinor_modes
 from .operators import (OperatorError, SampledPotential, fock_and_factored_in_place,
-                        gauge_discrepancy_coefficient, relative_discrepancy)
+                        gauge_discrepancy_coefficient, relative_discrepancy,
+                        require_representable)
 from .report import read_jsonl_numbered, summarize, write_csv, write_jsonl, write_meta
 
 EXIT_PASS = 0
@@ -57,10 +60,12 @@ def check(cfg: RunConfig, suite: str, name: str, holds: bool = True, **fields) -
 
 class Laps(dict):
     """perf_counter seconds per check family; ``lap(name)`` closes the span opened
-    by the previous lap (or by construction) and files it under ``name``."""
+    by the previous lap (or by construction) and files it under ``name``.
+    ``extra`` holds further timings for the meta file."""
 
     def __init__(self) -> None:
         super().__init__()
+        self.extra = {}
         self._last = time.perf_counter()
 
     def lap(self, name: str) -> None:
@@ -144,17 +149,118 @@ def _gauge_law_residual(phi, fock, fact, coef) -> float:
     return float(np.max(worst)) / float(np.max(scale))
 
 
-def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
-    """The identity records, no CSV rows, and the seconds spent on each check family."""
-    consts = cfg.constants()
-    grid = cfg.grid()
-    backend = cfg["backend"]
-    tol = cfg["identity.tolerance"]
+IDENTITY_CHECKS = ("factored_vs_fock", "gauge_discrepancy_law")
+
+
+def _worker_count(n_fields: int) -> int:
+    """Processes to check ``n_fields`` fields in: one per CPU this process may run on,
+    at most one per field, and one where ``os.fork`` or the affinity mask is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_fields))
+
+
+def _in_processes(n: int, share) -> list:
+    """[share(0), ..., share(n - 1)]: share(0) runs in this process and each other share
+    in a child forked first, which pickles its result into a pipe and leaves by
+    ``os._exit``, so that it runs no atexit handler and flushes no inherited buffer.
+    Every child is reaped before this returns or raises; if this process fails
+    first, the children are killed."""
+    children, results = [], []
+    try:
+        for w in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    for _, pipe in children:
+                        pipe.close()
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(share(w)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # whatever share(w) or the pipe raised
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results.append(share(0))
+        for pid, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without its results")
+            results.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if len(results) < n:
+                import signal  # only a failed run pays for the import
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _check_fields(cfg: RunConfig, fields: list[tuple], share: int, n_shares: int
+                  ) -> tuple[list, dict, float, tuple | None]:
+    """The residuals of the fields ``share``, ``share + n_shares``, ... of ``fields``.
+
+    Every field is drawn from the one seeded generator in the serial order, and
+    the fields of the other shares are dropped once drawn, so that each field
+    gets the draws it gets in one process.  Each potential is sampled once and
+    held only while its fields are checked, and a gauge field's coefficient is
+    formed before it.  Every field is drawn with its derivatives into the first
+    field's arrays, and both sides are formed in place in them (the fd4 jet
+    makes new arrays).  Returns the (index, residual) pairs, the seconds spent
+    per check family, the seconds busy in all, and (index, exception) for the
+    first field that raised, where the share stops.  It calls no BLAS routine, so
+    a forked copy never enters the BLAS thread pool it inherits.
+    """
+    started = time.perf_counter()
+    grid, consts, backend = cfg.grid(), cfg.constants(), cfg["backend"]
     max_mode = cfg["identity.max_mode"]
-    n_fields = cfg["identity.n_fields"]
     rng = np.random.default_rng(cfg["seed"])
-    glabel = _grid_label(grid)
-    records = []
+    residuals, seconds, error = [], dict.fromkeys(IDENTITY_CHECKS, 0.0), None
+    jet = spec = pot = coef = None
+    scratch = np.empty((4,) + grid.shape)
+    for k, (check_name, _, field_spec, _) in enumerate(fields):
+        lap = time.perf_counter()
+        try:
+            if k % n_shares != share:
+                spinor_modes(grid, max_mode, rng)
+                continue
+            if field_spec is not spec:
+                spec, pot, coef = field_spec, None, None  # the last potential is freed first
+                if check_name == "gauge_discrepancy_law":
+                    coef = gauge_discrepancy_coefficient(spec, grid, consts)
+                pot = SampledPotential(spec, grid)
+                pot.F  # sampled before the field's derivatives are formed
+            phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
+            jet = [phi, *dphi, box]
+            fock, fact = fock_and_factored_in_place(phi, grid, pot, consts, backend, dphi, box)
+            if coef is None:
+                residuals.append((k, relative_discrepancy(fock, fact, scratch)))
+            else:
+                residuals.append((k, _gauge_law_residual(phi, fock, fact, coef)))
+        except Exception as exc:  # the parent raises the first error in serial order
+            error = (k, exc)
+            break
+        seconds[check_name] += time.perf_counter() - lap
+    return residuals, seconds, time.perf_counter() - started, error
+
+
+def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
+    """The identity records, no CSV rows, and the seconds spent on each check family,
+    summed over the processes that check the fields.
+
+    Every refusal is made before any process starts or any field is drawn.  The
+    fields are then checked in ``_worker_count`` processes, each taking every
+    n-th field round-robin over both families and drawing every field from the
+    one seeded generator in the serial order (``_check_fields``).  The records
+    are assembled in the serial order, so that they are the same bytes for any
+    number of processes.  The meta file gets the process count and each
+    process's busy seconds.
+    """
+    grid = cfg.grid()
+    max_mode = cfg["identity.max_mode"]
 
     configured = cfg.potential()
     if configured is not None:
@@ -180,39 +286,29 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
                 raise ConfigError(f"identity.max_mode {max_mode} plus mode {mode:.6g} of potential "
                                   f"{name} on axis {mu} reaches the Nyquist mode of "
                                   f"{grid.points[mu]} points; products would alias")
+    for _, spec in sweep + negatives:
+        require_representable(spec, grid)
 
-    # Each potential is sampled once and held only while its fields are checked.  Every
-    # field is drawn with its derivatives into the first field's arrays, and both sides
-    # are formed in place in them (the fd4 jet makes new arrays).
-    jet = None
-    scratch = np.empty((4,) + grid.shape)
+    # (check, potential name, spec, field index) per field, in the serial order
+    fields = [(check_name, name, spec, i) for check_name, potentials, count in (
+                  ("factored_vs_fock", sweep, cfg["identity.n_fields"]),
+                  ("gauge_discrepancy_law", negatives, cfg["identity.gauge_fields"]))
+              for name, spec in potentials for i in range(count)]
+    n = _worker_count(len(fields))
+    shares = _in_processes(n, lambda w: _check_fields(cfg, fields, w, n))
+    errors = [error for *_, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]  # the one a serial run meets first
 
-    def fields(pot, n):
-        nonlocal jet
-        pot.F  # sampled before the field's derivatives are formed
-        for i in range(n):
-            phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
-            jet = [phi, *dphi, box]
-            yield i, phi, *fock_and_factored_in_place(phi, grid, pot, consts, backend,
-                                                      dphi, box)
-
+    residual = dict(pair for pairs, *_ in shares for pair in pairs)
+    glabel = _grid_label(grid)
+    records = [check(cfg, "verify-identity", check_name, potential=name, field_index=i,
+                     grid=glabel, residual=residual[k], tolerance=cfg["identity.tolerance"])
+               for k, (check_name, name, _, i) in enumerate(fields)]
     spans = Laps()
-    for name, spec in sweep:
-        for i, _, fock, fact in fields(SampledPotential(spec, grid), n_fields):
-            rel = relative_discrepancy(fock, fact, scratch)
-            records.append(check(cfg, "verify-identity", "factored_vs_fock", potential=name,
-                                 field_index=i, grid=glabel, residual=rel, tolerance=tol))
-    spans.lap("factored_vs_fock")
-
-    for name, spec in negatives:
-        coef = gauge_discrepancy_coefficient(spec, grid, consts)
-        for i, phi, fock, fact in fields(SampledPotential(spec, grid),
-                                         cfg["identity.gauge_fields"]):
-            records.append(check(cfg, "verify-identity", "gauge_discrepancy_law",
-                                 potential=name, field_index=i, grid=glabel,
-                                 residual=_gauge_law_residual(phi, fock, fact, coef),
-                                 tolerance=tol))
-    spans.lap("gauge_discrepancy_law")
+    for check_name in IDENTITY_CHECKS:
+        spans[check_name] = sum(seconds[check_name] for _, seconds, *_ in shares)
+    spans.extra.update(workers=n, busy_seconds=[busy for _, _, busy, _ in shares])
     return records, [], spans
 
 
@@ -470,7 +566,8 @@ def run_suite(command: str, cfg: RunConfig, out: Path, **kwargs) -> int:
     ``<stem>_records`` is looked up by name at call time, so a wrapper bound to
     the module attribute (a tracer, a test's monkeypatch) sees the call.  A suite
     returns its records, its CSV rows (empty for none) and the seconds spent per
-    check family, which go to the meta file.
+    check family, which go to the meta file with the further timings in their
+    ``extra``.
     """
     stem, csv = SUITES[command]
     started = time.time()
@@ -479,7 +576,7 @@ def run_suite(command: str, cfg: RunConfig, out: Path, **kwargs) -> int:
     if rows:
         write_csv(out / csv[0], csv[1], rows)
     write_meta(out / f"{stem}_meta.json", stem, elapsed=time.time() - started,
-               extra={"records": len(records), "check_seconds": spans})
+               extra={"records": len(records), "check_seconds": spans, **spans.extra})
     if any(r.get("truncated_paths") for r in records):  # simulate's configured ensemble
         return EXIT_BLOWUP
     return _exit_for(records)

@@ -329,6 +329,12 @@ def random_band_limited(grid: SpacetimeGrid, max_mode: int, rng: np.random.Gener
     return Field(grid, values if spinor else values[0], copy=False)
 
 
+def spinor_modes(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator) -> np.ndarray:
+    """The mode block of a random spinor: the draws that ``random_band_limited(grid,
+    max_mode, rng, spinor=True)`` and ``band_limited_jet`` take, in their order."""
+    return _mode_block(grid, max_mode, rng, 4)
+
+
 def band_limited_jet(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator,
                      backend: str = "spectral", out: list[np.ndarray] | None = None
                      ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -351,7 +357,7 @@ def band_limited_jet(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generato
     if backend != "spectral":
         raise GridError(f"unknown backend {backend!r}; valid: {BACKENDS}")
     bufs = out if out is not None else [None] * (grid.dims + 2)
-    block = _mode_block(grid, max_mode, rng, 4)
+    block = spinor_modes(grid, max_mode, rng)
     scale = np.sqrt(np.prod(grid.shape))
     phi = _pruned_ifft(block, grid, max_mode, reversed(range(grid.dims)), bufs[0])
     phi *= scale

@@ -48,6 +48,15 @@ def _require_spinor(psi: Field) -> None:
         raise OperatorError("operator expects a 4-component field")
 
 
+def require_representable(spec: PotentialSpec, grid: SpacetimeGrid) -> None:
+    """OperatorError unless ``spec`` is constant along the inactive axes of ``grid``,
+    which cannot represent variation along them."""
+    for mu in range(grid.dims, 4):
+        if spec.family.varies_along(mu):
+            raise OperatorError(f"potential {spec.name} varies along inactive axis {mu}; "
+                                f"use a grid with dims > {mu}")
+
+
 class SampledPotential:
     """A potential sampled once on one grid, passed to the operators in place of its spec.
 
@@ -62,12 +71,7 @@ class SampledPotential:
     """
 
     def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid) -> None:
-        # the grid cannot represent variation along inactive axes
-        for mu in range(grid.dims, 4):
-            if spec.family.varies_along(mu):
-                raise OperatorError(
-                    f"potential {spec.name} varies along inactive axis {mu}; "
-                    f"use a grid with dims > {mu}")
+        require_representable(spec, grid)
         self.spec = spec
         self.grid = grid
         self.A = evaluate_potential(spec, grid.coords4())

@@ -12,6 +12,7 @@ import diracsoc
 from diracsoc import cli, soc, spectrum
 from diracsoc.cli import EXIT_BLOWUP, EXIT_FAIL, EXIT_PASS, _exit_for, main
 from diracsoc.config import KEYS, ConfigError, RunConfig, parse_config_text
+from diracsoc.operators import OperatorError
 from diracsoc.report import jsonl_dumps, read_jsonl
 
 FAST_IDENTITY = """
@@ -149,7 +150,8 @@ def test_identity_fields_after_the_first_allocate_no_spinor(monkeypatch):
     # Every field is drawn into the first field's arrays and checked in place.  On the
     # default grid, the traced peak of each field after the first (its draw, kernel and
     # residual, in both families) stays below one spinor's bytes: its temporaries are
-    # single components.  A field that samples a potential is not measured.
+    # single components.  A field that samples a potential is not measured.  The fields
+    # are checked in this process, where tracemalloc sees them.
     cfg = RunConfig.from_sources({"identity.n_fields": "3", "identity.gauge_fields": "3"})
     spinor_bytes = 4 * np.prod(cfg.grid().shape) * 16
     real_jet, real_potential = cli.band_limited_jet, cli.SampledPotential
@@ -167,6 +169,7 @@ def test_identity_fields_after_the_first_allocate_no_spinor(monkeypatch):
         state["sampled"] = True
         return real_potential(*args)
 
+    monkeypatch.setattr(cli, "_worker_count", lambda n_fields: 1)
     monkeypatch.setattr(cli, "band_limited_jet", jet)
     monkeypatch.setattr(cli, "SampledPotential", potential)
     tracemalloc.start()
@@ -179,6 +182,143 @@ def test_identity_fields_after_the_first_allocate_no_spinor(monkeypatch):
     # sample the next potential
     assert len(peaks) == 15 - 1 - 1 - 4
     assert max(peaks) < spinor_bytes, max(peaks) / spinor_bytes
+
+
+# an odd field count in each family, so that the two processes' shares differ in size
+# and both families straddle them
+ODD_IDENTITY = FAST_IDENTITY.replace("n_fields = 2", "n_fields = 3").replace(
+    "gauge_fields = 2", "gauge_fields = 3")
+GAUGE_VIOLATING_PARAMS = "".join(f"potential.{key} = {value}\n" for key, value in (
+    ("eps0", 0.3), ("eps1", 0), ("eps2", 0), ("eps3", 0), ("k0", 1), ("k1", 0), ("k2", 0),
+    ("k3", 0)))
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("text,n_records", [
+    (ODD_IDENTITY, 4 * 3 + 3),
+    (ODD_IDENTITY + "potential.name = em_plane_wave\n" + PLANE_WAVE_PARAMS, 3),
+    (ODD_IDENTITY + "potential.name = custom_wave\n" + GAUGE_VIOLATING_PARAMS, 3),
+], ids=["catalog", "configured_lorenz", "configured_gauge_violating"])
+@pytest.mark.parametrize("backend", ["spectral", "fd4"])
+def test_identity_records_are_the_same_bytes_in_any_number_of_processes(
+        tmp_path, monkeypatch, text, n_records, backend):
+    cfg = write_cfg(tmp_path, text)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_worker_count", lambda n_fields: min(workers, n_fields))
+        out = tmp_path / f"workers{workers}"
+        assert main(["verify-identity", "--config", cfg, "--backend", backend,
+                     "--out", str(out)]) in (EXIT_PASS, EXIT_FAIL)
+        assert_no_child_process()
+        meta = json.loads((out / "identity_meta.json").read_text())
+        assert meta["workers"] == workers
+        assert len(meta["busy_seconds"]) == workers and min(meta["busy_seconds"]) > 0
+        outputs.append((out / "identity.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == n_records
+
+
+@pytest.mark.parametrize("text,message", [
+    ("potential.name = em_plane_wave\n" + PLANE_WAVE_PARAMS.replace("eps2 = 0.5", "eps2 = 0")
+     .replace("eps3 = 0", "eps3 = 0.5").replace("k1 = 1", "k1 = 0").replace("k2 = 0", "k2 = 1"),
+     "potential em_plane_wave varies along inactive axis 2; use a grid with dims > 2"),
+    ("potential.name = constant_magnetic\npotential.B = 1.0\n",
+     "potential constant_magnetic is a polynomial that varies along axis 1; it is not "
+     "periodic on the grid, so A phi would jump at the wrap"),
+])
+def test_identity_refusals_come_before_any_field(tmp_path, monkeypatch, capsys, text, message):
+    def no_fields(*args):
+        raise AssertionError("fields checked after a refusal")
+
+    monkeypatch.setattr(cli, "_in_processes", no_fields)
+    cfg = write_cfg(tmp_path, FAST_IDENTITY + text)
+    assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def break_fields(monkeypatch, broken, raised=lambda k: OperatorError(f"field {k} is broken")):
+    """Make the operator kernel raise ``raised(k)`` on each field index k in ``broken``.
+    Each process draws every field in the serial order, checked or skipped, so the
+    draws counted in a process give the index of the field it checks."""
+    drawn = [0]
+    real_modes, real_jet = cli.spinor_modes, cli.band_limited_jet
+    real_kernel = cli.fock_and_factored_in_place
+
+    def counted(draw):
+        def counted_draw(*args, **kwargs):
+            drawn[0] += 1
+            return draw(*args, **kwargs)
+        return counted_draw
+
+    def kernel(*args):
+        if drawn[0] - 1 in broken:
+            raise raised(drawn[0] - 1)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(cli, "spinor_modes", counted(real_modes))
+    monkeypatch.setattr(cli, "band_limited_jet", counted(real_jet))
+    monkeypatch.setattr(cli, "fock_and_factored_in_place", kernel)
+
+
+@pytest.mark.parametrize("broken", [{1}, {2}, {1, 2}, {2, 3}])
+def test_identity_field_error_is_reported_as_in_one_process(
+        tmp_path, monkeypatch, capsys, broken):
+    # with two processes the odd fields are the forked worker's and the even ones this
+    # process's; the error of the lowest broken field is the one a serial run meets
+    cfg = write_cfg(tmp_path, ODD_IDENTITY)
+    errors = []
+    for workers in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_worker_count", lambda n_fields: min(workers, n_fields))
+            break_fields(patch, broken)
+            out = tmp_path / f"workers{workers}"
+            assert main(["verify-identity", "--config", cfg, "--out", str(out)]) == 2
+        assert_no_child_process()
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"config error: field {min(broken)} is broken\n"
+
+
+def test_identity_interrupt_in_this_process_stops_the_worker(monkeypatch):
+    # a BaseException in this process's share is no field's error: the worker is
+    # killed and reaped, and the exception propagates
+    monkeypatch.setattr(cli, "_worker_count", lambda n_fields: min(2, n_fields))
+    break_fields(monkeypatch, {0}, raised=lambda k: KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        cli.identity_records(RunConfig.from_sources(parse_config_text(ODD_IDENTITY)))
+    assert_no_child_process()
+
+
+def test_identity_worker_that_dies_is_an_error(monkeypatch):
+    monkeypatch.setattr(cli, "_worker_count", lambda n_fields: min(2, n_fields))
+    break_fields(monkeypatch, {1}, raised=lambda k: os._exit(3))
+    with pytest.raises(RuntimeError, match="ended without its results"):
+        cli.identity_records(RunConfig.from_sources(parse_config_text(ODD_IDENTITY)))
+    assert_no_child_process()
+
+
+def test_identity_worker_runs_no_atexit_handler_and_flushes_nothing(tmp_path):
+    # a forked worker leaves by os._exit: a handler registered before main runs once, in
+    # this process (a profiler or tracer writes its output from such a handler), and
+    # output still buffered at the fork is written once
+    cfg = write_cfg(tmp_path, ODD_IDENTITY)
+    script = (
+        "import atexit, sys\n"
+        "from diracsoc import cli\n"
+        "atexit.register(print, 'atexit handler ran', flush=True)\n"
+        "print('buffered before the fork')\n"
+        "cli._worker_count = lambda n_fields: min(2, n_fields)\n"
+        f"sys.exit(cli.main(['verify-identity', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'o')!r}]))\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert proc.stdout.count("atexit handler ran") == 1
+    assert proc.stdout.count("buffered before the fork") == 1
+    assert json.loads((tmp_path / "o" / "identity_meta.json").read_text())["workers"] == 2
 
 
 def test_verify_identity_tolerance_override_fails(tmp_path):
@@ -569,19 +709,26 @@ def test_configured_potential_bad_params_exit_2(tmp_path):
 
 
 def test_configured_potential_inactive_axis_exit_2(tmp_path):
-    # the symmetric-gauge magnetic entry varies along z^2, unrepresentable in 1+1
+    # the symmetric-gauge magnetic entry is a polynomial in z^1 and z^2; it is refused as
+    # not periodic along axis 1 (test_identity_refusals_come_before_any_field gives the
+    # messages of both refusals)
     cfg = write_cfg(tmp_path, "potential.name = constant_magnetic\npotential.B = 1.0\n"
                     "identity.n_fields = 1\n")
     assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def run_cli_process(module, *args):
-    """Run the CLI in a fresh interpreter, as the installed script would be."""
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
     src = str(Path(diracsoc.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    return subprocess.run([sys.executable, "-m", module, *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_cli_process(module, *args):
+    """Run the CLI in a fresh interpreter, as the installed script would be."""
+    return run_python("-m", module, *args)
 
 
 def assert_one_line_config_error(proc, key):
