@@ -18,6 +18,8 @@ Exit codes: 0 all checks pass, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import itertools
 import os
 import pickle
@@ -152,21 +154,42 @@ def _gauge_law_residual(phi, fock, fact, coef) -> float:
 IDENTITY_CHECKS = ("factored_vs_fock", "gauge_discrepancy_law")
 
 
-def _worker_count(n_fields: int) -> int:
-    """Processes to check ``n_fields`` fields in: one per CPU this process may run on,
-    at most one per field, and one where ``os.fork`` or the affinity mask is missing."""
+def _worker_count(n_tasks: int) -> int:
+    """Processes to run ``n_tasks`` tasks in: one per CPU this process may run on, at
+    most one per task, and one where ``os.fork`` or the affinity mask is missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_fields))
+    return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
 
 
-def _in_processes(n: int, share) -> list:
-    """[share(0), ..., share(n - 1)]: share(0) runs in this process and each other share
-    in a child forked first, which pickles its result into a pipe and leaves by
-    ``os._exit``, so that it runs no atexit handler and flushes no inherited buffer.
+def _in_processes(n: int, share) -> tuple[dict, list[float]]:
+    """Run the tasks of share(0), ..., share(n - 1) and return {index: result} over all
+    of them, with each process's busy seconds.
+
+    share(w) yields (index, task) pairs in increasing index, and task() gives the
+    result; a share stops at its first task that raises an Exception.  Once every
+    share is done, the exception of the lowest index is raised here with its type
+    and message: the one that running every task in index order meets first.
+    share(0) runs in this process and each other share in a child forked first,
+    which pickles what it did into a pipe and leaves by ``os._exit``, so that it
+    runs no atexit handler and flushes no inherited buffer.  The collector's
+    objects are frozen across the forks (``gc.freeze``), so that no collection
+    in a child touches, and so copies, the pages it shares with this process.
     Every child is reaped before this returns or raises; if this process fails
-    first, the children are killed."""
-    children, results = [], []
+    first, the children are killed.
+    """
+    def run(w):
+        started, done = time.perf_counter(), []
+        for k, task in share(w):
+            try:
+                done.append((k, task()))
+            except Exception as exc:
+                return done, (k, exc), time.perf_counter() - started
+        return done, None, time.perf_counter() - started
+
+    children, shares = [], []
+    if n > 1:
+        gc.freeze()
     try:
         for w in range(1, n):
             read_fd, write_fd = os.pipe()
@@ -177,74 +200,72 @@ def _in_processes(n: int, share) -> list:
                     for _, pipe in children:
                         pipe.close()
                     with open(write_fd, "wb") as pipe:
-                        pipe.write(pickle.dumps(share(w)))
+                        pipe.write(pickle.dumps(run(w)))
                     os._exit(0)
                 finally:
-                    os._exit(1)  # whatever share(w) or the pipe raised
+                    os._exit(1)  # whatever run(w) or the pipe raised
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results.append(share(0))
+        shares.append(run(0))
         for pid, pipe in children:
             data = pipe.read()
             if not data:
                 raise RuntimeError(f"worker process {pid} ended without its results")
-            results.append(pickle.loads(data))
+            shares.append(pickle.loads(data))
     finally:
         for pid, pipe in children:
             pipe.close()
-            if len(results) < n:
+            if len(shares) < n:
                 import signal  # only a failed run pays for the import
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return results
+        gc.unfreeze()
+    errors = [error for _, error, _ in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return dict(pair for done, _, _ in shares for pair in done), [busy for *_, busy in shares]
 
 
-def _check_fields(cfg: RunConfig, fields: list[tuple], share: int, n_shares: int
-                  ) -> tuple[list, dict, float, tuple | None]:
-    """The residuals of the fields ``share``, ``share + n_shares``, ... of ``fields``.
+def _field_checks(cfg: RunConfig, fields: list[tuple], share: int, n_shares: int):
+    """(index, task) for the fields ``share``, ``share + n_shares``, ... of ``fields``;
+    the task checks its field and gives its residual and seconds.
 
-    Every field is drawn from the one seeded generator in the serial order, and
-    the fields of the other shares are dropped once drawn, so that each field
-    gets the draws it gets in one process.  Each potential is sampled once and
-    held only while its fields are checked, and a gauge field's coefficient is
-    formed before it.  Every field is drawn with its derivatives into the first
-    field's arrays, and both sides are formed in place in them (the fd4 jet
-    makes new arrays).  Returns the (index, residual) pairs, the seconds spent
-    per check family, the seconds busy in all, and (index, exception) for the
-    first field that raised, where the share stops.  It calls no BLAS routine, so
-    a forked copy never enters the BLAS thread pool it inherits.
+    Every field is drawn from the one seeded generator in the serial order: a task
+    first draws and drops the fields of the other shares since the last one it
+    drew, so that each field gets the draws it gets in one process.  Each
+    potential is sampled once and held only while its fields are checked, and a
+    gauge field's coefficient is formed before it.  Every field is drawn with its
+    derivatives into the first field's arrays, and both sides are formed in place
+    in them (the fd4 jet makes new arrays).  No task calls a BLAS routine, so a
+    forked copy never enters the BLAS thread pool it inherits.
     """
-    started = time.perf_counter()
     grid, consts, backend = cfg.grid(), cfg.constants(), cfg["backend"]
     max_mode = cfg["identity.max_mode"]
     rng = np.random.default_rng(cfg["seed"])
-    residuals, seconds, error = [], dict.fromkeys(IDENTITY_CHECKS, 0.0), None
-    jet = spec = pot = coef = None
     scratch = np.empty((4,) + grid.shape)
-    for k, (check_name, _, field_spec, _) in enumerate(fields):
+    drawn, jet, spec, pot, coef = 0, None, None, None, None
+
+    def check_field(k, check_name, field_spec):
+        nonlocal drawn, jet, spec, pot, coef
+        for _ in range(drawn, k):
+            spinor_modes(grid, max_mode, rng)
+        drawn = k + 1
         lap = time.perf_counter()
-        try:
-            if k % n_shares != share:
-                spinor_modes(grid, max_mode, rng)
-                continue
-            if field_spec is not spec:
-                spec, pot, coef = field_spec, None, None  # the last potential is freed first
-                if check_name == "gauge_discrepancy_law":
-                    coef = gauge_discrepancy_coefficient(spec, grid, consts)
-                pot = SampledPotential(spec, grid)
-                pot.F  # sampled before the field's derivatives are formed
-            phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
-            jet = [phi, *dphi, box]
-            fock, fact = fock_and_factored_in_place(phi, grid, pot, consts, backend, dphi, box)
-            if coef is None:
-                residuals.append((k, relative_discrepancy(fock, fact, scratch)))
-            else:
-                residuals.append((k, _gauge_law_residual(phi, fock, fact, coef)))
-        except Exception as exc:  # the parent raises the first error in serial order
-            error = (k, exc)
-            break
-        seconds[check_name] += time.perf_counter() - lap
-    return residuals, seconds, time.perf_counter() - started, error
+        if field_spec is not spec:
+            spec, pot, coef = field_spec, None, None  # the last potential is freed first
+            if check_name == "gauge_discrepancy_law":
+                coef = gauge_discrepancy_coefficient(spec, grid, consts)
+            pot = SampledPotential(spec, grid)
+            pot.F  # sampled before the field's derivatives are formed
+        phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
+        jet = [phi, *dphi, box]
+        fock, fact = fock_and_factored_in_place(phi, grid, pot, consts, backend, dphi, box)
+        residual = relative_discrepancy(fock, fact, scratch) if coef is None \
+            else _gauge_law_residual(phi, fock, fact, coef)
+        return residual, time.perf_counter() - lap
+
+    return ((k, functools.partial(check_field, k, check_name, field_spec))
+            for k, (check_name, _, field_spec, _) in enumerate(fields) if k % n_shares == share)
 
 
 def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
@@ -252,12 +273,13 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
     summed over the processes that check the fields.
 
     Every refusal is made before any process starts or any field is drawn.  The
-    fields are then checked in ``_worker_count`` processes, each taking every
-    n-th field round-robin over both families and drawing every field from the
-    one seeded generator in the serial order (``_check_fields``).  The records
-    are assembled in the serial order, so that they are the same bytes for any
-    number of processes.  The meta file gets the process count and each
-    process's busy seconds.
+    fields are then checked in ``_worker_count`` processes (``_in_processes``),
+    each taking every n-th field round-robin over both families and drawing every
+    field from the one seeded generator in the serial order (``_field_checks``).
+    The records are assembled in the serial order, so that they are the same
+    bytes for any number of processes, and a field's error is raised as one
+    process raises it.  The meta file gets the process count and each process's
+    busy seconds.
     """
     grid = cfg.grid()
     max_mode = cfg["identity.max_mode"]
@@ -295,20 +317,16 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
                   ("gauge_discrepancy_law", negatives, cfg["identity.gauge_fields"]))
               for name, spec in potentials for i in range(count)]
     n = _worker_count(len(fields))
-    shares = _in_processes(n, lambda w: _check_fields(cfg, fields, w, n))
-    errors = [error for *_, error in shares if error is not None]
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]  # the one a serial run meets first
-
-    residual = dict(pair for pairs, *_ in shares for pair in pairs)
+    done, busy = _in_processes(n, lambda w: _field_checks(cfg, fields, w, n))
     glabel = _grid_label(grid)
     records = [check(cfg, "verify-identity", check_name, potential=name, field_index=i,
-                     grid=glabel, residual=residual[k], tolerance=cfg["identity.tolerance"])
+                     grid=glabel, residual=done[k][0], tolerance=cfg["identity.tolerance"])
                for k, (check_name, name, _, i) in enumerate(fields)]
     spans = Laps()
     for check_name in IDENTITY_CHECKS:
-        spans[check_name] = sum(seconds[check_name] for _, seconds, *_ in shares)
-    spans.extra.update(workers=n, busy_seconds=[busy for _, _, busy, _ in shares])
+        spans[check_name] = sum(done[k][1] for k, field in enumerate(fields)
+                                if field[0] == check_name)
+    spans.extra.update(workers=n, busy_seconds=busy)
     return records, [], spans
 
 
@@ -415,55 +433,62 @@ def _configured_control(cfg: RunConfig, consts) -> np.ndarray:
     return soc.optimal_control_mode(w, consts)  # plane_wave: w holds the wave vector k
 
 
-def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
-    """The simulate records, the rows of ``paths.csv``, and the seconds per check family."""
-    consts = cfg.constants()
-    seed = cfg["seed"]
-    ds = cfg["simulate.ds"]
-    n_paths = cfg["simulate.n_paths"]
-    n_sigma = cfg["simulate.n_sigma"]
-    records = []
-    spans = Laps()
+# Every family below is run as family(cfg, spans) and returns its records and the
+# dumped paths (None but for the configured ensemble).  Its span is closed under its
+# last record's check by the caller; a family that writes two checks closes the
+# first itself.  No family reads another's state: each draws its noise from its
+# own (seed, step)-keyed streams.
 
+def _diffusion_squares(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
     # sigma^2 is formed in floating point and rounds by about one ulp of its largest
     # entry; the exact squares hold to 4 ulps of it
-    diff = soc.make_diffusion(consts)
+    diff = soc.make_diffusion(cfg.constants())
     sq = diff.sigma ** 2
-    records.append(check(cfg, "simulate", "diffusion_squares",
-                         residual=float(np.abs(sq - diff.squares).max()),
-                         tolerance=4 * float(np.spacing(np.abs(sq).max()))))
-    spans.lap("diffusion_squares")
+    return [check(cfg, "simulate", "diffusion_squares",
+                  residual=float(np.abs(sq - diff.squares).max()),
+                  tolerance=4 * float(np.spacing(np.abs(sq).max())))], None
 
-    reports = soc.run_generator_battery(consts, ds=ds, n_paths=n_paths, seed=seed)
-    for (label, _, _), rpt in zip(soc.BATTERY, reports):
-        records.append(check(
-            cfg, "simulate", "generator", function=label,
-            estimate=rpt.estimate, exact=rpt.exact, residual=rpt.abs_error,
-            stderr=rpt.stderr, n_sigma=n_sigma, n_paths=n_paths, ds=ds,
-            tolerance=n_sigma * rpt.stderr))
-    spans.lap("generator")
 
+def _generator_battery(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
+    ds, n_paths, n_sigma = cfg["simulate.ds"], cfg["simulate.n_paths"], cfg["simulate.n_sigma"]
+    reports = soc.run_generator_battery(cfg.constants(), ds=ds, n_paths=n_paths,
+                                        seed=cfg["seed"])
+    return [check(cfg, "simulate", "generator", function=label,
+                  estimate=rpt.estimate, exact=rpt.exact, residual=rpt.abs_error,
+                  stderr=rpt.stderr, n_sigma=n_sigma, n_paths=n_paths, ds=ds,
+                  tolerance=n_sigma * rpt.stderr)
+            for (label, _, _), rpt in zip(soc.BATTERY, reports)], None
+
+
+_LINE = soc.EnsembleParams(n_paths=3, steps=64, ds=1.0 / 512)
+
+
+def _straight_line_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
     # straight-line motion with diffusion disabled, against a literal recursion
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=np.complex128)
-    params = soc.EnsembleParams(n_paths=3, steps=64, ds=1.0 / 512)
-    end = soc.EulerStream(params, w4, consts, seed, diffusion=soc.zero_diffusion()).end_state()
-    z = np.broadcast_to(params.z0, (3, 4)).copy()
-    for _ in range(64):
-        z = z + w4 * params.ds
-    exact_line = np.array_equal(end, z)
-    records.append(check(cfg, "simulate", "straight_line_bitwise",
-                         residual=0.0 if exact_line else 1.0, tolerance=0.0))
-    spans.lap("straight_line_bitwise")
+    end = soc.EulerStream(_LINE, w4, cfg.constants(), cfg["seed"],
+                          diffusion=soc.zero_diffusion()).end_state()
+    z = np.broadcast_to(_LINE.z0, (_LINE.n_paths, 4)).copy()
+    for _ in range(_LINE.steps):
+        z = z + w4 * _LINE.ds
+    return [check(cfg, "simulate", "straight_line_bitwise",
+                  residual=0.0 if np.array_equal(end, z) else 1.0, tolerance=0.0)], None
 
+
+def _repro_params(cfg: RunConfig) -> soc.EnsembleParams:
+    return soc.EnsembleParams(n_paths=cfg["simulate.repro_paths"],
+                              steps=cfg["simulate.repro_steps"], ds=cfg["simulate.ds"])
+
+
+def _fixed_seed_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
     # bitwise reproducibility of a seeded ensemble: two streams compared at every step
-    rp = soc.EnsembleParams(n_paths=cfg["simulate.repro_paths"],
-                            steps=cfg["simulate.repro_steps"], ds=ds)
+    consts, seed, rp = cfg.constants(), cfg["seed"], _repro_params(cfg)
     pairs = zip(soc.EulerStream(rp, np.zeros(4), consts, seed),
                 soc.EulerStream(rp, np.zeros(4), consts, seed))
     start, first = next(pairs), next(pairs)  # steps 0 and 1; repro_steps >= 1
     repro = all(np.array_equal(z1, z2) for z1, z2 in itertools.chain((start, first), pairs))
-    records.append(check(cfg, "simulate", "fixed_seed_bitwise",
-                         residual=0.0 if repro else 1.0, tolerance=0.0))
+    records = [check(cfg, "simulate", "fixed_seed_bitwise",
+                     residual=0.0 if repro else 1.0, tolerance=0.0)]
     spans.lap("fixed_seed_bitwise")
 
     # per-component Re/Im correlation pattern of the increments
@@ -474,41 +499,47 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
                               - expected_sign[mu]) for mu in range(4)]))
     records.append(check(cfg, "simulate", "reim_correlation_signs",
                          residual=worst, tolerance=1e-12))
-    spans.lap("reim_correlation_signs")
+    return records, None
 
+
+def _diffusion_variance(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
     # diffusion-only variance: Var[Re z_mu] = Var[Im z_mu] = |sigma|^2 s / 2
+    consts, ds = cfg.constants(), cfg["simulate.ds"]
     vp = soc.EnsembleParams(n_paths=cfg["simulate.variance_paths"],
                             steps=cfg["simulate.variance_steps"], ds=ds)
-    end = soc.EulerStream(vp, np.zeros(4), consts, seed + 1).end_state()
-    total_s = vp.steps * ds
-    rel_tol = 5.0 / np.sqrt(vp.n_paths)
+    end = soc.EulerStream(vp, np.zeros(4), consts, cfg["seed"] + 1).end_state()
+    sigma, total_s = soc.make_diffusion(consts).sigma, vp.steps * ds
     errors = []
     for mu in range(4):
-        want = abs(diff.sigma[mu]) ** 2 * total_s / 2
+        want = abs(sigma[mu]) ** 2 * total_s / 2
         for part in (end[:, mu].real, end[:, mu].imag):
             errors.append(abs(float(np.var(part, ddof=1)) - want) / want)
-    records.append(check(cfg, "simulate", "diffusion_variance",
-                         residual=float(np.max(errors)), tolerance=rel_tol))
-    spans.lap("diffusion_variance")
+    return [check(cfg, "simulate", "diffusion_variance", residual=float(np.max(errors)),
+                  tolerance=5.0 / np.sqrt(vp.n_paths))], None
 
+
+_ON_SHELL = soc.EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
+
+
+def _action_constant_onshell(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
     # action of a deterministic on-shell path: S = -m c^2 (tau_f - tau_i)
-    ap = soc.EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
+    consts = cfg.constants()
     on_shell_w = np.zeros(4, dtype=np.complex128)
     on_shell_w[0] = consts.c
-    ea = soc.simulate(ap, on_shell_w, consts, seed, diffusion=soc.zero_diffusion())
+    ea = soc.simulate(_ON_SHELL, on_shell_w, consts, cfg["seed"],
+                      diffusion=soc.zero_diffusion())
     est = soc.accumulate_action(ea, emfield.free(), consts)
     want = -consts.m * consts.c ** 2 * 1.0
-    records.append(check(cfg, "simulate", "action_constant_onshell", mean=est.mean,
-                         n_branch_flags=est.n_branch_flags,
-                         n_degenerate_flags=est.n_degenerate_flags,
-                         residual=abs(est.mean - want), tolerance=0.0))
-    spans.lap("action_constant_onshell")
+    return [check(cfg, "simulate", "action_constant_onshell", mean=est.mean,
+                  n_branch_flags=est.n_branch_flags,
+                  n_degenerate_flags=est.n_degenerate_flags,
+                  residual=abs(est.mean - want), tolerance=0.0)], None
 
+
+def _configured_ensemble(cfg: RunConfig, spans: Laps) -> tuple[list[dict], np.ndarray | None]:
     # user-configured ensemble (blow-up detection hooks in here)
-    uc = _configured_control(cfg, consts)
-    up = soc.EnsembleParams(n_paths=cfg["simulate.repro_paths"],
-                            steps=cfg["simulate.repro_steps"], ds=ds)
-    stream = soc.EulerStream(up, uc, consts, seed + 2)
+    consts, up = cfg.constants(), _repro_params(cfg)
+    stream = soc.EulerStream(up, _configured_control(cfg, consts), consts, cfg["seed"] + 2)
     kept = None
     if cfg["simulate.dump_paths"]:  # only the dumped paths are kept while it streams
         n_dump = min(cfg["simulate.dump_max_paths"], up.n_paths)
@@ -521,19 +552,72 @@ def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     if n_trunc:
         first_path = int(np.argmin(np.where(stream.truncated, stream.first_bad_step, up.steps)))
         first_step = int(stream.first_bad_step[first_path])
-    records.append(check(cfg, "simulate", "configured_ensemble",
-                         control=cfg["simulate.control"], n_paths=up.n_paths, steps=up.steps,
-                         truncated_paths=n_trunc, first_bad_step=first_step,
-                         first_bad_path=first_path, residual=float(n_trunc), tolerance=0.0))
-    spans.lap("configured_ensemble")
+    return [check(cfg, "simulate", "configured_ensemble",
+                  control=cfg["simulate.control"], n_paths=up.n_paths, steps=up.steps,
+                  truncated_paths=n_trunc, first_bad_step=first_step,
+                  first_bad_path=first_path, residual=float(n_trunc), tolerance=0.0)], kept
 
-    rows = []
-    if kept is not None:
-        for p, path in enumerate(kept):
-            for s, z in enumerate(path):
-                rows.append((p, s, s * ds,
-                             z[0].real, z[0].imag, z[1].real, z[1].imag,
-                             z[2].real, z[2].imag, z[3].real, z[3].imag))
+
+# (family, its cost in path-steps: paths x steps x streams), in the serial order
+SIMULATE_FAMILIES = (
+    (_diffusion_squares, lambda cfg: 0),
+    (_generator_battery, lambda cfg: len(soc.BATTERY) * cfg["simulate.n_paths"]),
+    (_straight_line_bitwise, lambda cfg: _LINE.n_paths * _LINE.steps),
+    (_fixed_seed_bitwise,
+     lambda cfg: 2 * cfg["simulate.repro_paths"] * cfg["simulate.repro_steps"]),
+    (_diffusion_variance,
+     lambda cfg: cfg["simulate.variance_paths"] * cfg["simulate.variance_steps"]),
+    (_action_constant_onshell, lambda cfg: _ON_SHELL.n_paths * _ON_SHELL.steps),
+    (_configured_ensemble, lambda cfg: cfg["simulate.repro_paths"] * cfg["simulate.repro_steps"]),
+)
+
+
+def _run_family(cfg: RunConfig, family) -> tuple[list[dict], np.ndarray | None, Laps]:
+    spans = Laps()
+    records, kept = family(cfg, spans)
+    spans.lap(records[-1]["check"])
+    return records, kept, spans
+
+
+def _share_out(costs: list[int], n: int) -> list[list[int]]:
+    """The indices of ``costs`` dealt to ``n`` processes, heaviest first (the lower
+    index on ties), each to the process with the least cost so far (the lowest
+    process on ties); each process's indices in increasing order."""
+    shares, loads = [[] for _ in range(n)], [0] * n
+    for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
+        w = loads.index(min(loads))
+        shares[w].append(k)
+        loads[w] += costs[k]
+    return [sorted(share) for share in shares]
+
+
+def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
+    """The simulate records, the rows of ``paths.csv``, and the seconds per check family.
+
+    The families of ``SIMULATE_FAMILIES`` are dealt to ``_worker_count`` processes
+    by their path-steps (``_share_out``) and run there (``_in_processes``), each
+    process taking its own in the serial order.  The records, spans and rows are
+    assembled in the serial order, so that they are the same bytes for any number
+    of processes, and a family's error is raised as one process raises it.  The
+    meta file gets the process count and each process's busy seconds.
+    """
+    costs = [cost(cfg) for _, cost in SIMULATE_FAMILIES]
+    n = _worker_count(len(costs))
+    shares = _share_out(costs, n)
+    done, busy = _in_processes(n, lambda w: (
+        (k, functools.partial(_run_family, cfg, SIMULATE_FAMILIES[k][0])) for k in shares[w]))
+
+    records, rows, spans = [], [], Laps()
+    ds = cfg["simulate.ds"]
+    for k in range(len(costs)):
+        family_records, kept, family_spans = done[k]
+        records += family_records
+        spans.update(family_spans)
+        if kept is not None:  # the configured ensemble's dumped paths
+            rows = [(p, s, s * ds, z[0].real, z[0].imag, z[1].real, z[1].imag,
+                     z[2].real, z[2].imag, z[3].real, z[3].imag)
+                    for p, path in enumerate(kept) for s, z in enumerate(path)]
+    spans.extra.update(workers=n, busy_seconds=busy)
     return records, rows, spans
 
 

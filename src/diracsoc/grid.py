@@ -180,9 +180,15 @@ def _spectral_passes(values: np.ndarray, axis: int, symbols: list[np.ndarray],
 
 
 def _fd4(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """The fourth-order central first-derivative stencil along one array axis."""
-    return (-np.roll(values, -2, axis=axis) + 8 * np.roll(values, -1, axis=axis)
-            - 8 * np.roll(values, 1, axis=axis) + np.roll(values, 2, axis=axis)) / (12 * h)
+    """The fourth-order central first-derivative stencil along one array axis, with
+    f[i-2] .. f[i+2] read as slices of one copy of ``values`` wrapped by two rows
+    at each end."""
+    n = values.shape[axis]
+    cut = (slice(None),) * axis
+    padded = np.concatenate((values[cut + (slice(n - 2, n),)], values,
+                             values[cut + (slice(0, 2),)]), axis=axis)
+    f = [padded[cut + (slice(lo, lo + n),)] for lo in range(5)]  # f[i-2] .. f[i+2]
+    return (-f[4] + 8 * f[3] - 8 * f[1] + f[0]) / (12 * h)
 
 
 def _axis_derivatives(values: np.ndarray, grid: SpacetimeGrid, mu: int, backend: str,

@@ -293,6 +293,9 @@ class EulerStream:
         first_bad[:] = -1
 
         z0 = self.params.z0
+        # (prev + drift) of every step after the first, in one buffer for the stream: a
+        # fresh (n, 4) sum per step makes glibc trim and re-fault the heap every step
+        scratch = np.empty((n, 4), dtype=np.complex128) if steps > 1 else None
         z = np.broadcast_to(z0, (n, 4))  # read-only: every path starts at z0
         yield z
         for start in range(0, steps, chunk):
@@ -307,7 +310,8 @@ class EulerStream:
                 block = amp * xi.transpose(1, 0, 2)  # (m, n, 4), never written after
                 prev = z if start else z0  # every start row is z0: the same bits, no (n, 4) sum
                 for row in block:
-                    np.add(prev + drift, row, out=row)
+                    np.add(prev + drift if prev is z0 else np.add(prev, drift, out=scratch),
+                           row, out=row)
                     prev = row
                 if truncated.any():
                     block[:, truncated] = z[truncated]

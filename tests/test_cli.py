@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -478,7 +479,8 @@ def test_configured_ensemble_names_the_earliest_blowup(tmp_path, monkeypatch):
 # hbar = 4 and eps = -1 make (eps/m) hbar k differ from k, and keep sigma^2 exact
 @pytest.mark.parametrize("control", ["zero", "constant", "plane_wave"])
 def test_configured_control_sets_the_stream_drift(tmp_path, monkeypatch, control):
-    drifts = []
+    drifts = []  # appended in this process, so every family runs here
+    monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 1)
 
     class Recorded(soc.EulerStream):
         def __init__(self, params, w, consts, seed, diffusion=None):
@@ -499,7 +501,9 @@ def test_configured_control_sets_the_stream_drift(tmp_path, monkeypatch, control
 
 def test_fixed_seed_bitwise_compares_every_step(tmp_path, monkeypatch):
     # negative control: the two seeded streams draw the same noise except at the last
-    # step of the second one, and one step per noise chunk makes every step its own draw
+    # step of the second one, and one step per noise chunk makes every step its own draw.
+    # The draws are counted in this process, so every family runs here
+    monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 1)
     real_noise = soc._path_noise
     last_draws = []
 
@@ -522,9 +526,11 @@ def test_fixed_seed_bitwise_compares_every_step(tmp_path, monkeypatch):
     assert all(r["pass"] for name, r in records.items() if name != "fixed_seed_bitwise")
 
 
-def test_simulate_records_memory_does_not_grow_with_steps():
+def test_simulate_records_memory_does_not_grow_with_steps(monkeypatch):
     # the stored variance ensemble alone was 256 x 4097 x 64 B; streamed, every family
-    # but the 2 x 1024-path action check holds O(n_paths) positions
+    # but the 2 x 1024-path action check holds O(n_paths) positions.  tracemalloc sees
+    # only this process, so every family runs here
+    monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 1)
     cfg = RunConfig.from_sources(parse_config_text(
         "simulate.n_paths = 2000\n"
         "simulate.variance_paths = 256\n"
@@ -538,6 +544,88 @@ def test_simulate_records_memory_does_not_grow_with_steps():
         tracemalloc.stop()
     assert all(r["pass"] for r in records)
     assert peak < 256 * 4097 * 64 / 4
+
+
+@pytest.mark.parametrize("text,code", [
+    (FAST_SIMULATE, EXIT_PASS),
+    (FAST_SIMULATE + "simulate.control = plane_wave\nsimulate.control_w = 1.25,0.75,0,0\n"
+     "simulate.dump_paths = true\nsimulate.dump_max_paths = 5\n", EXIT_PASS),
+    (FAST_SIMULATE + "simulate.n_sigma = 1e-9\n", EXIT_FAIL),
+    (FAST_SIMULATE + "simulate.control = constant\nsimulate.control_w = 1e308,0,0,0\n"
+     "simulate.ds = 10\n", EXIT_BLOWUP),
+], ids=["small", "plane_wave_dump", "failing_generator", "blowup"])
+def test_simulate_outputs_are_the_same_bytes_in_any_number_of_processes(
+        tmp_path, monkeypatch, text, code):
+    cfg = write_cfg(tmp_path, text)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: min(workers, n_tasks))
+        out = tmp_path / f"workers{workers}"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == code
+        assert_no_child_process()
+        assert gc.get_freeze_count() == 0
+        meta = json.loads((out / "simulate_meta.json").read_text())
+        assert meta["workers"] == workers
+        assert len(meta["busy_seconds"]) == workers and min(meta["busy_seconds"]) > 0
+        outputs.append([(out / name).read_bytes() if (out / name).exists() else None
+                        for name in ("simulate.jsonl", "paths.csv")])
+    assert outputs[0] == outputs[1]
+    records = {r["check"]: r for r in read_jsonl(tmp_path / "workers2" / "simulate.jsonl")}
+    assert len(records) == 8
+    if code == EXIT_BLOWUP:
+        rec = records["configured_ensemble"]
+        assert (rec["truncated_paths"], rec["first_bad_step"], rec["first_bad_path"]) \
+            == (64, 0, 0)
+    assert (outputs[0][1] is not None) == ("dump_paths" in text)
+
+
+def test_simulate_families_are_dealt_heaviest_first_to_the_least_loaded_process():
+    # simulate-long's path-steps: the variance ensemble (index 4) outweighs the rest
+    cfg = RunConfig.from_sources(parse_config_text(
+        "simulate.n_paths = 2000\nsimulate.variance_paths = 256\n"
+        "simulate.variance_steps = 8192\nsimulate.repro_paths = 64\n"
+        "simulate.repro_steps = 8192\n"), {})
+    costs = [cost(cfg) for _, cost in cli.SIMULATE_FAMILIES]
+    assert costs == [0, 6 * 2000, 3 * 64, 2 * 64 * 8192, 256 * 8192, 2 * 1024, 64 * 8192]
+    assert cli._share_out(costs, 1) == [list(range(7))]
+    assert cli._share_out(costs, 2) == [[4], [0, 1, 2, 3, 5, 6]]
+    assert cli._share_out([5, 3, 3, 2], 2) == [[0, 3], [1, 2]]
+    assert cli._share_out([1, 1], 3) == [[0], [1], []]
+
+
+def break_families(monkeypatch, broken):
+    """Make each family of SIMULATE_FAMILIES whose index is in ``broken`` raise."""
+    def raiser(k):
+        def family(cfg, spans):
+            raise ConfigError(f"family {k} is broken")
+        return family
+
+    monkeypatch.setattr(cli, "SIMULATE_FAMILIES", tuple(
+        (raiser(k) if k in broken else family, cost)
+        for k, (family, cost) in enumerate(cli.SIMULATE_FAMILIES)))
+
+
+# on FAST_SIMULATE, two processes: the variance family (4) runs in this process and
+# every other family in the forked worker
+@pytest.mark.parametrize("broken", [{1}, {4}, {1, 4}, {4, 5}, {2, 5}])
+def test_simulate_family_error_is_reported_as_in_one_process(
+        tmp_path, monkeypatch, capsys, broken):
+    cfg = write_cfg(tmp_path, FAST_SIMULATE)
+    costs = [cost(RunConfig.from_sources(parse_config_text(FAST_SIMULATE), {}))
+             for _, cost in cli.SIMULATE_FAMILIES]
+    assert cli._share_out(costs, 2) == [[4], [0, 1, 2, 3, 5, 6]]
+    errors = []
+    for workers in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_worker_count", lambda n_tasks: min(workers, n_tasks))
+            break_families(patch, broken)
+            out = tmp_path / f"workers{workers}"
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert_no_child_process()
+        assert gc.get_freeze_count() == 0
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"config error: family {min(broken)} is broken\n"
 
 
 def test_epsilon_flag_changes_constants(tmp_path):
