@@ -6,10 +6,14 @@ function that returns ``(records, rows, spans)``: its records, all built by
 ``check``, its CSV rows and the seconds per check family.  The verdict is
 ``residual <= tolerance`` (a NaN residual fails), and every record carries
 the suite name, the effective-configuration hash, seed, constants, backend,
-and the branch choices, so outputs are self-describing.  One runner,
+and the branch choices, so outputs are self-describing.  ``verify-identity``
+and ``simulate`` hand their work to one task runner, ``_in_processes``, as
+costed check tasks (a field each, a check family each) that it runs in up to
+one forked process per CPU and joins in the serial order.  One suite runner,
 ``run_suite``, times a suite, writes ``<stem>.jsonl``, its CSV and
 ``<stem>_meta.json``, and picks the exit code; re-running a command with an
-identical configuration reproduces the JSON-lines files byte for byte.
+identical configuration reproduces the JSON-lines files byte for byte, for
+any number of processes.
 
 Exit codes: 0 all checks pass, 1 at least one check failed,
 2 usage/configuration error, 3 numerical blow-up.
@@ -74,6 +78,110 @@ class Laps(dict):
         now = time.perf_counter()
         self[name] = now - self._last
         self._last = now
+
+
+# -- the check-task runner ------------------------------------------------------
+
+def _worker_count(n_tasks: int) -> int:
+    """Processes to run ``n_tasks`` tasks in: one per CPU this process may run on, at
+    most one per task, and one where ``os.fork`` or the affinity mask is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
+
+
+def _share_out(costs: list[int], n: int) -> list[list[int]]:
+    """The indices of ``costs`` dealt to ``n`` processes, heaviest first (the lower
+    index on ties), each to the process with the least cost so far (the lowest
+    process on ties); each process's indices in increasing order."""
+    shares, loads = [[] for _ in range(n)], [0] * n
+    for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
+        w = loads.index(min(loads))
+        shares[w].append(k)
+        loads[w] += costs[k]
+    return [sorted(share) for share in shares]
+
+
+def _in_processes(tasks: list[tuple[int, object]]) -> tuple[list[dict], list, Laps]:
+    """Run the check tasks of ``tasks``, (cost, task) pairs, and return their records
+    and rows joined in index order, with their spans summed by name.
+
+    The tasks are dealt to ``_worker_count`` processes by cost (``_share_out``),
+    and each process runs its own in increasing index.  task(spans) gives its
+    (records, rows); its span, opened as it starts, is closed under its last
+    record's check (a task that writes two checks closes the first itself).  A
+    process stops at its first task that raises an Exception.  Once every
+    process is done, the exception of the lowest index is raised here with its
+    type and message: the one that running every task in index order meets
+    first.  The first share runs in this process and each other share in a child
+    forked first, which pickles what it did into a pipe and leaves by
+    ``os._exit``, so that it runs no atexit handler and flushes no inherited
+    buffer.  The collector's objects are frozen across the forks
+    (``gc.freeze``), so that no collection in a child touches, and so copies,
+    the pages it shares with this process.  Every child is reaped before this
+    returns or raises; if this process fails first, the children are killed.
+    ``spans.extra`` gets the process count and each process's busy seconds.
+    """
+    n = _worker_count(len(tasks))
+    dealt = _share_out([cost for cost, _ in tasks], n)
+
+    def run(w):
+        started, done = time.perf_counter(), []
+        for k in dealt[w]:
+            spans = Laps()
+            try:
+                records, rows = tasks[k][1](spans)
+            except Exception as exc:
+                return done, (k, exc), time.perf_counter() - started
+            spans.lap(records[-1]["check"])
+            done.append((k, records, rows, spans))
+        return done, None, time.perf_counter() - started
+
+    children, shares = [], []
+    if n > 1:
+        gc.freeze()
+    try:
+        for w in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    for _, pipe in children:
+                        pipe.close()
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(run(w)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # whatever run(w) or the pipe raised
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        shares.append(run(0))
+        for pid, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without its results")
+            shares.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if len(shares) < n:
+                import signal  # only a failed run pays for the import
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        gc.unfreeze()
+    errors = [error for _, error, _ in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    records, rows, spans = [], [], Laps()
+    for _, task_records, task_rows, task_spans in sorted(
+            (task for done, _, _ in shares for task in done), key=lambda task: task[0]):
+        records += task_records
+        rows += task_rows
+        for name, seconds in task_spans.items():
+            spans[name] = spans.get(name, 0.0) + seconds
+    spans.extra.update(workers=n, busy_seconds=[busy for *_, busy in shares])
+    return records, rows, spans
 
 
 # -- clifford ----------------------------------------------------------------
@@ -151,135 +259,18 @@ def _gauge_law_residual(phi, fock, fact, coef) -> float:
     return float(np.max(worst)) / float(np.max(scale))
 
 
-IDENTITY_CHECKS = ("factored_vs_fock", "gauge_discrepancy_law")
-
-
-def _worker_count(n_tasks: int) -> int:
-    """Processes to run ``n_tasks`` tasks in: one per CPU this process may run on, at
-    most one per task, and one where ``os.fork`` or the affinity mask is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
-
-
-def _in_processes(n: int, share) -> tuple[dict, list[float]]:
-    """Run the tasks of share(0), ..., share(n - 1) and return {index: result} over all
-    of them, with each process's busy seconds.
-
-    share(w) yields (index, task) pairs in increasing index, and task() gives the
-    result; a share stops at its first task that raises an Exception.  Once every
-    share is done, the exception of the lowest index is raised here with its type
-    and message: the one that running every task in index order meets first.
-    share(0) runs in this process and each other share in a child forked first,
-    which pickles what it did into a pipe and leaves by ``os._exit``, so that it
-    runs no atexit handler and flushes no inherited buffer.  The collector's
-    objects are frozen across the forks (``gc.freeze``), so that no collection
-    in a child touches, and so copies, the pages it shares with this process.
-    Every child is reaped before this returns or raises; if this process fails
-    first, the children are killed.
-    """
-    def run(w):
-        started, done = time.perf_counter(), []
-        for k, task in share(w):
-            try:
-                done.append((k, task()))
-            except Exception as exc:
-                return done, (k, exc), time.perf_counter() - started
-        return done, None, time.perf_counter() - started
-
-    children, shares = [], []
-    if n > 1:
-        gc.freeze()
-    try:
-        for w in range(1, n):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(read_fd)
-                    for _, pipe in children:
-                        pipe.close()
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(pickle.dumps(run(w)))
-                    os._exit(0)
-                finally:
-                    os._exit(1)  # whatever run(w) or the pipe raised
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        shares.append(run(0))
-        for pid, pipe in children:
-            data = pipe.read()
-            if not data:
-                raise RuntimeError(f"worker process {pid} ended without its results")
-            shares.append(pickle.loads(data))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if len(shares) < n:
-                import signal  # only a failed run pays for the import
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        gc.unfreeze()
-    errors = [error for _, error, _ in shares if error is not None]
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return dict(pair for done, _, _ in shares for pair in done), [busy for *_, busy in shares]
-
-
-def _field_checks(cfg: RunConfig, fields: list[tuple], share: int, n_shares: int):
-    """(index, task) for the fields ``share``, ``share + n_shares``, ... of ``fields``;
-    the task checks its field and gives its residual and seconds.
-
-    Every field is drawn from the one seeded generator in the serial order: a task
-    first draws and drops the fields of the other shares since the last one it
-    drew, so that each field gets the draws it gets in one process.  Each
-    potential is sampled once and held only while its fields are checked, and a
-    gauge field's coefficient is formed before it.  Every field is drawn with its
-    derivatives into the first field's arrays, and both sides are formed in place
-    in them (the fd4 jet makes new arrays).  No task calls a BLAS routine, so a
-    forked copy never enters the BLAS thread pool it inherits.
-    """
-    grid, consts, backend = cfg.grid(), cfg.constants(), cfg["backend"]
-    max_mode = cfg["identity.max_mode"]
-    rng = np.random.default_rng(cfg["seed"])
-    scratch = np.empty((4,) + grid.shape)
-    drawn, jet, spec, pot, coef = 0, None, None, None, None
-
-    def check_field(k, check_name, field_spec):
-        nonlocal drawn, jet, spec, pot, coef
-        for _ in range(drawn, k):
-            spinor_modes(grid, max_mode, rng)
-        drawn = k + 1
-        lap = time.perf_counter()
-        if field_spec is not spec:
-            spec, pot, coef = field_spec, None, None  # the last potential is freed first
-            if check_name == "gauge_discrepancy_law":
-                coef = gauge_discrepancy_coefficient(spec, grid, consts)
-            pot = SampledPotential(spec, grid)
-            pot.F  # sampled before the field's derivatives are formed
-        phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
-        jet = [phi, *dphi, box]
-        fock, fact = fock_and_factored_in_place(phi, grid, pot, consts, backend, dphi, box)
-        residual = relative_discrepancy(fock, fact, scratch) if coef is None \
-            else _gauge_law_residual(phi, fock, fact, coef)
-        return residual, time.perf_counter() - lap
-
-    return ((k, functools.partial(check_field, k, check_name, field_spec))
-            for k, (check_name, _, field_spec, _) in enumerate(fields) if k % n_shares == share)
-
-
 def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
     """The identity records, no CSV rows, and the seconds spent on each check family,
     summed over the processes that check the fields.
 
-    Every refusal is made before any process starts or any field is drawn.  The
-    fields are then checked in ``_worker_count`` processes (``_in_processes``),
-    each taking every n-th field round-robin over both families and drawing every
-    field from the one seeded generator in the serial order (``_field_checks``).
-    The records are assembled in the serial order, so that they are the same
-    bytes for any number of processes, and a field's error is raised as one
-    process raises it.  The meta file gets the process count and each process's
-    busy seconds.
+    Every refusal is made before any field is drawn.  The generator's state is
+    then saved before each field's draws, in the serial order, and each field is
+    a cost-1 check task of ``_in_processes`` that restores its state, so it gets
+    the same draws in any process.  A process samples each potential it needs
+    once, and a gauge field's coefficient before it, holding only the last; it
+    draws every field with its derivatives into its first field's arrays and
+    forms both sides in place in them.  No task calls a BLAS routine, so a
+    forked copy never enters the BLAS thread pool it inherits.
     """
     grid = cfg.grid()
     max_mode = cfg["identity.max_mode"]
@@ -311,23 +302,42 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
     for _, spec in sweep + negatives:
         require_representable(spec, grid)
 
-    # (check, potential name, spec, field index) per field, in the serial order
+    # (check, potential name, spec, field index) per field, in the serial order, and the
+    # generator's state before each field's draws
     fields = [(check_name, name, spec, i) for check_name, potentials, count in (
                   ("factored_vs_fock", sweep, cfg["identity.n_fields"]),
                   ("gauge_discrepancy_law", negatives, cfg["identity.gauge_fields"]))
               for name, spec in potentials for i in range(count)]
-    n = _worker_count(len(fields))
-    done, busy = _in_processes(n, lambda w: _field_checks(cfg, fields, w, n))
-    glabel = _grid_label(grid)
-    records = [check(cfg, "verify-identity", check_name, potential=name, field_index=i,
-                     grid=glabel, residual=done[k][0], tolerance=cfg["identity.tolerance"])
-               for k, (check_name, name, _, i) in enumerate(fields)]
-    spans = Laps()
-    for check_name in IDENTITY_CHECKS:
-        spans[check_name] = sum(done[k][1] for k, field in enumerate(fields)
-                                if field[0] == check_name)
-    spans.extra.update(workers=n, busy_seconds=busy)
-    return records, [], spans
+    rng = np.random.default_rng(cfg["seed"])
+    states = []
+    for _ in fields:
+        states.append(rng.bit_generator.state)
+        spinor_modes(grid, max_mode, rng)
+
+    consts, backend, glabel = cfg.constants(), cfg["backend"], _grid_label(grid)
+    scratch = np.empty((4,) + grid.shape)
+    jet, spec, pot, coef = None, None, None, None
+
+    def check_field(k, spans):
+        nonlocal jet, spec, pot, coef
+        check_name, name, field_spec, i = fields[k]
+        if field_spec is not spec:
+            spec, pot, coef = field_spec, None, None  # the last potential is freed first
+            if check_name == "gauge_discrepancy_law":
+                coef = gauge_discrepancy_coefficient(spec, grid, consts)
+            pot = SampledPotential(spec, grid)
+            pot.F  # sampled before the field's derivatives are formed
+        rng.bit_generator.state = states[k]
+        phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
+        jet = [phi, *dphi, box]
+        fock, fact = fock_and_factored_in_place(phi, grid, pot, consts, backend, dphi, box)
+        residual = relative_discrepancy(fock, fact, scratch) if coef is None \
+            else _gauge_law_residual(phi, fock, fact, coef)
+        return [check(cfg, "verify-identity", check_name, potential=name, field_index=i,
+                      grid=glabel, residual=residual,
+                      tolerance=cfg["identity.tolerance"])], []
+
+    return _in_processes([(1, functools.partial(check_field, k)) for k in range(len(fields))])
 
 
 # -- dispersion --------------------------------------------------------------
@@ -433,23 +443,22 @@ def _configured_control(cfg: RunConfig, consts) -> np.ndarray:
     return soc.optimal_control_mode(w, consts)  # plane_wave: w holds the wave vector k
 
 
-# Every family below is run as family(cfg, spans) and returns its records and the
-# dumped paths (None but for the configured ensemble).  Its span is closed under its
-# last record's check by the caller; a family that writes two checks closes the
-# first itself.  No family reads another's state: each draws its noise from its
-# own (seed, step)-keyed streams.
+# Every family below is a check task of ``_in_processes``: family(cfg, spans) returns
+# its records and its rows of paths.csv (none but for the configured ensemble).  No
+# family reads another's state: each draws its noise from its own (seed,
+# step)-keyed streams.
 
-def _diffusion_squares(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
+def _diffusion_squares(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
     # sigma^2 is formed in floating point and rounds by about one ulp of its largest
     # entry; the exact squares hold to 4 ulps of it
     diff = soc.make_diffusion(cfg.constants())
     sq = diff.sigma ** 2
     return [check(cfg, "simulate", "diffusion_squares",
                   residual=float(np.abs(sq - diff.squares).max()),
-                  tolerance=4 * float(np.spacing(np.abs(sq).max())))], None
+                  tolerance=4 * float(np.spacing(np.abs(sq).max())))], []
 
 
-def _generator_battery(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
+def _generator_battery(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
     ds, n_paths, n_sigma = cfg["simulate.ds"], cfg["simulate.n_paths"], cfg["simulate.n_sigma"]
     reports = soc.run_generator_battery(cfg.constants(), ds=ds, n_paths=n_paths,
                                         seed=cfg["seed"])
@@ -457,13 +466,13 @@ def _generator_battery(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
                   estimate=rpt.estimate, exact=rpt.exact, residual=rpt.abs_error,
                   stderr=rpt.stderr, n_sigma=n_sigma, n_paths=n_paths, ds=ds,
                   tolerance=n_sigma * rpt.stderr)
-            for (label, _, _), rpt in zip(soc.BATTERY, reports)], None
+            for (label, _, _), rpt in zip(soc.BATTERY, reports)], []
 
 
 _LINE = soc.EnsembleParams(n_paths=3, steps=64, ds=1.0 / 512)
 
 
-def _straight_line_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
+def _straight_line_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
     # straight-line motion with diffusion disabled, against a literal recursion
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=np.complex128)
     end = soc.EulerStream(_LINE, w4, cfg.constants(), cfg["seed"],
@@ -472,7 +481,7 @@ def _straight_line_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], Non
     for _ in range(_LINE.steps):
         z = z + w4 * _LINE.ds
     return [check(cfg, "simulate", "straight_line_bitwise",
-                  residual=0.0 if np.array_equal(end, z) else 1.0, tolerance=0.0)], None
+                  residual=0.0 if np.array_equal(end, z) else 1.0, tolerance=0.0)], []
 
 
 def _repro_params(cfg: RunConfig) -> soc.EnsembleParams:
@@ -480,7 +489,7 @@ def _repro_params(cfg: RunConfig) -> soc.EnsembleParams:
                               steps=cfg["simulate.repro_steps"], ds=cfg["simulate.ds"])
 
 
-def _fixed_seed_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
+def _fixed_seed_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
     # bitwise reproducibility of a seeded ensemble: two streams compared at every step
     consts, seed, rp = cfg.constants(), cfg["seed"], _repro_params(cfg)
     pairs = zip(soc.EulerStream(rp, np.zeros(4), consts, seed),
@@ -499,10 +508,10 @@ def _fixed_seed_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
                               - expected_sign[mu]) for mu in range(4)]))
     records.append(check(cfg, "simulate", "reim_correlation_signs",
                          residual=worst, tolerance=1e-12))
-    return records, None
+    return records, []
 
 
-def _diffusion_variance(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
+def _diffusion_variance(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
     # diffusion-only variance: Var[Re z_mu] = Var[Im z_mu] = |sigma|^2 s / 2
     consts, ds = cfg.constants(), cfg["simulate.ds"]
     vp = soc.EnsembleParams(n_paths=cfg["simulate.variance_paths"],
@@ -515,13 +524,13 @@ def _diffusion_variance(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
         for part in (end[:, mu].real, end[:, mu].imag):
             errors.append(abs(float(np.var(part, ddof=1)) - want) / want)
     return [check(cfg, "simulate", "diffusion_variance", residual=float(np.max(errors)),
-                  tolerance=5.0 / np.sqrt(vp.n_paths))], None
+                  tolerance=5.0 / np.sqrt(vp.n_paths))], []
 
 
 _ON_SHELL = soc.EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
 
 
-def _action_constant_onshell(cfg: RunConfig, spans: Laps) -> tuple[list[dict], None]:
+def _action_constant_onshell(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
     # action of a deterministic on-shell path: S = -m c^2 (tau_f - tau_i)
     consts = cfg.constants()
     on_shell_w = np.zeros(4, dtype=np.complex128)
@@ -533,17 +542,20 @@ def _action_constant_onshell(cfg: RunConfig, spans: Laps) -> tuple[list[dict], N
     return [check(cfg, "simulate", "action_constant_onshell", mean=est.mean,
                   n_branch_flags=est.n_branch_flags,
                   n_degenerate_flags=est.n_degenerate_flags,
-                  residual=abs(est.mean - want), tolerance=0.0)], None
+                  residual=abs(est.mean - want), tolerance=0.0)], []
 
 
-def _configured_ensemble(cfg: RunConfig, spans: Laps) -> tuple[list[dict], np.ndarray | None]:
+def _configured_ensemble(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list[tuple]]:
     # user-configured ensemble (blow-up detection hooks in here)
     consts, up = cfg.constants(), _repro_params(cfg)
     stream = soc.EulerStream(up, _configured_control(cfg, consts), consts, cfg["seed"] + 2)
-    kept = None
+    rows = []
     if cfg["simulate.dump_paths"]:  # only the dumped paths are kept while it streams
         n_dump = min(cfg["simulate.dump_max_paths"], up.n_paths)
         kept = np.stack([z[:n_dump].copy() for z in stream], axis=1)  # (n_dump, steps+1, 4)
+        rows = [(p, s, s * up.ds, z[0].real, z[0].imag, z[1].real, z[1].imag,
+                 z[2].real, z[2].imag, z[3].real, z[3].imag)
+                for p, path in enumerate(kept.tolist()) for s, z in enumerate(path)]
     else:
         stream.end_state()
     n_trunc = int(np.count_nonzero(stream.truncated))
@@ -555,7 +567,7 @@ def _configured_ensemble(cfg: RunConfig, spans: Laps) -> tuple[list[dict], np.nd
     return [check(cfg, "simulate", "configured_ensemble",
                   control=cfg["simulate.control"], n_paths=up.n_paths, steps=up.steps,
                   truncated_paths=n_trunc, first_bad_step=first_step,
-                  first_bad_path=first_path, residual=float(n_trunc), tolerance=0.0)], kept
+                  first_bad_path=first_path, residual=float(n_trunc), tolerance=0.0)], rows
 
 
 # (family, its cost in path-steps: paths x steps x streams), in the serial order
@@ -572,53 +584,15 @@ SIMULATE_FAMILIES = (
 )
 
 
-def _run_family(cfg: RunConfig, family) -> tuple[list[dict], np.ndarray | None, Laps]:
-    spans = Laps()
-    records, kept = family(cfg, spans)
-    spans.lap(records[-1]["check"])
-    return records, kept, spans
-
-
-def _share_out(costs: list[int], n: int) -> list[list[int]]:
-    """The indices of ``costs`` dealt to ``n`` processes, heaviest first (the lower
-    index on ties), each to the process with the least cost so far (the lowest
-    process on ties); each process's indices in increasing order."""
-    shares, loads = [[] for _ in range(n)], [0] * n
-    for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
-        w = loads.index(min(loads))
-        shares[w].append(k)
-        loads[w] += costs[k]
-    return [sorted(share) for share in shares]
-
-
 def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
     """The simulate records, the rows of ``paths.csv``, and the seconds per check family.
 
-    The families of ``SIMULATE_FAMILIES`` are dealt to ``_worker_count`` processes
-    by their path-steps (``_share_out``) and run there (``_in_processes``), each
-    process taking its own in the serial order.  The records, spans and rows are
-    assembled in the serial order, so that they are the same bytes for any number
-    of processes, and a family's error is raised as one process raises it.  The
-    meta file gets the process count and each process's busy seconds.
+    The families of ``SIMULATE_FAMILIES`` are the check tasks of ``_in_processes``,
+    each costed by its path-steps, so the outputs are the same bytes for any
+    number of processes.
     """
-    costs = [cost(cfg) for _, cost in SIMULATE_FAMILIES]
-    n = _worker_count(len(costs))
-    shares = _share_out(costs, n)
-    done, busy = _in_processes(n, lambda w: (
-        (k, functools.partial(_run_family, cfg, SIMULATE_FAMILIES[k][0])) for k in shares[w]))
-
-    records, rows, spans = [], [], Laps()
-    ds = cfg["simulate.ds"]
-    for k in range(len(costs)):
-        family_records, kept, family_spans = done[k]
-        records += family_records
-        spans.update(family_spans)
-        if kept is not None:  # the configured ensemble's dumped paths
-            rows = [(p, s, s * ds, z[0].real, z[0].imag, z[1].real, z[1].imag,
-                     z[2].real, z[2].imag, z[3].real, z[3].imag)
-                    for p, path in enumerate(kept) for s, z in enumerate(path)]
-    spans.extra.update(workers=n, busy_seconds=busy)
-    return records, rows, spans
+    return _in_processes([(cost(cfg), functools.partial(family, cfg))
+                          for family, cost in SIMULATE_FAMILIES])
 
 
 # -- the runner ----------------------------------------------------------------

@@ -13,11 +13,12 @@ derivative and by -k^2 for a second (``dalembertian``), with the Nyquist
 entry zeroed in both, so the one-pass second derivative has the symbol of
 ``partial`` applied twice.  The fd4 backend is the fourth-order central
 stencil; its d'Alembertian composes that first-derivative stencil.  Where
-both orders are wanted (``_derivatives``), one forward transform per axis
-serves them, and each result is the same bits as when computed alone.
-``band_limited_jet`` draws a random band-limited spinor with its first
-derivatives and d'Alembertian; spectral ones come from the drawn spectrum
-itself, with no forward transform.
+both orders are wanted (``_derivatives``, on a field's array), one forward
+transform per axis serves them, and each result is the same bits as when
+computed alone.  ``band_limited_jet`` draws a random band-limited spinor with
+its first derivatives and d'Alembertian, all as arrays, with no ``Field``:
+spectral ones come from the drawn spectrum itself, with no forward
+transform, and fd4 ones from the stencil on the drawn array.
 """
 
 from __future__ import annotations
@@ -234,16 +235,17 @@ def partial_or_zero(f: Field, mu: int, backend: str = "spectral") -> Field:
     return partial(f, mu, backend)
 
 
-def _derivatives(f: Field, backend: str = "spectral", first: bool = True
-                 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """([d_mu f for each active mu], d^mu d_mu f) as fresh writable arrays, unchecked.
+def _derivatives(values: np.ndarray, grid: SpacetimeGrid, backend: str = "spectral",
+                 first: bool = True) -> tuple[list[np.ndarray], np.ndarray]:
+    """([d_mu f for each active mu], d^mu d_mu f) of a field's values as fresh writable
+    arrays, unchecked.
 
     One forward transform per axis serves both; with ``first=False`` the
     first derivatives are not kept and the list is empty.
     """
     grads, box = [], None
-    for mu in range(f.grid.dims):
-        *d, dd = _axis_derivatives(f.values, f.grid, mu, backend, (1, 2) if first else (2,))
+    for mu in range(grid.dims):
+        *d, dd = _axis_derivatives(values, grid, mu, backend, (1, 2) if first else (2,))
         grads += d
         if box is None:
             box = dd
@@ -259,7 +261,7 @@ def dalembertian(f: Field, backend: str = "spectral") -> Field:
     (Nyquist entry zeroed, as in ``partial``).  fd4: the first-derivative
     stencil applied twice along each axis.
     """
-    return Field(f.grid, _derivatives(f, backend, first=False)[1], copy=False)
+    return Field(f.grid, _derivatives(f.values, f.grid, backend, first=False)[1], copy=False)
 
 
 def plane_wave(grid: SpacetimeGrid, k, chi=None, amplitude: complex = 1.0) -> Field:
@@ -348,25 +350,25 @@ def band_limited_jet(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generato
 
     phi takes the draws of ``random_band_limited(grid, max_mode, rng,
     spinor=True)`` and has its bits; it is checked finite and the derivatives
-    are not.  Spectral: each derivative is synthesized from phi's mode block
-    times its symbol (i k_mu, or the sum of eta^{mumu} (-k_mu^2)) by pruned
-    passes, axis 0 first, so that the one full pass runs along the contiguous
-    last axis; they agree with ``_derivatives(phi, "spectral")`` up to
-    rounding.  ``out`` holds dims + 2 spinor-shaped buffers, filled in the
-    order phi, d_0 phi, ..., box; without it the arrays are new.  fd4: phi is
-    read-only and the derivatives are ``_derivatives(phi, "fd4")``, new
-    arrays, since the stencil is what the fd4 backend verifies.
+    are not.  ``out`` holds dims + 2 spinor-shaped buffers, filled in the order
+    phi, d_0 phi, ..., box; without it the arrays are new.  Spectral: each
+    derivative is synthesized from phi's mode block times its symbol (i k_mu,
+    or the sum of eta^{mumu} (-k_mu^2)) by pruned passes, axis 0 first, so
+    that the one full pass runs along the contiguous last axis; they agree
+    with ``_derivatives(phi, grid, "spectral")`` up to rounding.  fd4: phi goes
+    in ``out[0]`` and the derivatives are ``_derivatives(phi, grid, "fd4")``,
+    new arrays, since the stencil is what the fd4 backend verifies.
     """
-    if backend == "fd4":
-        phi = random_band_limited(grid, max_mode, rng, spinor=True)
-        return (phi.values, *_derivatives(phi, "fd4"))
-    if backend != "spectral":
+    if backend not in BACKENDS:
         raise GridError(f"unknown backend {backend!r}; valid: {BACKENDS}")
     bufs = out if out is not None else [None] * (grid.dims + 2)
     block = spinor_modes(grid, max_mode, rng)
     scale = np.sqrt(np.prod(grid.shape))
     phi = _pruned_ifft(block, grid, max_mode, reversed(range(grid.dims)), bufs[0])
     phi *= scale
+    _require_finite(phi)
+    if backend == "fd4":
+        return (phi, *_derivatives(phi, grid, "fd4"))
     symbols, box = [], 0.0
     for mu in range(grid.dims):
         ik, minus_k2 = (s[_mode_window(grid.points[mu], max_mode)].reshape(
@@ -376,4 +378,4 @@ def band_limited_jet(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generato
     symbols.append(box)
     derived = [_pruned_ifft(block * (scale * s), grid, max_mode, range(grid.dims), buf)
                for s, buf in zip(symbols, bufs[1:])]
-    return _require_finite(phi), derived[:-1], derived[-1]
+    return phi, derived[:-1], derived[-1]

@@ -284,7 +284,8 @@ def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     _require_spinor(phi)
     pot = _sampled(phi, A)
     pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
-    dphi, box = _derivatives(phi, backend, first=any(pot.coupled[:phi.grid.dims]))
+    dphi, box = _derivatives(phi.values, phi.grid, backend,
+                             first=any(pot.coupled[:phi.grid.dims]))
     return Field(phi.grid, _fock_values(phi.values, phi.grid, pot, consts, dphi, box),
                  copy=False)
 
@@ -323,7 +324,7 @@ def _fock_and_factored(phi: Field, A: Potential, consts: PhysicalConstants,
     pot = _sampled(phi, A)
     pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
     return fock_and_factored_in_place(phi.values, phi.grid, pot, consts, backend,
-                                      *_derivatives(phi, backend))
+                                      *_derivatives(phi.values, phi.grid, backend))
 
 
 def fock_and_factored(phi: Field, A: Potential, consts: PhysicalConstants,

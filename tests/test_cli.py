@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import diracsoc
-from diracsoc import cli, soc, spectrum
+from diracsoc import cli, grid, soc, spectrum
 from diracsoc.cli import EXIT_BLOWUP, EXIT_FAIL, EXIT_PASS, _exit_for, main
 from diracsoc.config import KEYS, ConfigError, RunConfig, parse_config_text
+from diracsoc.grid import random_band_limited
 from diracsoc.operators import OperatorError
 from diracsoc.report import jsonl_dumps, read_jsonl
 
@@ -189,6 +190,7 @@ def test_identity_fields_after_the_first_allocate_no_spinor(monkeypatch):
 # and both families straddle them
 ODD_IDENTITY = FAST_IDENTITY.replace("n_fields = 2", "n_fields = 3").replace(
     "gauge_fields = 2", "gauge_fields = 3")
+ODD_RUN = RunConfig.from_sources(parse_config_text(ODD_IDENTITY))
 GAUGE_VIOLATING_PARAMS = "".join(f"potential.{key} = {value}\n" for key, value in (
     ("eps0", 0.3), ("eps1", 0), ("eps2", 0), ("eps3", 0), ("k0", 1), ("k1", 0), ("k2", 0),
     ("k3", 0)))
@@ -241,27 +243,22 @@ def test_identity_refusals_come_before_any_field(tmp_path, monkeypatch, capsys, 
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def break_fields(monkeypatch, broken, raised=lambda k: OperatorError(f"field {k} is broken")):
+def break_fields(monkeypatch, cfg, broken,
+                 raised=lambda k: OperatorError(f"field {k} is broken")):
     """Make the operator kernel raise ``raised(k)`` on each field index k in ``broken``.
-    Each process draws every field in the serial order, checked or skipped, so the
-    draws counted in a process give the index of the field it checks."""
-    drawn = [0]
-    real_modes, real_jet = cli.spinor_modes, cli.band_limited_jet
+    Field k is found by its values: phi is the k-th spinor that ``random_band_limited``
+    draws from the seeded generator, as every field is drawn in the serial order."""
+    rng = np.random.default_rng(cfg["seed"])
+    phis = [random_band_limited(cfg.grid(), cfg["identity.max_mode"], rng, spinor=True).values
+            for _ in range(max(broken) + 1)]
     real_kernel = cli.fock_and_factored_in_place
 
-    def counted(draw):
-        def counted_draw(*args, **kwargs):
-            drawn[0] += 1
-            return draw(*args, **kwargs)
-        return counted_draw
+    def kernel(phi, *args):
+        for k in sorted(broken):
+            if np.array_equal(phi, phis[k]):
+                raise raised(k)
+        return real_kernel(phi, *args)
 
-    def kernel(*args):
-        if drawn[0] - 1 in broken:
-            raise raised(drawn[0] - 1)
-        return real_kernel(*args)
-
-    monkeypatch.setattr(cli, "spinor_modes", counted(real_modes))
-    monkeypatch.setattr(cli, "band_limited_jet", counted(real_jet))
     monkeypatch.setattr(cli, "fock_and_factored_in_place", kernel)
 
 
@@ -275,7 +272,7 @@ def test_identity_field_error_is_reported_as_in_one_process(
     for workers in (1, 2):
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_worker_count", lambda n_fields: min(workers, n_fields))
-            break_fields(patch, broken)
+            break_fields(patch, ODD_RUN, broken)
             out = tmp_path / f"workers{workers}"
             assert main(["verify-identity", "--config", cfg, "--out", str(out)]) == 2
         assert_no_child_process()
@@ -288,17 +285,17 @@ def test_identity_interrupt_in_this_process_stops_the_worker(monkeypatch):
     # a BaseException in this process's share is no field's error: the worker is
     # killed and reaped, and the exception propagates
     monkeypatch.setattr(cli, "_worker_count", lambda n_fields: min(2, n_fields))
-    break_fields(monkeypatch, {0}, raised=lambda k: KeyboardInterrupt())
+    break_fields(monkeypatch, ODD_RUN, {0}, raised=lambda k: KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
-        cli.identity_records(RunConfig.from_sources(parse_config_text(ODD_IDENTITY)))
+        cli.identity_records(ODD_RUN)
     assert_no_child_process()
 
 
 def test_identity_worker_that_dies_is_an_error(monkeypatch):
     monkeypatch.setattr(cli, "_worker_count", lambda n_fields: min(2, n_fields))
-    break_fields(monkeypatch, {1}, raised=lambda k: os._exit(3))
+    break_fields(monkeypatch, ODD_RUN, {1}, raised=lambda k: os._exit(3))
     with pytest.raises(RuntimeError, match="ended without its results"):
-        cli.identity_records(RunConfig.from_sources(parse_config_text(ODD_IDENTITY)))
+        cli.identity_records(ODD_RUN)
     assert_no_child_process()
 
 
@@ -591,6 +588,8 @@ def test_simulate_families_are_dealt_heaviest_first_to_the_least_loaded_process(
     assert cli._share_out(costs, 2) == [[4], [0, 1, 2, 3, 5, 6]]
     assert cli._share_out([5, 3, 3, 2], 2) == [[0, 3], [1, 2]]
     assert cli._share_out([1, 1], 3) == [[0], [1], []]
+    # identity's fields cost 1 each: dealt round-robin
+    assert cli._share_out([1] * 5, 2) == [[0, 2, 4], [1, 3]]
 
 
 def break_families(monkeypatch, broken):
@@ -626,6 +625,28 @@ def test_simulate_family_error_is_reported_as_in_one_process(
         assert not out.exists()
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == f"config error: family {min(broken)} is broken\n"
+
+
+def test_no_suite_builds_a_field(tmp_path, monkeypatch):
+    # every suite works on arrays, under both backends: a grid.Field constructed on any
+    # suite path raises here.  One process, so that every task runs under the patch
+    def no_field(*args):
+        raise AssertionError("a suite constructed a grid.Field")
+
+    monkeypatch.setattr(grid.Field, "__post_init__", no_field)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 1)
+    identity = write_cfg(tmp_path, "grid.points = 32,32\nidentity.max_mode = 3\n",
+                         "identity.cfg")
+    simulate = write_cfg(tmp_path, FAST_SIMULATE + "simulate.control = plane_wave\n"
+                         "simulate.control_w = 1.25,0.75,0,0\nsimulate.dump_paths = true\n",
+                         "simulate.cfg")
+    for args in (["verify-identity", "--config", identity, "--backend", "spectral"],
+                 ["verify-identity", "--config", identity, "--backend", "fd4"],
+                 ["verify-clifford"], ["dispersion"], ["evolve"],
+                 ["simulate", "--config", simulate]):
+        out = tmp_path / args[0]
+        assert main(args + ["--out", str(out)]) in (EXIT_PASS, EXIT_FAIL)
+        assert len(read_jsonl(out / f"{cli.SUITES[args[0]][0]}.jsonl")) > 0
 
 
 def test_epsilon_flag_changes_constants(tmp_path):

@@ -1,5 +1,6 @@
-"""The suites' outputs at the default configuration, one small simulate run under the
-plane-wave control, and ``verify-identity --backend fd4``, pinned by SHA-256.
+"""The suites' outputs at the default configuration and the report over them, one small
+simulate run under the plane-wave control, one long simulate run, and
+``verify-identity --backend fd4``, pinned by SHA-256.
 
 A refactor must leave every record byte-identical.  The hashes were taken with
 NumPy 2.4.6 on Python 3.11.7; another NumPy may round differently, so there the
@@ -39,6 +40,17 @@ def default_outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_default_output_matches_pin(default_outputs, name):
     assert hashlib.sha256((default_outputs / name).read_bytes()).hexdigest() == GOLDEN[name]
+
+
+GOLDEN_SUMMARY = "91c8d1732b2a54c4b5b6c938b661bf77ef11c5b679efec0c656837afccd32c67"
+
+
+def test_report_over_default_outputs_matches_pin(default_outputs, tmp_path):
+    for path in default_outputs.glob("*.jsonl"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_PASS
+    digest = hashlib.sha256((tmp_path / "summary.jsonl").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SUMMARY
 
 
 # the configured ensemble under the plane-wave control, its paths dumped: the control
@@ -89,3 +101,28 @@ def test_fd4_identity_output_matches_pin(tmp_path):
     assert main(["verify-identity", "--backend", "fd4", "--out", str(tmp_path)]) == EXIT_FAIL
     digest = hashlib.sha256((tmp_path / "identity.jsonl").read_bytes()).hexdigest()
     assert digest == GOLDEN_FD4_IDENTITY
+
+
+# few long paths: 64 repro paths take 128 steps per noise chunk, so each 8192-step stream
+# crosses 63 chunk boundaries, which the default configuration's streams never do
+LONG_CONFIG = """
+simulate.n_paths = 2000
+simulate.variance_paths = 256
+simulate.variance_steps = 8192
+simulate.repro_paths = 64
+simulate.repro_steps = 8192
+simulate.control = plane_wave
+simulate.control_w = 1.25,0.75,0,0
+"""
+GOLDEN_LONG_SIMULATE = "df3999fefd5a1dda380039f71e0fc81535e69bfc61a047231a47ebfe00e4a2cd"
+
+
+def test_long_simulate_output_matches_pin(tmp_path):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(LONG_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--seed", "12345",
+                 "--out", str(tmp_path)]) == EXIT_PASS
+    digest = hashlib.sha256((tmp_path / "simulate.jsonl").read_bytes()).hexdigest()
+    assert digest == GOLDEN_LONG_SIMULATE

@@ -167,7 +167,7 @@ def test_band_limited_jet_is_the_field_with_its_derivatives(points, max_mode):
     # Spectral: each derivative agrees with _derivatives(phi) within eps log2(N) K max|phi|,
     # K being the symbol's largest value on the grid (|k| at the Nyquist mode for d_mu, the
     # sum of those k^2 for the box): _derivatives takes phi's own rounding, spread over
-    # every mode, up to K.  fd4: the jet is _derivatives(phi, "fd4") bit for bit.
+    # every mode, up to K.  fd4: the jet is _derivatives(phi, grid, "fd4") bit for bit.
     grid = SpacetimeGrid(dims=len(points), extent=(2 * np.pi,) * len(points), points=points)
     rng_field, rng_jet = np.random.default_rng(17), np.random.default_rng(17)
     field = random_band_limited(grid, max_mode, rng_field, spinor=True)
@@ -178,7 +178,7 @@ def test_band_limited_jet_is_the_field_with_its_derivatives(points, max_mode):
         assert np.array_equal(phi, field.values)
         assert rng_jet.bit_generator.state == rng_field.bit_generator.state
         rng_jet.bit_generator.state = state
-        want_dphi, want_box = _derivatives(field, backend)
+        want_dphi, want_box = _derivatives(field.values, grid, backend)
         assert len(dphi) == grid.dims
         if backend == "fd4":
             assert all(np.array_equal(got, want) for got, want in zip(dphi + [box],

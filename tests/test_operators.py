@@ -435,7 +435,7 @@ def test_in_place_kernel_gives_fock_and_factored_bits(name, grid, spec, backend)
     phi = random_band_limited(grid, 3, rng, spinor=True)
     pot = SampledPotential(spec, grid)
     want = fock_and_factored(phi, pot, WITNESS_CONSTS, backend)
-    dphi, box = _derivatives(phi, backend)
+    dphi, box = _derivatives(phi.values, grid, backend)
     fock, fact = fock_and_factored_in_place(phi.values, grid, pot, WITNESS_CONSTS, backend,
                                             dphi, box)
     assert fock is box and fact is dphi[1]
