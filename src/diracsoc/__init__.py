@@ -14,9 +14,8 @@ from .emfield import (PotentialSpec, constant_electric, constant_magnetic,
 from .grid import (Field, SpacetimeGrid, dalembertian, l2norm, partial, plane_wave,
                    random_band_limited)
 from .operators import (SampledPotential, build_spinor, dirac_apply, factored_rhs,
-                        factorization_discrepancy, fock_and_factored, fock_rhs,
-                        gauge_discrepancy_prediction, kg_residual_componentwise,
-                        legacy_factored_rhs)
+                        factorization_discrepancy, fock_rhs, gauge_discrepancy_prediction,
+                        kg_residual_componentwise, legacy_factored_rhs)
 from .soc import (BATTERY, DiffusionCoefficients, EnsembleParams, TrajectoryEnsemble,
                   accumulate_action, generator_check, hjb_residual_mode, hopf_cole_check,
                   hopf_cole_exponential_error, make_diffusion, optimal_control_mode,

@@ -326,7 +326,6 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
             if check_name == "gauge_discrepancy_law":
                 coef = gauge_discrepancy_coefficient(spec, grid, consts)
             pot = SampledPotential(spec, grid)
-            pot.F  # sampled before the field's derivatives are formed
         rng.bit_generator.state = states[k]
         phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
         jet = [phi, *dphi, box]
@@ -650,7 +649,8 @@ def cmd_report(out: Path) -> int:
     for path in files:  # every input is read before anything is written
         try:
             records = read_jsonl_numbered(path)
-        except ValueError as exc:  # a line that is not a JSON object, or not text
+        # a line that is not a JSON object, or not text, or an entry that cannot be read
+        except (OSError, ValueError) as exc:
             print(f"report: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if not records:
@@ -720,6 +720,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)  # created by the first file a suite writes
+    base = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not base.is_dir():
+        print(f"config error: --out {out}: {base} is not a directory", file=sys.stderr)
+        return EXIT_CONFIG
     kwargs = {"corrupt": args.corrupt_gamma} if args.command == "verify-clifford" else {}
     try:
         code = cmd_report(out) if args.command == "report" \

@@ -150,7 +150,11 @@ def load_config_file(path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {p} cannot be read as UTF-8 text: {exc}") from None
+    return parse_config_text(text)
 
 
 @dataclass(frozen=True)

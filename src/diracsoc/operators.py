@@ -8,14 +8,14 @@ field -i e hbar g(z) phi, which ``gauge_discrepancy_prediction``
 computes directly.
 
 Compositions are evaluated by genuinely applying one operator to the
-output of the other on the grid; there is no symbolic fusion.
-``fock_and_factored`` computes phi's derivative arrays once, from one
-forward transform per axis, and both sides read them: the A.d term of
-``fock_rhs`` and the first factor.  Those arrays are the same bits that
-each side computes alone, so the equivalence check is as honest a
-numerical test as two separate evaluations.  Its kernel,
-``fock_and_factored_in_place``, takes the derivative arrays from its caller
-(``verify-identity`` passes those of ``grid.band_limited_jet``) and forms
+output of the other on the grid; there is no symbolic fusion.  The two sides
+are composed once, in ``fock_and_factored_in_place``: it takes phi's
+derivative arrays from its caller, and both sides read them, the A.d term of
+``fock_rhs`` and the first factor.  ``factorization_discrepancy`` passes
+``grid._derivatives(phi)``, one forward transform per axis, and
+``verify-identity`` passes those of ``grid.band_limited_jet``.  Those arrays
+are the same bits that each side computes alone, so the equivalence check is
+as honest a numerical test as two separate evaluations.  The kernel forms
 both sides in their buffers, taking psi's derivatives one spinor component
 at a time.
 
@@ -28,7 +28,6 @@ row, so the operators mix spinor components through row tables
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,17 +56,34 @@ def require_representable(spec: PotentialSpec, grid: SpacetimeGrid) -> None:
                                 f"use a grid with dims > {mu}")
 
 
+def _sample_field_strength(spec: PotentialSpec, grid: SpacetimeGrid) -> dict:
+    """``SampledPotential.F``, pair by pair: the two Jacobian entries d_mu A_nu and
+    d_nu A_mu are taken once and give both F_munu and F_numu, with no dense 4x4 Jacobian."""
+    pairs = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
+    # d_mu A_nu then d_nu A_mu for each pair; None where it vanishes identically
+    entries = spec.family.jacobian_entries(
+        _coords(grid.coords4()), [p for mu, nu in pairs for p in ((mu, nu), (nu, mu))])
+    F = {}
+    for mu, nu in pairs:
+        d_mu_nu, d_nu_mu = (0j if d is None else d for d in (next(entries), next(entries)))
+        component = d_mu_nu - d_nu_mu
+        if np.any(component != 0):
+            F[(mu, nu)], F[(nu, mu)] = component, d_nu_mu - d_mu_nu
+    for component in F.values():
+        component.setflags(write=False)
+    return dict(sorted(F.items()))
+
+
 class SampledPotential:
     """A potential sampled once on one grid, passed to the operators in place of its spec.
 
     ``A`` holds the lower-index components A_mu on the grid,
     ``coupled[mu]`` says whether A_mu is anywhere nonzero and ``asq`` is
     A^mu A_mu (None where it vanishes identically).  ``F`` maps
-    (mu, nu), mu != nu, to F_munu for the components that are not identically zero,
-    in row-major order.  It is evaluated on first use, pair by pair: the two
-    Jacobian entries d_mu A_nu and d_nu A_mu are taken once and give both
-    F_munu and F_numu, with no dense 4x4 Jacobian.  The operators take F
-    before phi's derivatives exist, so that its peak does not add to theirs.
+    (mu, nu), mu != nu, to F_munu for the components that are not identically
+    zero, in row-major order.  Everything is sampled at construction, F last,
+    once A's temporaries are freed; a potential therefore exists before any
+    derivative of a field it acts on, so F's sampling peak never adds to theirs.
     """
 
     def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid) -> None:
@@ -80,22 +96,8 @@ class SampledPotential:
         asq = sum(METRIC_DIAG[mu] * self.A[mu] * self.A[mu] for mu in range(4))
         asq.setflags(write=False)
         self.asq = asq if np.any(asq != 0) else None
-
-    @cached_property
-    def F(self) -> dict[tuple[int, int], np.ndarray]:
-        pairs = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
-        # d_mu A_nu then d_nu A_mu for each pair; None where it vanishes identically
-        entries = self.spec.family.jacobian_entries(
-            _coords(self.grid.coords4()), [p for mu, nu in pairs for p in ((mu, nu), (nu, mu))])
-        F = {}
-        for mu, nu in pairs:
-            d_mu_nu, d_nu_mu = (0j if d is None else d for d in (next(entries), next(entries)))
-            component = d_mu_nu - d_nu_mu
-            if np.any(component != 0):
-                F[(mu, nu)], F[(nu, mu)] = component, d_nu_mu - d_mu_nu
-        for component in F.values():
-            component.setflags(write=False)
-        return dict(sorted(F.items()))
+        del asq  # a zero A^2 is freed before F is sampled
+        self.F = _sample_field_strength(spec, grid)
 
 
 Potential = PotentialSpec | SampledPotential
@@ -283,7 +285,6 @@ def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     """
     _require_spinor(phi)
     pot = _sampled(phi, A)
-    pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
     dphi, box = _derivatives(phi.values, phi.grid, backend,
                              first=any(pot.coupled[:phi.grid.dims]))
     return Field(phi.grid, _fock_values(phi.values, phi.grid, pot, consts, dphi, box),
@@ -316,27 +317,6 @@ def fock_and_factored_in_place(phi: np.ndarray, grid: SpacetimeGrid, pot: Sample
     fact = _slash_values(psi, grid, pot, consts, backend, mass=-1,
                          out=dphi[1] if len(dphi) > 1 else None)
     return fock, _require_finite(fact)
-
-
-def _fock_and_factored(phi: Field, A: Potential, consts: PhysicalConstants,
-                       backend: str) -> tuple[np.ndarray, np.ndarray]:
-    _require_spinor(phi)
-    pot = _sampled(phi, A)
-    pot.F  # sampled before phi's derivatives exist (see SampledPotential.F)
-    return fock_and_factored_in_place(phi.values, phi.grid, pot, consts, backend,
-                                      *_derivatives(phi.values, phi.grid, backend))
-
-
-def fock_and_factored(phi: Field, A: Potential, consts: PhysicalConstants,
-                      backend: str = "spectral") -> tuple[Field, Field]:
-    """(``fock_rhs``, ``factored_rhs``) of phi, sharing phi's derivatives.
-
-    d_mu phi and the d'Alembertian come from one forward transform per axis
-    and feed ``fock_and_factored_in_place``.  Each output is the same bits as
-    the function's own.
-    """
-    fock, fact = _fock_and_factored(phi, A, consts, backend)
-    return Field(phi.grid, fock, copy=False), Field(phi.grid, fact, copy=False)
 
 
 def legacy_factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -382,7 +362,10 @@ def factorization_discrepancy(phi: Field, A: Potential, consts: PhysicalConstant
                               backend: str = "spectral") -> float:
     """|factored - fock| / |fock|, the relative discrepancy between the two forms
     (inf where fock vanishes)."""
-    return relative_discrepancy(*_fock_and_factored(phi, A, consts, backend))
+    _require_spinor(phi)
+    return relative_discrepancy(*fock_and_factored_in_place(
+        phi.values, phi.grid, _sampled(phi, A), consts, backend,
+        *_derivatives(phi.values, phi.grid, backend)))
 
 
 @dataclass(frozen=True)

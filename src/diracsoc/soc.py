@@ -52,11 +52,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import METRIC_DIAG, ArrayC, as_four_vector
+from .clifford import METRIC_DIAG, ArrayC, as_four_vector, mdot
 from .constants import PhysicalConstants
 from .emfield import (Polynomial, PotentialSpec, evaluate_potential, field_strength,
                       spin_coupling_matrix)
-from .grid import Field, dalembertian, partial_or_zero
+from .grid import SpacetimeGrid, _derivatives, _require_finite
 
 
 class SocError(ValueError):
@@ -80,14 +80,9 @@ def optimal_control_mode(k, consts: PhysicalConstants, A_const=None) -> ArrayC:
     return (consts.epsilon / consts.m) * (consts.hbar * k - consts.e * a)
 
 
-def weak_condition_residual(w, consts: PhysicalConstants):
-    """w_mu w^mu - c^2; zero for controls derived from on-shell modes."""
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape[0] != 4:
-        raise SocError("control components must be stacked along the first axis")
-    eta = METRIC_DIAG.reshape((4,) + (1,) * (w.ndim - 1))
-    res = np.sum(eta * w * w, axis=0) - consts.c ** 2
-    return complex(res) if np.ndim(res) == 0 else res
+def weak_condition_residual(w, consts: PhysicalConstants) -> complex:
+    """w_mu w^mu - c^2 for a four-vector w; zero for controls derived from on-shell modes."""
+    return mdot(w, w) - consts.c ** 2
 
 
 # -- HJB residual and Hopf-Cole identity -------------------------------------
@@ -101,34 +96,33 @@ def hjb_residual_mode(k, consts: PhysicalConstants, A_const=None) -> complex:
     k = as_four_vector(k)
     a = np.zeros(4, dtype=np.complex128) if A_const is None else as_four_vector(A_const)
     grad = consts.hbar * k - consts.e * a  # i hbar (-i k_mu) - e A_mu
-    quad = complex(np.sum(METRIC_DIAG * grad * grad))
-    rhs = -consts.mass_shell + quad
+    rhs = -consts.mass_shell + mdot(grad, grad)
     return -rhs
 
 
-def hopf_cole_check(phi: Field, backend: str = "spectral") -> float:
-    """Max |(dJ)^2 + ddJ - ddphi/phi| over the grid, with J = log phi.
+def hopf_cole_check(phi: np.ndarray, grid: SpacetimeGrid, backend: str = "spectral") -> float:
+    """Max |(dJ)^2 + ddJ - ddphi/phi| over ``grid``, with J = log phi, for scalar values phi.
 
     Both sides are computed through genuinely different routes: the left
     through derivatives of the pointwise logarithm, the right through
-    derivatives of phi itself.  |phi| must stay above 1e-8 of its largest value.
+    derivatives of phi itself.  phi and its logarithm must be finite (GridError
+    otherwise), and |phi| must stay above 1e-8 of its largest value.
     """
-    if phi.is_spinor:
-        raise HopfColeError("the Hopf-Cole check takes a scalar field")
-    mag = np.abs(phi.values)
+    phi = np.asarray(phi, dtype=np.complex128)
+    if phi.shape != grid.shape:
+        raise HopfColeError(f"the Hopf-Cole check takes a scalar field of shape {grid.shape}")
+    mag = np.abs(_require_finite(phi))
     floor = 1e-8 * float(mag.max())
     if float(mag.min()) < floor:
         idx = np.unravel_index(int(np.argmin(mag)), mag.shape)
-        point = tuple(float(phi.grid.axis(mu)[idx[mu]]) for mu in range(phi.grid.dims))
+        point = tuple(float(grid.axis(mu)[idx[mu]]) for mu in range(grid.dims))
         raise HopfColeError(
             f"|phi| = {mag.min():.3e} < {floor:.3e} near grid point {point}; "
             "the logarithm is ill-conditioned there")
-    jt = Field(phi.grid, np.log(phi.values))
-    lhs = dalembertian(jt, backend).values.copy()
-    for mu in range(phi.grid.dims):
-        dj = partial_or_zero(jt, mu, backend).values
+    grads, lhs = _derivatives(_require_finite(np.log(phi)), grid, backend)
+    for mu, dj in enumerate(grads):
         lhs += METRIC_DIAG[mu] * dj * dj
-    rhs = dalembertian(phi, backend).values / phi.values
+    rhs = _derivatives(phi, grid, backend, first=False)[1] / phi
     return float(np.abs(lhs - rhs).max())
 
 

@@ -688,11 +688,15 @@ def test_report_missing_directory_exit_2(tmp_path, capsys):
     ("", "dispersion.jsonl holds no records"),
     ('{"suite":"dispersion","pass":true}\n{"suite":\n', "dispersion.jsonl line 2: not JSON"),
     ("[1, 2]\n", "dispersion.jsonl line 1: not a JSON object"),
-], ids=["empty", "truncated_line", "not_an_object"])
+    (None, "Is a directory"),
+], ids=["empty", "truncated_line", "not_an_object", "directory"])
 def test_report_refuses_bad_input_exit_2(tmp_path, content, words):
     out = tmp_path / "o"
     assert main(["verify-clifford", "--out", str(out)]) == EXIT_PASS
-    (out / "dispersion.jsonl").write_text(content)
+    if content is None:  # an entry that matches *.jsonl but cannot be read
+        (out / "dispersion.jsonl").mkdir()
+    else:
+        (out / "dispersion.jsonl").write_text(content)
     proc = run_cli_process("diracsoc.cli", "report", "--out", str(out))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -845,6 +849,33 @@ def assert_one_line_config_error(proc, key):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"config error: {key}")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_config_file_that_is_not_utf8_text_exit_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00")
+    proc = run_cli_process("diracsoc.cli", "verify-clifford", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert_one_line_config_error(proc, "config file")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+def test_out_that_is_or_lies_under_a_file_exit_2(tmp_path, below):
+    # refused before the suite runs, and nothing is created or overwritten
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    proc = run_cli_process("diracsoc.cli", "dispersion", "--out", str(taken / below))
+    assert_one_line_config_error(proc, "--out")
+    assert taken.read_bytes() == b"not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_out_that_is_a_dangling_link_exit_2(tmp_path):
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+    proc = run_cli_process("diracsoc.cli", "dispersion", "--out", str(tmp_path / "link"))
+    assert_one_line_config_error(proc, "--out")
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
 
 
 def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):

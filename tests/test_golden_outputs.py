@@ -1,6 +1,7 @@
 """The suites' outputs at the default configuration and the report over them, one small
-simulate run under the plane-wave control, one long simulate run, and
-``verify-identity --backend fd4``, pinned by SHA-256.
+simulate run under the plane-wave control, one long simulate run,
+``verify-identity --backend fd4`` and ``verify-identity`` at non-unit constants, pinned
+by SHA-256.
 
 A refactor must leave every record byte-identical.  The hashes were taken with
 NumPy 2.4.6 on Python 3.11.7; another NumPy may round differently, so there the
@@ -126,3 +127,27 @@ def test_long_simulate_output_matches_pin(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_PASS
     digest = hashlib.sha256((tmp_path / "simulate.jsonl").read_bytes()).hexdigest()
     assert digest == GOLDEN_LONG_SIMULATE
+
+
+# constants away from 1, so that the records tell powers of hbar, c, m and e apart,
+# which the default unit constants cannot
+NON_UNIT_CONFIG = """
+constants.hbar = 0.75
+constants.c = 1.5
+constants.m = 1.25
+constants.e = -0.6
+grid.points = 64,64
+identity.n_fields = 3
+identity.gauge_fields = 2
+"""
+GOLDEN_NON_UNIT_IDENTITY = "e789b67c78d8c47f8eceec9c5059a8e32dcafeb461f866ce0e10af81bef9dde5"
+
+
+def test_non_unit_constants_identity_output_matches_pin(tmp_path):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(NON_UNIT_CONFIG)
+    assert main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_PASS
+    digest = hashlib.sha256((tmp_path / "identity.jsonl").read_bytes()).hexdigest()
+    assert digest == GOLDEN_NON_UNIT_IDENTITY

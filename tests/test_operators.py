@@ -11,7 +11,7 @@ from diracsoc.grid import (Field, GridError, SpacetimeGrid, _derivatives, band_l
                            dalembertian, l2norm, partial, plane_wave, random_band_limited)
 from diracsoc.operators import (_COMMUTATOR_ROWS, _GAMMA_ROWS, OperatorError, SampledPotential,
     _accumulate, _monomial_rows, build_spinor, dirac_apply, factored_rhs,
-    factorization_discrepancy, fock_and_factored, fock_and_factored_in_place, fock_rhs,
+    factorization_discrepancy, fock_and_factored_in_place, fock_rhs,
     gauge_discrepancy_prediction, kg_residual_componentwise, legacy_factored_rhs,
     minimal_coupling_slash, relative_discrepancy)
 
@@ -416,25 +416,28 @@ def test_operators_equal_term_by_term_reference(name, grid, spec, backend):
         phi = random_band_limited(grid, 3, rng, spinor=True)
         fock_want = _ref_fock(phi, spec, c, backend)
         fact_want = _ref_factored(phi, spec, c, backend)
-        for pot in (spec, SampledPotential(spec, grid)):
+        sampled = SampledPotential(spec, grid)
+        for pot in (spec, sampled):
             assert np.array_equal(fock_rhs(phi, pot, c, backend).values, fock_want)
             assert np.array_equal(factored_rhs(phi, pot, c, backend).values, fact_want)
-            # the shared kernel gives the same bits as the two operators alone
-            fock, fact = fock_and_factored(phi, pot, c, backend)
-            assert np.array_equal(fock.values, fock_want)
-            assert np.array_equal(fact.values, fact_want)
+        # the shared kernel gives the same bits as the two operators alone
+        fock, fact = fock_and_factored_in_place(phi.values, grid, sampled, c, backend,
+                                                *_derivatives(phi.values, grid, backend))
+        assert np.array_equal(fock, fock_want)
+        assert np.array_equal(fact, fact_want)
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd4"])
 @pytest.mark.parametrize("name,grid,spec", witness_cases())
 def test_in_place_kernel_gives_fock_and_factored_bits(name, grid, spec, backend):
     # fed _derivatives(phi), the kernel forms fock in box's buffer and the second factor in
-    # dphi[1]'s with fock_and_factored's bits, and the residual it leaves equals
-    # factorization_discrepancy's
+    # dphi[1]'s with the bits of fock_rhs and factored_rhs, and the residual it leaves
+    # equals factorization_discrepancy's
     rng = np.random.default_rng(131)
     phi = random_band_limited(grid, 3, rng, spinor=True)
     pot = SampledPotential(spec, grid)
-    want = fock_and_factored(phi, pot, WITNESS_CONSTS, backend)
+    want = (fock_rhs(phi, pot, WITNESS_CONSTS, backend),
+            factored_rhs(phi, pot, WITNESS_CONSTS, backend))
     dphi, box = _derivatives(phi.values, grid, backend)
     fock, fact = fock_and_factored_in_place(phi.values, grid, pot, WITNESS_CONSTS, backend,
                                             dphi, box)
@@ -470,7 +473,8 @@ def test_fock_and_factored_transforms_phi_once_per_axis(monkeypatch):
     rng = np.random.default_rng(113)
     phi = random_band_limited(WITNESS_GRID, 3, rng, spinor=True)
     passes = count_transforms(monkeypatch, WITNESS_GRID)
-    fock_and_factored(phi, emfield.constant_potential([0.8, -0.3, 0.2, 0.0]), WITNESS_CONSTS)
+    factorization_discrepancy(phi, emfield.constant_potential([0.8, -0.3, 0.2, 0.0]),
+                              WITNESS_CONSTS)
     assert passes == {"fft": 4, "ifft": 6, "window": 0}
 
 
@@ -478,10 +482,9 @@ def test_identity_field_path_transforms(monkeypatch):
     # the suite's path for one field on the default grid, 8 full passes and 4 window passes:
     # the jet's 4 full inverse passes (phi, d_0 phi, d_1 phi, box) and 4 window passes, then
     # psi's 2 forward and 2 inverse passes.  Drawing phi and then transforming it, as
-    # fock_and_factored does, takes 11 full passes and 1 window pass.
+    # factorization_discrepancy does, takes 11 full passes and 1 window pass.
     grid = SpacetimeGrid()
     pot = SampledPotential(identity_potentials(grid)[2][1], grid)
-    pot.F
     passes = count_transforms(monkeypatch, grid)
     phi, dphi, box = band_limited_jet(grid, 8, np.random.default_rng(5))
     fock_and_factored_in_place(phi, grid, pot, PhysicalConstants(), "spectral", dphi, box)
@@ -497,10 +500,10 @@ def _traced_peak(fn, *args):
 
 
 def test_factorization_discrepancy_peak_memory_on_the_default_grid():
-    # The kernel holds at most five spinor-sized arrays above its inputs.  F is sampled
-    # inside the call for a fresh SampledPotential, before phi's derivative arrays
-    # exist, so its sampling adds nothing to the larger of the two peaks: sampling F, or
-    # the kernel on top of the F components that stay.
+    # The kernel holds at most five spinor-sized arrays above its inputs.  Given a spec,
+    # the call samples the potential, F included, before phi's derivative arrays exist,
+    # so sampling adds nothing to the larger of the two peaks: sampling the potential, or
+    # the kernel on top of the sampled arrays that stay.
     grid = SpacetimeGrid()
     consts = PhysicalConstants()
     rng = np.random.default_rng(127)
@@ -510,13 +513,12 @@ def test_factorization_discrepancy_peak_memory_on_the_default_grid():
         for name, spec in potentials:
             phi = random_band_limited(grid, 8, rng, spinor=True)
             size = phi.values.nbytes
-            probe = SampledPotential(spec, grid)
-            sampling = _traced_peak(lambda: probe.F)
-            del probe
+            sampling = _traced_peak(SampledPotential, spec, grid)
             pot = SampledPotential(spec, grid)
-            fresh = _traced_peak(factorization_discrepancy, phi, pot, consts)
+            fresh = _traced_peak(factorization_discrepancy, phi, spec, consts)
             kernel = _traced_peak(factorization_discrepancy, phi, pot, consts)
-            kept = sum(f.nbytes for f in pot.F.values())
+            kept = sum(a.nbytes for a in [pot.A, *pot.F.values()]
+                       + ([] if pot.asq is None else [pot.asq]))
             assert kernel <= 5 * size, (name, kernel / size)
             assert fresh <= max(sampling, kept + kernel) + size // 16, (name, fresh / size)
             del pot, phi

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from diracsoc import emfield, soc
 from diracsoc.clifford import METRIC_DIAG, mdot
 from diracsoc.constants import PhysicalConstants
-from diracsoc.grid import Field, SpacetimeGrid, random_band_limited
+from diracsoc.grid import Field, SpacetimeGrid, dalembertian, partial, random_band_limited
 from diracsoc.emfield import Polynomial
 from diracsoc.soc import (BATTERY, DiffusionCoefficients, EnsembleParams, EulerStream,
     HopfColeError, _path_noise, SocError, accumulate_action, generator_check,
@@ -94,8 +94,7 @@ def test_hopf_cole_grid_exponential_of_single_mode():
     kappa = 2 * np.pi * 2 / GRID.extent[1]
     z1 = GRID.meshes()[1]
     g = 0.4 * np.exp(1j * kappa * z1)
-    phi = Field(GRID, np.exp(g))
-    assert hopf_cole_check(phi) <= 1e-10
+    assert hopf_cole_check(np.exp(g), GRID) <= 1e-10
 
 
 def test_hopf_cole_random_bounded_below():
@@ -105,15 +104,39 @@ def test_hopf_cole_random_bounded_below():
     rng = np.random.default_rng(71)
     f = random_band_limited(g, 3, rng)
     bump = 0.45 * f.values / np.abs(f.values).max()
-    phi = Field(g, 1.0 + bump)  # |phi| >= 0.55
-    assert hopf_cole_check(phi) <= 1e-8
+    assert hopf_cole_check(1.0 + bump, g) <= 1e-8  # |phi| >= 0.55
 
 
 def test_hopf_cole_zero_crossing_rejected():
     z0, z1 = GRID.meshes()
-    phi = Field(GRID, np.sin(z1) + 0j + 1e-12)
     with pytest.raises(HopfColeError, match="grid point"):
-        hopf_cole_check(phi)
+        hopf_cole_check(np.sin(z1) + 0j + 1e-12, GRID)
+
+
+def _hopf_cole_through_fields(phi, grid, backend):
+    """``hopf_cole_check``'s formula through the Field forms ``dalembertian`` and ``partial``."""
+    jt = Field(grid, np.log(phi))
+    lhs = dalembertian(jt, backend).values.copy()
+    for mu in range(grid.dims):
+        dj = partial(jt, mu, backend).values
+        lhs += METRIC_DIAG[mu] * dj * dj
+    rhs = dalembertian(Field(grid, phi), backend).values / phi
+    return float(np.abs(lhs - rhs).max())
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd4"])
+def test_hopf_cole_check_equals_the_field_route(backend):
+    # a bounded-below random field and the exponential of a single mode
+    f = random_band_limited(GRID, 3, np.random.default_rng(73)).values
+    z1 = GRID.meshes()[1]
+    for phi in (1.0 + 0.45 * f / np.abs(f).max(),
+                np.exp(0.4 * np.exp(1j * (2 * np.pi * 2 / GRID.extent[1]) * z1))):
+        assert hopf_cole_check(phi, GRID, backend) == _hopf_cole_through_fields(phi, GRID, backend)
+
+
+def test_hopf_cole_check_takes_scalar_values():
+    with pytest.raises(HopfColeError, match="scalar field"):
+        hopf_cole_check(np.ones((4,) + GRID.shape, dtype=np.complex128), GRID)
 
 
 # -- diffusion coefficients ---------------------------------------------------
