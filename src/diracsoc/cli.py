@@ -280,13 +280,18 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
         sweep = [(configured.name, configured)] if emfield.is_lorenz_gauge(configured) else []
         negatives = [] if emfield.is_lorenz_gauge(configured) \
             else [(configured.name, configured)]
+    elif grid.dims < 2:
+        raise ConfigError("grid.dims = 1 leaves no axis 1 for the catalog sweep's waves; "
+                          "use grid.dims >= 2 or name one potential in potential.name")
     else:
         sweep = identity_potentials(grid)
         negatives = [("negative-gauge", gauge_violating_potential(grid))]
 
-    # A phi reaches mode max_mode + (the potential's mode); the Nyquist mode points/2
-    # is zeroed by the spectral derivative, so the identity would fail by aliasing.
-    # A polynomial that varies along an axis is not periodic: A phi jumps at the wrap.
+    # A potential that is not periodic on the grid makes A phi jump at the wrap: a
+    # polynomial that varies along an axis, or a wave whose mode |k_mu| L_mu / 2 pi
+    # is not a whole number.  A phi reaches mode max_mode + (the potential's mode); the
+    # Nyquist mode points/2 is zeroed by the spectral derivative, so the identity would
+    # fail by aliasing.
     for name, spec in sweep + negatives:
         for mu in range(grid.dims):
             if isinstance(spec.family, emfield.PolynomialPotential) \
@@ -295,6 +300,11 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
                                   f"{mu}; it is not periodic on the grid, so A phi would "
                                   f"jump at the wrap")
             mode = spec.family.mode(mu, grid.extent[mu])
+            if abs(mode - round(mode)) > 1e-9:
+                raise ConfigError(f"potential.k{mu} = {spec.family.k[mu]:.6g} of {name} is mode "
+                                  f"{mode:.6g} on axis {mu}, not a whole number of periods "
+                                  f"over grid.extent {grid.extent[mu]:.6g}; it is not periodic "
+                                  f"on the grid, so A phi would jump at the wrap")
             if max_mode + mode >= grid.points[mu] / 2 - 1e-9:  # commensurate k: whole modes
                 raise ConfigError(f"identity.max_mode {max_mode} plus mode {mode:.6g} of potential "
                                   f"{name} on axis {mu} reaches the Nyquist mode of "

@@ -195,11 +195,6 @@ class RunConfig:
             cfg.potential()
         except PotentialError as exc:
             raise ConfigError(f"potential.{exc.param or 'name'}: {exc}") from None
-        nyquist = min(cfg["grid.points"]) // 2
-        if cfg["identity.max_mode"] >= nyquist:
-            raise ConfigError(f"identity.max_mode must be 0..{nyquist - 1} so that random "
-                              f"fields stay below the Nyquist mode of grid.points "
-                              f"{merged['grid.points']}, got {merged['identity.max_mode']}")
         return cfg
 
     def __getitem__(self, key: str):

@@ -231,18 +231,20 @@ def constant_magnetic(B: float) -> PotentialSpec:
     return PotentialSpec("constant_magnetic", {"B": B})
 
 
-def em_plane_wave(eps, k, phase: float = 0.0) -> PotentialSpec:
+def _wave_params(eps, k, phase: float) -> dict[str, float]:
+    """The parameters of a wave entry: eps0..eps3, k0..k3 and phase."""
     params = {f"eps{mu}": float(eps[mu]) for mu in range(4)}
     params.update({f"k{mu}": float(k[mu]) for mu in range(4)})
     params["phase"] = float(phase)
-    return PotentialSpec("em_plane_wave", params)
+    return params
+
+
+def em_plane_wave(eps, k, phase: float = 0.0) -> PotentialSpec:
+    return PotentialSpec("em_plane_wave", _wave_params(eps, k, phase))
 
 
 def custom_wave(eps, k, phase: float = 0.0) -> PotentialSpec:
-    params = {f"eps{mu}": float(eps[mu]) for mu in range(4)}
-    params.update({f"k{mu}": float(k[mu]) for mu in range(4)})
-    params["phase"] = float(phase)
-    return PotentialSpec("custom_wave", params)
+    return PotentialSpec("custom_wave", _wave_params(eps, k, phase))
 
 
 def custom_polynomial(terms: Mapping[str, float]) -> PotentialSpec:

@@ -264,7 +264,7 @@ def dalembertian(f: Field, backend: str = "spectral") -> Field:
     return Field(f.grid, _derivatives(f.values, f.grid, backend, first=False)[1], copy=False)
 
 
-def plane_wave(grid: SpacetimeGrid, k, chi=None, amplitude: complex = 1.0) -> Field:
+def plane_wave(grid: SpacetimeGrid, k, chi=None) -> Field:
     """exp(-i k.z) (times a constant bispinor chi, if given).
 
     k holds lower-index components; its inactive-axis components must
@@ -276,7 +276,7 @@ def plane_wave(grid: SpacetimeGrid, k, chi=None, amplitude: complex = 1.0) -> Fi
             raise GridError(f"plane wave needs k[{mu}]=0 on a {grid.dims}-dim grid")
     zs = grid.meshes()
     phase = sum(k[mu] * zs[mu] for mu in range(grid.dims))
-    wave = amplitude * np.exp(-1j * phase)
+    wave = np.exp(-1j * phase)
     if chi is None:
         return Field(grid, wave, copy=False)
     chi = np.asarray(chi, dtype=np.complex128).reshape(4)

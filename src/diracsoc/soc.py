@@ -106,12 +106,15 @@ def hopf_cole_check(phi: np.ndarray, grid: SpacetimeGrid, backend: str = "spectr
     Both sides are computed through genuinely different routes: the left
     through derivatives of the pointwise logarithm, the right through
     derivatives of phi itself.  phi and its logarithm must be finite (GridError
-    otherwise), and |phi| must stay above 1e-8 of its largest value.
+    otherwise), and |phi| must stay above 1e-8 of its largest value, which must
+    not be 0 (HopfColeError otherwise).
     """
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != grid.shape:
         raise HopfColeError(f"the Hopf-Cole check takes a scalar field of shape {grid.shape}")
     mag = np.abs(_require_finite(phi))
+    if not mag.any():  # the floor below would be 0 and never fire
+        raise HopfColeError("phi vanishes everywhere; it has no logarithm")
     floor = 1e-8 * float(mag.max())
     if float(mag.min()) < floor:
         idx = np.unravel_index(int(np.argmin(mag)), mag.shape)

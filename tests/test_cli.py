@@ -844,6 +844,15 @@ def run_cli_process(module, *args):
     return run_python("-m", module, *args)
 
 
+@pytest.mark.parametrize("module", ["diracsoc.report", "diracsoc.clifford"])
+def test_importing_a_module_loads_no_other_package_module(module):
+    # the package re-exports nothing, so a module brings in only what it imports itself
+    proc = run_python("-c", f"import sys, {module}\n"
+                            "print(*sorted(m for m in sys.modules if m.startswith('diracsoc')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["diracsoc", module]
+
+
 def assert_one_line_config_error(proc, key):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -1002,6 +1011,18 @@ def test_evolve_sweep_checks_leave_other_suites_alone(tmp_path, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PASS
 
 
+# only verify-identity reads identity.max_mode, so a grid below its Nyquist rule (the
+# default max_mode 8 reaches the Nyquist mode of 16 points) leaves every other command alone
+@pytest.mark.parametrize("command", ["verify-clifford", "dispersion", "evolve", "simulate",
+                                     "report"])
+def test_identity_nyquist_rule_leaves_other_suites_alone(tmp_path, command):
+    cfg = write_cfg(tmp_path, "grid.points = 16,16\n" + FAST_SIMULATE)
+    out = str(tmp_path / "o")
+    if command == "report":
+        assert main(["verify-clifford", "--out", out]) == EXIT_PASS
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_PASS
+
+
 def test_evolve_refuses_a_mass_its_sweep_cannot_reach(tmp_path):
     cfg = write_cfg(tmp_path, "constants.m = 0.5\n")
     proc = run_cli_process("diracsoc.cli", "evolve", "--config", cfg,
@@ -1085,6 +1106,65 @@ potential.k3 = 0
                            "--out", str(tmp_path / "o"))
     assert_one_line_config_error(proc, "identity.max_mode")
     assert "em_plane_wave on axis 0" in proc.stderr
+
+
+@pytest.mark.parametrize("max_mode,code", [(7, 0), (8, 2)])
+def test_identity_max_mode_against_the_free_potential(tmp_path, max_mode, code):
+    # the free potential adds no mode, so max_mode reaches the Nyquist mode 8 of 16 points
+    # on its own
+    cfg = write_cfg(tmp_path, f"grid.points = 16,16\nidentity.n_fields = 1\n"
+                              f"identity.max_mode = {max_mode}\npotential.name = free\n")
+    proc = run_cli_process("diracsoc.cli", "verify-identity", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    if code == 0:
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert_one_line_config_error(proc, "identity.max_mode")
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,code", [("catalog", 2), ("free", 0)])
+def test_identity_catalog_needs_two_axes(tmp_path, name, code):
+    # the catalog's waves vary along axis 1; one configured potential runs on one axis
+    cfg = write_cfg(tmp_path, f"grid.dims = 1\ngrid.extent = 6.283185307179586\n"
+                              f"grid.points = 64\nidentity.n_fields = 2\n"
+                              f"identity.max_mode = 4\npotential.name = {name}\n")
+    proc = run_cli_process("diracsoc.cli", "verify-identity", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    if code == 0:
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert_one_line_config_error(proc, "grid.dims")
+        assert not (tmp_path / "o").exists()
+
+
+WAVE_1_5 = PLANE_WAVE_PARAMS.replace("k0 = 1\n", "k0 = 1.5\n").replace("k1 = 1\n",
+                                                                       "k1 = 1.5\n")
+
+
+@pytest.mark.parametrize("text,key", [
+    ("potential.name = em_plane_wave\n" + WAVE_1_5, "potential.k0"),
+    ("potential.name = custom_wave\n"
+     + GAUGE_VIOLATING_PARAMS.replace("k0 = 1\n", "k0 = 0.5\n"), "potential.k0"),
+    ("potential.name = custom_wave\n"
+     + GAUGE_VIOLATING_PARAMS.replace("k1 = 0\n", "k1 = 0.25\n"), "potential.k1"),
+], ids=["plane_wave", "gauge_violating", "second_axis"])
+def test_identity_refuses_a_wave_that_is_not_periodic_on_the_grid(tmp_path, text, key):
+    # mode |k_mu| L_mu / 2 pi of 1.5, 0.5 or 0.25 on the 2 pi extents: A phi would jump at
+    # the wrap, and the records would fail on correct code
+    cfg = write_cfg(tmp_path, FAST_IDENTITY + text)
+    proc = run_cli_process("diracsoc.cli", "verify-identity", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    assert_one_line_config_error(proc, key)
+    assert "not a whole number" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_identity_runs_a_wave_that_is_periodic_on_a_longer_extent(tmp_path):
+    # k = 1.5 fits 3 whole periods into an extent of 4 pi
+    cfg = write_cfg(tmp_path, FAST_IDENTITY + "grid.extent = 12.566370614359172,"
+                    "12.566370614359172\npotential.name = em_plane_wave\n" + WAVE_1_5)
+    assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PASS
 
 
 @pytest.mark.parametrize("patched,check", [("corrcoef", "reim_correlation_signs"),

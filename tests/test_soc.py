@@ -113,6 +113,12 @@ def test_hopf_cole_zero_crossing_rejected():
         hopf_cole_check(np.sin(z1) + 0j + 1e-12, GRID)
 
 
+def test_hopf_cole_zero_field_rejected():
+    # the floor 1e-8 max|phi| of a field that vanishes everywhere is 0, below every |phi|
+    with pytest.raises(HopfColeError, match="vanishes everywhere"):
+        hopf_cole_check(np.zeros(GRID.shape, dtype=np.complex128), GRID)
+
+
 def _hopf_cole_through_fields(phi, grid, backend):
     """``hopf_cole_check``'s formula through the Field forms ``dalembertian`` and ``partial``."""
     jt = Field(grid, np.log(phi))
