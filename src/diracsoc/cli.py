@@ -2,18 +2,18 @@
 
 Subcommands: verify-clifford, verify-identity, dispersion, evolve,
 simulate, report.  Each suite is a module-level ``<stem>_records(cfg)``
-function that returns ``(records, rows, spans)``: its records, all built by
-``check``, its CSV rows and the seconds per check family.  The verdict is
+function that returns ``(records, rows, meta)``: its records, all built by
+``check``, its CSV rows and its timings for the meta file.  The verdict is
 ``residual <= tolerance`` (a NaN residual fails), and every record carries
 the suite name, the effective-configuration hash, seed, constants, backend,
-and the branch choices, so outputs are self-describing.  ``verify-identity``
-and ``simulate`` hand their work to one task runner, ``_in_processes``, as
-costed check tasks (a field each, a check family each) that it runs in up to
-one forked process per CPU and joins in the serial order.  One suite runner,
-``run_suite``, times a suite, writes ``<stem>.jsonl``, its CSV and
-``<stem>_meta.json``, and picks the exit code; re-running a command with an
-identical configuration reproduces the JSON-lines files byte for byte, for
-any number of processes.
+and the branch choices, so outputs are self-describing.  Every suite makes its
+refusals first and then hands its work to one task runner, ``_in_processes``,
+as named, costed check tasks (a field each, a check family each) that it
+times, runs in up to one forked process per CPU and joins in the serial order.
+One suite runner, ``run_suite``, times a suite, writes ``<stem>.jsonl``, its
+CSV and ``<stem>_meta.json``, and picks the exit code; re-running a command
+with an identical configuration reproduces the JSON-lines files byte for
+byte, for any number of processes.
 
 Exit codes: 0 all checks pass, 1 at least one check failed,
 2 usage/configuration error, 3 numerical blow-up.
@@ -64,22 +64,6 @@ def check(cfg: RunConfig, suite: str, name: str, holds: bool = True, **fields) -
     return rec
 
 
-class Laps(dict):
-    """perf_counter seconds per check family; ``lap(name)`` closes the span opened
-    by the previous lap (or by construction) and files it under ``name``.
-    ``extra`` holds further timings for the meta file."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.extra = {}
-        self._last = time.perf_counter()
-
-    def lap(self, name: str) -> None:
-        now = time.perf_counter()
-        self[name] = now - self._last
-        self._last = now
-
-
 # -- the check-task runner ------------------------------------------------------
 
 def _worker_count(n_tasks: int) -> int:
@@ -102,39 +86,38 @@ def _share_out(costs: list[int], n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _in_processes(tasks: list[tuple[int, object]]) -> tuple[list[dict], list, Laps]:
-    """Run the check tasks of ``tasks``, (cost, task) pairs, and return their records
-    and rows joined in index order, with their spans summed by name.
+def _in_processes(tasks: list[tuple[str, int, object]]) -> tuple[list[dict], list, dict]:
+    """Run the check tasks of ``tasks``, (name, cost, task) triples, and return their
+    records and rows joined in index order, and the meta of the run.
 
     The tasks are dealt to ``_worker_count`` processes by cost (``_share_out``),
-    and each process runs its own in increasing index.  task(spans) gives its
-    (records, rows); its span, opened as it starts, is closed under its last
-    record's check (a task that writes two checks closes the first itself).  A
-    process stops at its first task that raises an Exception.  Once every
-    process is done, the exception of the lowest index is raised here with its
-    type and message: the one that running every task in index order meets
-    first.  The first share runs in this process and each other share in a child
-    forked first, which pickles what it did into a pipe and leaves by
-    ``os._exit``, so that it runs no atexit handler and flushes no inherited
-    buffer.  The collector's objects are frozen across the forks
-    (``gc.freeze``), so that no collection in a child touches, and so copies,
-    the pages it shares with this process.  Every child is reaped before this
-    returns or raises; if this process fails first, the children are killed.
-    ``spans.extra`` gets the process count and each process's busy seconds.
+    and each process runs its own in increasing index.  task() gives its
+    (records, rows), and the seconds it takes are summed under its name in
+    ``check_seconds``, in the order the names first appear.  A process stops at
+    its first task that raises an Exception.  Once every process is done, the
+    exception of the lowest index is raised here with its type and message: the
+    one that running every task in index order meets first.  The first share
+    runs in this process and each other share in a child forked first, which
+    pickles what it did into a pipe and leaves by ``os._exit``, so that it runs
+    no atexit handler and flushes no inherited buffer.  The collector's objects
+    are frozen across the forks (``gc.freeze``), so that no collection in a child
+    touches, and so copies, the pages it shares with this process.  Every child
+    is reaped before this returns or raises; if this process fails first, the
+    children are killed.  The meta also gives the process count and each
+    process's busy seconds.
     """
     n = _worker_count(len(tasks))
-    dealt = _share_out([cost for cost, _ in tasks], n)
+    dealt = _share_out([cost for _, cost, _ in tasks], n)
 
     def run(w):
         started, done = time.perf_counter(), []
         for k in dealt[w]:
-            spans = Laps()
+            task_started = time.perf_counter()
             try:
-                records, rows = tasks[k][1](spans)
+                records, rows = tasks[k][2]()
             except Exception as exc:
                 return done, (k, exc), time.perf_counter() - started
-            spans.lap(records[-1]["check"])
-            done.append((k, records, rows, spans))
+            done.append((k, records, rows, time.perf_counter() - task_started))
         return done, None, time.perf_counter() - started
 
     children, shares = [], []
@@ -173,57 +156,59 @@ def _in_processes(tasks: list[tuple[int, object]]) -> tuple[list[dict], list, La
     errors = [error for _, error, _ in shares if error is not None]
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    records, rows, spans = [], [], Laps()
-    for _, task_records, task_rows, task_spans in sorted(
+    records, rows, seconds = [], [], {}
+    for k, task_records, task_rows, task_seconds in sorted(
             (task for done, _, _ in shares for task in done), key=lambda task: task[0]):
         records += task_records
         rows += task_rows
-        for name, seconds in task_spans.items():
-            spans[name] = spans.get(name, 0.0) + seconds
-    spans.extra.update(workers=n, busy_seconds=[busy for *_, busy in shares])
-    return records, rows, spans
+        name = tasks[k][0]
+        seconds[name] = seconds.get(name, 0.0) + task_seconds
+    return records, rows, {"check_seconds": seconds, "workers": n,
+                           "busy_seconds": [busy for *_, busy in shares]}
 
 
 # -- clifford ----------------------------------------------------------------
 
-def clifford_records(cfg: RunConfig, corrupt: bool = False) -> tuple[list[dict], list, Laps]:
+def clifford_records(cfg: RunConfig, corrupt: bool = False) -> tuple[list[dict], list, dict]:
     """All gamma-algebra identity checks as records (exact unless noted), no CSV rows,
-    and the seconds per check family; the four relation families share ``relations``.
+    and the meta of the run; the four relation families are one task, ``relations``.
 
     With ``corrupt`` (a negative control) one entry of gamma^1 is damaged first.
     """
-    spans = Laps()
     g = np.array(DIRAC.gammas)
     if corrupt:
         g[1, 0, 3] += 0.5
     eye = np.eye(4, dtype=np.complex128)
-    records = [check(cfg, "verify-clifford", name, mu=mu, nu=nu, residual=resid, tolerance=0.0)
-               for name, mu, nu, resid in relation_residuals(g)]
-    spans.lap("relations")
-
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["clifford.det_samples"]
     # per sample: v draws its real then imaginary parts, then the shift a does
     samples = [(rng.standard_normal(4) + 1j * rng.standard_normal(4),
                 complex(rng.standard_normal() + 1j * rng.standard_normal())) for _ in range(n)]
     slashes = [np.tensordot(v, g, axes=(0, 0)) for v, _ in samples]
-    # np.max, unlike max(), propagates NaN, so an undefined residual fails its check
-    worst_sq = float(np.max([float(np.abs(sl @ sl - mdot(v, v) * eye).max())
-                             for (v, _), sl in zip(samples, slashes)]))
-    records.append(check(cfg, "verify-clifford", "slash_square",
-                         samples=n, residual=worst_sq, tolerance=1e-12))
-    spans.lap("slash_square")
 
-    det_residuals = []
-    for (v, a), sl in zip(samples, slashes):
-        det = complex(np.linalg.det(sl - a * eye))
-        want = (mdot(v, v) - a * a) ** 2
-        det_residuals.append(abs(det - want) / max(abs(want), 1.0))
-    records.append(check(cfg, "verify-clifford", "slash_determinant", samples=n,
-                         residual=float(np.max(det_residuals)),
-                         tolerance=cfg["clifford.det_tolerance"]))
-    spans.lap("slash_determinant")
-    return records, [], spans
+    def relations():
+        return [check(cfg, "verify-clifford", name, mu=mu, nu=nu, residual=resid,
+                      tolerance=0.0) for name, mu, nu, resid in relation_residuals(g)], []
+
+    def slash_square():
+        # np.max, unlike max(), propagates NaN, so an undefined residual fails its check
+        worst = float(np.max([float(np.abs(sl @ sl - mdot(v, v) * eye).max())
+                              for (v, _), sl in zip(samples, slashes)]))
+        return [check(cfg, "verify-clifford", "slash_square",
+                      samples=n, residual=worst, tolerance=1e-12)], []
+
+    def slash_determinant():
+        residuals = []
+        for (v, a), sl in zip(samples, slashes):
+            det = complex(np.linalg.det(sl - a * eye))
+            want = (mdot(v, v) - a * a) ** 2
+            residuals.append(abs(det - want) / max(abs(want), 1.0))
+        return [check(cfg, "verify-clifford", "slash_determinant", samples=n,
+                      residual=float(np.max(residuals)),
+                      tolerance=cfg["clifford.det_tolerance"])], []
+
+    return _in_processes([("relations", 1, relations), ("slash_square", n, slash_square),
+                          ("slash_determinant", n, slash_determinant)])
 
 
 # -- identity ----------------------------------------------------------------
@@ -259,9 +244,8 @@ def _gauge_law_residual(phi, fock, fact, coef) -> float:
     return float(np.max(worst)) / float(np.max(scale))
 
 
-def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
-    """The identity records, no CSV rows, and the seconds spent on each check family,
-    summed over the processes that check the fields.
+def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
+    """The identity records, no CSV rows, and the meta of the run.
 
     Every refusal is made before any field is drawn.  The generator's state is
     then saved before each field's draws, in the serial order, and each field is
@@ -286,6 +270,10 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
     else:
         sweep = identity_potentials(grid)
         negatives = [("negative-gauge", gauge_violating_potential(grid))]
+    if negatives and cfg["constants.e"] == 0:
+        raise ConfigError("constants.e = 0 makes the predicted gauge discrepancy "
+                          "-i e hbar (d.A) phi vanish identically, so gauge_discrepancy_law "
+                          "would pass vacuously; use a nonzero constants.e")
 
     # A potential that is not periodic on the grid makes A phi jump at the wrap: a
     # polynomial that varies along an axis, or a wave whose mode |k_mu| L_mu / 2 pi
@@ -328,7 +316,7 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
     scratch = np.empty((4,) + grid.shape)
     jet, spec, pot, coef = None, None, None, None
 
-    def check_field(k, spans):
+    def check_field(k):
         nonlocal jet, spec, pot, coef
         check_name, name, field_spec, i = fields[k]
         if field_spec is not spec:
@@ -346,42 +334,45 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, Laps]:
                       grid=glabel, residual=residual,
                       tolerance=cfg["identity.tolerance"])], []
 
-    return _in_processes([(1, functools.partial(check_field, k)) for k in range(len(fields))])
+    return _in_processes([(fields[k][0], 1, functools.partial(check_field, k))
+                          for k in range(len(fields))])
 
 
 # -- dispersion --------------------------------------------------------------
 
-def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
-    spans = Laps()
+def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict]:
+    """The dispersion records, the rows of ``dispersion.csv``, and the meta of the run."""
     consts = cfg.constants()
     tol = cfg["dispersion.det_tolerance"]
     n = cfg["dispersion.n_points"]
     kmax = cfg["dispersion.kmax"]
     eye = np.eye(4, dtype=np.complex128)
-    records, rows = [], []
-    for k1 in np.linspace(-kmax, kmax, n):
-        roots = spectrum.dispersion_solve([k1, 0.0, 0.0], consts)
-        for k0 in roots:
-            k = np.array([k0, k1, 0.0, 0.0])
-            det = complex(np.linalg.det(consts.hbar * DIRAC.slash(k) - consts.mc * eye))
-            rec = check(cfg, "dispersion", "root_on_shell", k1=float(k1), k0=float(k0),
-                        residual=abs(det), tolerance=tol)
-            records.append(rec)
-            rows.append((float(k1), float(k0), spectrum.gap(k, consts), abs(det), rec["pass"]))
-    spans.lap("root_on_shell")
-    return records, rows, spans
+
+    def root_on_shell():
+        records, rows = [], []
+        for k1 in np.linspace(-kmax, kmax, n):
+            for k0 in spectrum.dispersion_solve([k1, 0.0, 0.0], consts):
+                k = np.array([k0, k1, 0.0, 0.0])
+                det = complex(np.linalg.det(consts.hbar * DIRAC.slash(k) - consts.mc * eye))
+                rec = check(cfg, "dispersion", "root_on_shell", k1=float(k1), k0=float(k0),
+                            residual=abs(det), tolerance=tol)
+                records.append(rec)
+                rows.append((float(k1), float(k0), spectrum.gap(k, consts), abs(det),
+                             rec["pass"]))
+        return records, rows
+
+    return _in_processes([("root_on_shell", n, root_on_shell)])
 
 
 # -- evolve ------------------------------------------------------------------
 
-def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
-    """The evolve records, the rows of ``evolve_sweep.csv``, and the seconds per check
-    family.
+def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict]:
+    """The evolve records, the rows of ``evolve_sweep.csv``, and the meta of the run.
 
     Before any mode is evolved, the sweep is refused (ConfigError) unless every
-    gap has a real k^0, the per-step phase stays below pi and one gap is on shell.
+    gap has a real k^0, the per-step phase stays below pi, one gap is on shell
+    and no gap is within rounding of the stationarity threshold.
     """
-    spans = Laps()
     consts = cfg.constants()
     raw = cfg.raw
     k1, gap_range = cfg["evolve.k1"], cfg["evolve.gap_range"]
@@ -421,24 +412,40 @@ def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
             f"evolve.n_gaps = {raw['evolve.n_gaps']} puts no gap within "
             f"{gap_threshold:.3g} of 0 on [-{gap_range:g}, {gap_range:g}], so no mode is "
             f"on shell; use an odd count of at least 3")
+    # a gap within rounding of the threshold may be flagged on either side of it.  Its
+    # drift 2 sin(x / 2), x = |D| steps dtau / (hbar m), falls short of x by at most
+    # stationary_tol^2 / 24 relatively at the threshold; rounding moves it by under 6 u
+    # per step absolutely (the complex multiply sqrt 5 u, the step factor's cos and sin
+    # 2 sqrt 2 u) and 12 u relatively, u = eps / 2.  The gaps are delta_sweep's modes'
+    u, tol = np.finfo(float).eps / 2, cfg["evolve.stationary_tol"]
+    band = gap_threshold * (tol ** 2 / 24 + 12 * u + 6 * steps * u / tol)
+    for g in gaps:
+        k0 = np.sqrt((g + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2)
+        if abs(abs(spectrum.gap(np.array([k0, k1, 0.0, 0.0]), consts)) - gap_threshold) <= band:
+            raise ConfigError(
+                f"evolve.dtau = {raw['evolve.dtau']} puts the gap {g:g} within {band:.3g} of "
+                f"the stationarity threshold evolve.stationary_tol hbar m / (evolve.steps "
+                f"evolve.dtau) = {gap_threshold:.6g}, where rounding may flag its mode on "
+                f"either side; move evolve.dtau so that no gap is that close to it")
 
-    freq_tol = cfg["evolve.frequency_tol"]
-    sweep = spectrum.delta_sweep(k1, gaps, consts, dtau, steps, cfg["evolve.stationary_tol"])
-    records, rows = [], []
-    for rec in sweep:
-        expect_stationary = abs(rec["delta"]) <= gap_threshold
-        freq_err = abs(rec["measured_frequency"] - rec["closed_form_frequency"])
-        records.append(check(
-            cfg, "evolve", "mode_stationarity", holds=rec["stationary"] == expect_stationary,
-            k0=rec["k0"], k1=rec["k1"], delta=rec["delta"],
-            measured_frequency=rec["measured_frequency"],
-            closed_form_frequency=rec["closed_form_frequency"],
-            final_drift=rec["final_drift"], stationary=rec["stationary"], residual=freq_err,
-            tolerance=freq_tol * max(1.0, abs(rec["closed_form_frequency"]))))
-        rows.append((rec["k0"], rec["k1"], rec["delta"], rec["measured_frequency"],
-                     rec["stationary"]))
-    spans.lap("mode_stationarity")
-    return records, rows, spans
+    def mode_stationarity():
+        freq_tol = cfg["evolve.frequency_tol"]
+        records, rows = [], []
+        for rec in spectrum.delta_sweep(k1, gaps, consts, dtau, steps, tol):
+            expect_stationary = abs(rec["delta"]) <= gap_threshold
+            closed_form = rec["closed_form_frequency"]
+            records.append(check(
+                cfg, "evolve", "mode_stationarity", holds=rec["stationary"] == expect_stationary,
+                k0=rec["k0"], k1=rec["k1"], delta=rec["delta"],
+                measured_frequency=rec["measured_frequency"], closed_form_frequency=closed_form,
+                final_drift=rec["final_drift"], stationary=rec["stationary"],
+                residual=abs(rec["measured_frequency"] - closed_form),
+                tolerance=freq_tol * max(1.0, abs(closed_form))))
+            rows.append((rec["k0"], rec["k1"], rec["delta"], rec["measured_frequency"],
+                         rec["stationary"]))
+        return records, rows
+
+    return _in_processes([("mode_stationarity", len(gaps), mode_stationarity)])
 
 
 # -- simulate ----------------------------------------------------------------
@@ -452,12 +459,12 @@ def _configured_control(cfg: RunConfig, consts) -> np.ndarray:
     return soc.optimal_control_mode(w, consts)  # plane_wave: w holds the wave vector k
 
 
-# Every family below is a check task of ``_in_processes``: family(cfg, spans) returns
+# Every family below is a check task of ``_in_processes``: family(cfg) returns
 # its records and its rows of paths.csv (none but for the configured ensemble).  No
 # family reads another's state: each draws its noise from its own (seed,
 # step)-keyed streams.
 
-def _diffusion_squares(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
+def _diffusion_squares(cfg: RunConfig) -> tuple[list[dict], list]:
     # sigma^2 is formed in floating point and rounds by about one ulp of its largest
     # entry; the exact squares hold to 4 ulps of it
     diff = soc.make_diffusion(cfg.constants())
@@ -467,7 +474,7 @@ def _diffusion_squares(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
                   tolerance=4 * float(np.spacing(np.abs(sq).max())))], []
 
 
-def _generator_battery(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
+def _generator_battery(cfg: RunConfig) -> tuple[list[dict], list]:
     ds, n_paths, n_sigma = cfg["simulate.ds"], cfg["simulate.n_paths"], cfg["simulate.n_sigma"]
     reports = soc.run_generator_battery(cfg.constants(), ds=ds, n_paths=n_paths,
                                         seed=cfg["seed"])
@@ -481,7 +488,7 @@ def _generator_battery(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
 _LINE = soc.EnsembleParams(n_paths=3, steps=64, ds=1.0 / 512)
 
 
-def _straight_line_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
+def _straight_line_bitwise(cfg: RunConfig) -> tuple[list[dict], list]:
     # straight-line motion with diffusion disabled, against a literal recursion
     w4 = np.array([0.4, -0.1, 0.25, 0.0], dtype=np.complex128)
     end = soc.EulerStream(_LINE, w4, cfg.constants(), cfg["seed"],
@@ -498,29 +505,33 @@ def _repro_params(cfg: RunConfig) -> soc.EnsembleParams:
                               steps=cfg["simulate.repro_steps"], ds=cfg["simulate.ds"])
 
 
-def _fixed_seed_bitwise(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
+def _fixed_seed_bitwise(cfg: RunConfig) -> tuple[list[dict], list]:
     # bitwise reproducibility of a seeded ensemble: two streams compared at every step
     consts, seed, rp = cfg.constants(), cfg["seed"], _repro_params(cfg)
-    pairs = zip(soc.EulerStream(rp, np.zeros(4), consts, seed),
-                soc.EulerStream(rp, np.zeros(4), consts, seed))
-    start, first = next(pairs), next(pairs)  # steps 0 and 1; repro_steps >= 1
-    repro = all(np.array_equal(z1, z2) for z1, z2 in itertools.chain((start, first), pairs))
-    records = [check(cfg, "simulate", "fixed_seed_bitwise",
-                     residual=0.0 if repro else 1.0, tolerance=0.0)]
-    spans.lap("fixed_seed_bitwise")
+    repro = all(np.array_equal(z1, z2) for z1, z2 in zip(
+        soc.EulerStream(rp, np.zeros(4), consts, seed),
+        soc.EulerStream(rp, np.zeros(4), consts, seed)))
+    return [check(cfg, "simulate", "fixed_seed_bitwise",
+                  residual=0.0 if repro else 1.0, tolerance=0.0)], []
 
-    # per-component Re/Im correlation pattern of the increments
-    dz = first[0] - start[0]
+
+def _reim_correlation_signs(cfg: RunConfig) -> tuple[list[dict], list]:
+    # per-component Re/Im correlation pattern of the increments, from steps 0 and 1 of
+    # the reproducibility ensemble: the stream is keyed by (seed, step), so these are
+    # the bits fixed_seed_bitwise compares, and one noise chunk at most is drawn
+    consts = cfg.constants()
+    start, first = itertools.islice(
+        soc.EulerStream(_repro_params(cfg), np.zeros(4), consts, cfg["seed"]), 2)
+    dz = first - start
     expected_sign = np.array([1.0, -1.0, -1.0, -1.0]) * consts.epsilon
     # np.max, unlike max(), propagates NaN, so an undefined statistic fails its check
     worst = float(np.max([abs(float(np.corrcoef(dz[:, mu].real, dz[:, mu].imag)[0, 1])
                               - expected_sign[mu]) for mu in range(4)]))
-    records.append(check(cfg, "simulate", "reim_correlation_signs",
-                         residual=worst, tolerance=1e-12))
-    return records, []
+    return [check(cfg, "simulate", "reim_correlation_signs",
+                  residual=worst, tolerance=1e-12)], []
 
 
-def _diffusion_variance(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
+def _diffusion_variance(cfg: RunConfig) -> tuple[list[dict], list]:
     # diffusion-only variance: Var[Re z_mu] = Var[Im z_mu] = |sigma|^2 s / 2
     consts, ds = cfg.constants(), cfg["simulate.ds"]
     vp = soc.EnsembleParams(n_paths=cfg["simulate.variance_paths"],
@@ -539,7 +550,7 @@ def _diffusion_variance(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
 _ON_SHELL = soc.EnsembleParams(n_paths=2, steps=1024, ds=1.0 / 1024)
 
 
-def _action_constant_onshell(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list]:
+def _action_constant_onshell(cfg: RunConfig) -> tuple[list[dict], list]:
     # action of a deterministic on-shell path: S = -m c^2 (tau_f - tau_i)
     consts = cfg.constants()
     on_shell_w = np.zeros(4, dtype=np.complex128)
@@ -554,7 +565,7 @@ def _action_constant_onshell(cfg: RunConfig, spans: Laps) -> tuple[list[dict], l
                   residual=abs(est.mean - want), tolerance=0.0)], []
 
 
-def _configured_ensemble(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list[tuple]]:
+def _configured_ensemble(cfg: RunConfig) -> tuple[list[dict], list[tuple]]:
     # user-configured ensemble (blow-up detection hooks in here)
     consts, up = cfg.constants(), _repro_params(cfg)
     stream = soc.EulerStream(up, _configured_control(cfg, consts), consts, cfg["seed"] + 2)
@@ -579,29 +590,32 @@ def _configured_ensemble(cfg: RunConfig, spans: Laps) -> tuple[list[dict], list[
                   first_bad_path=first_path, residual=float(n_trunc), tolerance=0.0)], rows
 
 
-# (family, its cost in path-steps: paths x steps x streams), in the serial order
+# (check, family, its cost in path-steps: paths x steps x streams), in the serial order
 SIMULATE_FAMILIES = (
-    (_diffusion_squares, lambda cfg: 0),
-    (_generator_battery, lambda cfg: len(soc.BATTERY) * cfg["simulate.n_paths"]),
-    (_straight_line_bitwise, lambda cfg: _LINE.n_paths * _LINE.steps),
-    (_fixed_seed_bitwise,
+    ("diffusion_squares", _diffusion_squares, lambda cfg: 0),
+    ("generator", _generator_battery, lambda cfg: len(soc.BATTERY) * cfg["simulate.n_paths"]),
+    ("straight_line_bitwise", _straight_line_bitwise, lambda cfg: _LINE.n_paths * _LINE.steps),
+    ("fixed_seed_bitwise", _fixed_seed_bitwise,
      lambda cfg: 2 * cfg["simulate.repro_paths"] * cfg["simulate.repro_steps"]),
-    (_diffusion_variance,
+    ("reim_correlation_signs", _reim_correlation_signs, lambda cfg: cfg["simulate.repro_paths"]),
+    ("diffusion_variance", _diffusion_variance,
      lambda cfg: cfg["simulate.variance_paths"] * cfg["simulate.variance_steps"]),
-    (_action_constant_onshell, lambda cfg: _ON_SHELL.n_paths * _ON_SHELL.steps),
-    (_configured_ensemble, lambda cfg: cfg["simulate.repro_paths"] * cfg["simulate.repro_steps"]),
+    ("action_constant_onshell", _action_constant_onshell,
+     lambda cfg: _ON_SHELL.n_paths * _ON_SHELL.steps),
+    ("configured_ensemble", _configured_ensemble,
+     lambda cfg: cfg["simulate.repro_paths"] * cfg["simulate.repro_steps"]),
 )
 
 
-def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], Laps]:
-    """The simulate records, the rows of ``paths.csv``, and the seconds per check family.
+def simulate_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict]:
+    """The simulate records, the rows of ``paths.csv``, and the meta of the run.
 
     The families of ``SIMULATE_FAMILIES`` are the check tasks of ``_in_processes``,
     each costed by its path-steps, so the outputs are the same bytes for any
     number of processes.
     """
-    return _in_processes([(cost(cfg), functools.partial(family, cfg))
-                          for family, cost in SIMULATE_FAMILIES])
+    return _in_processes([(name, cost(cfg), functools.partial(family, cfg))
+                          for name, family, cost in SIMULATE_FAMILIES])
 
 
 # -- the runner ----------------------------------------------------------------
@@ -632,18 +646,17 @@ def run_suite(command: str, cfg: RunConfig, out: Path, **kwargs) -> int:
 
     ``<stem>_records`` is looked up by name at call time, so a wrapper bound to
     the module attribute (a tracer, a test's monkeypatch) sees the call.  A suite
-    returns its records, its CSV rows (empty for none) and the seconds spent per
-    check family, which go to the meta file with the further timings in their
-    ``extra``.
+    returns its records, its CSV rows (empty for none) and the meta of its task
+    runner (``_in_processes``), which goes to the meta file after the record count.
     """
     stem, csv = SUITES[command]
     started = time.time()
-    records, rows, spans = globals()[f"{stem}_records"](cfg, **kwargs)
+    records, rows, meta = globals()[f"{stem}_records"](cfg, **kwargs)
     write_jsonl(out / f"{stem}.jsonl", records)
     if rows:
         write_csv(out / csv[0], csv[1], rows)
     write_meta(out / f"{stem}_meta.json", stem, elapsed=time.time() - started,
-               extra={"records": len(records), "check_seconds": spans, **spans.extra})
+               extra={"records": len(records), **meta})
     if any(r.get("truncated_paths") for r in records):  # simulate's configured ensemble
         return EXIT_BLOWUP
     return _exit_for(records)
@@ -730,10 +743,20 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)  # created by the first file a suite writes
-    base = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    chain = (out, *out.parents)
+    made = list(itertools.takewhile(lambda p: not os.path.lexists(p), chain))
+    base = chain[len(made)]
     if not base.is_dir():
         print(f"config error: --out {out}: {base} is not a directory", file=sys.stderr)
         return EXIT_CONFIG
+    # a directory to be made must fit the file system's name limit, or the outputs
+    # could not be written once the suite has run
+    name_max = os.pathconf(base, "PC_NAME_MAX") if hasattr(os, "pathconf") else 255
+    for part in made:
+        if len(os.fsencode(part.name)) > name_max:
+            print(f"config error: --out {out}: a name of {len(os.fsencode(part.name))} "
+                  f"bytes is longer than the {name_max} that {base} allows", file=sys.stderr)
+            return EXIT_CONFIG
     kwargs = {"corrupt": args.corrupt_gamma} if args.command == "verify-clifford" else {}
     try:
         code = cmd_report(out) if args.command == "report" \

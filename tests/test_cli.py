@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -232,6 +233,12 @@ def test_identity_records_are_the_same_bytes_in_any_number_of_processes(
     ("potential.name = constant_magnetic\npotential.B = 1.0\n",
      "potential constant_magnetic is a polynomial that varies along axis 1; it is not "
      "periodic on the grid, so A phi would jump at the wrap"),
+    # at e = 0 the predicted gauge discrepancy is 0, so its law would pass vacuously
+    *((text + "constants.e = 0\n",
+       "constants.e = 0 makes the predicted gauge discrepancy -i e hbar (d.A) phi vanish "
+       "identically, so gauge_discrepancy_law would pass vacuously; use a nonzero "
+       "constants.e")
+      for text in ("", "potential.name = custom_wave\n" + GAUGE_VIOLATING_PARAMS)),
 ])
 def test_identity_refusals_come_before_any_field(tmp_path, monkeypatch, capsys, text, message):
     def no_fields(*args):
@@ -576,43 +583,89 @@ def test_simulate_outputs_are_the_same_bytes_in_any_number_of_processes(
     assert (outputs[0][1] is not None) == ("dump_paths" in text)
 
 
+@pytest.mark.parametrize("flags,code", [([], EXIT_PASS), (["--corrupt-gamma"], EXIT_FAIL)],
+                         ids=["dirac", "corrupt"])
+def test_clifford_records_are_the_same_bytes_in_any_number_of_processes(
+        tmp_path, monkeypatch, flags, code):
+    # three tasks: relations, slash_square and slash_determinant, the samples drawn
+    # before any of them
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: min(workers, n_tasks))
+        out = tmp_path / f"workers{workers}"
+        assert main(["verify-clifford", *flags, "--out", str(out)]) == code
+        assert_no_child_process()
+        meta = json.loads((out / "clifford_meta.json").read_text())
+        assert meta["workers"] == workers and len(meta["busy_seconds"]) == workers
+        assert list(meta["check_seconds"]) == ["relations", "slash_square", "slash_determinant"]
+        outputs.append((out / "clifford.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 54
+
+
 def test_simulate_families_are_dealt_heaviest_first_to_the_least_loaded_process():
-    # simulate-long's path-steps: the variance ensemble (index 4) outweighs the rest
+    # simulate-long's path-steps: the variance ensemble (index 5) outweighs the rest
     cfg = RunConfig.from_sources(parse_config_text(
         "simulate.n_paths = 2000\nsimulate.variance_paths = 256\n"
         "simulate.variance_steps = 8192\nsimulate.repro_paths = 64\n"
         "simulate.repro_steps = 8192\n"), {})
-    costs = [cost(cfg) for _, cost in cli.SIMULATE_FAMILIES]
-    assert costs == [0, 6 * 2000, 3 * 64, 2 * 64 * 8192, 256 * 8192, 2 * 1024, 64 * 8192]
-    assert cli._share_out(costs, 1) == [list(range(7))]
-    assert cli._share_out(costs, 2) == [[4], [0, 1, 2, 3, 5, 6]]
+    costs = [cost(cfg) for *_, cost in cli.SIMULATE_FAMILIES]
+    assert costs == [0, 6 * 2000, 3 * 64, 2 * 64 * 8192, 64, 256 * 8192, 2 * 1024, 64 * 8192]
+    assert cli._share_out(costs, 1) == [list(range(8))]
+    assert cli._share_out(costs, 2) == [[5], [0, 1, 2, 3, 4, 6, 7]]
     assert cli._share_out([5, 3, 3, 2], 2) == [[0, 3], [1, 2]]
     assert cli._share_out([1, 1], 3) == [[0], [1], []]
     # identity's fields cost 1 each: dealt round-robin
     assert cli._share_out([1] * 5, 2) == [[0, 2, 4], [1, 3]]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_task_runner_times_each_task_under_its_name(monkeypatch, workers):
+    # a clock that only the tasks advance: each process's busy seconds are the sum of
+    # its tasks', and a name that repeats (identity's fields) sums over its tasks and
+    # over the processes; the names keep the order in which they first appear
+    clock = [0.0]
+
+    def task(name, seconds):
+        def run():
+            clock[0] += seconds
+            return [{"check": name, "seconds": seconds}], [(name,)]
+        return name, 1, run
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: min(workers, n_tasks))
+    # two processes are dealt [0, 2] and [1, 3]
+    tasks = [task("b", 1.0), task("a", 2.0), task("b", 4.0), task("a", 8.0)]
+    records, rows, meta = cli._in_processes(tasks)
+    assert [r["seconds"] for r in records] == [1.0, 2.0, 4.0, 8.0]
+    assert rows == [("b",), ("a",), ("b",), ("a",)]
+    assert meta == {"check_seconds": {"b": 5.0, "a": 10.0}, "workers": workers,
+                    "busy_seconds": [15.0] if workers == 1 else [5.0, 10.0]}
+    assert list(meta["check_seconds"]) == ["b", "a"]
+    assert_no_child_process()
+
+
 def break_families(monkeypatch, broken):
     """Make each family of SIMULATE_FAMILIES whose index is in ``broken`` raise."""
     def raiser(k):
-        def family(cfg, spans):
+        def family(cfg):
             raise ConfigError(f"family {k} is broken")
         return family
 
     monkeypatch.setattr(cli, "SIMULATE_FAMILIES", tuple(
-        (raiser(k) if k in broken else family, cost)
-        for k, (family, cost) in enumerate(cli.SIMULATE_FAMILIES)))
+        (name, raiser(k) if k in broken else family, cost)
+        for k, (name, family, cost) in enumerate(cli.SIMULATE_FAMILIES)))
 
 
-# on FAST_SIMULATE, two processes: the variance family (4) runs in this process and
+# on FAST_SIMULATE, two processes: the variance family (5) runs in this process and
 # every other family in the forked worker
-@pytest.mark.parametrize("broken", [{1}, {4}, {1, 4}, {4, 5}, {2, 5}])
+@pytest.mark.parametrize("broken", [{1}, {5}, {1, 5}, {5, 6}, {2, 6}])
 def test_simulate_family_error_is_reported_as_in_one_process(
         tmp_path, monkeypatch, capsys, broken):
     cfg = write_cfg(tmp_path, FAST_SIMULATE)
     costs = [cost(RunConfig.from_sources(parse_config_text(FAST_SIMULATE), {}))
-             for _, cost in cli.SIMULATE_FAMILIES]
-    assert cli._share_out(costs, 2) == [[4], [0, 1, 2, 3, 5, 6]]
+             for *_, cost in cli.SIMULATE_FAMILIES]
+    assert cli._share_out(costs, 2) == [[5], [0, 1, 2, 3, 4, 6, 7]]
     errors = []
     for workers in (1, 2):
         with monkeypatch.context() as patch:
@@ -887,6 +940,37 @@ def test_out_that_is_a_dangling_link_exit_2(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["link"]
 
 
+@pytest.mark.parametrize("below", ["", "made"], ids=["name", "under_made"])
+def test_out_with_a_name_too_long_for_the_file_system_exit_2(tmp_path, below):
+    # refused before the suite runs: mkdir would fail once the suite is done, and no
+    # directory above the long name is made either
+    out = tmp_path / below / ("a" * 300) / "sub"
+    proc = run_cli_process("diracsoc.cli", "dispersion", "--out", str(out))
+    assert_one_line_config_error(proc, f"--out {out}: a name of 300 bytes")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_identity_at_zero_charge_checks_a_configured_lorenz_gauge_potential(tmp_path):
+    # a Lorenz-gauge potential has no gauge family, and at e = 0 its coupling drops out
+    cfg = write_cfg(tmp_path, FAST_IDENTITY + "constants.e = 0\n"
+                    "potential.name = em_plane_wave\n" + PLANE_WAVE_PARAMS)
+    out = tmp_path / "o"
+    assert main(["verify-identity", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+    records = read_jsonl(out / "identity.jsonl")
+    assert {r["check"] for r in records} == {"factored_vs_fock"} and len(records) == 2
+
+
+@pytest.mark.parametrize("dtau", ["0.99e-12", "1.01e-12"])
+def test_evolve_accepts_gaps_just_outside_the_rounding_band(tmp_path, dtau):
+    # the band is 6.7e-3 of the threshold at steps = 1000 and stationary_tol = 1e-10, so
+    # a threshold 1% off the gap 0.1 classifies its modes on the right side
+    cfg = write_cfg(tmp_path, f"evolve.dtau = {dtau}\n")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+    stationary = [r for r in read_jsonl(out / "evolve.jsonl") if r["stationary"]]
+    assert len(stationary) == (3 if dtau == "0.99e-12" else 1)
+
+
 def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
     # 200 modes do not fit below the Nyquist mode (128) of the default 256-point axes
     cfg = write_cfg(tmp_path, "identity.max_mode = 200\n")
@@ -933,6 +1017,9 @@ def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
     ("evolve", "evolve.dtau", "1.5708"),
     ("evolve", "evolve.dtau", "2"),
     ("evolve", "evolve.dtau", "4"),
+    # a stationarity threshold of 0.1, the sweep's spacing: the gap -0.09999999999999964
+    # drifted by 1.0000000000000128e-10 > 1e-10, on the wrong side of it by rounding
+    ("evolve", "evolve.dtau", "1e-12"),
     # every key is parsed at load, whichever suite runs and whether it reads the key
     ("verify-clifford", "simulate.control", "bogus"),
     ("simulate", "simulate.control_w", "1,2,3"),
@@ -1246,9 +1333,15 @@ def test_simulate_meta_records_check_family_seconds(tmp_path):
 def test_small_suite_meta_records_check_family_seconds(tmp_path, command, stem, families):
     out = tmp_path / "o"
     assert main([command, "--out", str(out)]) == EXIT_PASS
-    seconds = json.loads((out / f"{stem}_meta.json").read_text())["check_seconds"]
+    meta = json.loads((out / f"{stem}_meta.json").read_text())
+    seconds = meta["check_seconds"]
     assert list(seconds) == families
     assert all(s >= 0 for s in seconds.values())
+    # the one task runner's meta, as the two forked suites write it
+    assert list(meta)[-4:] == ["records", "check_seconds", "workers", "busy_seconds"]
+    assert 1 <= meta["workers"] <= len(families)
+    assert len(meta["busy_seconds"]) == meta["workers"]
+    assert all(s >= 0 for s in meta["busy_seconds"])
     # every check the suite writes is timed, under its own name or under "relations"
     checks = {r["check"] for r in read_jsonl(out / f"{stem}.jsonl")}
     assert checks - set(families) <= {"anticommutator", "spin_lorentz_algebra",
