@@ -270,10 +270,6 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
     else:
         sweep = identity_potentials(grid)
         negatives = [("negative-gauge", gauge_violating_potential(grid))]
-    if negatives and cfg["constants.e"] == 0:
-        raise ConfigError("constants.e = 0 makes the predicted gauge discrepancy "
-                          "-i e hbar (d.A) phi vanish identically, so gauge_discrepancy_law "
-                          "would pass vacuously; use a nonzero constants.e")
 
     # A potential that is not periodic on the grid makes A phi jump at the wrap: a
     # polynomial that varies along an axis, or a wave whose mode |k_mu| L_mu / 2 pi
@@ -299,6 +295,17 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
                                   f"{grid.points[mu]} points; products would alias")
     for _, spec in sweep + negatives:
         require_representable(spec, grid)
+    # a charge of 0 leaves no prediction for the gauge law to hold the discrepancy to,
+    # and one whose coefficient is subnormal everywhere leaves a prediction coef phi
+    # that may underflow to 0 at every point
+    consts, tiny = cfg.constants(), np.finfo(float).tiny
+    for name, spec in negatives:
+        if not np.abs(gauge_discrepancy_coefficient(spec, grid, consts)).max() >= tiny:
+            raise ConfigError(f"constants.e = {cfg.raw['constants.e']} makes the factor "
+                              f"-i e hbar (d.A) of the predicted gauge discrepancy of potential "
+                              f"{name} 0 or subnormal at every grid point, so the prediction "
+                              f"may vanish and gauge_discrepancy_law would have nothing to hold "
+                              f"the discrepancy to; use a larger |constants.e|")
 
     # (check, potential name, spec, field index) per field, in the serial order, and the
     # generator's state before each field's draws
@@ -312,7 +319,7 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
         states.append(rng.bit_generator.state)
         spinor_modes(grid, max_mode, rng)
 
-    consts, backend, glabel = cfg.constants(), cfg["backend"], _grid_label(grid)
+    backend, glabel = cfg["backend"], _grid_label(grid)
     scratch = np.empty((4,) + grid.shape)
     jet, spec, pot, coef = None, None, None, None
 
@@ -361,7 +368,7 @@ def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict]:
                              rec["pass"]))
         return records, rows
 
-    return _in_processes([("root_on_shell", n, root_on_shell)])
+    return _in_processes([("root_on_shell", 1, root_on_shell)])  # one task: no deal
 
 
 # -- evolve ------------------------------------------------------------------
@@ -414,14 +421,18 @@ def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict]:
             f"on shell; use an odd count of at least 3")
     # a gap within rounding of the threshold may be flagged on either side of it.  Its
     # drift 2 sin(x / 2), x = |D| steps dtau / (hbar m), falls short of x by at most
-    # stationary_tol^2 / 24 relatively at the threshold; rounding moves it by under 6 u
-    # per step absolutely (the complex multiply sqrt 5 u, the step factor's cos and sin
-    # 2 sqrt 2 u) and 12 u relatively, u = eps / 2.  The gaps are delta_sweep's modes'
+    # stationary_tol^2 / 24 relatively at the threshold; rounding moves it by 12 u
+    # relatively, u = eps / 2, and absolutely by under 6 u per step (the complex
+    # multiply sqrt 5 u, the step factor's cos and sin 2 sqrt 2 u), and under 2 x over
+    # all steps: a step of phase below sqrt(u) has a cos that rounds to 1, so it moves
+    # the amplitude by at most its sin.  The gaps are delta_sweep's modes'
     u, tol = np.finfo(float).eps / 2, cfg["evolve.stationary_tol"]
-    band = gap_threshold * (tol ** 2 / 24 + 12 * u + 6 * steps * u / tol)
     for g in gaps:
         k0 = np.sqrt((g + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2)
-        if abs(abs(spectrum.gap(np.array([k0, k1, 0.0, 0.0]), consts)) - gap_threshold) <= band:
+        realized = abs(spectrum.gap(np.array([k0, k1, 0.0, 0.0]), consts))
+        band = gap_threshold * (tol ** 2 / 24 + 12 * u) \
+            + min(2 * realized, gap_threshold * 6 * steps * u / tol)
+        if abs(realized - gap_threshold) <= band:
             raise ConfigError(
                 f"evolve.dtau = {raw['evolve.dtau']} puts the gap {g:g} within {band:.3g} of "
                 f"the stationarity threshold evolve.stationary_tol hbar m / (evolve.steps "
@@ -445,7 +456,7 @@ def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict]:
                          rec["stationary"]))
         return records, rows
 
-    return _in_processes([("mode_stationarity", len(gaps), mode_stationarity)])
+    return _in_processes([("mode_stationarity", 1, mode_stationarity)])  # one task: no deal
 
 
 # -- simulate ----------------------------------------------------------------
@@ -597,7 +608,9 @@ SIMULATE_FAMILIES = (
     ("straight_line_bitwise", _straight_line_bitwise, lambda cfg: _LINE.n_paths * _LINE.steps),
     ("fixed_seed_bitwise", _fixed_seed_bitwise,
      lambda cfg: 2 * cfg["simulate.repro_paths"] * cfg["simulate.repro_steps"]),
-    ("reim_correlation_signs", _reim_correlation_signs, lambda cfg: cfg["simulate.repro_paths"]),
+    ("reim_correlation_signs", _reim_correlation_signs,  # the one noise chunk it draws
+     lambda cfg: cfg["simulate.repro_paths"] * min(
+         cfg["simulate.repro_steps"], max(1, soc.NOISE_CHUNK // cfg["simulate.repro_paths"]))),
     ("diffusion_variance", _diffusion_variance,
      lambda cfg: cfg["simulate.variance_paths"] * cfg["simulate.variance_steps"]),
     ("action_constant_onshell", _action_constant_onshell,

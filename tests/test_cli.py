@@ -233,12 +233,18 @@ def test_identity_records_are_the_same_bytes_in_any_number_of_processes(
     ("potential.name = constant_magnetic\npotential.B = 1.0\n",
      "potential constant_magnetic is a polynomial that varies along axis 1; it is not "
      "periodic on the grid, so A phi would jump at the wrap"),
-    # at e = 0 the predicted gauge discrepancy is 0, so its law would pass vacuously
-    *((text + "constants.e = 0\n",
-       "constants.e = 0 makes the predicted gauge discrepancy -i e hbar (d.A) phi vanish "
-       "identically, so gauge_discrepancy_law would pass vacuously; use a nonzero "
-       "constants.e")
-      for text in ("", "potential.name = custom_wave\n" + GAUGE_VIOLATING_PARAMS)),
+    # at e = 0 the predicted gauge discrepancy is 0, so its law would pass vacuously;
+    # at a subnormal charge its factor is 0 or subnormal, and the prediction may
+    # underflow to 0 (at 1e-323 it does, and the law divided by it)
+    *((text + f"constants.e = {e}\n",
+       f"constants.e = {e} makes the factor -i e hbar (d.A) of the predicted gauge "
+       f"discrepancy of potential {name} 0 or subnormal at every grid point, so the "
+       f"prediction may vanish and gauge_discrepancy_law would have nothing to hold the "
+       f"discrepancy to; use a larger |constants.e|")
+      for text, name in (("", "negative-gauge"),
+                         ("potential.name = custom_wave\n" + GAUGE_VIOLATING_PARAMS,
+                          "custom_wave"))
+      for e in ("0", "5e-324", "1e-323", "-1e-310")),
 ])
 def test_identity_refusals_come_before_any_field(tmp_path, monkeypatch, capsys, text, message):
     def no_fields(*args):
@@ -610,7 +616,8 @@ def test_simulate_families_are_dealt_heaviest_first_to_the_least_loaded_process(
         "simulate.variance_steps = 8192\nsimulate.repro_paths = 64\n"
         "simulate.repro_steps = 8192\n"), {})
     costs = [cost(cfg) for *_, cost in cli.SIMULATE_FAMILIES]
-    assert costs == [0, 6 * 2000, 3 * 64, 2 * 64 * 8192, 64, 256 * 8192, 2 * 1024, 64 * 8192]
+    # reim_correlation_signs reads two steps, but draws one noise chunk of 8192 path-steps
+    assert costs == [0, 6 * 2000, 3 * 64, 2 * 64 * 8192, 8192, 256 * 8192, 2 * 1024, 64 * 8192]
     assert cli._share_out(costs, 1) == [list(range(8))]
     assert cli._share_out(costs, 2) == [[5], [0, 1, 2, 3, 4, 6, 7]]
     assert cli._share_out([5, 3, 3, 2], 2) == [[0, 3], [1, 2]]
@@ -960,15 +967,23 @@ def test_identity_at_zero_charge_checks_a_configured_lorenz_gauge_potential(tmp_
     assert {r["check"] for r in records} == {"factored_vs_fock"} and len(records) == 2
 
 
-@pytest.mark.parametrize("dtau", ["0.99e-12", "1.01e-12"])
-def test_evolve_accepts_gaps_just_outside_the_rounding_band(tmp_path, dtau):
+@pytest.mark.parametrize("text, n_stationary", [
     # the band is 6.7e-3 of the threshold at steps = 1000 and stationary_tol = 1e-10, so
     # a threshold 1% off the gap 0.1 classifies its modes on the right side
-    cfg = write_cfg(tmp_path, f"evolve.dtau = {dtau}\n")
+    ("evolve.dtau = 0.99e-12\n", 3), ("evolve.dtau = 1.01e-12\n", 1),
+    # 6 steps u / stationary_tol is 6.7 and 13: an absolute bound alone would put the
+    # on-shell gap (|delta| of about 4e-16) within rounding of the threshold, but its
+    # phase is too small to drift by more than twice itself
+    ("evolve.stationary_tol = 1e-13\n", 1),
+    ("evolve.steps = 20000\nevolve.stationary_tol = 1e-12\n", 1),
+])
+def test_evolve_accepts_gaps_just_outside_the_rounding_band(tmp_path, text, n_stationary):
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_PASS
     stationary = [r for r in read_jsonl(out / "evolve.jsonl") if r["stationary"]]
-    assert len(stationary) == (3 if dtau == "0.99e-12" else 1)
+    assert len(stationary) == n_stationary
+    assert min(abs(r["delta"]) for r in stationary) <= 1e-15
 
 
 def test_identity_max_mode_beyond_nyquist_exit_2(tmp_path):
