@@ -774,8 +774,9 @@ def main(argv=None) -> int:
     try:
         code = cmd_report(out) if args.command == "report" \
             else run_suite(args.command, cfg, out, **kwargs)
-    # e.g. a potential the grid cannot represent, or a gap with no real k^0
-    except (ConfigError, OperatorError, spectrum.SpectrumError) as exc:
+    # e.g. a potential the grid cannot represent, a gap with no real k^0, or arrays
+    # larger than the memory the process may have
+    except (ConfigError, OperatorError, spectrum.SpectrumError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.command != "report" and code != EXIT_CONFIG:

@@ -23,7 +23,7 @@ transform, and fd4 ones from the stencil on the drawn array.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,44 +99,34 @@ class SpacetimeGrid:
 class Field:
     """Complex scalar (grid.shape) or 4-component spinor ((4,)+grid.shape).
 
-    The values are checked (shape, finiteness) and held read-only.  By
-    default they are copied, so the caller's array can change afterwards
-    without changing the field; ``copy=False`` adopts an array that no one
-    else holds, which is how the library wraps results it just computed.
+    The values are copied, checked (shape, finiteness) and held read-only, so
+    the caller's array can change afterwards without changing the field.
     """
 
     grid: SpacetimeGrid
     values: np.ndarray
-    copy: InitVar[bool] = field(default=True, kw_only=True)
 
-    def __post_init__(self, copy: bool) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape == self.grid.shape:
-            pass
-        elif v.shape == (4,) + self.grid.shape:
-            pass
-        else:
+    def __post_init__(self) -> None:
+        v = np.array(self.values, dtype=np.complex128)
+        if v.shape not in (self.grid.shape, (4,) + self.grid.shape):
             raise GridError(
                 f"field shape {v.shape} matches neither scalar {self.grid.shape} "
                 f"nor spinor {(4,) + self.grid.shape}")
-        _require_finite(v)
-        if copy:
-            v = v.copy()
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _require_finite(v))
 
     @property
     def is_spinor(self) -> bool:
         return self.values.ndim == self.grid.dims + 1
 
     def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values + other.values, copy=False)
+        return Field(self.grid, self.values + other.values)
 
     def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values - other.values, copy=False)
+        return Field(self.grid, self.values - other.values)
 
     def __rmul__(self, c) -> "Field":
-        return Field(self.grid, c * self.values, copy=False)
+        return Field(self.grid, c * self.values)
 
 
 def _require_finite(values: np.ndarray) -> np.ndarray:
@@ -225,13 +215,13 @@ def _partial_values(values: np.ndarray, grid: SpacetimeGrid, mu: int,
 
 def partial(f: Field, mu: int, backend: str = "spectral") -> Field:
     """d f / d z^mu on the periodic grid (lower-index derivative)."""
-    return Field(f.grid, _partial_values(f.values, f.grid, mu, backend), copy=False)
+    return Field(f.grid, _partial_values(f.values, f.grid, mu, backend))
 
 
 def partial_or_zero(f: Field, mu: int, backend: str = "spectral") -> Field:
     """Like ``partial`` but inactive axes return the zero field."""
     if not f.grid.is_active(mu):
-        return Field(f.grid, np.zeros_like(f.values), copy=False)
+        return Field(f.grid, np.zeros_like(f.values))
     return partial(f, mu, backend)
 
 
@@ -261,7 +251,7 @@ def dalembertian(f: Field, backend: str = "spectral") -> Field:
     (Nyquist entry zeroed, as in ``partial``).  fd4: the first-derivative
     stencil applied twice along each axis.
     """
-    return Field(f.grid, _derivatives(f.values, f.grid, backend, first=False)[1], copy=False)
+    return Field(f.grid, _derivatives(f.values, f.grid, backend, first=False)[1])
 
 
 def plane_wave(grid: SpacetimeGrid, k, chi=None) -> Field:
@@ -278,9 +268,9 @@ def plane_wave(grid: SpacetimeGrid, k, chi=None) -> Field:
     phase = sum(k[mu] * zs[mu] for mu in range(grid.dims))
     wave = np.exp(-1j * phase)
     if chi is None:
-        return Field(grid, wave, copy=False)
+        return Field(grid, wave)
     chi = np.asarray(chi, dtype=np.complex128).reshape(4)
-    return Field(grid, chi.reshape((4,) + (1,) * grid.dims) * wave[np.newaxis], copy=False)
+    return Field(grid, chi.reshape((4,) + (1,) * grid.dims) * wave[np.newaxis])
 
 
 def _mode_window(n: int, max_mode: int) -> np.ndarray:
@@ -334,7 +324,7 @@ def random_band_limited(grid: SpacetimeGrid, max_mode: int, rng: np.random.Gener
     values = _pruned_ifft(_mode_block(grid, max_mode, rng, 4 if spinor else 1), grid, max_mode,
                           reversed(range(grid.dims)))
     values *= np.sqrt(np.prod(grid.shape))
-    return Field(grid, values if spinor else values[0], copy=False)
+    return Field(grid, values if spinor else values[0])
 
 
 def spinor_modes(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator) -> np.ndarray:

@@ -211,7 +211,7 @@ def _slash(psi: Field, A: Potential, consts: PhysicalConstants, backend: str,
            mass: int) -> Field:
     _require_spinor(psi)
     return Field(psi.grid, _slash_values(psi.values, psi.grid, _sampled(psi, A), consts,
-                                         backend, mass), copy=False)
+                                         backend, mass))
 
 
 def minimal_coupling_slash(psi: Field, A: Potential, consts: PhysicalConstants,
@@ -287,8 +287,7 @@ def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     pot = _sampled(phi, A)
     dphi, box = _derivatives(phi.values, phi.grid, backend,
                              first=any(pot.coupled[:phi.grid.dims]))
-    return Field(phi.grid, _fock_values(phi.values, phi.grid, pot, consts, dphi, box),
-                 copy=False)
+    return Field(phi.grid, _fock_values(phi.values, phi.grid, pot, consts, dphi, box))
 
 
 def factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -344,8 +343,7 @@ def gauge_discrepancy_prediction(phi: Field, A: PotentialSpec, consts: PhysicalC
     in Lorenz gauge, which is the content of the equivalence theorem.
     """
     _require_spinor(phi)
-    return Field(phi.grid, gauge_discrepancy_coefficient(A, phi.grid, consts) * phi.values,
-                 copy=False)
+    return Field(phi.grid, gauge_discrepancy_coefficient(A, phi.grid, consts) * phi.values)
 
 
 def relative_discrepancy(fock: np.ndarray, fact: np.ndarray,

@@ -33,9 +33,10 @@ the noise inside its Euler loop, a bounded chunk of steps at a time.
 Streaming: ``EulerStream`` is the one Euler loop.  It yields each step's
 (n_paths, 4) positions and keeps the blow-up flags, so a statistic that
 needs only end points or step-to-step comparisons runs in O(n_paths)
-memory, whatever the number of steps; its docstring gives how a chunk of
-steps advances and how a blow-up is flagged and frozen.  ``simulate``
-collects a stream into stored (n_paths, steps+1, 4) paths.
+memory, whatever the number of steps.  Each position is computed once, in
+a chunk of steps, and a blow-up is flagged and frozen in the rows of that
+chunk before they are yielded; the ``EulerStream`` docstring gives how.
+``simulate`` collects a stream into stored (n_paths, steps+1, 4) paths.
 In the simulate suite the generator battery, the straight line, the
 variance law and the configured ensemble read end states or final flags,
 the bitwise reproducibility check runs two streams in lockstep, and the
@@ -262,12 +263,13 @@ class EulerStream:
     are up to date at every yield: paths whose positions stop being finite are
     frozen at their last finite value and flagged.  The noise is drawn inside
     the loop, at most max(n_paths, NOISE_CHUNK) path-steps at a time, and the
-    positions of a chunk are computed together, with one finiteness check, as
-    rows of one block whose frozen paths are reset to their frozen positions;
-    a chunk that fails the check is recomputed one step at a time.  A stream
-    holds O(n_paths) memory whatever its length.  Each iteration restarts the
-    recursion from z0.  The control ``w`` is a complex four-vector, of which the
-    stream keeps a read-only copy.
+    positions of a chunk are computed once, together, as rows of one block
+    whose frozen paths are reset to their frozen positions.  One finiteness
+    check clears the whole block; a block that fails it has each row checked
+    just before its yield, where a newly non-finite path is flagged and frozen.
+    A stream holds O(n_paths) memory whatever its length.  Each iteration
+    restarts the recursion from z0.  The control ``w`` is a complex
+    four-vector, of which the stream keeps a read-only copy.
     """
 
     def __init__(self, params: EnsembleParams, w, consts: PhysicalConstants,
@@ -304,7 +306,7 @@ class EulerStream:
             # entered per chunk and never held across a yield, where they would leak to
             # the caller.
             with np.errstate(over="ignore", invalid="ignore"):
-                block = amp * xi.transpose(1, 0, 2)  # (m, n, 4), never written after
+                block = amp * xi.transpose(1, 0, 2)  # (m, n, 4); no row written after its yield
                 prev = z if start else z0  # every start row is z0: the same bits, no (n, 4) sum
                 for row in block:
                     np.add(prev + drift if prev is z0 else np.add(prev, drift, out=scratch),
@@ -313,23 +315,19 @@ class EulerStream:
                 if truncated.any():
                     block[:, truncated] = z[truncated]
                 clean = np.isfinite(block[-1].sum())
-            if clean:
-                yield from block
-                z = block[-1]
-                continue
-            # a blow-up or a sum that overflows: redo the chunk from its start one step
-            # at a time, flagging and freezing at the exact step
-            for k in range(xi.shape[1]):
-                with np.errstate(over="ignore", invalid="ignore"):  # flagged below
-                    z_new = z + drift + amp * xi[:, k]
-                bad = ~np.isfinite(z_new.view(np.float64)).reshape(n, 8).all(axis=1)
-                if bad.any():
-                    first_bad[bad & ~truncated] = start + k
-                    truncated |= bad
-                if truncated.any():
-                    z_new[truncated] = z[truncated]  # freeze blown-up paths
-                z = z_new
-                yield z
+            for k, row in enumerate(block):
+                if not clean:
+                    # a blow-up or a sum that overflows: a path first non-finite here is
+                    # flagged at this step and frozen in this row and the later rows of
+                    # the chunk, none of them yielded yet
+                    bad = ~np.isfinite(row.view(np.float64)).reshape(n, 8).all(axis=1)
+                    bad &= ~truncated  # an infinite z0 stays frozen, flagged at step 0
+                    if bad.any():
+                        first_bad[bad] = start + k
+                        truncated |= bad
+                        block[k:, bad] = z[bad]
+                yield row
+                z = row
 
     def end_state(self) -> np.ndarray:
         """Run the recursion through its last step and return the positions there."""

@@ -920,6 +920,29 @@ def assert_one_line_config_error(proc, key):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+# inputs that pass every key rule but need more memory than there is: an 8 TiB meshgrid
+# of the grid, and a 931 GiB flag array raised inside the task runner.  Each runs in a
+# fresh interpreter whose address space is capped at 4 GiB, so the allocation fails at
+# once instead of growing into the machine's memory
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command,text", [
+    ("verify-identity", "grid.points = 1048576,1048576\n"),
+    ("simulate", "simulate.n_paths = 1000000000000\n"),
+])
+def test_config_larger_than_memory_exit_2(tmp_path, command, text, workers):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from diracsoc import cli\n"
+        f"cli._worker_count = lambda n_tasks: min({workers}, n_tasks)\n"
+        f"sys.exit(cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}]))\n")
+    proc = run_python("-c", script)
+    assert_one_line_config_error(proc, "Unable to allocate")
+    assert not out.exists()
+
+
 def test_config_file_that_is_not_utf8_text_exit_2(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xff\xfe\x00")

@@ -1,7 +1,7 @@
 """The suites' outputs at the default configuration and the report over them, one small
-simulate run under the plane-wave control, one long simulate run,
-``verify-identity --backend fd4`` and ``verify-identity`` at non-unit constants, pinned
-by SHA-256.
+simulate run under the plane-wave control, one small simulate run that blows up, one
+long simulate run, ``verify-identity --backend fd4`` and ``verify-identity`` at
+non-unit constants, pinned by SHA-256.
 
 A refactor must leave every record byte-identical.  The hashes were taken with
 NumPy 2.4.6 on Python 3.11.7; another NumPy may round differently, so there the
@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from diracsoc.cli import EXIT_FAIL, EXIT_PASS, main
+from diracsoc.cli import EXIT_BLOWUP, EXIT_FAIL, EXIT_PASS, main
 
 PINNED_NUMPY = "2.4.6"
 GOLDEN = {
@@ -88,6 +88,43 @@ def plane_wave_outputs(tmp_path_factory):
 def test_plane_wave_simulate_output_matches_pin(plane_wave_outputs, name):
     digest = hashlib.sha256((plane_wave_outputs / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_PLANE_WAVE[name]
+
+
+# the configured ensemble under a constant control whose drift 1e308 * ds overflows on
+# the first step, its paths dumped: every path is flagged at step 0 and frozen at z0,
+# and the run exits 3
+BLOWUP_CONFIG = """
+simulate.n_paths = 5000
+simulate.variance_paths = 5000
+simulate.variance_steps = 8
+simulate.repro_paths = 64
+simulate.repro_steps = 8
+simulate.control = constant
+simulate.control_w = 1e308,0,0,0
+simulate.ds = 10
+simulate.dump_paths = true
+"""
+GOLDEN_BLOWUP = {
+    "simulate.jsonl": "b0f270fdaae3131faf1fe1bc5a142f301b408a74d1dabc11c635baaf3bbcaba6",
+    "paths.csv": "ee99ec0c6a1ae2bee87a3be57d8d512c9d3f322fe95201a03cb95d2bea727881",
+}
+
+
+@pytest.fixture(scope="module")
+def blowup_outputs(tmp_path_factory):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    out = tmp_path_factory.mktemp("blowup")
+    cfg = out / "run.cfg"
+    cfg.write_text(BLOWUP_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_BLOWUP
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BLOWUP))
+def test_blowup_simulate_output_matches_pin(blowup_outputs, name):
+    digest = hashlib.sha256((blowup_outputs / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_BLOWUP[name]
 
 
 # fd4 carries its stencil's truncation error into the identity residuals, so this run

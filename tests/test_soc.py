@@ -443,7 +443,8 @@ def _assert_stream_is_the_recursion(params, w, diffusion, seed, noise_chunk):
 def _recursion_cases():
     # one path drifting by 2.5e307 per step is finite through step 6 (1.75e308) and
     # overflows at step 7; three steps per chunk put step 7 mid-chunk after two clean
-    # chunks, four steps per chunk make it a chunk's last step
+    # chunks, four steps per chunk make it a chunk's last step, and seven make it the
+    # first step of a chunk, frozen at the last row of the chunk before
     one = EnsembleParams(n_paths=1, steps=12, ds=1.0)
     rush = np.array([2.5e307, 0, 0, 0])
     # every position is finite, but four paths at 1.5e308 overflow the sum of a row
@@ -457,14 +458,19 @@ def _recursion_cases():
     # chunk, so nine later chunks start with every path frozen
     frozen = EnsembleParams(n_paths=4, steps=20, ds=1.0)
     infinite = DiffusionCoefficients(np.array([np.inf, 0, 0, 0]), np.zeros(4))
+    # an infinite start is flagged at step 0 and stays frozen there, not flagged again
+    # at each later step or chunk
+    unbounded = EnsembleParams(n_paths=2, steps=6, ds=1.0, z0=[np.inf, 0, 0, 0])
     return {
         "blowup_in_later_chunk": (one, rush, zero_diffusion(), 3, {0: 7}),
         "blowup_on_chunk_last_step": (one, rush, zero_diffusion(), 4, {0: 7}),
+        "blowup_on_chunk_first_step": (one, rush, zero_diffusion(), 7, {0: 7}),
         "finite_sum_overflows": (near_max, np.array([1.0, 0, 0, 0]),
                                  zero_diffusion(), 12, {}),
         "frozen_in_earlier_chunk": (noisy, np.zeros(4), loud, 4, {0: 4, 1: 11}),
         "all_frozen_at_step_0": (frozen, np.zeros(4), infinite, 8,
                                  {0: 0, 1: 0, 2: 0, 3: 0}),
+        "start_not_finite": (unbounded, np.zeros(4), zero_diffusion(), 4, {0: 0, 1: 0}),
     }
 
 
