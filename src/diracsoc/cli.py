@@ -31,6 +31,10 @@ import sys
 import time
 from pathlib import Path
 
+# Parallelism is one forked process per CPU (_in_processes), so BLAS runs on the calling
+# thread; set before NumPy loads OpenBLAS, this starts no idle pool.  A preset value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import emfield, soc, spectrum
@@ -253,8 +257,7 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
     the same draws in any process.  A process samples each potential it needs
     once, and a gauge field's coefficient before it, holding only the last; it
     draws every field with its derivatives into its first field's arrays and
-    forms both sides in place in them.  No task calls a BLAS routine, so a
-    forked copy never enters the BLAS thread pool it inherits.
+    forms both sides in place in them.
     """
     grid = cfg.grid()
     max_mode = cfg["identity.max_mode"]

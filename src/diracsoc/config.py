@@ -183,6 +183,16 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{key} {exc}") from None
         cfg = cls(raw=merged, values=values)
+        # the operators and sweeps square hbar and m c and divide by hbar m: each must be
+        # a finite normal float, or a suite overflows or divides by an underflowed 0
+        hbar, c, m = (values[f"constants.{name}"] for name in ("hbar", "c", "m"))
+        for names, product, value in ((("hbar",), "hbar^2", hbar * hbar),
+                                      (("hbar", "m"), "hbar m", hbar * m),
+                                      (("m", "c"), "(m c)^2", (m * c) * (m * c))):
+            if not np.finfo(float).tiny <= value < math.inf:
+                keys = " and ".join(f"constants.{n} = {merged[f'constants.{n}']}" for n in names)
+                raise ConfigError(f"{keys}: {product} = {value!r} is not a finite normal "
+                                  "float; rescale the constants")
         for key in ("grid.extent", "grid.points"):
             if len(cfg[key]) != cfg["grid.dims"]:
                 raise ConfigError(f"{key} must have one entry per axis of grid.dims = "

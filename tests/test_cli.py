@@ -890,11 +890,13 @@ def test_configured_potential_inactive_axis_exit_2(tmp_path):
     assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports this checkout's package."""
+def run_python(*args, **environ):
+    """Run a fresh interpreter that imports this checkout's package, with the
+    variables ``environ`` set (or removed, where None) in its environment."""
     src = str(Path(diracsoc.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **environ)
+    env = {key: value for key, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
@@ -911,6 +913,43 @@ def test_importing_a_module_loads_no_other_package_module(module):
                             "print(*sorted(m for m in sys.modules if m.startswith('diracsoc')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["diracsoc", module]
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_runs_blas_on_the_calling_thread_unless_told_otherwise(preset):
+    # diracsoc.cli sets OPENBLAS_NUM_THREADS before NumPy is loaded, so no idle BLAS pool
+    # starts; that holds only while the package itself loads no NumPy
+    script = ("import os, sys\n"
+              "import diracsoc\n"
+              "assert 'numpy' not in sys.modules, 'diracsoc/__init__.py loads NumPy'\n"
+              "import diracsoc.cli\n"
+              "tasks = '/proc/self/task'\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'],\n"
+              "      len(os.listdir(tasks)) if os.path.isdir(tasks) else 0)\n")
+    proc = run_python("-c", script, OPENBLAS_NUM_THREADS=preset)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == (preset or "1")
+    if preset is None and threads != "0":
+        assert threads == "1"
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the suites that call BLAS (matrix products, np.linalg.det) write the same bytes
+    # whether it runs on one thread or two
+    cfg = write_cfg(tmp_path, "clifford.det_samples = 20\ndispersion.n_points = 8\n"
+                              "evolve.steps = 200\n")
+    suites = {"verify-clifford": "clifford", "dispersion": "dispersion", "evolve": "evolve"}
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        script = "from diracsoc import cli\n" + "".join(
+            f"assert cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}]) == 0\n"
+            for command in suites)
+        proc = run_python("-c", script, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / f"{stem}.jsonl").read_bytes() for stem in suites.values()])
+    assert outputs[0] == outputs[1]
 
 
 def assert_one_line_config_error(proc, key):
@@ -1109,6 +1148,16 @@ def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
     ("simulate", "potential.name = catalog\npotential.a0_0000 = 1", "potential.a0_0000"),
     ("verify-identity", "potential.name = custom_polynomial\npotential.foo = 1",
      "potential.foo"),
+    # constants that pass every key rule but overflow (m c)^2 or hbar^2, or underflow
+    # hbar^2 to 0; each command named here raised an OverflowError or ZeroDivisionError
+    ("simulate", "constants.c = 1e200",
+     "constants.m = 1.0 and constants.c = 1e200: (m c)^2 = inf is not a finite normal float"),
+    ("verify-identity", "constants.m = 1e300",
+     "constants.m = 1e300 and constants.c = 1.0: (m c)^2 = inf is not a finite normal float"),
+    ("evolve", "constants.hbar = 1e300",
+     "constants.hbar = 1e300: hbar^2 = inf is not a finite normal float"),
+    ("dispersion", "constants.hbar = 1e-300",
+     "constants.hbar = 1e-300: hbar^2 = 0.0 is not a finite normal float"),
 ])
 def test_refused_config_values_name_their_key(tmp_path, command, text, key):
     assert_refused_at_load(tmp_path, command, text + "\n", key)
