@@ -1,7 +1,9 @@
 """The suites' outputs at the default configuration and the report over them, one small
 simulate run under the plane-wave control, one small simulate run that blows up, one
-long simulate run, ``verify-identity --backend fd4`` and ``verify-identity`` at
-non-unit constants, pinned by SHA-256.
+long simulate run, ``verify-identity --backend fd4``, ``verify-identity`` at
+non-unit constants and for each kind of configured potential, ``evolve`` at
+non-unit constants with epsilon = -1, and one small simulate run with
+epsilon = -1, pinned by SHA-256.
 
 A refactor must leave every record byte-identical.  The hashes were taken with
 NumPy 2.4.6 on Python 3.11.7; another NumPy may round differently, so there the
@@ -188,3 +190,86 @@ def test_non_unit_constants_identity_output_matches_pin(tmp_path):
     assert main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_PASS
     digest = hashlib.sha256((tmp_path / "identity.jsonl").read_bytes()).hexdigest()
     assert digest == GOLDEN_NON_UNIT_IDENTITY
+
+
+# the non-unit constants with epsilon = -1: the evolve sweep's k^0, gaps and closed-form
+# frequencies carry every constant and the sign of the phase
+NON_UNIT_EVOLVE_CONFIG = """
+constants.hbar = 0.75
+constants.c = 1.5
+constants.m = 1.25
+constants.e = -0.6
+constants.epsilon = -1
+"""
+GOLDEN_NON_UNIT_EVOLVE = {
+    "evolve.jsonl": "4e2b1e5fa37566aa1643a9eb4f6d5723fb3f736ef245d2053f773474789af7c7",
+    "evolve_sweep.csv": "5d40c8f0bdaa9934f64afbc7143b494d3b9ce0e6e33b4e9b3d8be98d65181368",
+}
+
+
+@pytest.fixture(scope="module")
+def non_unit_evolve_outputs(tmp_path_factory):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    out = tmp_path_factory.mktemp("non_unit_evolve")
+    cfg = out / "run.cfg"
+    cfg.write_text(NON_UNIT_EVOLVE_CONFIG)
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NON_UNIT_EVOLVE))
+def test_non_unit_evolve_output_matches_pin(non_unit_evolve_outputs, name):
+    digest = hashlib.sha256((non_unit_evolve_outputs / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_NON_UNIT_EVOLVE[name]
+
+
+# epsilon = -1 flips the expected signs of the Re/Im correlations of the increments
+NEGATIVE_EPSILON_SIMULATE_CONFIG = """
+simulate.n_paths = 5000
+simulate.variance_paths = 5000
+simulate.variance_steps = 8
+simulate.repro_paths = 64
+simulate.repro_steps = 8
+constants.epsilon = -1
+"""
+GOLDEN_NEGATIVE_EPSILON_SIMULATE = \
+    "7d40fdbed405dbc59b510d3a9ea309afe208fa198149a455a5377188b189ca19"
+
+
+def test_negative_epsilon_simulate_output_matches_pin(tmp_path):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(NEGATIVE_EPSILON_SIMULATE_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_PASS
+    digest = hashlib.sha256((tmp_path / "simulate.jsonl").read_bytes()).hexdigest()
+    assert digest == GOLDEN_NEGATIVE_EPSILON_SIMULATE
+
+
+# a configured potential runs one family of fields: a gauge-violating wave only the
+# gauge discrepancy law, a Lorenz-gauge wave only factored_vs_fock
+def _potential_params(**params):
+    return "".join(f"potential.{key} = {value}\n" for key, value in params.items())
+
+
+CONFIGURED_IDENTITY = {
+    "custom_wave": (
+        _potential_params(eps0=0.3, eps1=0, eps2=0, eps3=0, k0=1, k1=0, k2=0, k3=0),
+        "9e2e04f47aac2826db3a1097b7768e4e2dc1457e0658c9cc1b15bcce49f226ae"),
+    "em_plane_wave": (
+        _potential_params(eps0=0, eps1=0, eps2=0.5, eps3=0, k0=1, k1=1, k2=0, k3=0),
+        "f307ed1c807b9b5ec08e57e6e26aa8b055c9bb0d02cd31636bc54897929af618"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGURED_IDENTITY))
+def test_configured_potential_identity_output_matches_pin(tmp_path, name):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    params, pin = CONFIGURED_IDENTITY[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid.points = 64,64\npotential.name = {name}\n{params}")
+    assert main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_PASS
+    digest = hashlib.sha256((tmp_path / "identity.jsonl").read_bytes()).hexdigest()
+    assert digest == pin
