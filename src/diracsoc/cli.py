@@ -251,35 +251,52 @@ def _gauge_law_residual(phi, fock, fact, coef) -> float:
 def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
     """The identity records, no CSV rows, and the meta of the run.
 
-    Every refusal is made before any field is drawn.  The generator's state is
-    then saved before each field's draws, in the serial order, and each field is
-    a cost-1 check task of ``_in_processes`` that restores its state, so it gets
-    the same draws in any process.  A process samples each potential it needs
-    once, and a gauge field's coefficient before it, holding only the last; it
-    draws every field with its derivatives into its first field's arrays and
-    forms both sides in place in them.
+    One plan lists the checked potentials as (check, potential name, spec): the
+    catalog's Lorenz-gauge four under ``factored_vs_fock`` and its gauge-violating
+    one under ``gauge_discrepancy_law``, or the configured one under the check its
+    gauge picks.  One pass over the plan makes every refusal, before any field is
+    drawn, and the fields are read from it.  The generator's state is then saved
+    before each field's draws, in the serial order, and each field is a cost-1 check
+    task of ``_in_processes`` that restores its state, so it gets the same draws in
+    any process.  A process samples each potential it needs once, and a gauge field's
+    coefficient before it, holding only the last; it draws every field with its
+    derivatives into its first field's arrays and forms both sides in place in them.
     """
     grid = cfg.grid()
     max_mode = cfg["identity.max_mode"]
+    consts, tiny = cfg.constants(), np.finfo(float).tiny
+    # each side sums products of two first-order terms, hbar d phi (up to hbar k phi at
+    # an axis's Nyquist wavenumber k = pi points / extent) or e A phi, and the
+    # transforms sum over the points; k^2 and A^2 are also formed alone.  Past this
+    # limit on max(1, hbar) k and max(1, |e|) |A|, a product may overflow
+    limit = np.sqrt(np.finfo(float).max / (1024 * np.prod(grid.points, dtype=float)))
+    for mu in range(grid.dims):
+        k = np.pi * grid.points[mu] / grid.extent[mu]
+        if not k * max(1.0, consts.hbar) <= limit:
+            raise ConfigError(f"grid.extent = {cfg.raw['grid.extent']} puts the Nyquist "
+                              f"wavenumber pi points / extent of axis {mu} at {k:.3g}; "
+                              f"max(1, hbar) times it must stay within {limit:.3g} on "
+                              f"a {_grid_label(grid)} grid, or the operators may overflow")
+    counts = {"factored_vs_fock": cfg["identity.n_fields"],
+              "gauge_discrepancy_law": cfg["identity.gauge_fields"]}
 
     configured = cfg.potential()
     if configured is not None:
-        sweep = [(configured.name, configured)] if emfield.is_lorenz_gauge(configured) else []
-        negatives = [] if emfield.is_lorenz_gauge(configured) \
-            else [(configured.name, configured)]
+        plan = [("factored_vs_fock" if emfield.is_lorenz_gauge(configured)
+                 else "gauge_discrepancy_law", configured.name, configured)]
     elif grid.dims < 2:
         raise ConfigError("grid.dims = 1 leaves no axis 1 for the catalog sweep's waves; "
                           "use grid.dims >= 2 or name one potential in potential.name")
     else:
-        sweep = identity_potentials(grid)
-        negatives = [("negative-gauge", gauge_violating_potential(grid))]
+        plan = [("factored_vs_fock", name, spec) for name, spec in identity_potentials(grid)]
+        plan.append(("gauge_discrepancy_law", "negative-gauge", gauge_violating_potential(grid)))
 
-    # A potential that is not periodic on the grid makes A phi jump at the wrap: a
-    # polynomial that varies along an axis, or a wave whose mode |k_mu| L_mu / 2 pi
-    # is not a whole number.  A phi reaches mode max_mode + (the potential's mode); the
-    # Nyquist mode points/2 is zeroed by the spectral derivative, so the identity would
-    # fail by aliasing.
-    for name, spec in sweep + negatives:
+    for check_name, name, spec in plan:
+        # A potential that is not periodic on the grid makes A phi jump at the wrap: a
+        # polynomial that varies along an axis, or a wave whose mode |k_mu| L_mu / 2 pi
+        # is not a whole number.  A phi reaches mode max_mode + (the potential's mode);
+        # the Nyquist mode points/2 is zeroed by the spectral derivative, so the
+        # identity would fail by aliasing.
         for mu in range(grid.dims):
             if isinstance(spec.family, emfield.PolynomialPotential) \
                     and spec.family.varies_along(mu):
@@ -296,14 +313,24 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
                 raise ConfigError(f"identity.max_mode {max_mode} plus mode {mode:.6g} of potential "
                                   f"{name} on axis {mu} reaches the Nyquist mode of "
                                   f"{grid.points[mu]} points; products would alias")
-    for _, spec in sweep + negatives:
         require_representable(spec, grid)
-    # a charge of 0 leaves no prediction for the gauge law to hold the discrepancy to,
-    # and one whose coefficient is subnormal everywhere leaves a prediction coef phi
-    # that may underflow to 0 at every point
-    consts, tiny = cfg.constants(), np.finfo(float).tiny
-    for name, spec in negatives:
-        if not np.abs(gauge_discrepancy_coefficient(spec, grid, consts)).max() >= tiny:
+        # |A| <= sum |eps_mu| for a wave, and sum |c| over the terms for a polynomial,
+        # constant by now
+        amplitudes = {key: abs(value) for key, value in spec.params.items()
+                      if isinstance(spec.family, emfield.PolynomialPotential)
+                      or key.startswith("eps")}
+        bound = sum(amplitudes.values(), 0.0)
+        if not bound * max(1.0, abs(consts.e)) <= limit:
+            key = f"potential.{max(amplitudes, key=amplitudes.get)}" if bound > limit \
+                else "constants.e"
+            raise ConfigError(f"{key} = {cfg.raw.get(key)} gives potential {name} |A| up to "
+                              f"{bound:.3g}; max(1, |e|) |A| must stay within {limit:.3g} on "
+                              f"a {_grid_label(grid)} grid, or the operators may overflow")
+        # a charge of 0 leaves no prediction for the gauge law to hold the discrepancy to,
+        # and one whose coefficient is subnormal everywhere leaves a prediction coef phi
+        # that may underflow to 0 at every point
+        if check_name == "gauge_discrepancy_law" \
+                and not np.abs(gauge_discrepancy_coefficient(spec, grid, consts)).max() >= tiny:
             raise ConfigError(f"constants.e = {cfg.raw['constants.e']} makes the factor "
                               f"-i e hbar (d.A) of the predicted gauge discrepancy of potential "
                               f"{name} 0 or subnormal at every grid point, so the prediction "
@@ -312,10 +339,8 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
 
     # (check, potential name, spec, field index) per field, in the serial order, and the
     # generator's state before each field's draws
-    fields = [(check_name, name, spec, i) for check_name, potentials, count in (
-                  ("factored_vs_fock", sweep, cfg["identity.n_fields"]),
-                  ("gauge_discrepancy_law", negatives, cfg["identity.gauge_fields"]))
-              for name, spec in potentials for i in range(count)]
+    fields = [(check_name, name, spec, i) for check_name, name, spec in plan
+              for i in range(counts[check_name])]
     rng = np.random.default_rng(cfg["seed"])
     states = []
     for _ in fields:
@@ -379,68 +404,80 @@ def dispersion_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict]:
 def evolve_records(cfg: RunConfig) -> tuple[list[dict], list[tuple], dict]:
     """The evolve records, the rows of ``evolve_sweep.csv``, and the meta of the run.
 
-    Before any mode is evolved, the sweep is refused (ConfigError) unless every
-    gap has a real k^0, the per-step phase stays below pi, one gap is on shell
-    and no gap is within rounding of the stationarity threshold.
+    The sweep's gaps, their k^0^2 and the |gap| each mode realizes are derived once,
+    as arrays.  Before any mode is evolved, the sweep is refused (ConfigError)
+    unless the frequency fit can scale its time column, every gap has a real, finite
+    k^0, the per-step phase stays below pi, one gap is on shell and no gap is within
+    rounding of the stationarity threshold.
     """
     consts = cfg.constants()
     raw = cfg.raw
     k1, gap_range = cfg["evolve.k1"], cfg["evolve.gap_range"]
     dtau, steps = cfg["evolve.dtau"], cfg["evolve.steps"]
-    # the sweep's extremes are its end gaps, -gap_range and gap_range, and k0sq is the
-    # expression spectrum.delta_sweep solves k^0 from.  The most negative gap needs a
-    # real k^0 at k1; the error names evolve.k1 when that key alone is off its
-    # default, else evolve.gap_range
-    k0sq = [(g + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2 for g in (-gap_range, gap_range)]
-    if k0sq[0] < 0:
+    # np.polyfit in spectrum.fit_mode_frequency divides its time column n dtau by
+    # sqrt(sum (n dtau)^2), which is 0 once the largest term, (steps dtau)^2, rounds to 0
+    span = steps * dtau
+    if not span * span > 0:
+        raise ConfigError(
+            f"evolve.dtau = {raw['evolve.dtau']} gives evolve.steps evolve.dtau = {span:.3g}, "
+            f"whose square rounds to 0, so the frequency fit would divide its time column by "
+            f"0; evolve.dtau must exceed 2^-537.5 / evolve.steps = {2 ** -537.5 / steps:.3g}")
+    u, tol = np.finfo(float).eps / 2, cfg["evolve.stationary_tol"]
+    # the drift bound evolve.stationary_tol translates into this largest |gap| whose
+    # mode must stay stationary via 2 sin(|D| T / 2 hbar m), over T = steps * dtau
+    gap_threshold = tol * consts.hbar * consts.m / span
+    # k0sq is the expression spectrum.delta_sweep solves k^0 from (k1 squared by C pow,
+    # as there), and realized the |gap| of each mode, as spectrum.gap takes it.  A gap
+    # within rounding of the threshold may be flagged on either side of it.  Its drift
+    # 2 sin(x / 2), x = |D| steps dtau / (hbar m), falls short of x by at most
+    # stationary_tol^2 / 24 relatively at the threshold; rounding moves it by 12 u
+    # relatively, u = eps / 2, and absolutely by under 6 u per step (the complex
+    # multiply sqrt 5 u, the step factor's cos and sin 2 sqrt 2 u), and under 2 x over
+    # all steps: a step of phase below sqrt(u) has a cos that rounds to 1, so it moves
+    # the amplitude by at most its sin
+    with np.errstate(all="ignore"):  # a k^0^2 that is negative or not finite is refused
+        gaps = np.linspace(-gap_range, gap_range, cfg["evolve.n_gaps"])
+        k1sq = np.float64(k1) ** 2
+        k0sq = (gaps + consts.mass_shell) / consts.hbar ** 2 + k1sq
+        shell = consts.hbar ** 2 * k1sq + consts.mass_shell
+        k0 = np.sqrt(k0sq)
+        realized = np.abs(consts.hbar ** 2 * (k0 * k0 - k1 * k1) - consts.mass_shell)
+        band = gap_threshold * (tol ** 2 / 24 + 12 * u) \
+            + np.minimum(2 * realized, gap_threshold * 6 * steps * u / tol)
+    # the most negative gap needs a real k^0 at k1, and the largest a finite one; the
+    # error names evolve.k1 when that key alone is off its default, else evolve.gap_range
+    if not (k0sq[0] >= 0 and k0sq[-1] < np.inf):
         off_default = [key for key in ("evolve.k1", "evolve.gap_range")
                        if raw[key] != KEYS[key][0]]
         key = "evolve.k1" if off_default == ["evolve.k1"] else "evolve.gap_range"
         raise ConfigError(
-            f"{key} = {raw[key]} gives the gap -{gap_range:g} no real k^0 at "
-            f"evolve.k1 = {k1:g} (k^0^2 = {k0sq[0]:.3g}); evolve.gap_range must stay "
-            f"within hbar^2 k1^2 + m^2 c^2 = "
-            f"{consts.hbar ** 2 * k1 ** 2 + consts.mass_shell:g}")
+            f"{key} = {raw[key]} gives the gaps -{gap_range:g} to {gap_range:g} k^0^2 = "
+            f"{k0sq[0]:.3g} to {k0sq[-1]:.3g} at evolve.k1 = {k1:g}, and each needs a real, "
+            f"finite k^0: hbar^2 k1^2 + m^2 c^2 = {shell:g} must be finite and at least "
+            f"evolve.gap_range")
     # np.unwrap in spectrum.fit_mode_frequency folds a step of pi or more into a wrong
-    # frequency.  The phase is taken from the gaps the end modes realize, as
+    # frequency.  The phase is taken from the gaps the modes realize, as
     # spectrum.propertime_evolve takes it, so that its own refusal is never reached
-    largest = max(abs(spectrum.gap(np.array([np.sqrt(s), k1, 0.0, 0.0]), consts)) for s in k0sq)
-    phase = largest * dtau / (consts.hbar * consts.m)
+    phase = float(realized.max()) * dtau / (consts.hbar * consts.m)
     if phase >= np.pi:
         raise ConfigError(
             f"evolve.dtau = {raw['evolve.dtau']} turns the phase of the gap "
             f"{gap_range:g} by {phase:.6g} rad per step, which the frequency fit cannot "
             f"unwrap; evolve.dtau must stay below pi hbar m / evolve.gap_range = "
             f"{np.pi * consts.hbar * consts.m / gap_range:.8g}")
-    # the drift bound evolve.stationary_tol translates into this largest |gap| whose
-    # mode must stay stationary via 2 sin(|D| T / 2 hbar m), over T = steps * dtau; a
-    # sweep with no gap that close to 0 never checks that a mode is stationary
-    gaps = np.linspace(-gap_range, gap_range, cfg["evolve.n_gaps"])
-    gap_threshold = cfg["evolve.stationary_tol"] * consts.hbar * consts.m / (steps * dtau)
+    # a sweep with no gap within the threshold of 0 never checks that a mode is stationary
     if not np.any(np.abs(gaps) <= gap_threshold):
         raise ConfigError(
             f"evolve.n_gaps = {raw['evolve.n_gaps']} puts no gap within "
             f"{gap_threshold:.3g} of 0 on [-{gap_range:g}, {gap_range:g}], so no mode is "
             f"on shell; use an odd count of at least 3")
-    # a gap within rounding of the threshold may be flagged on either side of it.  Its
-    # drift 2 sin(x / 2), x = |D| steps dtau / (hbar m), falls short of x by at most
-    # stationary_tol^2 / 24 relatively at the threshold; rounding moves it by 12 u
-    # relatively, u = eps / 2, and absolutely by under 6 u per step (the complex
-    # multiply sqrt 5 u, the step factor's cos and sin 2 sqrt 2 u), and under 2 x over
-    # all steps: a step of phase below sqrt(u) has a cos that rounds to 1, so it moves
-    # the amplitude by at most its sin.  The gaps are delta_sweep's modes'
-    u, tol = np.finfo(float).eps / 2, cfg["evolve.stationary_tol"]
-    for g in gaps:
-        k0 = np.sqrt((g + consts.mass_shell) / consts.hbar ** 2 + k1 ** 2)
-        realized = abs(spectrum.gap(np.array([k0, k1, 0.0, 0.0]), consts))
-        band = gap_threshold * (tol ** 2 / 24 + 12 * u) \
-            + min(2 * realized, gap_threshold * 6 * steps * u / tol)
-        if abs(realized - gap_threshold) <= band:
-            raise ConfigError(
-                f"evolve.dtau = {raw['evolve.dtau']} puts the gap {g:g} within {band:.3g} of "
-                f"the stationarity threshold evolve.stationary_tol hbar m / (evolve.steps "
-                f"evolve.dtau) = {gap_threshold:.6g}, where rounding may flag its mode on "
-                f"either side; move evolve.dtau so that no gap is that close to it")
+    near = np.flatnonzero(np.abs(realized - gap_threshold) <= band)
+    if near.size:
+        raise ConfigError(
+            f"evolve.dtau = {raw['evolve.dtau']} puts the gap {gaps[near[0]]:g} within "
+            f"{band[near[0]]:.3g} of the stationarity threshold evolve.stationary_tol hbar m / "
+            f"(evolve.steps evolve.dtau) = {gap_threshold:.6g}, where rounding may flag its "
+            f"mode on either side; move evolve.dtau so that no gap is that close to it")
 
     def mode_stationarity():
         freq_tol = cfg["evolve.frequency_tol"]
@@ -530,12 +567,12 @@ def _fixed_seed_bitwise(cfg: RunConfig) -> tuple[list[dict], list]:
 
 
 def _reim_correlation_signs(cfg: RunConfig) -> tuple[list[dict], list]:
-    # per-component Re/Im correlation pattern of the increments, from steps 0 and 1 of
-    # the reproducibility ensemble: the stream is keyed by (seed, step), so these are
-    # the bits fixed_seed_bitwise compares, and one noise chunk at most is drawn
+    # per-component Re/Im correlation pattern of the increments, from a one-step ensemble
+    # of the reproducibility paths: the stream is keyed by (seed, step), so its two rows
+    # are the bits of steps 0 and 1 that fixed_seed_bitwise compares
     consts = cfg.constants()
-    start, first = itertools.islice(
-        soc.EulerStream(_repro_params(cfg), np.zeros(4), consts, cfg["seed"]), 2)
+    one_step = soc.EnsembleParams(cfg["simulate.repro_paths"], 1, cfg["simulate.ds"])
+    start, first = soc.EulerStream(one_step, np.zeros(4), consts, cfg["seed"])
     dz = first - start
     expected_sign = np.array([1.0, -1.0, -1.0, -1.0]) * consts.epsilon
     # np.max, unlike max(), propagates NaN, so an undefined statistic fails its check
@@ -611,9 +648,7 @@ SIMULATE_FAMILIES = (
     ("straight_line_bitwise", _straight_line_bitwise, lambda cfg: _LINE.n_paths * _LINE.steps),
     ("fixed_seed_bitwise", _fixed_seed_bitwise,
      lambda cfg: 2 * cfg["simulate.repro_paths"] * cfg["simulate.repro_steps"]),
-    ("reim_correlation_signs", _reim_correlation_signs,  # the one noise chunk it draws
-     lambda cfg: cfg["simulate.repro_paths"] * min(
-         cfg["simulate.repro_steps"], max(1, soc.NOISE_CHUNK // cfg["simulate.repro_paths"]))),
+    ("reim_correlation_signs", _reim_correlation_signs, lambda cfg: cfg["simulate.repro_paths"]),
     ("diffusion_variance", _diffusion_variance,
      lambda cfg: cfg["simulate.variance_paths"] * cfg["simulate.variance_steps"]),
     ("action_constant_onshell", _action_constant_onshell,

@@ -40,7 +40,8 @@ chunk before they are yielded; the ``EulerStream`` docstring gives how.
 In the simulate suite the generator battery, the straight line, the
 variance law and the configured ensemble read end states or final flags,
 the bitwise reproducibility check runs two streams in lockstep, and the
-Re/Im correlation check takes steps 0 and 1 of the first of them.  Only
+Re/Im correlation check reads a one-step ensemble of the same paths and seed,
+whose two rows are the bits of their steps 0 and 1.  Only
 the action check (``accumulate_action`` needs every position) stores
 paths, and with ``simulate.dump_paths`` the configured ensemble keeps the
 dumped paths, at most ``simulate.dump_max_paths`` of them.

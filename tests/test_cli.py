@@ -609,6 +609,17 @@ def test_clifford_records_are_the_same_bytes_in_any_number_of_processes(
     assert len(outputs[0].splitlines()) == 54
 
 
+@pytest.mark.parametrize("n_paths", [2, 64, 9000])
+def test_one_step_ensemble_rows_are_the_first_two_of_a_longer_stream(n_paths):
+    # reim_correlation_signs reads a one-step ensemble in place of steps 0 and 1 of the
+    # reproducibility streams: the noise is keyed by (seed, step), so the bits agree
+    consts = RunConfig.from_sources().constants()
+    one = list(soc.EulerStream(soc.EnsembleParams(n_paths, 1, 1 / 64), np.zeros(4), consts, 7))
+    longer = soc.EulerStream(soc.EnsembleParams(n_paths, 16, 1 / 64), np.zeros(4), consts, 7)
+    assert len(one) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(one, longer))
+
+
 def test_simulate_families_are_dealt_heaviest_first_to_the_least_loaded_process():
     # simulate-long's path-steps: the variance ensemble (index 5) outweighs the rest
     cfg = RunConfig.from_sources(parse_config_text(
@@ -616,8 +627,8 @@ def test_simulate_families_are_dealt_heaviest_first_to_the_least_loaded_process(
         "simulate.variance_steps = 8192\nsimulate.repro_paths = 64\n"
         "simulate.repro_steps = 8192\n"), {})
     costs = [cost(cfg) for *_, cost in cli.SIMULATE_FAMILIES]
-    # reim_correlation_signs reads two steps, but draws one noise chunk of 8192 path-steps
-    assert costs == [0, 6 * 2000, 3 * 64, 2 * 64 * 8192, 8192, 256 * 8192, 2 * 1024, 64 * 8192]
+    # reim_correlation_signs runs a one-step ensemble of the 64 reproducibility paths
+    assert costs == [0, 6 * 2000, 3 * 64, 2 * 64 * 8192, 64, 256 * 8192, 2 * 1024, 64 * 8192]
     assert cli._share_out(costs, 1) == [list(range(8))]
     assert cli._share_out(costs, 2) == [[5], [0, 1, 2, 3, 4, 6, 7]]
     assert cli._share_out([5, 3, 3, 2], 2) == [[0, 3], [1, 2]]
@@ -1158,6 +1169,18 @@ def test_out_of_range_config_value_exit_2(tmp_path, command, key, value):
      "constants.hbar = 1e300: hbar^2 = inf is not a finite normal float"),
     ("dispersion", "constants.hbar = 1e-300",
      "constants.hbar = 1e-300: hbar^2 = 0.0 is not a finite normal float"),
+    # a k1 whose square overflows leaves every gap without a finite k^0
+    ("evolve", "evolve.k1 = 1e155", "evolve.k1"),
+    ("evolve", "evolve.k1 = 1e300", "evolve.k1"),
+    # steps dtau squares to 0, so np.polyfit would scale the fit's time column by 0
+    ("evolve", "evolve.dtau = 1e-200", "evolve.dtau"),
+    ("evolve", "evolve.dtau = 1e-300", "evolve.dtau"),
+    # wavenumbers or potentials whose products overflow in the identity's operators
+    ("verify-identity", "grid.extent = 1e-300,1e-300", "grid.extent"),
+    ("verify-identity", "potential.name = custom_wave\n" + GAUGE_VIOLATING_PARAMS.replace(
+        "eps0 = 0.3", "eps0 = 1e300").replace("k1 = 0", "k1 = 1"), "potential.eps0"),
+    ("verify-identity", "potential.name = custom_polynomial\npotential.a0_0000 = 1e300",
+     "potential.a0_0000"),
 ])
 def test_refused_config_values_name_their_key(tmp_path, command, text, key):
     assert_refused_at_load(tmp_path, command, text + "\n", key)
@@ -1203,6 +1226,22 @@ def test_evolve_refuses_a_mass_its_sweep_cannot_reach(tmp_path):
                            "--out", str(tmp_path / "o"))
     assert_one_line_config_error(proc, "evolve.gap_range")
     assert not (tmp_path / "o").exists()
+
+
+# the largest k1 whose square is finite, and a dtau whose fit still has a time column
+# scale (steps dtau = 1e-157 squares to a subnormal, not to 0)
+@pytest.mark.parametrize("text", ["evolve.k1 = 1e154", "evolve.dtau = 1e-160"])
+def test_evolve_runs_at_extreme_but_finite_inputs(tmp_path, text):
+    cfg = write_cfg(tmp_path, text + "\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PASS
+
+
+# far from the bounds on wavenumbers and potentials, on the default 256 x 256 grid
+@pytest.mark.parametrize("text", ["grid.extent = 0.01,0.01", "grid.extent = 1000,1000",
+                                  "potential.name = custom_polynomial\npotential.a0_0000 = 1e4"])
+def test_identity_runs_at_small_and_large_scales(tmp_path, text):
+    cfg = write_cfg(tmp_path, text + "\nidentity.n_fields = 2\nidentity.gauge_fields = 1\n")
+    assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PASS
 
 
 def test_evolve_accepts_a_step_just_below_the_unwrap_bound(tmp_path):
