@@ -248,26 +248,39 @@ def test_negative_epsilon_simulate_output_matches_pin(tmp_path):
 
 
 # a configured potential runs one family of fields: a gauge-violating wave only the
-# gauge discrepancy law, a Lorenz-gauge wave only factored_vs_fock
+# gauge discrepancy law, a Lorenz-gauge wave or constant only factored_vs_fock.  The
+# constant varies along no axis and the wave along axis 1 only, with a phase and its
+# polarization on the inactive axis 3
 def _potential_params(**params):
     return "".join(f"potential.{key} = {value}\n" for key, value in params.items())
 
 
 CONFIGURED_IDENTITY = {
     "custom_wave": (
+        "custom_wave",
         _potential_params(eps0=0.3, eps1=0, eps2=0, eps3=0, k0=1, k1=0, k2=0, k3=0),
         "9e2e04f47aac2826db3a1097b7768e4e2dc1457e0658c9cc1b15bcce49f226ae"),
     "em_plane_wave": (
+        "em_plane_wave",
         _potential_params(eps0=0, eps1=0, eps2=0.5, eps3=0, k0=1, k1=1, k2=0, k3=0),
         "f307ed1c807b9b5ec08e57e6e26aa8b055c9bb0d02cd31636bc54897929af618"),
+    "custom_polynomial_constant": (
+        "custom_polynomial",
+        _potential_params(a0_0000=0.8, a1_0000=-0.3, a2_0000=0.2),
+        "6d7c9ed4bae12d0b6fe2489de283488e310160db93127ba4a99b754b73fa69c2"),
+    "em_plane_wave_axis1": (
+        "em_plane_wave",
+        _potential_params(eps0=0, eps1=0, eps2=0, eps3=0.4, k0=0, k1=2, k2=0, k3=0,
+                          phase=0.7),
+        "ad9ab6cc7164488592451dfae06156a5685da78787d748e075abb66558624d9b"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGURED_IDENTITY))
-def test_configured_potential_identity_output_matches_pin(tmp_path, name):
+@pytest.mark.parametrize("label", sorted(CONFIGURED_IDENTITY))
+def test_configured_potential_identity_output_matches_pin(tmp_path, label):
     if np.__version__ != PINNED_NUMPY:
         pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
-    params, pin = CONFIGURED_IDENTITY[name]
+    name, params, pin = CONFIGURED_IDENTITY[label]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"grid.points = 64,64\npotential.name = {name}\n{params}")
     assert main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_PASS
