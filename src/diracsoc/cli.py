@@ -260,7 +260,8 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
     task of ``_in_processes`` that restores its state, so it gets the same draws in
     any process.  A process samples each potential it needs once, and a gauge field's
     coefficient before it, holding only the last; it draws every field with its
-    derivatives into its first field's arrays and forms both sides in place in them.
+    derivatives into its first field's arrays and forms both sides in place in them;
+    the residual's moduli go in psi's.
     """
     grid = cfg.grid()
     max_mode = cfg["identity.max_mode"]
@@ -348,7 +349,6 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
         spinor_modes(grid, max_mode, rng)
 
     backend, glabel = cfg["backend"], _grid_label(grid)
-    scratch = np.empty((4,) + grid.shape)
     jet, spec, pot, coef = None, None, None, None
 
     def check_field(k):
@@ -363,7 +363,10 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
         phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
         jet = [phi, *dphi, box]
         fock, fact = fock_and_factored_in_place(phi, grid, pot, consts, backend, dphi, box)
-        residual = relative_discrepancy(fock, fact, scratch) if coef is None \
+        # psi, formed in dphi[0]'s buffer, is read by neither residual: its first half,
+        # as floats, takes the moduli
+        moduli = dphi[0].reshape(-1).view(np.float64)[:fock.size].reshape(fock.shape)
+        residual = relative_discrepancy(fock, fact, moduli) if coef is None \
             else _gauge_law_residual(phi, fock, fact, coef)
         return [check(cfg, "verify-identity", check_name, potential=name, field_index=i,
                       grid=glabel, residual=residual,

@@ -7,8 +7,11 @@ complex arguments.  Positions are passed as the four coordinates
 
 Every catalog entry is one of two families, resolved once from the table
 ``CATALOG`` when its ``PotentialSpec`` is built.  Each family answers the
-same four questions: its values, its Jacobian, whether its divergence
-vanishes identically, and whether it varies along an axis.
+same four questions: its components, its Jacobian, whether its divergence
+vanishes identically, and whether it varies along an axis.  Components and
+Jacobian entries come one at a time, None where they vanish identically, and
+each has the shape the coordinates broadcast to, so coordinates held along
+one axis each give arrays that span only the axes they vary along.
 
 * Polynomial (``PolynomialPotential``, one ``Polynomial`` per component):
   ``free``; ``constant_electric(E)``, ``A_0 = -E z^1``, giving ``F_01 = +E``;
@@ -78,12 +81,10 @@ class PolynomialPotential:
         return tuple(Polynomial({exps: c for (nu, exps), c in self.terms.items() if nu == mu})
                      for mu in range(4))
 
-    def values(self, zs) -> np.ndarray:
-        A = np.zeros((4,) + zs[0].shape, dtype=np.complex128)
-        for mu, poly in enumerate(self.components):
-            if poly.terms:
-                A[mu] = poly(zs)
-        return A
+    def component_values(self, zs):
+        """A_mu for mu = 0..3; None where it vanishes identically."""
+        for poly in self.components:
+            yield poly(zs) if poly.terms else None
 
     def jacobian_entries(self, zs, pairs):
         """d A_nu / d z^mu for each (mu, nu) in ``pairs``; None where it vanishes identically."""
@@ -118,13 +119,11 @@ class CosineWave:
     def _phase(self, zs):
         return sum(self.k[mu] * zs[mu] for mu in range(4)) + self.phase
 
-    def values(self, zs) -> np.ndarray:
-        A = np.zeros((4,) + zs[0].shape, dtype=np.complex128)
+    def component_values(self, zs):
+        """A_mu for mu = 0..3; None where it vanishes identically."""
         c = np.cos(self._phase(zs))
         for mu in range(4):
-            if self.eps[mu] != 0.0:
-                A[mu] = self.eps[mu] * c
-        return A
+            yield self.eps[mu] * c if self.eps[mu] != 0.0 else None
 
     def jacobian_entries(self, zs, pairs):
         """d A_nu / d z^mu for each (mu, nu) in ``pairs``; None where it vanishes identically."""
@@ -265,7 +264,12 @@ def _coords(z) -> list[np.ndarray]:
 
 def evaluate_potential(spec: PotentialSpec, z) -> np.ndarray:
     """A_mu(z): lower-index components, shape (4,) + broadcast(z)."""
-    return spec.family.values(_coords(z))
+    zs = _coords(z)
+    A = np.zeros((4,) + zs[0].shape, dtype=np.complex128)
+    for mu, component in enumerate(spec.family.component_values(zs)):
+        if component is not None:
+            A[mu] = component
+    return A
 
 
 _PAIRS = tuple((mu, nu) for mu in range(4) for nu in range(4))
@@ -288,15 +292,18 @@ def field_strength(spec: PotentialSpec, z) -> np.ndarray:
     return J - np.swapaxes(J, 0, 1)
 
 
-def lorenz_residual(spec: PotentialSpec, z):
-    """Divergence d_mu A^mu(z); identically zero for gauge-respecting entries.
-
-    Only the diagonal Jacobian entries J[mu, mu] are computed, one at a time.
-    """
-    zs = _coords(z)
-    diagonal = (np.zeros(zs[0].shape, dtype=np.complex128) if entry is None else entry
+def _divergence(spec: PotentialSpec, zs, zero):
+    """d_mu A^mu at the coordinates ``zs`` from the diagonal Jacobian entries J[mu, mu],
+    taken one at a time, with ``zero`` in place of each that vanishes identically."""
+    diagonal = (zero if entry is None else entry
                 for entry in spec.family.jacobian_entries(zs, _DIAGONAL))
-    res = sum(METRIC_DIAG[mu] * d for mu, d in enumerate(diagonal))
+    return sum(METRIC_DIAG[mu] * d for mu, d in enumerate(diagonal))
+
+
+def lorenz_residual(spec: PotentialSpec, z):
+    """Divergence d_mu A^mu(z); identically zero for gauge-respecting entries."""
+    zs = _coords(z)
+    res = _divergence(spec, zs, np.zeros(zs[0].shape, dtype=np.complex128))
     return complex(res) if np.ndim(res) == 0 else res
 
 

@@ -138,9 +138,21 @@ def _require_finite(values: np.ndarray) -> np.ndarray:
 
 def _rms(values: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """Root-mean-square magnitude of an array; the moduli go in ``scratch`` (real, of
-    the same shape) when given."""
+    the same shape) when given.
+
+    Where the mean square overflows but the largest modulus ``top`` is finite, the
+    value is ``top * sqrt(mean((|x| / top)^2))``; a finite mean square takes no
+    further pass.
+    """
     mod = np.abs(values, out=scratch)
-    return float(np.sqrt(np.mean(np.square(mod, out=mod))))
+    with np.errstate(over="ignore"):
+        value = float(np.sqrt(np.mean(np.square(mod, out=mod))))
+    if not np.isfinite(value):
+        top = np.abs(values, out=mod).max()
+        if np.isfinite(top):
+            np.divide(mod, top, out=mod)
+            value = float(top * np.sqrt(np.mean(np.square(mod, out=mod))))
+    return value
 
 
 def l2norm(f: Field) -> float:
@@ -297,18 +309,23 @@ def _pruned_ifft(block: np.ndarray, grid: SpacetimeGrid, max_mode: int, axes,
     ``_mode_window``, and transforms only the lines whose untransformed
     indices lie in the window; every other line is zero before and after, so
     the result equals the dense ifftn.  Only the last pass spans the whole
-    grid; it is formed in ``out`` when given.
+    grid.  Given ``out``, a spinor buffer, it is formed there one component at a
+    time, each padded and transformed while its part of ``out`` is in cache; the
+    bits are those of one pass over all four.
     """
     values = block
     for i, mu in enumerate(axes):
         n, axis = grid.points[mu], values.ndim - grid.dims + mu
+        window = (slice(None),) * axis + (_mode_window(n, max_mode),)
         if out is not None and i == grid.dims - 1:
-            padded = out
-            padded.fill(0)
-        else:
-            padded = np.zeros(values.shape[:axis] + (n,) + values.shape[axis + 1:],
-                              dtype=np.complex128)
-        padded[(slice(None),) * axis + (_mode_window(n, max_mode),)] = values
+            for part, modes in zip(out, values):
+                part.fill(0)
+                part[window[1:]] = modes
+                np.fft.ifft(part, axis=axis - 1, out=part)
+            return out
+        padded = np.zeros(values.shape[:axis] + (n,) + values.shape[axis + 1:],
+                          dtype=np.complex128)
+        padded[window] = values
         values = np.fft.ifft(padded, axis=axis, out=padded)
     return values
 

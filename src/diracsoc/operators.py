@@ -23,6 +23,11 @@ The operators apply the Dirac matrices of ``clifford.DIRAC``.  Each of those
 gammas, and each commutator of two distinct ones, has one nonzero entry per
 row, so the operators mix spinor components through row tables
 (a, p(a), M_a,p(a)) taken from those matrices once, at import.
+
+A ``SampledPotential`` holds each of A_mu, A^2 and F_munu (once per pair
+mu < nu) with the shape of the axes it varies along, sampled on the grid's
+open coordinates, and the operators broadcast it against the fields; the
+values are those of the full grid's coordinates, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .clifford import DIRAC, METRIC_DIAG, ArrayC
 from .constants import PhysicalConstants
-from .emfield import PotentialSpec, _coords, evaluate_potential, lorenz_residual
+from .emfield import PotentialSpec, _divergence
 from .grid import (Field, SpacetimeGrid, _derivatives, _partial_values, _require_finite, _rms,
                    dalembertian)
 
@@ -56,48 +61,71 @@ def require_representable(spec: PotentialSpec, grid: SpacetimeGrid) -> None:
                                 f"use a grid with dims > {mu}")
 
 
-def _sample_field_strength(spec: PotentialSpec, grid: SpacetimeGrid) -> dict:
-    """``SampledPotential.F``, pair by pair: the two Jacobian entries d_mu A_nu and
-    d_nu A_mu are taken once and give both F_munu and F_numu, with no dense 4x4 Jacobian."""
+def _open_coords(spec: PotentialSpec, grid: SpacetimeGrid) -> list:
+    """The four coordinates on the grid's open mesh: z^mu as a complex array spanning
+    axis mu alone where ``spec`` varies along it, and 0 elsewhere, where no component
+    reads it (an inactive coordinate is 0 on the grid).  Everything sampled from them
+    spans only the axes the potential varies along, and no full-grid mesh is formed."""
+    zs = []
+    for mu in range(4):
+        if grid.is_active(mu) and spec.family.varies_along(mu):
+            shape = [1] * grid.dims
+            shape[mu] = grid.points[mu]
+            zs.append(grid.axis(mu).astype(np.complex128).reshape(shape))
+        else:
+            zs.append(np.zeros((), dtype=np.complex128))
+    return zs
+
+
+def _held(values) -> np.ndarray:
+    """``values`` as a read-only complex array (an operation on 0-d arrays gives a scalar)."""
+    values = np.asarray(values, dtype=np.complex128)
+    values.setflags(write=False)
+    return values
+
+
+def _sample_field_strength(spec: PotentialSpec, zs) -> dict:
+    """``SampledPotential.F``: for each pair mu < nu, the two Jacobian entries d_mu A_nu and
+    d_nu A_mu are taken once and give F_munu, with no dense 4x4 Jacobian."""
     pairs = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
     # d_mu A_nu then d_nu A_mu for each pair; None where it vanishes identically
     entries = spec.family.jacobian_entries(
-        _coords(grid.coords4()), [p for mu, nu in pairs for p in ((mu, nu), (nu, mu))])
+        zs, [p for mu, nu in pairs for p in ((mu, nu), (nu, mu))])
     F = {}
-    for mu, nu in pairs:
+    for pair in pairs:
         d_mu_nu, d_nu_mu = (0j if d is None else d for d in (next(entries), next(entries)))
         component = d_mu_nu - d_nu_mu
         if np.any(component != 0):
-            F[(mu, nu)], F[(nu, mu)] = component, d_nu_mu - d_mu_nu
-    for component in F.values():
-        component.setflags(write=False)
-    return dict(sorted(F.items()))
+            F[pair] = _held(component)
+    return F
 
 
 class SampledPotential:
     """A potential sampled once on one grid, passed to the operators in place of its spec.
 
-    ``A`` holds the lower-index components A_mu on the grid,
-    ``coupled[mu]`` says whether A_mu is anywhere nonzero and ``asq`` is
-    A^mu A_mu (None where it vanishes identically).  ``F`` maps
-    (mu, nu), mu != nu, to F_munu for the components that are not identically
-    zero, in row-major order.  Everything is sampled at construction, F last,
-    once A's temporaries are freed; a potential therefore exists before any
-    derivative of a field it acts on, so F's sampling peak never adds to theirs.
+    Each array spans only the axes the potential varies along (``_open_coords``):
+    0-d for a constant, one axis for a wave along one axis, the whole grid only
+    for a wave along two; the operators broadcast it against the field.
+    ``A[mu]`` is the lower-index component A_mu (0-d zero where it vanishes
+    identically), ``coupled[mu]`` says whether A_mu is anywhere nonzero and
+    ``asq`` is A^mu A_mu (None where it vanishes identically).  ``F`` maps each
+    pair (mu, nu), mu < nu, to F_munu for the components that are not identically
+    zero, in row-major order; F_numu is -F_munu exactly.  Everything is read-only
+    and sampled at construction, F last, once A's temporaries are freed; a
+    potential therefore exists before any derivative of a field it acts on.
     """
 
     def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid) -> None:
         require_representable(spec, grid)
         self.spec = spec
         self.grid = grid
-        self.A = evaluate_potential(spec, grid.coords4())
-        self.A.setflags(write=False)
+        zs = _open_coords(spec, grid)
+        self.A = tuple(_held(0j if a is None else a) for a in spec.family.component_values(zs))
         self.coupled = tuple(bool(np.any(a != 0)) for a in self.A)
-        asq = sum(METRIC_DIAG[mu] * self.A[mu] * self.A[mu] for mu in range(4))
-        asq.setflags(write=False)
+        asq = _held(sum(METRIC_DIAG[mu] * self.A[mu] * self.A[mu] for mu in range(4)))
         self.asq = asq if np.any(asq != 0) else None
         del asq  # a zero A^2 is freed before F is sampled
-        self.F = _sample_field_strength(spec, grid)
+        self.F = _sample_field_strength(spec, zs)
 
 
 Potential = PotentialSpec | SampledPotential
@@ -136,6 +164,13 @@ def _monomial_rows(mat: ArrayC) -> Rows:
 _GAMMA_ROWS = tuple(_monomial_rows(g) for g in DIRAC.gammas)
 _COMMUTATOR_ROWS = {(mu, nu): _monomial_rows(DIRAC.commutator(mu, nu))
                     for mu in range(4) for nu in range(4) if mu != nu}
+
+
+def _both_orders(pairs) -> list[int]:
+    """For pairs (mu, nu), mu < nu, the index of the pair behind each of (mu, nu) and
+    (nu, mu), in the row-major order of those ordered pairs."""
+    return [i for *_, i in sorted(key for i, (mu, nu) in enumerate(pairs)
+                                  for key in ((mu, nu, i), (nu, mu, i)))]
 
 
 def _accumulate(out: np.ndarray, m: complex, term: np.ndarray, row: np.ndarray) -> None:
@@ -243,7 +278,12 @@ def _fock_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
     The result is formed in ``box``'s buffer; ``dphi`` is read on the
     coupled axes.  box, and dphi where it is read, are checked finite; the
     result is not.  The mass, field-strength, A.d and A^2 terms are formed
-    one spinor component at a time in one reused buffer.
+    one spinor component at a time in one reused buffer, and the
+    field-strength term in one buffer per held pair of F.  The (nu, mu) term
+    of a pair is the (mu, nu) one bit for bit, since F_numu = -F_munu and
+    [gamma^nu, gamma^mu] = -[gamma^mu, gamma^nu] negate exactly; so each
+    pair's product is formed once per spinor row and subtracted for both
+    orders, in the row-major order of (mu, nu) over all mu != nu.
     """
     hbar, e, mc = consts.hbar, consts.e, consts.mc
     row = np.empty(grid.shape, dtype=np.complex128)
@@ -252,12 +292,18 @@ def _fock_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
         np.multiply(-(mc ** 2), values[a], out=row)
         np.subtract(row, out[a], out=out[a])
 
-    for (mu, nu), F_munu in pot.F.items():
-        for a, b, m in _COMMUTATOR_ROWS[mu, nu]:
-            np.multiply(F_munu, values[b], out=row)
-            np.multiply(m, row, out=row)
-            np.multiply(0.25j * e * hbar, row, out=row)
-            out[a] -= row
+    if pot.F:
+        terms = [row] + [np.empty_like(row) for _ in range(len(pot.F) - 1)]
+        order = _both_orders(list(pot.F))
+        for a in range(4):
+            for ((mu, nu), F_munu), term in zip(pot.F.items(), terms):
+                _, b, m = _COMMUTATOR_ROWS[mu, nu][a]
+                np.multiply(F_munu, values[b], out=term)
+                np.multiply(m, term, out=term)
+                np.multiply(0.25j * e * hbar, term, out=term)
+            for i in order:
+                out[a] -= terms[i]
+        del terms
 
     for mu in range(grid.dims):
         if pot.coupled[mu]:
@@ -331,8 +377,9 @@ def legacy_factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
 def gauge_discrepancy_coefficient(A: PotentialSpec, grid: SpacetimeGrid,
                                   consts: PhysicalConstants) -> np.ndarray:
     """-i e hbar (d_mu A^mu)(z) on the grid: the factor of phi in
-    ``gauge_discrepancy_prediction``."""
-    return -1j * consts.e * consts.hbar * lorenz_residual(A, grid.coords4())
+    ``gauge_discrepancy_prediction``, spanning only the axes A varies along
+    (``_open_coords``)."""
+    return -1j * consts.e * consts.hbar * _divergence(A, _open_coords(A, grid), 0j)
 
 
 def gauge_discrepancy_prediction(phi: Field, A: PotentialSpec, consts: PhysicalConstants,

@@ -187,6 +187,25 @@ def test_identity_fields_after_the_first_allocate_no_spinor(monkeypatch):
     assert max(peaks) < spinor_bytes, max(peaks) / spinor_bytes
 
 
+def test_identity_working_set_on_the_default_grid(monkeypatch):
+    # One field per family on the default grid, checked in this process: the traced peak
+    # of the whole suite stays within 6.5 spinor arrays.  The jet's four arrays are held
+    # throughout; the lightlike wave, the one potential that varies along both axes,
+    # adds its full-grid A_2, A^2 and one F per pair, and the residual's moduli go in
+    # psi's buffer.
+    cfg = RunConfig.from_sources({"identity.n_fields": "1", "identity.gauge_fields": "1"})
+    spinor_bytes = 4 * np.prod(cfg.grid().shape) * 16
+    monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 1)
+    tracemalloc.start()
+    try:
+        records, _, _ = cli.identity_records(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 5 and all(r["pass"] for r in records)
+    assert peak <= 6.5 * spinor_bytes, peak / spinor_bytes
+
+
 # an odd field count in each family, so that the two processes' shares differ in size
 # and both families straddle them
 ODD_IDENTITY = FAST_IDENTITY.replace("n_fields = 2", "n_fields = 3").replace(
@@ -1236,9 +1255,11 @@ def test_evolve_runs_at_extreme_but_finite_inputs(tmp_path, text):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PASS
 
 
-# far from the bounds on wavenumbers and potentials, on the default 256 x 256 grid
+# far from the bounds on wavenumbers and potentials, on the default 256 x 256 grid; at
+# |A| = 1e100 the squares of fock's moduli overflow, and the norms scale before squaring
 @pytest.mark.parametrize("text", ["grid.extent = 0.01,0.01", "grid.extent = 1000,1000",
-                                  "potential.name = custom_polynomial\npotential.a0_0000 = 1e4"])
+                                  "potential.name = custom_polynomial\npotential.a0_0000 = 1e4",
+                                  "potential.name = custom_polynomial\npotential.a0_0000 = 1e100"])
 def test_identity_runs_at_small_and_large_scales(tmp_path, text):
     cfg = write_cfg(tmp_path, text + "\nidentity.n_fields = 2\nidentity.gauge_fields = 1\n")
     assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PASS

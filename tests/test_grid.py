@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diracsoc.clifford import mdot
-from diracsoc.grid import (Field, GridError, SpacetimeGrid, _derivatives, band_limited_jet,
+from diracsoc.grid import (Field, GridError, SpacetimeGrid, _derivatives, _rms, band_limited_jet,
                            dalembertian, l2norm, partial, partial_or_zero, plane_wave,
                            random_band_limited)
 
@@ -244,3 +244,19 @@ def test_grid_outputs_are_read_only_and_unaliased():
     for out in outputs[2:10]:
         assert not np.shares_memory(out.values, f.values)
         assert not np.shares_memory(out.values, g.values)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e200, 1e307])
+def test_rms_scales_when_the_squares_overflow(scale):
+    # the mean square of moduli past 1e154 overflows; the norm is then taken of the
+    # moduli over the largest, and keeps the scale's relative accuracy
+    values = scale * (np.arange(1, 9) * (1 + 1j)).reshape(2, 4)
+    want = np.sqrt(np.mean(np.abs(values / scale) ** 2)) * scale
+    scratch = np.empty(values.shape)
+    assert _rms(values, scratch) == pytest.approx(want, rel=1e-15)
+    assert _rms(values) == pytest.approx(want, rel=1e-15)
+
+
+def test_rms_of_a_non_finite_array_is_not_finite():
+    assert np.isnan(_rms(np.array([1.0, np.nan])))
+    assert _rms(np.array([1.0, np.inf])) == np.inf

@@ -517,7 +517,7 @@ def test_factorization_discrepancy_peak_memory_on_the_default_grid():
             pot = SampledPotential(spec, grid)
             fresh = _traced_peak(factorization_discrepancy, phi, spec, consts)
             kernel = _traced_peak(factorization_discrepancy, phi, pot, consts)
-            kept = sum(a.nbytes for a in [pot.A, *pot.F.values()]
+            kept = sum(a.nbytes for a in [*pot.A, *pot.F.values()]
                        + ([] if pot.asq is None else [pot.asq]))
             assert kernel <= 5 * size, (name, kernel / size)
             assert fresh <= max(sampling, kept + kernel) + size // 16, (name, fresh / size)
@@ -549,20 +549,92 @@ def test_dalembertian_agrees_with_composed_first_derivatives(name, grid, max_mod
 
 
 def test_sampled_potential_holds_only_nonzero_field_strength():
+    # F is held once per pair mu < nu: F_10 = -F_01 is not held
     pot = SampledPotential(emfield.constant_electric(0.6), WITNESS_GRID)
-    assert sorted(pot.F) == [(0, 1), (1, 0)]
-    assert np.all(pot.F[(0, 1)] == 0.6) and np.all(pot.F[(1, 0)] == -0.6)
+    assert sorted(pot.F) == [(0, 1)]
+    F_01 = np.broadcast_to(pot.F[(0, 1)], WITNESS_GRID.shape)
+    assert np.all(F_01 == 0.6) and np.all(-F_01 == -0.6)
     assert pot.coupled == (True, False, False, False)
-    assert not pot.A.flags.writeable
+    assert not any(a.flags.writeable for a in pot.A)
     assert not any(f.flags.writeable for f in pot.F.values())
     assert SampledPotential(emfield.free(), WITNESS_GRID).F == {}
 
 
 def test_sampled_potential_holds_a_squared():
     pot = SampledPotential(emfield.constant_potential([0.8, -0.3, 0.2, 0.0]), WITNESS_GRID)
-    assert np.array_equal(pot.asq, np.full(WITNESS_GRID.shape, 0.8 ** 2 - 0.3 ** 2 - 0.2 ** 2))
+    assert np.array_equal(np.broadcast_to(pot.asq, WITNESS_GRID.shape),
+                          np.full(WITNESS_GRID.shape, 0.8 ** 2 - 0.3 ** 2 - 0.2 ** 2))
     assert not pot.asq.flags.writeable
     assert SampledPotential(emfield.free(), WITNESS_GRID).asq is None
+
+
+def _sampled_cases():
+    grid = SpacetimeGrid()
+    cases = [(name, grid, spec) for name, spec in identity_potentials(grid)]
+    cases.append(("negative-gauge", grid, gauge_violating_potential(grid)))
+    return cases + witness_cases() + [
+        ("wave_with_phase", WITNESS_GRID, emfield.custom_wave(
+            [0.3, -0.2, 0.0, 0.4], WITNESS_GRID.commensurate_wavevector([2, -1]), 0.7))]
+
+
+@pytest.mark.parametrize("name,grid,spec", _sampled_cases())
+def test_sampled_potential_equals_full_grid_evaluation(name, grid, spec):
+    # sampled on the open coordinates, A, A^2, F and -i e hbar (d.A) are the values on the
+    # full grid's coordinates, broadcast; F_numu is -F_munu
+    c = WITNESS_CONSTS
+    z = grid.coords4()
+    pot = SampledPotential(spec, grid)
+    A = emfield.evaluate_potential(spec, z)
+    for mu in range(4):
+        assert np.array_equal(np.broadcast_to(pot.A[mu], grid.shape), A[mu])
+        assert pot.coupled[mu] == bool(np.any(A[mu] != 0))
+    asq = sum(METRIC_DIAG[mu] * A[mu] * A[mu] for mu in range(4))
+    assert (pot.asq is None) == (not np.any(asq != 0))
+    if pot.asq is not None:
+        assert np.array_equal(np.broadcast_to(pot.asq, grid.shape), asq)
+    F = emfield.field_strength(spec, z)
+    for mu in range(4):
+        for nu in range(mu + 1, 4):
+            held = pot.F.get((mu, nu), np.zeros(()))
+            assert np.array_equal(np.broadcast_to(held, grid.shape), F[mu, nu])
+            assert np.array_equal(np.broadcast_to(-held, grid.shape), F[nu, mu])
+    coef = operators.gauge_discrepancy_coefficient(spec, grid, c)
+    want = -1j * c.e * c.hbar * emfield.lorenz_residual(spec, z)
+    assert np.array_equal(np.broadcast_to(coef, grid.shape), want)
+
+
+def test_sampled_potential_spans_only_the_axes_it_varies_along():
+    # on the default grid a constant is held in 0-d arrays, a wave along one axis in
+    # arrays of one axis (O(points) bytes), and only a wave along both in full-grid ones
+    grid = SpacetimeGrid()
+    potentials = dict(identity_potentials(grid))
+    held = {name: SampledPotential(spec, grid) for name, spec in potentials.items()}
+
+    def arrays(pot):
+        return [*pot.A, *pot.F.values()] + ([] if pot.asq is None else [pot.asq])
+
+    assert all(a.ndim == 0 for a in arrays(held["constant_A"]))
+    assert all(a.ndim == 0 for a in arrays(held["free"]))
+    spacelike = arrays(held["em_wave_spacelike"])
+    assert {a.shape for a in spacelike} == {(), (1, 256)}
+    gauge = gauge_violating_potential(grid)
+    coef = operators.gauge_discrepancy_coefficient(gauge, grid, PhysicalConstants())
+    assert coef.shape == (256, 1)
+    gauge_held = arrays(SampledPotential(gauge, grid)) + [coef]
+    for group in (spacelike, gauge_held):
+        assert sum(a.nbytes for a in group) <= 8 * 256 * 16
+    # the lightlike wave's one nonzero component, its A^2 and two pairs of F
+    lightlike = arrays(held["em_wave_lightlike"])
+    assert sum(a.nbytes for a in lightlike) == 4 * np.prod(grid.shape) * 16 + 3 * 16
+
+
+def test_commutator_rows_of_the_reversed_pair_negate_exactly():
+    # the field-strength term of (nu, mu) repeats the (mu, nu) one bit for bit: the same
+    # column, and the entry's negation, which the products carry exactly
+    for mu in range(4):
+        for nu in range(mu + 1, 4):
+            reversed_rows = [(a, b, -m) for a, b, m in _COMMUTATOR_ROWS[mu, nu]]
+            assert _COMMUTATOR_ROWS[nu, mu] == tuple(reversed_rows)
 
 
 def test_sampled_potential_grid_mismatch_rejected():
