@@ -303,7 +303,7 @@ def _fock_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
                 np.multiply(0.25j * e * hbar, term, out=term)
             for i in order:
                 out[a] -= terms[i]
-        del terms
+        del terms  # freed before the A.d and A^2 coefficients are formed
 
     for mu in range(grid.dims):
         if pot.coupled[mu]:
