@@ -1,9 +1,9 @@
 """The suites' outputs at the default configuration and the report over them, one small
 simulate run under the plane-wave control, one small simulate run that blows up, one
-long simulate run, ``verify-identity --backend fd4``, ``verify-identity`` at
-non-unit constants and for each kind of configured potential, ``evolve`` at
-non-unit constants with epsilon = -1, and one small simulate run with
-epsilon = -1, pinned by SHA-256.
+long simulate run, ``verify-identity --backend fd4`` at unit and at non-unit
+constants, ``verify-identity`` at non-unit constants, on a 3-axis grid and for
+each kind of configured potential, ``evolve`` at non-unit constants with
+epsilon = -1, and one small simulate run with epsilon = -1, pinned by SHA-256.
 
 A refactor must leave every record byte-identical.  The hashes were taken with
 NumPy 2.4.6 on Python 3.11.7; another NumPy may round differently, so there the
@@ -190,6 +190,45 @@ def test_non_unit_constants_identity_output_matches_pin(tmp_path):
     assert main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_PASS
     digest = hashlib.sha256((tmp_path / "identity.jsonl").read_bytes()).hexdigest()
     assert digest == GOLDEN_NON_UNIT_IDENTITY
+
+
+GOLDEN_NON_UNIT_FD4_IDENTITY = "62c5fa8a7ff9a4088add7cc735166c0b72a778cec51e13191381bf638a4e2dff"
+
+
+def test_non_unit_constants_fd4_identity_output_matches_pin(tmp_path):
+    # fd4 at the non-unit constants: the stencil's arrays scaled by e != 1, and the gauge
+    # law's prediction for both of its fields; like the default fd4 run it exits 1
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(NON_UNIT_CONFIG)
+    assert main(["verify-identity", "--backend", "fd4", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_FAIL
+    digest = hashlib.sha256((tmp_path / "identity.jsonl").read_bytes()).hexdigest()
+    assert digest == GOLDEN_NON_UNIT_FD4_IDENTITY
+
+
+# the catalog on three active axes: the constant potential and the lightlike wave couple
+# axis 2, so the A.d term and the first factor read d_1 phi and d_2 phi
+THREE_AXIS_CONFIG = """
+grid.dims = 3
+grid.extent = 6.283185307179586,6.283185307179586,6.283185307179586
+grid.points = 32,32,16
+identity.max_mode = 4
+identity.n_fields = 2
+identity.gauge_fields = 1
+"""
+GOLDEN_THREE_AXIS_IDENTITY = "e339d3308372f8ba8249354090956a84b4ce662cac28f71e5399a9ae5d622032"
+
+
+def test_three_axis_identity_output_matches_pin(tmp_path):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"outputs pinned on NumPy {PINNED_NUMPY}; this is NumPy {np.__version__}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_AXIS_CONFIG)
+    assert main(["verify-identity", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_PASS
+    digest = hashlib.sha256((tmp_path / "identity.jsonl").read_bytes()).hexdigest()
+    assert digest == GOLDEN_THREE_AXIS_IDENTITY
 
 
 # the non-unit constants with epsilon = -1: the evolve sweep's k^0, gaps and closed-form
