@@ -40,7 +40,7 @@ import numpy as np
 from . import emfield, soc, spectrum
 from .clifford import DIRAC, mdot, relation_residuals
 from .config import KEYS, ConfigError, RunConfig, load_config_file
-from .grid import BACKENDS, SpacetimeGrid, band_limited_jet, spinor_modes
+from .grid import BACKENDS, ModeComponents, SpacetimeGrid, band_limited_jet, spinor_modes
 from .operators import (OperatorError, SampledPotential, fock_and_factored_in_place,
                         gauge_discrepancy_coefficient, relative_discrepancy,
                         require_representable)
@@ -237,7 +237,7 @@ def gauge_violating_potential(grid: SpacetimeGrid) -> emfield.PotentialSpec:
 def _gauge_law_residual(phi, fock, fact, coef) -> float:
     """max |(factored - fock) - predicted| / max |predicted| for one field, where the
     prediction is ``coef phi`` (``gauge_discrepancy_prediction``); formed one spinor
-    component at a time, with ``fact`` overwritten."""
+    component at a time, phi read as ``phi[a]``, with ``fact`` overwritten."""
     worst, scale = [], []
     for a in range(4):
         pred = coef * phi[a]
@@ -259,9 +259,13 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
     before each field's draws, in the serial order, and each field is a cost-1 check
     task of ``_in_processes`` that restores its state, so it gets the same draws in
     any process.  A process samples each potential it needs once, and a gauge field's
-    coefficient before it, holding only the last; it draws every field with its
-    derivatives into its first field's arrays and forms both sides in place in them;
-    the residual's moduli go in psi's.
+    coefficient before it, holding only the last.  It draws every field into the same
+    three spinor arrays, phi, d_0 phi and the d'Alembertian, and one component buffer,
+    where each d_mu phi past axis 0 is synthesized from the field's mode block one
+    spinor component at a time as the kernel reads it; both sides are formed in place
+    in them, the second factor in phi's array.  The residual's moduli go in psi's, or
+    for a gauge field the components of phi, re-drawn from its mode block for the
+    prediction.
     """
     grid = cfg.grid()
     max_mode = cfg["identity.max_mode"]
@@ -358,16 +362,27 @@ def identity_records(cfg: RunConfig) -> tuple[list[dict], list, dict]:
             spec, pot, coef = field_spec, None, None  # the last potential is freed first
             if check_name == "gauge_discrepancy_law":
                 coef = gauge_discrepancy_coefficient(spec, grid, consts)
-            pot = SampledPotential(spec, grid)
+            pot = SampledPotential(spec, grid, consts)
+        if jet is None:
+            # phi, d_0 phi and box as spinors; the later d_mu phi share one component
+            spinors = [np.empty((4,) + grid.shape, dtype=np.complex128) for _ in range(3)]
+            jet = [*spinors[:2], *[np.empty(grid.shape, dtype=np.complex128)]
+                   * (grid.dims - 1), spinors[2]]
         rng.bit_generator.state = states[k]
         phi, dphi, box = band_limited_jet(grid, max_mode, rng, backend, out=jet)
-        jet = [phi, *dphi, box]
-        fock, fact = fock_and_factored_in_place(phi, grid, pot, consts, backend, dphi, box)
-        # psi, formed in dphi[0]'s buffer, is read by neither residual: its first half,
-        # as floats, takes the moduli
-        moduli = dphi[0].reshape(-1).view(np.float64)[:fock.size].reshape(fock.shape)
-        residual = relative_discrepancy(fock, fact, moduli) if coef is None \
-            else _gauge_law_residual(phi, fock, fact, coef)
+        fock, fact = fock_and_factored_in_place(phi, pot, backend, dphi, box)
+        # psi, in dphi[0]'s buffer, is read by neither residual.  Its first half, as
+        # floats, takes the moduli; for a gauge field its first component takes each
+        # component of phi in turn, re-drawn from the field's mode block, since phi's
+        # buffer now holds fact
+        psi = dphi[0]
+        if coef is None:
+            moduli = psi.reshape(-1).view(np.float64)[:fock.size].reshape(fock.shape)
+            residual = relative_discrepancy(fock, fact, moduli)
+        else:
+            rng.bit_generator.state = states[k]
+            phi = ModeComponents(grid, max_mode, spinor_modes(grid, max_mode, rng), None, psi[0])
+            residual = _gauge_law_residual(phi, fock, fact, coef)
         return [check(cfg, "verify-identity", check_name, potential=name, field_index=i,
                       grid=glabel, residual=residual,
                       tolerance=cfg["identity.tolerance"])], []

@@ -16,9 +16,13 @@ stencil; its d'Alembertian composes that first-derivative stencil.  Where
 both orders are wanted (``_derivatives``, on a field's array), one forward
 transform per axis serves them, and each result is the same bits as when
 computed alone.  ``band_limited_jet`` draws a random band-limited spinor with
-its first derivatives and d'Alembertian, all as arrays, with no ``Field``:
-spectral ones come from the drawn spectrum itself, with no forward
-transform, and fd4 ones from the stencil on the drawn array.
+its first derivatives and d'Alembertian, with no ``Field``: spectral ones come
+from the drawn spectrum itself, with no forward transform, and fd4 ones from
+the stencil on the drawn array.  Each is an array, except that a spectral first
+derivative past axis 0 given a buffer of one component is a ``ModeComponents``:
+the mode block, synthesized one spinor component at a time into that buffer
+when read, with the bits of the whole array.  ``ModeComponents`` re-draws phi
+itself the same way.
 """
 
 from __future__ import annotations
@@ -330,6 +334,19 @@ def _pruned_ifft(block: np.ndarray, grid: SpacetimeGrid, max_mode: int, axes,
     return values
 
 
+def _synthesized(block: np.ndarray, grid: SpacetimeGrid, max_mode: int,
+                 factor: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
+    """The array of a mode block: with ``factor`` None the field itself, by pruned passes
+    last axis first (as ``np.fft.ifftn`` goes) and then scaled by sqrt(points); otherwise
+    the array of ``block * factor``, axis 0 first, so that the one full pass runs along
+    the contiguous last axis.  Formed in ``out`` when given (see ``_pruned_ifft``)."""
+    if factor is None:
+        values = _pruned_ifft(block, grid, max_mode, reversed(range(grid.dims)), out)
+        values *= np.sqrt(np.prod(grid.shape))
+        return values
+    return _pruned_ifft(block * factor, grid, max_mode, range(grid.dims), out)
+
+
 def random_band_limited(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator,
                         spinor: bool = False) -> Field:
     """Random field whose spectrum is supported on modes |n_mu| <= max_mode.
@@ -338,9 +355,8 @@ def random_band_limited(grid: SpacetimeGrid, max_mode: int, rng: np.random.Gener
     coefficients in turn.  The inverse transform runs as pruned passes, last
     axis first as ``np.fft.ifftn`` does, and equals the dense ifftn.
     """
-    values = _pruned_ifft(_mode_block(grid, max_mode, rng, 4 if spinor else 1), grid, max_mode,
-                          reversed(range(grid.dims)))
-    values *= np.sqrt(np.prod(grid.shape))
+    values = _synthesized(_mode_block(grid, max_mode, rng, 4 if spinor else 1), grid,
+                          max_mode, None)
     return Field(grid, values if spinor else values[0])
 
 
@@ -350,39 +366,71 @@ def spinor_modes(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator) -
     return _mode_block(grid, max_mode, rng, 4)
 
 
+@dataclass(frozen=True, eq=False)
+class ModeComponents:
+    """A spinor array kept as its mode block and synthesized one component at a time.
+
+    ``components[b]`` forms component b in ``buf`` (an array of ``grid.shape``,
+    overwritten on every read) and returns ``buf``; it is component b of the
+    whole array that ``band_limited_jet`` forms from ``block`` with ``factor``
+    (None for phi itself), bit for bit.
+    """
+
+    grid: SpacetimeGrid
+    max_mode: int
+    block: np.ndarray
+    factor: np.ndarray | None
+    buf: np.ndarray
+
+    def __getitem__(self, b: int) -> np.ndarray:
+        _synthesized(self.block[b:b + 1], self.grid, self.max_mode, self.factor,
+                     self.buf[np.newaxis])
+        return self.buf
+
+
 def band_limited_jet(grid: SpacetimeGrid, max_mode: int, rng: np.random.Generator,
                      backend: str = "spectral", out: list[np.ndarray] | None = None
-                     ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+                     ) -> tuple[np.ndarray, list, np.ndarray]:
     """A random spinor phi with its derivatives: (phi, [d_mu phi, active mu], d^mu d_mu phi).
 
     phi takes the draws of ``random_band_limited(grid, max_mode, rng,
     spinor=True)`` and has its bits; it is checked finite and the derivatives
-    are not.  ``out`` holds dims + 2 spinor-shaped buffers, filled in the order
-    phi, d_0 phi, ..., box; without it the arrays are new.  Spectral: each
-    derivative is synthesized from phi's mode block times its symbol (i k_mu,
-    or the sum of eta^{mumu} (-k_mu^2)) by pruned passes, axis 0 first, so
-    that the one full pass runs along the contiguous last axis; they agree
-    with ``_derivatives(phi, grid, "spectral")`` up to rounding.  fd4: phi goes
-    in ``out[0]`` and the derivatives are ``_derivatives(phi, grid, "fd4")``,
-    new arrays, since the stencil is what the fd4 backend verifies.
+    are not.  ``out`` holds dims + 2 buffers, filled in the order phi, d_0 phi,
+    ..., box; without it the arrays are new.  Each buffer is spinor-shaped,
+    except that a first derivative past axis 0 may take one of ``grid.shape``;
+    with the spectral backend that derivative is then a ``ModeComponents``
+    reading into it, so several may share one buffer.  Any other count or shape
+    is a GridError.  Spectral:
+    each derivative is synthesized from phi's mode block times its symbol (i
+    k_mu, or the sum of eta^{mumu} (-k_mu^2)); they agree with
+    ``_derivatives(phi, grid, "spectral")`` up to rounding.  fd4: phi goes in
+    ``out[0]`` and the derivatives are ``_derivatives(phi, grid, "fd4")``, new
+    arrays, since the stencil is what the fd4 backend verifies.
     """
     if backend not in BACKENDS:
         raise GridError(f"unknown backend {backend!r}; valid: {BACKENDS}")
+    spinor = (4,) + grid.shape
+    if out is not None and (len(out) != grid.dims + 2 or any(
+            buf.shape != spinor and not (2 <= k <= grid.dims and buf.shape == grid.shape)
+            for k, buf in enumerate(out))):
+        raise GridError(f"out needs {grid.dims + 2} buffers (phi, d_0 phi .. d_{grid.dims - 1} "
+                        f"phi, box) of shape {spinor}, or {grid.shape} for a first derivative "
+                        f"past axis 0; got shapes {[buf.shape for buf in out]}")
     bufs = out if out is not None else [None] * (grid.dims + 2)
     block = spinor_modes(grid, max_mode, rng)
-    scale = np.sqrt(np.prod(grid.shape))
-    phi = _pruned_ifft(block, grid, max_mode, reversed(range(grid.dims)), bufs[0])
-    phi *= scale
-    _require_finite(phi)
+    phi = _require_finite(_synthesized(block, grid, max_mode, None, bufs[0]))
     if backend == "fd4":
         return (phi, *_derivatives(phi, grid, "fd4"))
-    symbols, box = [], 0.0
+    scale = np.sqrt(np.prod(grid.shape))
+    factors, box = [], 0.0
     for mu in range(grid.dims):
         ik, minus_k2 = (s[_mode_window(grid.points[mu], max_mode)].reshape(
             (-1,) + (1,) * (grid.dims - 1 - mu)) for s in _spectral_symbols(grid, mu))
-        symbols.append(ik)
+        factors.append(scale * ik)
         box = box + METRIC_DIAG[mu] * minus_k2
-    symbols.append(box)
-    derived = [_pruned_ifft(block * (scale * s), grid, max_mode, range(grid.dims), buf)
-               for s, buf in zip(symbols, bufs[1:])]
+    factors.append(scale * box)
+    derived = [ModeComponents(grid, max_mode, block, f, buf)
+               if buf is not None and buf.shape == grid.shape
+               else _synthesized(block, grid, max_mode, f, buf)
+               for f, buf in zip(factors, bufs[1:])]
     return phi, derived[:-1], derived[-1]

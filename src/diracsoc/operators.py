@@ -10,24 +10,29 @@ computes directly.
 Compositions are evaluated by genuinely applying one operator to the
 output of the other on the grid; there is no symbolic fusion.  The two sides
 are composed once, in ``fock_and_factored_in_place``: it takes phi's
-derivative arrays from its caller, and both sides read them, the A.d term of
-``fock_rhs`` and the first factor.  ``factorization_discrepancy`` passes
+derivatives from its caller, and both sides read them, the A.d term of
+``fock_rhs`` and the first factor, one spinor component at a time as
+``dphi[nu][b]``.  ``factorization_discrepancy`` passes the arrays of
 ``grid._derivatives(phi)``, one forward transform per axis, and
-``verify-identity`` passes those of ``grid.band_limited_jet``.  Those arrays
-are the same bits that each side computes alone, so the equivalence check is
-as honest a numerical test as two separate evaluations.  The kernel forms
-both sides in their buffers, taking psi's derivatives one spinor component
-at a time.
+``verify-identity`` passes those of ``grid.band_limited_jet``, whose
+derivatives past axis 0 are synthesized one component at a time when read.
+Either way they are the same bits that each side computes alone, so the
+equivalence check is as honest a numerical test as two separate evaluations.
+The kernel forms both sides in the buffers it is given, the second factor in
+phi's once psi exists, taking psi's derivatives one spinor component at a
+time.
 
 The operators apply the Dirac matrices of ``clifford.DIRAC``.  Each of those
 gammas, and each commutator of two distinct ones, has one nonzero entry per
 row, so the operators mix spinor components through row tables
 (a, p(a), M_a,p(a)) taken from those matrices once, at import.
 
-A ``SampledPotential`` holds each of A_mu, A^2 and F_munu (once per pair
-mu < nu) with the shape of the axes it varies along, sampled on the grid's
-open coordinates, and the operators broadcast it against the fields; the
-values are those of the full grid's coordinates, so every result keeps its bits.
+A ``SampledPotential`` holds, for one grid and one set of constants, the
+coupling arrays the operators read, e A_mu, 2 i e hbar eta^{mumu} A_mu, e^2 A^2
+and F_munu (once per pair mu < nu), each scaled once, in the operators' order,
+and with the shape of the axes it varies along, sampled on the grid's open
+coordinates; the operators broadcast it against the fields.  The values are
+those of the full grid's coordinates, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -101,41 +106,51 @@ def _sample_field_strength(spec: PotentialSpec, zs) -> dict:
 
 
 class SampledPotential:
-    """A potential sampled once on one grid, passed to the operators in place of its spec.
+    """A potential sampled once on one grid for one set of constants, passed to the
+    operators in place of its spec.
 
-    Each array spans only the axes the potential varies along (``_open_coords``):
-    0-d for a constant, one axis for a wave along one axis, the whole grid only
-    for a wave along two; the operators broadcast it against the field.
-    ``A[mu]`` is the lower-index component A_mu (0-d zero where it vanishes
-    identically), ``coupled[mu]`` says whether A_mu is anywhere nonzero and
-    ``asq`` is A^mu A_mu (None where it vanishes identically).  ``F`` maps each
-    pair (mu, nu), mu < nu, to F_munu for the components that are not identically
-    zero, in row-major order; F_numu is -F_munu exactly.  Everything is read-only
-    and sampled at construction, F last, once A's temporaries are freed; a
-    potential therefore exists before any derivative of a field it acts on.
+    It holds the coupling arrays that the operators read, each scaled once by the
+    constants: ``eA[mu]`` is e A_mu (0-d zero where A_mu vanishes identically),
+    ``coupled[mu]`` says whether A_mu is anywhere nonzero, ``ad[mu]`` is
+    2 i e hbar eta^{mumu} A_mu, the factor of d_mu phi in the A.d term, on the
+    coupled active axes (None elsewhere), and ``e2asq`` is e^2 A^mu A_mu (None where
+    A^2 vanishes identically).  ``F`` maps each pair (mu, nu), mu < nu, to F_munu for
+    the components that are not identically zero, in row-major order; F_numu is
+    -F_munu exactly.  Each array spans only the axes the potential varies along
+    (``_open_coords``): 0-d for a constant, one axis for a wave along one axis, the
+    whole grid only for a wave along two; the operators broadcast it against the
+    field.  Everything is read-only and sampled at construction, F last, once A's
+    temporaries are freed; a potential therefore exists before any derivative of a
+    field it acts on.
     """
 
-    def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid) -> None:
+    def __init__(self, spec: PotentialSpec, grid: SpacetimeGrid,
+                 consts: PhysicalConstants) -> None:
         require_representable(spec, grid)
-        self.spec = spec
-        self.grid = grid
+        self.spec, self.grid, self.consts = spec, grid, consts
+        e, hbar = consts.e, consts.hbar
         zs = _open_coords(spec, grid)
-        self.A = tuple(_held(0j if a is None else a) for a in spec.family.component_values(zs))
-        self.coupled = tuple(bool(np.any(a != 0)) for a in self.A)
-        asq = _held(sum(METRIC_DIAG[mu] * self.A[mu] * self.A[mu] for mu in range(4)))
-        self.asq = asq if np.any(asq != 0) else None
-        del asq  # a zero A^2 is freed before F is sampled
+        A = [_held(0j if a is None else a) for a in spec.family.component_values(zs)]
+        self.coupled = tuple(bool(np.any(a != 0)) for a in A)
+        asq = _held(sum(METRIC_DIAG[mu] * A[mu] * A[mu] for mu in range(4)))
+        self.e2asq = _held(e ** 2 * asq) if np.any(asq != 0) else None
+        self.ad = tuple(_held(2j * e * hbar * METRIC_DIAG[mu] * A[mu])
+                        if grid.is_active(mu) and self.coupled[mu] else None for mu in range(4))
+        self.eA = tuple(_held(e * a) for a in A)
+        del A, asq  # freed before F is sampled
         self.F = _sample_field_strength(spec, zs)
 
 
 Potential = PotentialSpec | SampledPotential
 
 
-def _sampled(psi: Field, A: Potential) -> SampledPotential:
+def _sampled(psi: Field, A: Potential, consts: PhysicalConstants) -> SampledPotential:
     if not isinstance(A, SampledPotential):
-        return SampledPotential(A, psi.grid)
+        return SampledPotential(A, psi.grid, consts)
     if A.grid != psi.grid:
         raise OperatorError("potential was sampled on a different grid than the field")
+    if A.consts != consts:
+        raise OperatorError("potential was sampled with other constants than the operator's")
     return A
 
 
@@ -186,20 +201,21 @@ def _accumulate(out: np.ndarray, m: complex, term: np.ndarray, row: np.ndarray) 
         out += np.multiply(m, term, out=row)
 
 
-def _slash_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
-                  consts: PhysicalConstants, backend: str, mass: int = 0,
-                  dpsi: list[np.ndarray] | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def _slash_values(values: np.ndarray, pot: SampledPotential, backend: str, mass: int = 0,
+                  dpsi: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """gamma^nu (i hbar d_nu - e A_nu) psi + mass m c psi from psi's values, unchecked.
 
     ``mass`` is 0, +1 or -1.  Spinor components are mixed through the gamma
     row tables, one component at a time, with the potential and mass terms
     formed in one reused buffer.  ``dpsi``, if given, holds d_nu psi for the
-    active axes in order and is consumed: the sum is formed in ``dpsi[0]``'s
-    buffer (gamma^0 is diagonal) and each later array is overwritten by its
-    term.  Otherwise each derivative is taken one component at a time, and
-    the sum is formed in ``out``, or in a new array.
+    active axes in order, each read as ``dpsi[nu][b]`` one component at a time
+    (an array or a ``grid.ModeComponents``), and is consumed: the sum is formed
+    in ``dpsi[0]``'s buffer, an array (gamma^0 is diagonal), and each later
+    component read is overwritten by its term.  Otherwise each derivative is
+    taken one component at a time, and the sum is formed in ``out``, or in a new
+    array.
     """
+    grid, consts = pot.grid, pot.consts
     ihbar = 1j * consts.hbar
     row = np.empty(grid.shape, dtype=np.complex128)
     if dpsi is not None:
@@ -208,8 +224,7 @@ def _slash_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential
         out = np.empty(values.shape, dtype=np.complex128)
     deriv = None if dpsi is not None or grid.dims == 1 else np.empty_like(row)
     for nu in range(4):
-        coupled = pot.coupled[nu]
-        eA = consts.e * pot.A[nu] if coupled else None
+        coupled, eA = pot.coupled[nu], pot.eA[nu]
         if grid.is_active(nu):
             for a, b, m in _GAMMA_ROWS[nu]:
                 # axis 0 is always active and gamma^0 is diagonal: its term starts out[a]
@@ -232,7 +247,6 @@ def _slash_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential
             for a, b, m in _GAMMA_ROWS[nu]:
                 np.multiply(eA, values[b], out=row)
                 _accumulate(out[a], -m, row, row)
-        del eA  # freed before the next axis's is formed
     if mass:
         add = np.add if mass > 0 else np.subtract
         for a in range(4):
@@ -245,8 +259,7 @@ def _slash_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential
 def _slash(psi: Field, A: Potential, consts: PhysicalConstants, backend: str,
            mass: int) -> Field:
     _require_spinor(psi)
-    return Field(psi.grid, _slash_values(psi.values, psi.grid, _sampled(psi, A), consts,
-                                         backend, mass))
+    return Field(psi.grid, _slash_values(psi.values, _sampled(psi, A, consts), backend, mass))
 
 
 def minimal_coupling_slash(psi: Field, A: Potential, consts: PhysicalConstants,
@@ -270,21 +283,22 @@ def build_spinor(phi: Field, A: Potential, consts: PhysicalConstants,
     return _slash(phi, A, consts, backend, mass=+1)
 
 
-def _fock_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
-                 consts: PhysicalConstants, dphi: list[np.ndarray],
+def _fock_values(values: np.ndarray, pot: SampledPotential, dphi: list,
                  box: np.ndarray) -> np.ndarray:
     """The terms of ``fock_rhs`` from phi's values and derivatives.
 
-    The result is formed in ``box``'s buffer; ``dphi`` is read on the
-    coupled axes.  box, and dphi where it is read, are checked finite; the
-    result is not.  The mass, field-strength, A.d and A^2 terms are formed
-    one spinor component at a time in one reused buffer, and the
-    field-strength term in one buffer per held pair of F.  The (nu, mu) term
+    The result is formed in ``box``'s buffer; ``dphi`` is read on the coupled
+    axes, as ``dphi[mu][a]`` one component at a time (see ``_slash_values``).
+    box, and each component of dphi read, are checked finite; the result is
+    not.  The mass, field-strength, A.d and A^2 terms are formed one spinor
+    component at a time in one reused buffer, and the field-strength term in
+    one buffer per held pair of F.  The (nu, mu) term
     of a pair is the (mu, nu) one bit for bit, since F_numu = -F_munu and
     [gamma^nu, gamma^mu] = -[gamma^mu, gamma^nu] negate exactly; so each
     pair's product is formed once per spinor row and subtracted for both
     orders, in the row-major order of (mu, nu) over all mu != nu.
     """
+    grid, consts = pot.grid, pot.consts
     hbar, e, mc = consts.hbar, consts.e, consts.mc
     row = np.empty(grid.shape, dtype=np.complex128)
     out = np.multiply(hbar ** 2, _require_finite(box), out=box)
@@ -307,16 +321,13 @@ def _fock_values(values: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
 
     for mu in range(grid.dims):
         if pot.coupled[mu]:
-            coef = 2j * e * hbar * METRIC_DIAG[mu] * pot.A[mu]
-            d = _require_finite(dphi[mu])
             for a in range(4):
-                np.multiply(coef, d[a], out=row)
+                np.multiply(pot.ad[mu], _require_finite(dphi[mu][a]), out=row)
                 out[a] -= row
 
-    if pot.asq is not None:
-        coef = e ** 2 * pot.asq
+    if pot.e2asq is not None:
         for a in range(4):
-            np.multiply(coef, values[a], out=row)
+            np.multiply(pot.e2asq, values[a], out=row)
             out[a] += row
     return out
 
@@ -330,10 +341,10 @@ def fock_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     - 2 i e hbar A^mu d_mu phi + e^2 A^mu A_mu phi
     """
     _require_spinor(phi)
-    pot = _sampled(phi, A)
+    pot = _sampled(phi, A, consts)
     dphi, box = _derivatives(phi.values, phi.grid, backend,
                              first=any(pot.coupled[:phi.grid.dims]))
-    return Field(phi.grid, _fock_values(phi.values, phi.grid, pot, consts, dphi, box))
+    return Field(phi.grid, _fock_values(phi.values, pot, dphi, box))
 
 
 def factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -342,26 +353,25 @@ def factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
     return dirac_apply(build_spinor(phi, A, consts, backend), A, consts, backend)
 
 
-def fock_and_factored_in_place(phi: np.ndarray, grid: SpacetimeGrid, pot: SampledPotential,
-                               consts: PhysicalConstants, backend: str,
-                               dphi: list[np.ndarray], box: np.ndarray
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """(``fock_rhs``, ``factored_rhs``) values of the spinor values phi, from its derivatives.
+def fock_and_factored_in_place(phi: np.ndarray, pot: SampledPotential, backend: str,
+                               dphi: list, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``fock_rhs``, ``factored_rhs``) values of the spinor values phi, from its derivatives,
+    on the potential's grid and constants.
 
-    ``dphi`` (d_mu phi for the active axes) and ``box`` (the d'Alembertian)
+    phi, ``dphi`` (d_mu phi for the active axes) and ``box`` (the d'Alembertian)
     are consumed: fock is formed in box's buffer, the first factor psi in
-    dphi[0]'s, and the second factor in dphi[1]'s, freed once psi is formed
-    (a new array on a 1-dim grid).  phi is only read.  Both sides read the
-    same derivative arrays, which ``fock_rhs`` and the first factor would each
+    dphi[0]'s, an array, and the second factor in phi's, which nothing reads once
+    psi is formed.  dphi is read one spinor component at a time, ``dphi[mu][b]``,
+    so each later axis may be an array or a ``grid.ModeComponents``.  Both sides
+    read the same derivatives, which ``fock_rhs`` and the first factor would each
     compute alone; psi's derivatives are taken one component at a time.  The
-    derivative arrays read, psi and both outputs are checked finite; phi is
-    not, being a Field's values or the checked phi of ``grid.band_limited_jet``.
+    derivative components that the A.d term reads, psi and both outputs are
+    checked finite; phi is not, being a copy of a Field's values or the checked
+    phi of ``grid.band_limited_jet``.
     """
-    fock = _require_finite(_fock_values(phi, grid, pot, consts, dphi, box))
-    psi = _require_finite(_slash_values(phi, grid, pot, consts, backend, mass=+1, dpsi=dphi))
-    fact = _slash_values(psi, grid, pot, consts, backend, mass=-1,
-                         out=dphi[1] if len(dphi) > 1 else None)
-    return fock, _require_finite(fact)
+    fock = _require_finite(_fock_values(phi, pot, dphi, box))
+    psi = _require_finite(_slash_values(phi, pot, backend, mass=+1, dpsi=dphi))
+    return fock, _require_finite(_slash_values(psi, pot, backend, mass=-1, out=phi))
 
 
 def legacy_factored_rhs(phi: Field, A: Potential, consts: PhysicalConstants,
@@ -408,9 +418,10 @@ def factorization_discrepancy(phi: Field, A: Potential, consts: PhysicalConstant
     """|factored - fock| / |fock|, the relative discrepancy between the two forms
     (inf where fock vanishes)."""
     _require_spinor(phi)
-    return relative_discrepancy(*fock_and_factored_in_place(
-        phi.values, phi.grid, _sampled(phi, A), consts, backend,
-        *_derivatives(phi.values, phi.grid, backend)))
+    pot = _sampled(phi, A, consts)
+    dphi, box = _derivatives(phi.values, phi.grid, backend)
+    return relative_discrepancy(*fock_and_factored_in_place(phi.values.copy(), pot, backend,
+                                                            dphi, box))
 
 
 @dataclass(frozen=True)

@@ -189,10 +189,10 @@ def test_identity_fields_after_the_first_allocate_no_spinor(monkeypatch):
 
 def test_identity_working_set_on_the_default_grid(monkeypatch):
     # One field per family on the default grid, checked in this process: the traced peak
-    # of the whole suite stays within 6.5 spinor arrays.  The jet's four arrays are held
-    # throughout; the lightlike wave, the one potential that varies along both axes,
-    # adds its full-grid A_2, A^2 and one F per pair, and the residual's moduli go in
-    # psi's buffer.
+    # of the whole suite stays within 5.5 spinor arrays.  The jet's three arrays (phi,
+    # d_0 phi and box) and one component buffer for d_1 phi are held throughout; the
+    # lightlike wave, the one potential that varies along both axes, adds its full-grid
+    # e A_2, e^2 A^2 and one F per pair, and the residual's moduli go in psi's buffer.
     cfg = RunConfig.from_sources({"identity.n_fields": "1", "identity.gauge_fields": "1"})
     spinor_bytes = 4 * np.prod(cfg.grid().shape) * 16
     monkeypatch.setattr(cli, "_worker_count", lambda n_tasks: 1)
@@ -203,7 +203,7 @@ def test_identity_working_set_on_the_default_grid(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(records) == 5 and all(r["pass"] for r in records)
-    assert peak <= 6.5 * spinor_bytes, peak / spinor_bytes
+    assert peak <= 5.5 * spinor_bytes, peak / spinor_bytes
 
 
 # an odd field count in each family, so that the two processes' shares differ in size

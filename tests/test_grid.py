@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from diracsoc.clifford import mdot
-from diracsoc.grid import (Field, GridError, SpacetimeGrid, _derivatives, _rms, band_limited_jet,
-                           dalembertian, l2norm, partial, partial_or_zero, plane_wave,
-                           random_band_limited)
+from diracsoc.grid import (Field, GridError, ModeComponents, SpacetimeGrid, _derivatives, _rms,
+                           band_limited_jet, dalembertian, l2norm, partial, partial_or_zero,
+                           plane_wave, random_band_limited, spinor_modes)
 
 GRID = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(64, 64))
 
@@ -204,6 +204,47 @@ def test_band_limited_jet_fills_the_given_buffers():
         band_limited_jet(GRID, 32, np.random.default_rng(3))
     with pytest.raises(GridError):
         band_limited_jet(GRID, 5, np.random.default_rng(3), backend="fd2")
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd4"])
+@pytest.mark.parametrize("points,max_mode", [((64, 64), 5), ((32, 32, 16), 4)])
+def test_band_limited_jet_reads_components_with_the_bits_of_its_arrays(points, max_mode,
+                                                                       backend):
+    # given one component buffer for the first derivatives past axis 0, the spectral jet
+    # synthesizes each of their components when it is read, and the fd4 jet still gives
+    # the stencil's arrays; either way each component read is the jet's array's, bit for
+    # bit, and so is each component of phi re-drawn from the field's mode block
+    grid = SpacetimeGrid(dims=len(points), extent=(2 * np.pi,) * len(points), points=points)
+    want_phi, want_dphi, want_box = band_limited_jet(grid, max_mode, np.random.default_rng(19),
+                                                     backend)
+    spinors = [np.empty((4,) + grid.shape, dtype=np.complex128) for _ in range(3)]
+    component = np.empty(grid.shape, dtype=np.complex128)
+    out = spinors[:2] + [component] * (grid.dims - 1) + spinors[2:]
+    phi, dphi, box = band_limited_jet(grid, max_mode, np.random.default_rng(19), backend,
+                                      out=out)
+    assert np.array_equal(phi, want_phi) and np.array_equal(box, want_box)
+    assert all(isinstance(d, ModeComponents) == (backend == "spectral") for d in dphi[1:])
+    for d, want in zip(dphi, want_dphi):
+        for b in range(4):
+            assert np.array_equal(d[b], want[b])
+    redrawn = ModeComponents(grid, max_mode, spinor_modes(grid, max_mode,
+                                                          np.random.default_rng(19)),
+                             None, component)
+    for b in range(4):
+        assert redrawn[b] is component and np.array_equal(component, want_phi[b])
+
+
+def test_band_limited_jet_refuses_buffers_that_do_not_match():
+    # one buffer too few on a 2-D grid would take d_1 phi's place for the d'Alembertian
+    spinor, component = (4,) + GRID.shape, GRID.shape
+    layouts = [[spinor] * 3, [spinor] * 5, [component, spinor, spinor, spinor],
+               [spinor, component, spinor, spinor], [spinor, spinor, spinor, component],
+               [spinor, spinor, (4, 64, 32), spinor], [spinor, spinor, (64, 64, 1), spinor]]
+    for backend in ("spectral", "fd4"):
+        for shapes in layouts:
+            out = [np.empty(shape, dtype=np.complex128) for shape in shapes]
+            with pytest.raises(GridError, match="out needs 4 buffers"):
+                band_limited_jet(GRID, 5, np.random.default_rng(3), backend, out=out)
 
 
 def test_field_norm_and_immutability():

@@ -334,6 +334,7 @@ def test_minimal_coupling_refuses_a_non_finite_term(bad, monkeypatch):
 WITNESS_GRID = SpacetimeGrid(dims=2, extent=(2 * np.pi, 2 * np.pi), points=(32, 32))
 WITNESS_GRID_3D = SpacetimeGrid(dims=3, extent=(2 * np.pi,) * 3, points=(32, 32, 8))
 WITNESS_CONSTS = PhysicalConstants(hbar=0.7, c=1.3, m=1.1, e=-0.9)
+NON_UNIT_CONSTS = PhysicalConstants(hbar=0.75, c=1.5, m=1.25, e=-0.6)
 
 
 def witness_cases():
@@ -416,12 +417,12 @@ def test_operators_equal_term_by_term_reference(name, grid, spec, backend):
         phi = random_band_limited(grid, 3, rng, spinor=True)
         fock_want = _ref_fock(phi, spec, c, backend)
         fact_want = _ref_factored(phi, spec, c, backend)
-        sampled = SampledPotential(spec, grid)
+        sampled = SampledPotential(spec, grid, c)
         for pot in (spec, sampled):
             assert np.array_equal(fock_rhs(phi, pot, c, backend).values, fock_want)
             assert np.array_equal(factored_rhs(phi, pot, c, backend).values, fact_want)
         # the shared kernel gives the same bits as the two operators alone
-        fock, fact = fock_and_factored_in_place(phi.values, grid, sampled, c, backend,
+        fock, fact = fock_and_factored_in_place(phi.values.copy(), sampled, backend,
                                                 *_derivatives(phi.values, grid, backend))
         assert np.array_equal(fock, fock_want)
         assert np.array_equal(fact, fact_want)
@@ -430,18 +431,18 @@ def test_operators_equal_term_by_term_reference(name, grid, spec, backend):
 @pytest.mark.parametrize("backend", ["spectral", "fd4"])
 @pytest.mark.parametrize("name,grid,spec", witness_cases())
 def test_in_place_kernel_gives_fock_and_factored_bits(name, grid, spec, backend):
-    # fed _derivatives(phi), the kernel forms fock in box's buffer and the second factor in
-    # dphi[1]'s with the bits of fock_rhs and factored_rhs, and the residual it leaves
-    # equals factorization_discrepancy's
+    # fed a copy of phi and _derivatives(phi), the kernel forms fock in box's buffer and
+    # the second factor in phi's with the bits of fock_rhs and factored_rhs, and the
+    # residual it leaves equals factorization_discrepancy's
     rng = np.random.default_rng(131)
     phi = random_band_limited(grid, 3, rng, spinor=True)
-    pot = SampledPotential(spec, grid)
+    pot = SampledPotential(spec, grid, WITNESS_CONSTS)
     want = (fock_rhs(phi, pot, WITNESS_CONSTS, backend),
             factored_rhs(phi, pot, WITNESS_CONSTS, backend))
     dphi, box = _derivatives(phi.values, grid, backend)
-    fock, fact = fock_and_factored_in_place(phi.values, grid, pot, WITNESS_CONSTS, backend,
-                                            dphi, box)
-    assert fock is box and fact is dphi[1]
+    values = phi.values.copy()
+    fock, fact = fock_and_factored_in_place(values, pot, backend, dphi, box)
+    assert fock is box and fact is values
     assert fock.tobytes() == want[0].values.tobytes()
     assert fact.tobytes() == want[1].values.tobytes()
     rel = relative_discrepancy(fock, fact, np.empty(fock.shape))
@@ -478,17 +479,23 @@ def test_fock_and_factored_transforms_phi_once_per_axis(monkeypatch):
     assert passes == {"fft": 4, "ifft": 6, "window": 0}
 
 
-def test_identity_field_path_transforms(monkeypatch):
-    # the suite's path for one field on the default grid, 8 full passes and 4 window passes:
-    # the jet's 4 full inverse passes (phi, d_0 phi, d_1 phi, box) and 4 window passes, then
-    # psi's 2 forward and 2 inverse passes.  Drawing phi and then transforming it, as
+@pytest.mark.parametrize("index,want", [(2, {"fft": 2, "ifft": 6, "window": 7}),
+                                        (1, {"fft": 2, "ifft": 7, "window": 11})])
+def test_identity_field_path_transforms(monkeypatch, index, want):
+    # the suite's path for one field on the default grid: the jet's 3 full inverse passes
+    # (phi, d_0 phi, box) and 3 window passes; one window pass and a quarter of a full
+    # one for each d_1 phi component read, 4 by the first factor and 4 more by the A.d
+    # term where A_1 couples (constant_A, not the lightlike wave); then psi's 2 forward
+    # and 2 inverse passes.  Drawing phi and then transforming it, as
     # factorization_discrepancy does, takes 11 full passes and 1 window pass.
     grid = SpacetimeGrid()
-    pot = SampledPotential(identity_potentials(grid)[2][1], grid)
+    pot = SampledPotential(identity_potentials(grid)[index][1], grid, PhysicalConstants())
+    spinors = [np.empty((4,) + grid.shape, dtype=np.complex128) for _ in range(3)]
+    out = spinors[:2] + [np.empty(grid.shape, dtype=np.complex128)] + spinors[2:]
     passes = count_transforms(monkeypatch, grid)
-    phi, dphi, box = band_limited_jet(grid, 8, np.random.default_rng(5))
-    fock_and_factored_in_place(phi, grid, pot, PhysicalConstants(), "spectral", dphi, box)
-    assert passes == {"fft": 2, "ifft": 6, "window": 4}
+    phi, dphi, box = band_limited_jet(grid, 8, np.random.default_rng(5), out=out)
+    fock_and_factored_in_place(phi, pot, "spectral", dphi, box)
+    assert passes == want
 
 
 def _traced_peak(fn, *args):
@@ -513,12 +520,11 @@ def test_factorization_discrepancy_peak_memory_on_the_default_grid():
         for name, spec in potentials:
             phi = random_band_limited(grid, 8, rng, spinor=True)
             size = phi.values.nbytes
-            sampling = _traced_peak(SampledPotential, spec, grid)
-            pot = SampledPotential(spec, grid)
+            sampling = _traced_peak(SampledPotential, spec, grid, consts)
+            pot = SampledPotential(spec, grid, consts)
             fresh = _traced_peak(factorization_discrepancy, phi, spec, consts)
             kernel = _traced_peak(factorization_discrepancy, phi, pot, consts)
-            kept = sum(a.nbytes for a in [*pot.A, *pot.F.values()]
-                       + ([] if pot.asq is None else [pot.asq]))
+            kept = sum(a.nbytes for a in held_arrays(pot))
             assert kernel <= 5 * size, (name, kernel / size)
             assert fresh <= max(sampling, kept + kernel) + size // 16, (name, fresh / size)
             del pot, phi
@@ -548,24 +554,30 @@ def test_dalembertian_agrees_with_composed_first_derivatives(name, grid, max_mod
             assert np.abs(got - composed).max() <= 1e-12 * np.abs(composed).max()
 
 
+def held_arrays(pot):
+    """Every array a SampledPotential holds."""
+    return [*pot.eA, *pot.F.values(),
+            *[a for a in (*pot.ad, pot.e2asq) if a is not None]]
+
+
 def test_sampled_potential_holds_only_nonzero_field_strength():
     # F is held once per pair mu < nu: F_10 = -F_01 is not held
-    pot = SampledPotential(emfield.constant_electric(0.6), WITNESS_GRID)
+    pot = SampledPotential(emfield.constant_electric(0.6), WITNESS_GRID, CONSTS)
     assert sorted(pot.F) == [(0, 1)]
     F_01 = np.broadcast_to(pot.F[(0, 1)], WITNESS_GRID.shape)
     assert np.all(F_01 == 0.6) and np.all(-F_01 == -0.6)
     assert pot.coupled == (True, False, False, False)
-    assert not any(a.flags.writeable for a in pot.A)
-    assert not any(f.flags.writeable for f in pot.F.values())
-    assert SampledPotential(emfield.free(), WITNESS_GRID).F == {}
+    assert not any(a.flags.writeable for a in held_arrays(pot))
+    assert SampledPotential(emfield.free(), WITNESS_GRID, CONSTS).F == {}
 
 
 def test_sampled_potential_holds_a_squared():
-    pot = SampledPotential(emfield.constant_potential([0.8, -0.3, 0.2, 0.0]), WITNESS_GRID)
-    assert np.array_equal(np.broadcast_to(pot.asq, WITNESS_GRID.shape),
+    pot = SampledPotential(emfield.constant_potential([0.8, -0.3, 0.2, 0.0]), WITNESS_GRID,
+                           CONSTS)
+    assert np.array_equal(np.broadcast_to(pot.e2asq, WITNESS_GRID.shape),
                           np.full(WITNESS_GRID.shape, 0.8 ** 2 - 0.3 ** 2 - 0.2 ** 2))
-    assert not pot.asq.flags.writeable
-    assert SampledPotential(emfield.free(), WITNESS_GRID).asq is None
+    assert not pot.e2asq.flags.writeable
+    assert SampledPotential(emfield.free(), WITNESS_GRID, CONSTS).e2asq is None
 
 
 def _sampled_cases():
@@ -577,21 +589,27 @@ def _sampled_cases():
             [0.3, -0.2, 0.0, 0.4], WITNESS_GRID.commensurate_wavevector([2, -1]), 0.7))]
 
 
+@pytest.mark.parametrize("c", [WITNESS_CONSTS, NON_UNIT_CONSTS], ids=["witness", "non_unit"])
 @pytest.mark.parametrize("name,grid,spec", _sampled_cases())
-def test_sampled_potential_equals_full_grid_evaluation(name, grid, spec):
-    # sampled on the open coordinates, A, A^2, F and -i e hbar (d.A) are the values on the
-    # full grid's coordinates, broadcast; F_numu is -F_munu
-    c = WITNESS_CONSTS
+def test_sampled_potential_equals_full_grid_evaluation(name, grid, spec, c):
+    # sampled on the open coordinates, e A_mu, 2 i e hbar eta^{mumu} A_mu (on the coupled
+    # active axes), e^2 A^2, F and -i e hbar (d.A) are the values on the full grid's
+    # coordinates, scaled in that order and broadcast; F_numu is -F_munu
     z = grid.coords4()
-    pot = SampledPotential(spec, grid)
+    pot = SampledPotential(spec, grid, c)
     A = emfield.evaluate_potential(spec, z)
     for mu in range(4):
-        assert np.array_equal(np.broadcast_to(pot.A[mu], grid.shape), A[mu])
+        assert np.array_equal(np.broadcast_to(pot.eA[mu], grid.shape), c.e * A[mu])
         assert pot.coupled[mu] == bool(np.any(A[mu] != 0))
+        if grid.is_active(mu) and pot.coupled[mu]:
+            want = 2j * c.e * c.hbar * METRIC_DIAG[mu] * A[mu]
+            assert np.array_equal(np.broadcast_to(pot.ad[mu], grid.shape), want)
+        else:
+            assert pot.ad[mu] is None
     asq = sum(METRIC_DIAG[mu] * A[mu] * A[mu] for mu in range(4))
-    assert (pot.asq is None) == (not np.any(asq != 0))
-    if pot.asq is not None:
-        assert np.array_equal(np.broadcast_to(pot.asq, grid.shape), asq)
+    assert (pot.e2asq is None) == (not np.any(asq != 0))
+    if pot.e2asq is not None:
+        assert np.array_equal(np.broadcast_to(pot.e2asq, grid.shape), c.e ** 2 * asq)
     F = emfield.field_strength(spec, z)
     for mu in range(4):
         for nu in range(mu + 1, 4):
@@ -608,23 +626,22 @@ def test_sampled_potential_spans_only_the_axes_it_varies_along():
     # arrays of one axis (O(points) bytes), and only a wave along both in full-grid ones
     grid = SpacetimeGrid()
     potentials = dict(identity_potentials(grid))
-    held = {name: SampledPotential(spec, grid) for name, spec in potentials.items()}
+    held = {name: SampledPotential(spec, grid, PhysicalConstants())
+            for name, spec in potentials.items()}
 
-    def arrays(pot):
-        return [*pot.A, *pot.F.values()] + ([] if pot.asq is None else [pot.asq])
-
-    assert all(a.ndim == 0 for a in arrays(held["constant_A"]))
-    assert all(a.ndim == 0 for a in arrays(held["free"]))
-    spacelike = arrays(held["em_wave_spacelike"])
+    assert all(a.ndim == 0 for a in held_arrays(held["constant_A"]))
+    assert all(a.ndim == 0 for a in held_arrays(held["free"]))
+    spacelike = held_arrays(held["em_wave_spacelike"])
     assert {a.shape for a in spacelike} == {(), (1, 256)}
     gauge = gauge_violating_potential(grid)
     coef = operators.gauge_discrepancy_coefficient(gauge, grid, PhysicalConstants())
     assert coef.shape == (256, 1)
-    gauge_held = arrays(SampledPotential(gauge, grid)) + [coef]
+    gauge_held = held_arrays(SampledPotential(gauge, grid, PhysicalConstants())) + [coef]
     for group in (spacelike, gauge_held):
         assert sum(a.nbytes for a in group) <= 8 * 256 * 16
-    # the lightlike wave's one nonzero component, its A^2 and two pairs of F
-    lightlike = arrays(held["em_wave_lightlike"])
+    # the lightlike wave's one nonzero component, its A^2 and two pairs of F: it couples
+    # no active axis, so it holds no A.d factor
+    lightlike = held_arrays(held["em_wave_lightlike"])
     assert sum(a.nbytes for a in lightlike) == 4 * np.prod(grid.shape) * 16 + 3 * 16
 
 
@@ -637,12 +654,13 @@ def test_commutator_rows_of_the_reversed_pair_negate_exactly():
             assert _COMMUTATOR_ROWS[nu, mu] == tuple(reversed_rows)
 
 
-def test_sampled_potential_grid_mismatch_rejected():
+def test_sampled_potential_grid_or_constants_mismatch_rejected():
     rng = np.random.default_rng(101)
     phi = random_band_limited(GRID, 4, rng, spinor=True)
-    pot = SampledPotential(FREE, WITNESS_GRID)
-    with pytest.raises(OperatorError):
-        fock_rhs(phi, pot, CONSTS)
+    with pytest.raises(OperatorError, match="grid"):
+        fock_rhs(phi, SampledPotential(FREE, WITNESS_GRID, CONSTS), CONSTS)
+    with pytest.raises(OperatorError, match="constants"):
+        factored_rhs(phi, SampledPotential(FREE, GRID, WITNESS_CONSTS), CONSTS)
 
 
 def test_operator_outputs_are_read_only_and_unaliased():
